@@ -11,6 +11,8 @@
 //                 what CI uploads as the BENCH_*.json trajectory artifact.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -98,12 +100,30 @@ class JsonSink {
 //                sweep point) — machine-independent, this is what the gate
 //                bounds; "-" when the row has no control
 //   identical    "yes"/"no" output-equality vs the control ("-" when not
-//                applicable; for fast-math rows: within the documented
-//                epsilon contract). The gate fails on any "no".
+//                applicable; for bench_m4's route rows: within_contract
+//                below). The gate fails on any "no".
 
 inline Table stage_table() {
   return Table({"phase", "instance", "threads", "ms_per_op", "ops_per_sec",
                 "speedup", "identical"});
+}
+
+/// Output agreement between two MWU solves of the same LP that differ only
+/// in how the normalizing total sum_e x_e is associated — the restricted
+/// solver's segmented sum vs bench_m4's legacy replica's serial sum. Both
+/// are exact certificates, so congestion and lower bound must agree within
+/// 0.05 * max(1, |reference|), and each run's dual lower bound must sit
+/// below the other run's congestion (cross-validity). `A` and `B` are any
+/// results with `congestion` and `lower_bound` fields.
+template <typename A, typename B>
+bool within_contract(const A& fresh, const B& reference) {
+  const auto close = [](double f, double r) {
+    return std::abs(f - r) <= 0.05 * std::max(1.0, std::abs(r));
+  };
+  return close(fresh.congestion, reference.congestion) &&
+         close(fresh.lower_bound, reference.lower_bound) &&
+         fresh.lower_bound <= reference.congestion * (1.0 + 1e-9) + 1e-12 &&
+         reference.lower_bound <= fresh.congestion * (1.0 + 1e-9) + 1e-12;
 }
 
 /// Appends one canonical stage row. `total_ms` over `ops` operations;

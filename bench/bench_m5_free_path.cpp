@@ -5,12 +5,9 @@
 // incremental max_log/exp caching, sparse touched-set aggregation — against
 // a VERBATIM copy of the pre-change implementation (shared run_mwu template
 // + naive Dijkstra best response, per-round allocations) on the same
-// inputs. Default-mode outputs must be BIT-IDENTICAL (congestion, dual
-// bound, rounds used, every edge load); a row with identical=no is a bug,
-// not a measurement. The free_route_fastmath rows additionally run the
-// opt-in fast-math mode, where "identical" means WITHIN the documented
-// epsilon contract (|delta| <= 0.05 * max(1, exact) plus cross-valid
-// certificates; see MinCongestionOptions::fast_math).
+// inputs. Outputs must be BIT-IDENTICAL (congestion, dual bound, rounds
+// used, every edge load); a row with identical=no is a bug, not a
+// measurement.
 //
 //   bench_m5_free_path [--quick] [--json PATH]
 #include <chrono>
@@ -61,19 +58,6 @@ bool full_output_equal(const CongestionResult& a, const CongestionResult& b) {
          a.rounds_used == b.rounds_used && a.edge_load == b.edge_load;
 }
 
-bool within_contract(const CongestionResult& fast,
-                     const CongestionResult& exact) {
-  const auto ok = [](double f, double e) {
-    return std::abs(f - e) <= 0.05 * std::max(1.0, std::abs(e));
-  };
-  // Deviation band plus cross-validity: each run's dual bound must sit
-  // below the other run's congestion (same LP, both certificates exact).
-  return ok(fast.congestion, exact.congestion) &&
-         ok(fast.lower_bound, exact.lower_bound) &&
-         fast.lower_bound <= exact.congestion * (1.0 + 1e-9) + 1e-12 &&
-         exact.lower_bound <= fast.congestion * (1.0 + 1e-9) + 1e-12;
-}
-
 void bench_instance(Table& table, const std::string& name, const Graph& g,
                     std::uint64_t seed, int num_demands, int reps) {
   Rng rng(seed);
@@ -112,32 +96,12 @@ void bench_instance(Table& table, const std::string& name, const Graph& g,
     }
   }
 
-  // ---- opt-in fast-math, epsilon-contract equality ------------------------
-  MinCongestionOptions fast_options = options;
-  fast_options.fast_math = true;
-  double fast_ms = 0.0;
-  bool in_contract = true;
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      const auto start = Clock::now();
-      const CongestionResult result =
-          min_congestion_free(g, demands[i], fast_options);
-      fast_ms += ms_since(start);
-      if (r == 0) {
-        in_contract = in_contract && within_contract(result, flat_results[i]);
-      }
-    }
-  }
-
   const int ops = reps * num_demands;
   sor::bench::stage_row(table, "free_route", name, 1, flat_ms, ops,
                         flat_ms > 0.0 ? legacy_ms / flat_ms : 0.0,
                         identical ? "yes" : "no");
   sor::bench::stage_row(table, "free_route_legacy", name, 1, legacy_ms, ops,
                         1.0, identical ? "yes" : "no");
-  sor::bench::stage_row(table, "free_route_fastmath", name, 1, fast_ms, ops,
-                        fast_ms > 0.0 ? legacy_ms / fast_ms : 0.0,
-                        in_contract ? "yes" : "no");
 }
 
 }  // namespace
@@ -149,8 +113,7 @@ int main(int argc, char** argv) {
          "min_congestion_free on the flat substrate: reuse-scratch Dijkstra "
          "best responses, incremental max_log/exp caching, sparse touched-set "
          "aggregation. Measured against a verbatim copy of the pre-change "
-         "solver; default-mode outputs must be bit-identical, fast-math rows "
-         "within the documented epsilon contract.");
+         "solver; outputs must be bit-identical.");
 
   Table table = stage_table();
   const int reps = args.quick ? 2 : 3;

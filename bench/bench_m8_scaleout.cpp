@@ -1,5 +1,5 @@
 // Experiment M8 — scale-out routing: streaming million-entry demand
-// epochs through aggregation and sharded engines.
+// epochs through aggregation across thread counts.
 //
 // A SyntheticEntrySource streams N single-pair demand entries (skewed
 // draw from a fixed pool of P pairs, values in {1, 2}) straight into
@@ -7,7 +7,7 @@
 // materialized, and the engine's working set is a function of the number
 // of DISTINCT demands (<= 2P), not of N. Rows, canonical stage schema:
 //
-//   scaleout_route  one row per (threads, shards) config over the SAME
+//   scaleout_route  one row per thread count over the SAME
 //                   stream. ops = N entries, so ops_per_sec is the
 //                   headline demands/sec (machine-dependent; the gate
 //                   only requires it nonzero). speedup = the AGGREGATION
@@ -15,9 +15,9 @@
 //                   seed, so the baseline pins the coalescing behavior
 //                   itself, immune to wall-clock noise. identical = the
 //                   config's BatchReport (global loads, congestion,
-//                   group counts) is bit-identical to the 1-thread/
-//                   1-shard reference — the scale-out determinism
-//                   contract of api/sor_engine.h. The CI gate requires
+//                   group counts) is bit-identical to the 1-thread
+//                   reference — the scale-out determinism contract of
+//                   api/sor_engine.h. The CI gate requires
 //                   identical=yes on EVERY row of this phase.
 //   scaleout_mem    RSS growth in MB across a measured re-run after a
 //                   warm-up run (m7 discipline, ops = 1): aggregate-only
@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
          "aggregate-only route_batch pipeline: speedup is the aggregation "
          "factor entries/groups (deterministic per seed), ops_per_sec the "
          "headline demands/sec, identical pins bit-identity of every "
-         "(threads, shards) config against the 1-thread/1-shard reference, "
-         "and scaleout_mem pins flat memory in the stream length.");
+         "thread count against the 1-thread reference, and scaleout_mem "
+         "pins flat memory in the stream length.");
 
   const std::size_t entries = args.quick ? 120'000 : 1'200'000;
   const int dim = args.quick ? 6 : 7;
@@ -131,9 +131,9 @@ int main(int argc, char** argv) {
   const Graph g = gen::hypercube(dim);
   const auto pool = make_pair_pool(g.num_vertices(), pool_size, pool_seed);
 
-  // ONE engine for every config: set_threads() re-widens the pool and
-  // BatchSpec::shards re-partitions scratch between runs, so the sweep
-  // also proves live re-sharding of a warm engine. Paths install once.
+  // ONE engine for every config: set_threads() re-widens the pool between
+  // runs, so the sweep also proves live re-threading of a warm engine.
+  // Paths install once.
   SorEngine engine =
       SorEngine::build(gen::hypercube(dim), "racke:num_trees=4", engine_seed);
   {
@@ -150,20 +150,18 @@ int main(int argc, char** argv) {
   lean.keep_reports = false;
   lean.aggregate_duplicates = true;
 
-  auto run_config = [&](int threads, int shards) {
+  auto run_config = [&](int threads) {
     engine.set_threads(threads);
-    BatchSpec spec = lean;
-    spec.shards = shards;
     SyntheticEntrySource source(pool, entries, stream_seed);
-    return engine.route_batch(source, route_spec, spec);
+    return engine.route_batch(source, route_spec, lean);
   };
 
   Table table = stage_table();
 
-  // Reference: serial, unsharded. Its aggregation factor is the gated
-  // speedup on every row (same stream => same factor for all configs).
+  // Reference: serial. Its aggregation factor is the gated speedup on
+  // every row (same stream => same factor for all configs).
   const auto ref_start = std::chrono::steady_clock::now();
-  const BatchReport reference = run_config(1, 1);
+  const BatchReport reference = run_config(1);
   const double ref_ms = ms_since(ref_start);
   const double agg_factor = static_cast<double>(reference.num_demands) /
                             static_cast<double>(reference.num_groups);
@@ -172,22 +170,18 @@ int main(int argc, char** argv) {
       "reference wall %.0f ms (%.0f demands/sec)\n",
       base.c_str(), reference.num_demands, reference.num_groups, agg_factor,
       ref_ms, reference.demands_per_sec());
-  stage_row(table, "scaleout_route", base + "/shards=1", 1, ref_ms,
+  stage_row(table, "scaleout_route", base, 1, ref_ms,
             static_cast<int>(entries), agg_factor, "yes");
 
-  // Thread sweep at 1 shard, shard sweep at 4 threads — every config must
-  // reproduce the reference bit for bit.
-  const std::pair<int, int> configs[] = {{2, 1}, {4, 1}, {8, 1},
-                                         {4, 2}, {4, 4}};
-  for (const auto& [threads, shards] : configs) {
+  // Thread sweep — every config must reproduce the reference bit for bit.
+  for (int threads : {2, 4, 8}) {
     const auto start = std::chrono::steady_clock::now();
-    const BatchReport run = run_config(threads, shards);
+    const BatchReport run = run_config(threads);
     const double ms = ms_since(start);
     const bool same = batches_identical(reference, run);
-    std::printf("  threads=%d shards=%d: wall %.0f ms, identical=%s\n",
-                threads, shards, ms, same ? "yes" : "no");
-    stage_row(table, "scaleout_route",
-              base + "/shards=" + std::to_string(shards), threads, ms,
+    std::printf("  threads=%d: wall %.0f ms, identical=%s\n", threads, ms,
+                same ? "yes" : "no");
+    stage_row(table, "scaleout_route", base, threads, ms,
               static_cast<int>(entries), agg_factor, same ? "yes" : "no");
   }
 

@@ -18,10 +18,12 @@
 // for every N; see api/sor_engine.h). --batch B reveals B independent
 // demands and routes them concurrently over the one frozen PathSystem.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -58,11 +60,9 @@ struct Options {
   bool seed_set = false;  // --seed given: overrides a scenario file's seed
   int threads = 1;
   int batch = 1;
-  int shards = 1;           // engine replicas for scale-out batch routing
   bool aggregate = false;   // coalesce duplicate demands pre-solve
   std::string demands_file; // stream the batch from a demand-stream file
   bool integral = false;
-  bool fast_math = false;
   bool warm_start = false;  // carry MWU state across serial routes/epochs
   bool mem_stats = false;  // print the service-memory gauges after the run
   std::string dot_path;
@@ -91,8 +91,8 @@ void usage() {
       "               [--size N] [--alpha A] "
       "[--demand permutation|bitreversal|gravity|pairs]\n"
       "               [--backend SPEC] [--seed S] [--threads N] [--batch B]\n"
-      "               [--demands-file FILE] [--shards K] [--aggregate]\n"
-      "               [--integral] [--fast-math] [--warm-start] [--mem-stats] "
+      "               [--demands-file FILE] [--aggregate]\n"
+      "               [--integral] [--warm-start] [--mem-stats] "
       "[--dot FILE] [--list-backends]\n"
       "               [--fault-plan SPEC] [--solve-budget SPEC] "
       "[--on-error fail|skip]\n"
@@ -115,20 +115,16 @@ void usage() {
       "--demands-file FILE streams a demand batch from a text file (one\n"
       "demand per line as \"s t value\" triples, '#' comments) through the\n"
       "scale-out route_batch pipeline without materializing it; the file's\n"
-      "support is collected in a first pass to install paths. --shards K\n"
-      "partitions the batch across K engine replicas sharing the frozen\n"
-      "PathSystem; --aggregate coalesces content-identical demands into\n"
-      "weighted groups and keeps only aggregate results (memory stays flat\n"
-      "in the stream length). Both are bit-identical to the plain batch\n"
-      "for every K and thread count (see api/sor_engine.h).\n"
-      "--fast-math opts the MWU solvers into the relaxed-bit-identity\n"
-      "accumulator-sum mode (outputs within 5%% of exact, certificates\n"
-      "stay valid; see MinCongestionOptions::fast_math). Off by default.\n"
+      "support is collected in a first pass to install paths.\n"
+      "--aggregate coalesces content-identical demands into weighted\n"
+      "groups and keeps only aggregate results (memory stays flat in the\n"
+      "stream length), bit-identical to the plain batch for every thread\n"
+      "count (see api/sor_engine.h).\n"
       "--warm-start carries MWU solver state across serial routes (and\n"
       "across scenario epochs): later solves resume from the previous\n"
       "epoch's adversary weights and typically early-exit in fewer rounds\n"
-      "(see docs/warm-start.md). Serial only — incompatible with --batch,\n"
-      "--demands-file, and --shards. Off by default (cold per-route solves,\n"
+      "(see docs/warm-start.md). Serial only — incompatible with --batch\n"
+      "and --demands-file. Off by default (cold per-route solves,\n"
       "bit-identical to builds without the warm subsystem).\n"
       "--mem-stats prints the service-memory gauges after the run: the\n"
       "PathStore arena, live paths, process RSS, and the route call's heap\n"
@@ -142,8 +138,6 @@ void usage() {
       "spec for hand-editing (reload it with --scenario);\n"
       "--scenario-trace-out dumps the materialized demand/event trace\n"
       "(reload programmatically via src/io/scenario_io.h read_trace).\n"
-      "--trace-out is a deprecated alias for --scenario-trace-out and will\n"
-      "be removed; it collided with the Chrome trace below.\n"
       "\n"
       "Observability (docs/observability.md; off by default — outputs are\n"
       "bit-identical with every sink disabled):\n"
@@ -177,6 +171,25 @@ void list_backends() {
   }
 }
 
+/// The one parser for every integer flag: the whole value must be a
+/// base-10 integer that fits `out` and is >= `min`, so "4x" or "abc" is an
+/// error instead of being read as 4 or 0.
+template <typename T>
+bool parse_int(const char* flag, const char* v, long long min, T& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || parsed < min ||
+      static_cast<unsigned long long>(parsed) >
+          static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+    std::fprintf(stderr, "%s needs an integer >= %lld, got %s\n", flag, min,
+                 v);
+    return false;
+  }
+  out = static_cast<T>(parsed);
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
   exit_ok = false;
   for (int i = 1; i < argc; ++i) {
@@ -194,13 +207,11 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.topology_set = true;
     } else if (!std::strcmp(argv[i], "--size")) {
       const char* v = next("--size");
-      if (!v) return false;
-      opt.size = std::atoi(v);
+      if (!v || !parse_int("--size", v, 1, opt.size)) return false;
       opt.size_set = true;
     } else if (!std::strcmp(argv[i], "--alpha")) {
       const char* v = next("--alpha");
-      if (!v) return false;
-      opt.alpha = std::atoi(v);
+      if (!v || !parse_int("--alpha", v, 1, opt.alpha)) return false;
       opt.alpha_set = true;
     } else if (!std::strcmp(argv[i], "--demand")) {
       const char* v = next("--demand");
@@ -213,8 +224,7 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.backend = v;
     } else if (!std::strcmp(argv[i], "--seed")) {
       const char* v = next("--seed");
-      if (!v) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!v || !parse_int("--seed", v, 0, opt.seed)) return false;
       opt.seed_set = true;
     } else if (!std::strcmp(argv[i], "--scenario")) {
       const char* v = next("--scenario");
@@ -230,11 +240,7 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.reinstall_override = v;
     } else if (!std::strcmp(argv[i], "--epochs")) {
       const char* v = next("--epochs");
-      if (!v) return false;
-      char* end = nullptr;
-      opt.epochs_override = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || opt.epochs_override < 1) {
-        std::fprintf(stderr, "--epochs needs a positive integer, got %s\n", v);
+      if (!v || !parse_int("--epochs", v, 1, opt.epochs_override)) {
         return false;
       }
     } else if (!std::strcmp(argv[i], "--scenario-out")) {
@@ -244,17 +250,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
     } else if (!std::strcmp(argv[i], "--scenario-trace-out")) {
       const char* v = next("--scenario-trace-out");
       if (!v) return false;
-      opt.scenario_trace_out = v;
-    } else if (!std::strcmp(argv[i], "--trace-out")) {
-      // Deprecated alias: "trace" now means the Chrome span trace
-      // (--trace-json); the scenario demand/event trace moved to
-      // --scenario-trace-out.
-      const char* v = next("--trace-out");
-      if (!v) return false;
-      std::fprintf(stderr,
-                   "warning: --trace-out is deprecated; use "
-                   "--scenario-trace-out (scenario demand/event trace) or "
-                   "--trace-json (Chrome span trace)\n");
       opt.scenario_trace_out = v;
     } else if (!std::strcmp(argv[i], "--trace-json")) {
       const char* v = next("--trace-json");
@@ -270,16 +265,10 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.convergence_out = v;
     } else if (!std::strcmp(argv[i], "--threads")) {
       const char* v = next("--threads");
-      if (!v) return false;
-      opt.threads = std::atoi(v);
+      if (!v || !parse_int("--threads", v, 0, opt.threads)) return false;
     } else if (!std::strcmp(argv[i], "--batch")) {
       const char* v = next("--batch");
-      if (!v) return false;
-      opt.batch = std::atoi(v);
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      const char* v = next("--shards");
-      if (!v) return false;
-      opt.shards = std::atoi(v);
+      if (!v || !parse_int("--batch", v, 1, opt.batch)) return false;
     } else if (!std::strcmp(argv[i], "--aggregate")) {
       opt.aggregate = true;
     } else if (!std::strcmp(argv[i], "--demands-file")) {
@@ -288,8 +277,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.demands_file = v;
     } else if (!std::strcmp(argv[i], "--integral")) {
       opt.integral = true;
-    } else if (!std::strcmp(argv[i], "--fast-math")) {
-      opt.fast_math = true;
     } else if (!std::strcmp(argv[i], "--warm-start")) {
       opt.warm_start = true;
     } else if (!std::strcmp(argv[i], "--mem-stats")) {
@@ -332,18 +319,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       return false;
     }
   }
-  if (opt.size < 1 || opt.alpha < 1) {
-    std::fprintf(stderr, "size and alpha must be positive\n");
-    return false;
-  }
-  if (opt.threads < 0 || opt.batch < 1) {
-    std::fprintf(stderr, "--threads must be >= 0 and --batch >= 1\n");
-    return false;
-  }
-  if (opt.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return false;
-  }
   if (!opt.demands_file.empty() && (opt.demand_set || opt.batch > 1)) {
     std::fprintf(stderr,
                  "--demands-file streams the whole batch from the file; "
@@ -357,10 +332,9 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
                  "raw batch instead)\n");
     return false;
   }
-  if ((opt.shards > 1 || opt.aggregate) && opt.batch <= 1 &&
-      opt.demands_file.empty()) {
+  if (opt.aggregate && opt.batch <= 1 && opt.demands_file.empty()) {
     std::fprintf(stderr,
-                 "--shards/--aggregate need a batch: --batch B > 1 or "
+                 "--aggregate needs a batch: --batch B > 1 or "
                  "--demands-file FILE\n");
     return false;
   }
@@ -451,14 +425,13 @@ int run_scenario_mode(const Options& opt) {
   // One-shot-only flags must not be silently dropped in scenario mode:
   // the spec (or its explicit overrides below) owns those choices.
   if (opt.topology_set || opt.size_set || opt.demand_set || opt.batch > 1 ||
-      opt.shards > 1 || opt.aggregate || !opt.demands_file.empty() ||
-      opt.integral || opt.fast_math || !opt.dot_path.empty() ||
-      !opt.on_error.empty() || !opt.convergence_out.empty()) {
+      opt.aggregate || !opt.demands_file.empty() || opt.integral ||
+      !opt.dot_path.empty() || !opt.on_error.empty() ||
+      !opt.convergence_out.empty()) {
     std::fprintf(stderr,
-                 "error: --topology/--size/--demand/--batch/--shards/"
-                 "--aggregate/--demands-file/--integral/"
-                 "--fast-math/--dot/--on-error/--convergence-out do not "
-                 "apply to scenario mode "
+                 "error: --topology/--size/--demand/--batch/--aggregate/"
+                 "--demands-file/--integral/--dot/--on-error/"
+                 "--convergence-out do not apply to scenario mode "
                  "(set them in the spec; --backend/--alpha/--seed/--epochs/"
                  "--reinstall/--degrade/--solve-budget/--threads override "
                  "it)\n");
@@ -667,12 +640,11 @@ int main(int argc, char** argv) {
                  "--demands-file\n");
     return 1;
   }
-  if (opt.warm_start &&
-      (opt.batch > 1 || opt.shards > 1 || !opt.demands_file.empty())) {
+  if (opt.warm_start && (opt.batch > 1 || !opt.demands_file.empty())) {
     std::fprintf(stderr,
                  "error: --warm-start is serial-only; it does not combine "
-                 "with --batch/--shards/--demands-file (batch demands have "
-                 "no epoch order)\n");
+                 "with --batch/--demands-file (batch demands have no epoch "
+                 "order)\n");
     return 1;
   }
   sor::Rng rng(opt.seed);
@@ -733,12 +705,10 @@ int main(int argc, char** argv) {
 
     sor::RouteSpec route_spec;
     route_spec.round_integral = opt.integral;
-    route_spec.fast_math = opt.fast_math;
     route_spec.budget = budget;
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
-    batch_spec.shards = opt.shards;
     if (opt.on_error == "skip") {
       batch_spec.on_error = sor::OnError::kSkipAndReport;
     }
@@ -747,10 +717,10 @@ int main(int argc, char** argv) {
     const sor::BatchReport batch =
         engine.route_batch(pass2, route_spec, batch_spec);
     std::printf(
-        "routed %zu demands (%zu distinct) across %d shard(s) on %d "
-        "thread(s):\n  global congestion %.4f, max per-demand congestion "
-        "%.4f\n  wall %.0f ms -> %.0f demands/sec\n",
-        batch.num_demands, batch.num_groups, batch.spec.shards, batch.threads,
+        "routed %zu demands (%zu distinct) on %d thread(s):\n  global "
+        "congestion %.4f, max per-demand congestion %.4f\n  wall %.0f ms "
+        "-> %.0f demands/sec\n",
+        batch.num_demands, batch.num_groups, batch.threads,
         batch.global_congestion, batch.max_congestion, batch.wall_ms,
         batch.demands_per_sec());
     if (batch.num_failed > 0) {
@@ -797,7 +767,6 @@ int main(int argc, char** argv) {
 
   sor::RouteSpec route_spec;
   route_spec.round_integral = opt.integral;
-  route_spec.fast_math = opt.fast_math;
   route_spec.budget = budget;
   route_spec.warm_start = opt.warm_start;
   route_spec.record_convergence = !opt.convergence_out.empty();
@@ -806,7 +775,6 @@ int main(int argc, char** argv) {
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
-    batch_spec.shards = opt.shards;
     if (opt.on_error == "skip") {
       batch_spec.on_error = sor::OnError::kSkipAndReport;
     }
@@ -818,11 +786,9 @@ int main(int argc, char** argv) {
         "max ratio <= %.2f\n",
         opt.batch, batch.threads, batch.max_congestion,
         batch.max_competitive_ratio);
-    if (opt.aggregate || opt.shards > 1) {
-      std::printf(
-          "scale-out: %zu distinct demand(s) across %d shard(s), global "
-          "congestion %.4f\n",
-          batch.num_groups, batch.spec.shards, batch.global_congestion);
+    if (opt.aggregate) {
+      std::printf("scale-out: %zu distinct demand(s), global congestion %.4f\n",
+                  batch.num_groups, batch.global_congestion);
     }
     std::printf(
         "batch wall %.0f ms vs %.0f ms serial-equivalent -> speedup %.2fx\n",

@@ -27,6 +27,27 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
+/// Times one pipeline stage once for both instruments: the engine trace
+/// span, and on scope exit the elapsed milliseconds written into `ms` (a
+/// StageTimes field or the engine's build/sample member).
+class StageScope {
+ public:
+  StageScope(const char* name, double& ms)
+      : span_(name, "engine"), ms_(ms), start_(Clock::now()) {}
+  ~StageScope() { ms_ = ms_since(start_); }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  void set_arg(const char* name, std::uint64_t value) {
+    span_.set_arg(name, value);
+  }
+
+ private:
+  obs::TraceSpan span_;
+  double& ms_;
+  Clock::time_point start_;
+};
+
 /// round_randomized() rounds amounts to nearest integers; only demands that
 /// are already (numerically) positive-integral survive that untouched.
 bool is_near_integral(const Demand& d) {
@@ -44,9 +65,8 @@ bool warm_spec_matches(const RouteSpec& a, const RouteSpec& b) {
   return a.mwu.rounds == b.mwu.rounds &&
          a.mwu.target_gap == b.mwu.target_gap &&
          a.mwu.min_rounds == b.mwu.min_rounds &&
-         a.mwu.budget == b.mwu.budget &&
-         a.mwu.fast_math == b.mwu.fast_math && a.fast_math == b.fast_math &&
-         a.exact == b.exact && a.compute_optimum == b.compute_optimum &&
+         a.mwu.budget == b.mwu.budget && a.exact == b.exact &&
+         a.compute_optimum == b.compute_optimum &&
          a.compute_lower_bound == b.compute_lower_bound &&
          a.round_integral == b.round_integral &&
          a.rounding_trials == b.rounding_trials &&
@@ -139,10 +159,10 @@ SorEngine SorEngine::build(Graph graph, const BackendSpec& spec,
     effective.params["threads"] = static_cast<double>(threads);
   }
   engine.spec_ = effective;
-  const obs::TraceSpan span("build", "engine");
-  const auto start = Clock::now();
-  engine.backend_ = registry.make(*engine.graph_, effective, engine.rng_);
-  engine.build_ms_ = ms_since(start);
+  {
+    const StageScope stage("build", engine.build_ms_);
+    engine.backend_ = registry.make(*engine.graph_, effective, engine.rng_);
+  }
   return engine;
 }
 
@@ -213,10 +233,10 @@ void SorEngine::rebuild_backend() {
     }
   }
   obs::service_counters().rebuilds.fetch_add(1, std::memory_order_relaxed);
-  const obs::TraceSpan span("rebuild", "engine");
-  const auto start = Clock::now();
-  backend_ = BackendRegistry::instance().make(*graph_, spec_, rng_);
-  build_ms_ = ms_since(start);
+  {
+    const StageScope stage("rebuild", build_ms_);
+    backend_ = BackendRegistry::instance().make(*graph_, spec_, rng_);
+  }
   // A new substrate invalidates every cross-epoch capture: the warm seed's
   // "nearby instance" premise is gone along with the old routing.
   if (warm_state_) warm_state_->invalidate();
@@ -257,8 +277,7 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
     throw std::invalid_argument("install_paths: alpha must be >= 1");
   }
   obs::service_counters().installs.fetch_add(1, std::memory_order_relaxed);
-  const obs::TraceSpan span("install", "engine");
-  const auto start = Clock::now();
+  const StageScope stage("install", sample_ms_);
   util::ThreadPool* workers = pool();
   // Reinstall into the EXISTING system when one is bound to our graph:
   // begin_reinstall() drops the pair index but keeps the interning arena,
@@ -302,7 +321,6 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   // churn — but the replay snapshot is retired via the version bump.
   if (warm_state_) warm_state_->columns.apply_remap(remap);
   ++paths_version_;
-  sample_ms_ = ms_since(start);
   return *paths_;
 }
 
@@ -579,7 +597,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
 }
 
 // route_batch lives in sor_engine_batch.cpp — the scale-out streaming /
-// aggregation / sharding pipeline is a subsystem of its own.
+// aggregation pipeline is a subsystem of its own.
 
 RouteReport SorEngine::route_one(const Demand& demand, const RouteSpec& spec,
                                  Rng& rng) const {
@@ -620,13 +638,9 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   out.simulation.reset();
   out.warm = WarmInfo{};  // route_warm_into overwrites after this returns
 
-  // RouteSpec::fast_math is a convenience alias for mwu.fast_math; either
-  // spelling opts the whole route (restricted solve + optimum oracle) in.
+  // RouteSpec::budget is the convenience alias for mwu.budget: an enabled
+  // spec budget governs the restricted solve and the optimum oracle below.
   MinCongestionOptions mwu = spec.mwu;
-  mwu.fast_math = mwu.fast_math || spec.fast_math;
-  // RouteSpec::budget is the convenience alias for mwu.budget (same idiom
-  // as fast_math): an enabled spec budget governs the restricted solve and
-  // the optimum oracle below.
   if (spec.budget.enabled()) mwu.budget = spec.budget;
   // Warm hooks split the one option set: each solver gets its own seed and
   // capture target. Null hooks leave both copies equal to `mwu`.
@@ -647,15 +661,13 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   }
 
   {
-    obs::TraceSpan stage("route", "engine");
-    const auto start = Clock::now();
+    StageScope stage("route", out.times.route_ms);
     if (spec.exact) {
       out.solution = route_fractional_exact(*graph_, ps, demand);
     } else {
       route_fractional_into(*graph_, ps, demand, restricted_opts,
                             scratch.route, out.solution);
     }
-    out.times.route_ms = ms_since(start);
     stage.set_arg("rounds", static_cast<std::uint64_t>(std::max(
                                 out.solution.rounds_used, 0)));
   }
@@ -674,11 +686,11 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
     }
   }
   if (spec.compute_optimum) {
-    const obs::TraceSpan stage("optimum", "engine");
-    const auto start = Clock::now();
-    out.optimum =
-        optimal_congestion(*graph_, demand, optimum_opts, scratch.optimum);
-    out.times.optimum_ms = ms_since(start);
+    {
+      const StageScope stage("optimum", out.times.optimum_ms);
+      out.optimum =
+          optimal_congestion(*graph_, demand, optimum_opts, scratch.optimum);
+    }
     lb = std::max(lb, out.optimum->value());
   }
   out.opt_lower_bound = lb;
@@ -686,14 +698,11 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
 
   if ((spec.round_integral || spec.simulate_packets) &&
       is_near_integral(demand)) {
-    const obs::TraceSpan stage("rounding", "engine");
-    const auto start = Clock::now();
-    IntegralSolution integral = round_randomized(
+    const StageScope stage("rounding", out.times.rounding_ms);
+    out.integral = round_randomized(
         *graph_, out.solution, rng, spec.rounding_trials,
         hooks != nullptr ? hooks->rounding_seed : nullptr);
-    local_search_improve(*graph_, integral);
-    out.times.rounding_ms = ms_since(start);
-    out.integral = std::move(integral);
+    local_search_improve(*graph_, *out.integral);
   }
 
   if (spec.simulate_packets && out.integral) {
@@ -713,10 +722,8 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
         packet_paths[next++].assign(p.begin(), p.end());
       }
     }
-    const obs::TraceSpan stage("sim", "engine");
-    const auto start = Clock::now();
+    const StageScope stage("sim", out.times.sim_ms);
     out.simulation = simulate_packets(*graph_, packet_paths, spec.policy, rng);
-    out.times.sim_ms = ms_since(start);
   }
 
   out.mem = probe.delta();

@@ -40,7 +40,7 @@
 //     one child stream per pulled demand, in pull order, regardless of
 //     BatchSpec — so any two sources producing the same demand sequence
 //     yield identical reports AND leave the engine stream in the same
-//     state, whether the batch was spans, files, aggregated, or sharded.
+//     state, whether the batch was spans, files, or aggregated.
 //   * Aggregation (BatchSpec::aggregate_duplicates) groups demands by
 //     exact entry content and solves each group once; de-aggregated
 //     per-demand reports are bit-identical to the raw run because the
@@ -48,10 +48,9 @@
 //     rejected in aggregated mode for exactly this reason).
 //   * Global loads are ONE canonical serial fold — multiplicity times the
 //     representative's load, in first-seen group order — identical by
-//     construction across aggregation modes, thread counts, and shard
-//     counts (shards only partition solves across scratch contexts; they
-//     never touch seeds or fold order). tests/test_scaleout.cpp pins all
-//     three equivalences; bench_m8_scaleout gates them at 1M entries.
+//     construction across aggregation modes and thread counts.
+//     tests/test_scaleout.cpp pins both equivalences; bench_m8_scaleout
+//     gates them at 1M entries.
 #pragma once
 
 #include <cstdint>
@@ -118,15 +117,6 @@ struct SamplingSpec {
 /// Stage 3..5 knobs for one revealed demand.
 struct RouteSpec {
   MinCongestionOptions mwu;
-  /// Opt-in fast-math MWU (default OFF): forwarded into the restricted
-  /// solve AND the offline-optimum oracle as mwu.fast_math. Relaxes the
-  /// solvers' bit-identity guarantee to the epsilon contract documented on
-  /// MinCongestionOptions::fast_math — outputs within
-  /// 0.05 * max(1, exact) of the exact-mode run, with both runs still
-  /// exact certificates of the same LP — in exchange for a restricted-MWU
-  /// round cost proportional to the demand footprint instead of the graph
-  /// size. Exposed as `sor_cli --fast-math`.
-  bool fast_math = false;
   /// Exact LP instead of the MWU engine (tiny instances only).
   bool exact = false;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
@@ -156,7 +146,7 @@ struct RouteSpec {
   /// NEXT route from it: a bit-identical instance replays the stored
   /// report outright; a nearby instance resumes both MWU solvers from the
   /// damped prior iterate and seeds rounding from the prior integral
-  /// solution. Certificates stay cross-valid exactly as under fast_math —
+  /// solution. Warm and cold certificates of one instance stay cross-valid —
   /// warm starts only move the starting iterate, never the certificate
   /// discipline. With warm_start off, routing is bit-identical to a build
   /// without this field (RouteReport.warm is the only delta, and it is
@@ -258,7 +248,7 @@ enum class OnError {
   kFailFast = 0,
   /// Record a per-demand DemandError and keep going. Failed/poisoned units
   /// fold ZERO load into the canonical serial fold, so the surviving
-  /// units' loads are bit-identical across thread and shard counts — and
+  /// units' loads are bit-identical across thread counts — and
   /// bit-identical to a batch that never contained the poisoned demands.
   kSkipAndReport = 1,
 };
@@ -290,11 +280,6 @@ struct BatchSpec {
   /// scale/aggregate.h). Rejects round_integral/simulate_packets — their
   /// per-demand Rng streams would lose the input-order mapping.
   bool aggregate_duplicates = false;
-  /// Engine replicas sharing the one frozen PathSystem: solve units are
-  /// partitioned contiguously across `shards` scratch contexts and routed
-  /// concurrently. Purely a resource-scoping knob — results are
-  /// bit-identical for every shard count (and every thread count).
-  int shards = 1;
   /// Failure policy (graceful degradation): see OnError.
   OnError on_error = OnError::kFailFast;
 
@@ -388,15 +373,14 @@ class SorEngine {
   /// the PRIMARY batch entry point. Pulls every demand from `source`
   /// (validating the whole stream before routing anything), optionally
   /// aggregates duplicates, and fans the solve units out across the
-  /// engine's pool and `batch.shards` scratch contexts. Demand i draws
-  /// from its own Rng stream seed-split from the engine stream in pull
-  /// order, so the reports are bit-identical for every thread count AND
-  /// every shard count; with rounding and simulation off (their defaults)
+  /// engine's pool. Demand i draws from its own Rng stream seed-split from
+  /// the engine stream in pull order, so the reports are bit-identical for
+  /// every thread count; with rounding and simulation off (their defaults)
   /// they also equal a serial route() loop. See the header block for the
   /// full streaming stability contract. Throws std::invalid_argument on
   /// malformed entries, uninstalled pairs, or an inconsistent BatchSpec
-  /// (shards < 1; keep_reports=false without aggregate_duplicates;
-  /// aggregation combined with rounding/simulation).
+  /// (keep_reports=false without aggregate_duplicates; aggregation combined
+  /// with rounding/simulation).
   BatchReport route_batch(scale::DemandSource& source,
                           const RouteSpec& spec = {},
                           const BatchSpec& batch = {});
@@ -539,16 +523,15 @@ class SorEngine {
   // The scale-out pipeline's reusable state: the aggregation index, the
   // per-demand Rng streams (only filled when rounding/simulation need
   // them), a fixed chunk of solve slots recycled across the stream, and
-  // one scratch pool per shard ("engine replicas sharing one frozen
-  // PathSystem" — scratch contents never influence results, so shards are
-  // numerically invisible). Persisting these across epochs is what keeps
-  // a steady-state serving loop's memory flat at millions of entries.
+  // the scratch pool every solve unit leases from. Persisting these across
+  // epochs is what keeps a steady-state serving loop's memory flat at
+  // millions of entries.
   scale::BatchAggregator batch_agg_;
   std::vector<Rng> batch_streams_;
   std::vector<Demand> batch_slot_demands_;
   std::vector<RouteReport> batch_slot_reports_;
   std::vector<RouteReport> batch_group_reports_;
-  std::vector<runtime::ScratchPool> batch_shard_pools_;
+  runtime::ScratchPool batch_pool_;
   /// Pull-index -> aggregation group id, or -1 for a demand poisoned
   /// during ingest (kSkipAndReport only; -1 never appears under
   /// kFailFast, where ingest failures throw).

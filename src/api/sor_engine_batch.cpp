@@ -9,20 +9,18 @@
 //      BatchAggregator, and assigned one freshly-forked Rng stream each
 //      in pull order. Nothing is materialized per demand beyond the
 //      group index (and the streams, only when rounding needs them).
-//   2. Chunked sharded solves. The solve units — groups under
-//      aggregation, individual demands otherwise — are processed in
-//      fixed-size chunks through a ring of reused solve slots; within a
-//      chunk, units fan out across the worker pool, each leasing scratch
-//      from its shard's pool. Shards partition units contiguously and
-//      own nothing but scratch, so they are numerically invisible.
+//   2. Chunked solves. The solve units — groups under aggregation,
+//      individual demands otherwise — are processed in fixed-size chunks
+//      through a ring of reused solve slots; within a chunk, units fan
+//      out across the worker pool, each leasing scratch from the batch's
+//      one scratch pool (scratch contents never influence results).
 //   3. Canonical serial fold. After each chunk, the slots are folded —
 //      in unit order, on the calling thread — into the global per-edge
 //      load as multiplicity * load, one dense multiply-add per group
 //      representative. Unit order visits representatives in first-seen
 //      group order whether aggregation is on or off, so the fold's
 //      floating-point sequence (and hence every output bit) is invariant
-//      across aggregation modes, thread counts, shard counts, and chunk
-//      boundaries.
+//      across aggregation modes, thread counts, and chunk boundaries.
 //
 // Graceful degradation (BatchSpec::on_error == kSkipAndReport): a demand
 // that fails — during ingest (malformed entry, stream read error,
@@ -36,8 +34,8 @@
 //   * solve-time failures are caught inside the worker and recorded during
 //     the serial fold in unit order, never via the pool's exception path;
 //   * failed/poisoned units fold ZERO load, so the surviving units' loads
-//     are bit-identical across thread and shard counts — and identical to
-//     a batch that never contained the failed demands.
+//     are bit-identical across thread counts — and identical to a batch
+//     that never contained the failed demands.
 // Solve-site fault injection in the batch is keyed by the stable unit
 // index (FaultPlan::fires), not a visit counter, for the same reason.
 #include <algorithm>
@@ -86,9 +84,6 @@ BatchReport SorEngine::route_batch(std::span<const Demand> demands,
 BatchReport SorEngine::route_batch(scale::DemandSource& source,
                                    const RouteSpec& spec,
                                    const BatchSpec& bspec) {
-  if (bspec.shards < 1) {
-    throw std::invalid_argument("route_batch: shards must be >= 1");
-  }
   if (!bspec.keep_reports && !bspec.aggregate_duplicates) {
     throw std::invalid_argument(
         "route_batch: aggregate-only mode (keep_reports=false) requires "
@@ -235,8 +230,6 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
 
   const bool agg = bspec.aggregate_duplicates;
   const std::size_t units = agg ? groups.size() : num_demands;
-  const std::size_t shards = static_cast<std::size_t>(bspec.shards);
-  if (batch_shard_pools_.size() < shards) batch_shard_pools_.resize(shards);
   if (bspec.keep_reports) batch.reports.resize(num_demands);
   if (agg && bspec.keep_reports) batch_group_reports_.resize(groups.size());
 
@@ -246,7 +239,7 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
   if (batch_slot_state_.size() < slots) batch_slot_state_.resize(slots);
   if (batch_slot_errors_.size() < slots) batch_slot_errors_.resize(slots);
 
-  // ---- Phase 2 + 3: chunked sharded solves, canonical serial fold -----
+  // ---- Phase 2 + 3: chunked solves, canonical serial fold -------------
   for (std::size_t lo = 0; lo < units; lo += kChunk) {
     const std::size_t hi = std::min(units, lo + kChunk);
     auto solve_unit = [&](std::size_t k, std::size_t u, int g) {
@@ -254,15 +247,13 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
       d.assign(batch_agg_.group_entries(g));
       // Fault sites inside the batch are keyed by the STABLE unit index
       // (never a visit counter), so which units fail is a pure function
-      // of the plan — identical across thread and shard counts.
+      // of the plan — identical across thread counts.
       if (plan && plan->fires(fault::Site::kScratchAlloc, u)) {
         throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
                        "route_batch: injected scratch-arena allocation "
                        "failure (fault-plan site scratch_alloc)");
       }
-      // Contiguous unit -> shard partition; the shard owns only scratch.
-      const std::size_t shard = u * shards / units;
-      auto lease = batch_shard_pools_[shard].acquire();
+      auto lease = batch_pool_.acquire();
       if (plan && plan->fires(fault::Site::kWorkerThrow, u)) {
         throw SorError(ErrorCode::kWorkerFault, "worker",
                        "route_batch: injected worker fault (fault-plan site "

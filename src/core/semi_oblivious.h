@@ -64,8 +64,7 @@ SemiObliviousSolution route_fractional_exact(const Graph& g,
 /// Offline optimal congestion opt_{G,R}(d) with certificates:
 /// `upper` is the congestion of an explicit feasible fractional routing,
 /// `lower` an LP-duality bound, so lower <= opt <= upper. Runs the flat
-/// free-path MWU (see min_congestion_free); options.fast_math opts into
-/// the relaxed-bit-identity accumulator-sum mode, default off.
+/// free-path MWU (see min_congestion_free).
 struct OptimalCongestion {
   double upper = 0.0;
   double lower = 0.0;

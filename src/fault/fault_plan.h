@@ -4,7 +4,7 @@
 // as a pure function of (plan, site, visit index) — whether each visit
 // fires an injected failure. Tests and CI exercise every recovery path
 // reproducibly: the same plan string produces the same faults on every
-// run, every thread count, and every shard count.
+// run and every thread count.
 //
 // Plan grammar (';' or ',' separated rules):
 //

@@ -135,134 +135,72 @@ double congestion_of_weights(const Graph& g,
                                weights, edge_load);
 }
 
-// The restricted MWU, specialized for the flat representation. This is THE
-// hot loop of the serving path (one solve per revealed demand), so it
-// carries every optimization that is provably BIT-IDENTICAL to the
-// reference loop in run_mwu + the naive per-path argmin:
+namespace {
+
+// ---- the shared MWU loop ---------------------------------------------------
+// Both solvers play one Freund–Schapire game: each round the adversary's
+// edge weights x_e ∝ exp(log_x[e]) set lengths x_e / cap_e, the router
+// best-responds with one path per commodity, and log_x grows by
+// eta * (round load / cap) / width on the edges it used. run_mwu owns the
+// round loop and everything the two solvers share — state, warm seeding,
+// the exp cache, the dual, load aggregation, the budget, the sink and the
+// early exit. An oracle owns what differs: the normalizing total and the
+// lengths, the best response, the budget snapshot, and the returned iterate.
 //
-//  * duplicate candidates are deduplicated up front: sampling is with
-//    replacement, and a duplicate's length always EQUALS its first
-//    occurrence, so the strict `<` argmin can never select it — dropping
-//    it from the scan changes nothing (its weight was always 0);
+// Every shortcut in run_mwu is BIT-IDENTICAL to the textbook loop (the
+// replicas in bench_m4 and bench/legacy_free_path_mwu.h); the one departure
+// is the restricted oracle's segmented total, documented with it below:
 //  * the adversary max_log is maintained incrementally (log_x only grows,
 //    and only on edges of chosen paths);
-//  * exp(log_x[e] - max_log) is cached and recomputed only for edges whose
-//    log_x changed while max_log is unchanged (exp is deterministic, so a
-//    reused value is the value the reference loop would recompute); when
-//    max_log does change, edges never touched by any chosen path all share
-//    log_x == +0.0, hence the one value exp(0.0 - max_log) — one exp and a
-//    fill instead of m exps;
-//  * lengths are computed only for edges that appear on SOME candidate
-//    path: the best response is the only reader of `lengths`, and it only
-//    ever indexes candidate edges (the reference computes all m entries
-//    and never reads the rest);
+//  * exp(log_x[e] - max_log) is cached in expv for active edges (log_x ever
+//    raised or seeded) and recomputed only for edges whose log_x changed
+//    while max_log is unchanged (exp is deterministic, so a reused value is
+//    the value the reference recomputes); every other edge still has
+//    log_x == +0.0 and takes the one shared value exp(0.0 - max_log), so a
+//    max_log change costs |active| + 1 exps instead of m;
 //  * round loads are aggregated sparsely over the touched-edge set: for an
 //    untouched edge every reference update is `+= 0.0` or a max against
 //    0.0, which leaves IEEE doubles bit-unchanged;
 //  * the early-exit check short-circuits on the first violating edge (the
 //    reference computes a max and compares once; the boolean is the same).
 //
-// With options.fast_math (opt-in, default off) the two remaining
-// O(m)-per-round terms — the serial total-sum and the expv fill on max_log
-// change — are replaced by a segmented accumulator: edges never touched by
-// any chosen path all share the one value exp(0.0 - max_log), so their mass
-// is folded as a single (count * value) product, and the active mass is
-// summed in four interleaved lanes. Every per-edge value is computed with
-// the exact arithmetic; only the total's summation association changes (the
-// documented epsilon contract in MinCongestionOptions), and the round cost
-// becomes proportional to the candidate footprint instead of to m.
-void min_congestion_over_paths_into(const Graph& g,
-                                    const std::vector<Commodity>& commodities,
-                                    const FlatCandidates& candidates,
-                                    const MinCongestionOptions& options,
-                                    MinCongestionScratch& sc,
-                                    CongestionResult& out) {
-  assert(candidates.num_commodities() == commodities.size());
+// An Oracle provides:
+//   reset(out)             its output fields for an empty/unsolved instance
+//   prepare()              per-solve setup (sc.cap is already filled)
+//   best_response(shared)  lengths from expv / `shared` (the untouched
+//                          value), then one path per commodity: writes
+//                          sc.chosen_len[j] and the path(j) spans
+//   path(j)                commodity j's chosen edge ids this round
+//   snapshot() / rewind()  save / restore the best averaged iterate
+//   finish(rounds, out)    out.edge_load and out.congestion
+template <class Oracle>
+void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
+             const MinCongestionOptions& options, MinCongestionScratch& sc,
+             Oracle& oracle, CongestionResult& out) {
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
-
   out.edge_load.assign(m, 0.0);
   out.congestion = 0.0;
   out.lower_bound = 0.0;
   out.rounds_used = 0;
   out.status = SolveStatus::kCompleted;
   out.optimality_gap = 0.0;
-  out.path_weights.resize(k);
-  if (k == 0 || m == 0) {
-    for (std::size_t j = 0; j < k; ++j) {
-      out.path_weights[j].assign(candidates.num_paths(j), 0.0);
-    }
-    return;
-  }
+  oracle.reset(out);
+  if (k == 0 || m == 0) return;
 
-  // ---- dedup into a tight scan arena -------------------------------------
-  // scan_first: prefix over dedup'd paths into scan_arena;
-  // commodity_scan_first: prefix over dedup'd path indices per commodity;
-  // original_index: first original candidate index of each dedup'd path.
-  auto& scan_arena = sc.scan_arena;
-  auto& scan_first = sc.scan_first;
-  auto& commodity_scan_first = sc.commodity_scan_first;
-  auto& original_index = sc.original_index;
-  scan_arena.clear();
-  scan_first.assign(1, 0);
-  commodity_scan_first.assign(1, 0);
-  original_index.clear();
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t num_paths = candidates.num_paths(j);
-    assert(commodities[j].amount <= 0.0 || num_paths > 0);
-    const std::size_t scan_begin =
-        static_cast<std::size_t>(commodity_scan_first.back());
-    for (std::size_t i = 0; i < num_paths; ++i) {
-      const auto span = candidates.edges(j, i);
-      bool duplicate = false;
-      for (std::size_t d = scan_begin; d < scan_first.size() - 1 && !duplicate;
-           ++d) {
-        const std::size_t len =
-            static_cast<std::size_t>(scan_first[d + 1] - scan_first[d]);
-        duplicate = len == span.size() &&
-                    std::equal(span.begin(), span.end(),
-                               scan_arena.begin() +
-                                   static_cast<std::ptrdiff_t>(scan_first[d]));
-      }
-      if (duplicate) continue;
-      scan_arena.insert(scan_arena.end(), span.begin(), span.end());
-      scan_first.push_back(static_cast<std::int64_t>(scan_arena.size()));
-      original_index.push_back(static_cast<std::int32_t>(i));
-    }
-    commodity_scan_first.push_back(
-        static_cast<std::int64_t>(scan_first.size()) - 1);
-  }
-  auto& counts = sc.counts;
-  counts.assign(original_index.size(), 0);
-
-  // Dense capacity array (the Edge structs are 3x wider than needed here)
-  // and the distinct candidate edge set: the only edges whose lengths the
-  // best response will ever read.
+  // Dense capacity array (the Edge structs are 3x wider than needed here).
   auto& cap = sc.cap;
   cap.resize(m);
   for (std::size_t e = 0; e < m; ++e) {
     cap[e] = g.edge(static_cast<int>(e)).capacity;
   }
-  auto& cand_edges = sc.cand_edges;
-  cand_edges.clear();
-  {
-    auto& in_cand = sc.in_cand;
-    in_cand.assign(m, 0);
-    for (int e : scan_arena) {
-      if (!in_cand[static_cast<std::size_t>(e)]) {
-        in_cand[static_cast<std::size_t>(e)] = 1;
-        cand_edges.push_back(e);
-      }
-    }
-  }
+  oracle.prepare();
 
   // ---- MWU state (scratch-backed; assign/clear keep capacity) ------------
   auto& log_x = sc.log_x;
   auto& expv = sc.expv;
-  auto& lengths = sc.lengths;
   auto& cumulative_load = sc.cumulative_load;
   auto& round_load = sc.round_load;
-  auto& chosen_edges = sc.chosen_edges;
   auto& chosen_len = sc.chosen_len;
   auto& touched = sc.touched;
   auto& active = sc.active;
@@ -270,11 +208,10 @@ void min_congestion_over_paths_into(const Graph& g,
   auto& is_active = sc.is_active;
   auto& is_dirty = sc.is_dirty;
   log_x.assign(m, 0.0);
-  expv.assign(m, 0.0);  // cached exp(log_x[e] - max_log)
-  lengths.assign(m, 0.0);
+  expv.assign(m, 0.0);  // cached exp(log_x[e] - max_log), active edges only
+  sc.lengths.assign(m, 0.0);
   cumulative_load.assign(m, 0.0);
   round_load.assign(m, 0.0);
-  chosen_edges.assign(k, std::span<const int>{});
   chosen_len.assign(k, 0.0);
   touched.clear();  // edges with round_load != 0 this round
   active.clear();   // edges with log_x != 0 (ever touched)
@@ -282,15 +219,14 @@ void min_congestion_over_paths_into(const Graph& g,
   is_active.assign(m, 0);
   is_dirty.assign(m, 0);
   touched.reserve(m);
-  double max_log = 0.0;           // max over all-zero log_x
+  double max_log = 0.0;  // max over all-zero log_x
   double cached_max_log = std::numeric_limits<double>::quiet_NaN();
 
   // ---- warm start (opt-in; see MwuWarmStart) -----------------------------
   // Seeding only replaces the adversary's starting log-weights; the NaN
   // cached_max_log above already forces the round-0 exp refresh to walk the
-  // seeded active set, so both the exact and fast-math normalization paths
-  // pick the seed up without further special-casing. A null/mismatched/
-  // zero-scaled seed leaves every vector exactly as the cold solve built it.
+  // seeded active set. A null/mismatched/zero-scaled seed leaves every
+  // vector exactly as the cold solve built it.
   if (options.warm != nullptr && options.warm->scale > 0.0 &&
       options.warm->log_x.size() == m) {
     const double scale = options.warm->scale;
@@ -308,9 +244,7 @@ void min_congestion_over_paths_into(const Graph& g,
   const double eta =
       std::sqrt(std::log(static_cast<double>(m) + 2.0) /
                 static_cast<double>(std::max(options.rounds, 1)));
-
-  const int* arena = scan_arena.data();
-  double untouched_value = 1.0;  // exp(0.0 - max_log), fast-math only
+  double untouched_value = 1.0;  // exp(0.0 - max_log)
   double width_norm = 0.0;
   double best_lower = 0.0;
 
@@ -335,161 +269,29 @@ void min_congestion_over_paths_into(const Graph& g,
   int best_round = 0;
   bool target_hit = false;
   bool deadline_hit = false;
-  auto& budget_counts = sc.budget_counts;
-  if (track_best) budget_counts.assign(counts.size(), 0);
 
   int round = 0;
   for (round = 0; round < round_cap; ++round) {
-    // Normalize x from log-space. Cached exps are exact reuses; edges with
-    // log_x still at +0.0 all take the one value exp(0.0 - max_log); the
-    // exact path re-sums the total over every edge in index order, as the
-    // reference does, so it is the same sum of the same values.
-    double total = 0.0;
-    if (options.fast_math) {
-      // Per-edge values stay exact, but the untouched mass is never
-      // materialized: expv holds active edges only, everything else is
-      // untouched_value by construction. Round cost: O(dirty + active +
-      // cand), nothing O(m).
-      if (max_log == cached_max_log) {
-        for (int e : dirty) {
-          expv[static_cast<std::size_t>(e)] =
-              std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-          is_dirty[static_cast<std::size_t>(e)] = 0;
-        }
-      } else {
-        untouched_value = std::exp(0.0 - max_log);
-        for (int e : active) {
-          expv[static_cast<std::size_t>(e)] =
-              std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-        }
-        for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
-        cached_max_log = max_log;
-      }
-      dirty.clear();
-      // Segmented accumulator total: the (m - |active|) untouched edges
-      // fold into one product, the active mass sums in four interleaved
-      // lanes. This reassociation is the entirety of the fast-math
-      // epsilon contract (see MinCongestionOptions::fast_math).
-      double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-      std::size_t a = 0;
-      for (; a + 4 <= active.size(); a += 4) {
-        l0 += expv[static_cast<std::size_t>(active[a])];
-        l1 += expv[static_cast<std::size_t>(active[a + 1])];
-        l2 += expv[static_cast<std::size_t>(active[a + 2])];
-        l3 += expv[static_cast<std::size_t>(active[a + 3])];
-      }
-      for (; a < active.size(); ++a) {
-        l0 += expv[static_cast<std::size_t>(active[a])];
-      }
-      total = static_cast<double>(m - active.size()) * untouched_value +
-              ((l0 + l1) + (l2 + l3));
-      for (int e : cand_edges) {
-        const double value = is_active[static_cast<std::size_t>(e)]
-                                 ? expv[static_cast<std::size_t>(e)]
-                                 : untouched_value;
-        const double xe = value / total;
-        lengths[static_cast<std::size_t>(e)] =
-            xe / cap[static_cast<std::size_t>(e)];
+    // Refresh the exp cache: stale active edges only while max_log holds,
+    // every active edge plus the shared untouched value when it moved.
+    if (max_log == cached_max_log) {
+      for (int e : dirty) {
+        expv[static_cast<std::size_t>(e)] =
+            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
+        is_dirty[static_cast<std::size_t>(e)] = 0;
       }
     } else {
-      if (max_log == cached_max_log) {
-        for (int e : dirty) {
-          expv[static_cast<std::size_t>(e)] =
-              std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-          is_dirty[static_cast<std::size_t>(e)] = 0;
-        }
-      } else {
-        std::fill(expv.begin(), expv.end(), std::exp(0.0 - max_log));
-        for (int e : active) {
-          expv[static_cast<std::size_t>(e)] =
-              std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-        }
-        for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
-        cached_max_log = max_log;
+      untouched_value = std::exp(0.0 - max_log);
+      for (int e : active) {
+        expv[static_cast<std::size_t>(e)] =
+            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
       }
-      dirty.clear();
-      for (std::size_t e = 0; e < m; ++e) total += expv[e];
-      for (int e : cand_edges) {
-        const double xe = expv[static_cast<std::size_t>(e)] / total;
-        lengths[static_cast<std::size_t>(e)] =
-            xe / cap[static_cast<std::size_t>(e)];
-      }
+      for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
+      cached_max_log = max_log;
     }
+    dirty.clear();
 
-    // Best response: per commodity, argmin path length over the dedup'd
-    // scan arena (strict <, so relative order ties resolve exactly as the
-    // reference full scan does). Four paths are accumulated in interleaved
-    // lanes — each lane is its own left-to-right addition chain, so every
-    // path's sum is bit-identical to a serial evaluation; interleaving only
-    // breaks the latency dependence BETWEEN paths.
-    for (std::size_t j = 0; j < k; ++j) {
-      chosen_edges[j] = {};
-      chosen_len[j] = 0.0;
-      const std::size_t begin =
-          static_cast<std::size_t>(commodity_scan_first[j]);
-      const std::size_t end =
-          static_cast<std::size_t>(commodity_scan_first[j + 1]);
-      if (commodities[j].amount <= 0.0 || begin == end) continue;
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_d = begin;
-      auto consider = [&](std::size_t d, double len) {
-        if (len < best) {
-          best = len;
-          best_d = d;
-        }
-      };
-      std::size_t d = begin;
-      for (; d + 4 <= end; d += 4) {
-        const int* p0 = arena + scan_first[d];
-        const int* p1 = arena + scan_first[d + 1];
-        const int* p2 = arena + scan_first[d + 2];
-        const int* p3 = arena + scan_first[d + 3];
-        const std::size_t n0 = static_cast<std::size_t>(scan_first[d + 1] -
-                                                        scan_first[d]);
-        const std::size_t n1 = static_cast<std::size_t>(scan_first[d + 2] -
-                                                        scan_first[d + 1]);
-        const std::size_t n2 = static_cast<std::size_t>(scan_first[d + 3] -
-                                                        scan_first[d + 2]);
-        const std::size_t n3 = static_cast<std::size_t>(scan_first[d + 4] -
-                                                        scan_first[d + 3]);
-        const std::size_t common = std::min(std::min(n0, n1), std::min(n2, n3));
-        double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-        for (std::size_t i = 0; i < common; ++i) {
-          l0 += lengths[static_cast<std::size_t>(p0[i])];
-          l1 += lengths[static_cast<std::size_t>(p1[i])];
-          l2 += lengths[static_cast<std::size_t>(p2[i])];
-          l3 += lengths[static_cast<std::size_t>(p3[i])];
-        }
-        for (std::size_t i = common; i < n0; ++i) {
-          l0 += lengths[static_cast<std::size_t>(p0[i])];
-        }
-        for (std::size_t i = common; i < n1; ++i) {
-          l1 += lengths[static_cast<std::size_t>(p1[i])];
-        }
-        for (std::size_t i = common; i < n2; ++i) {
-          l2 += lengths[static_cast<std::size_t>(p2[i])];
-        }
-        for (std::size_t i = common; i < n3; ++i) {
-          l3 += lengths[static_cast<std::size_t>(p3[i])];
-        }
-        consider(d, l0);
-        consider(d + 1, l1);
-        consider(d + 2, l2);
-        consider(d + 3, l3);
-      }
-      for (; d < end; ++d) {
-        const int* p = arena + scan_first[d];
-        const int* stop = arena + scan_first[d + 1];
-        double len = 0.0;
-        for (; p != stop; ++p) len += lengths[static_cast<std::size_t>(*p)];
-        consider(d, len);
-      }
-      chosen_edges[j] = {arena + scan_first[best_d],
-                         static_cast<std::size_t>(scan_first[best_d + 1] -
-                                                  scan_first[best_d])};
-      chosen_len[j] = best;
-      ++counts[best_d];
-    }
+    oracle.best_response(untouched_value);
 
     // Dual certificate: opt >= sum_j d_j * dist(s_j,t_j) / sum_e x_e, and
     // sum_e x_e == 1 after normalization.
@@ -500,10 +302,9 @@ void min_congestion_over_paths_into(const Graph& g,
     best_lower = std::max(best_lower, dual);
 
     // Aggregate this round's pure-profile loads, sparsely: only edges of
-    // chosen paths are nonzero, and the reference's full-m passes are
-    // no-ops (+= 0.0, max vs 0.0) everywhere else.
+    // chosen paths are nonzero.
     for (std::size_t j = 0; j < k; ++j) {
-      for (int e : chosen_edges[j]) {
+      for (int e : oracle.path(j)) {
         if (round_load[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
         round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
       }
@@ -533,38 +334,30 @@ void min_congestion_over_paths_into(const Graph& g,
         }
       }
     }
-    // Opt-in convergence telemetry: observation only (reads cumulative
-    // state, writes nothing the solver reads back), gated on the null
-    // pointer so the default path is bit-identical to a build without it.
-    if (options.sink != nullptr) {
+
+    // The sink and the budget read the same averaged congestion; both are
+    // observation (nothing the round loop reads back), and neither scan
+    // runs unless one of them is on.
+    if (options.sink != nullptr || track_best) {
       double cur = 0.0;
       for (std::size_t e = 0; e < m; ++e) {
         cur = std::max(cur, cumulative_load[e] /
                                 (static_cast<double>(round + 1) * cap[e]));
       }
-      options.sink->record({round + 1, cur, dual, best_lower,
-                            certified_gap(cur, best_lower),
-                            static_cast<int>(touched.size())});
-    }
-
-    for (int e : touched) round_load[static_cast<std::size_t>(e)] = 0.0;
-    touched.clear();
-
-    // Track the best averaged iterate so a budget stop can rewind to it
-    // (snapshotting the choice counts; the weights conversion below
-    // rebuilds the iterate from them). Budget-gated: never runs unbudgeted.
-    if (track_best) {
-      double cur = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        cur = std::max(cur, cumulative_load[e] /
-                                (static_cast<double>(round + 1) * cap[e]));
+      if (options.sink != nullptr) {
+        options.sink->record({round + 1, cur, dual, best_lower,
+                              certified_gap(cur, best_lower),
+                              static_cast<int>(touched.size())});
       }
-      if (cur < best_seen) {
+      // Track the best averaged iterate so a budget stop can rewind to it.
+      if (track_best && cur < best_seen) {
         best_seen = cur;
         best_round = round + 1;
-        budget_counts = counts;
+        oracle.snapshot();
       }
     }
+    for (int e : touched) round_load[static_cast<std::size_t>(e)] = 0.0;
+    touched.clear();
 
     if (round + 1 >= options.min_rounds && best_lower > 0.0) {
       // Exit iff max_e cumulative/(rounds * cap) <= lower * gap, i.e. iff
@@ -615,38 +408,13 @@ void min_congestion_over_paths_into(const Graph& g,
     // rounds and independent of the returned iterate, so best_lower still
     // certifies the rewound result.
     round = best_round;
-    counts = budget_counts;
+    oracle.rewind();
   }
 
-  const double rounds_used = static_cast<double>(std::max(round, 1));
-  double congestion = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    out.edge_load[e] = cumulative_load[e] / rounds_used;
-    congestion = std::max(congestion, out.edge_load[e] / cap[e]);
-  }
-  out.congestion = congestion;
+  oracle.finish(round, out);
   out.lower_bound = best_lower;
   out.rounds_used = round;
   out.status = status;
-
-  // Convert choice counts into fractional weights over the ORIGINAL
-  // candidate indexing (duplicates keep their reference weight: 0), then
-  // recompute the exact congestion of those weights.
-  int total_rounds = std::max(out.rounds_used, 1);
-  for (std::size_t j = 0; j < k; ++j) {
-    out.path_weights[j].assign(candidates.num_paths(j), 0.0);
-    if (commodities[j].amount <= 0.0) continue;
-    const std::size_t begin = static_cast<std::size_t>(commodity_scan_first[j]);
-    const std::size_t end =
-        static_cast<std::size_t>(commodity_scan_first[j + 1]);
-    for (std::size_t d = begin; d < end; ++d) {
-      out.path_weights[j][static_cast<std::size_t>(original_index[d])] =
-          commodities[j].amount * static_cast<double>(counts[d]) /
-          static_cast<double>(total_rounds);
-    }
-  }
-  out.congestion = congestion_of_weights(g, commodities, candidates,
-                                         out.path_weights, &out.edge_load);
   out.optimality_gap = certified_gap(out.congestion, out.lower_bound);
 
   // Capture half of the warm-start cycle: hand the final adversary state to
@@ -654,6 +422,393 @@ void min_congestion_over_paths_into(const Graph& g,
   if (options.capture_log_x != nullptr) {
     options.capture_log_x->assign(log_x.begin(), log_x.end());
   }
+}
+
+// The restricted oracle: commodity j may only use its candidate paths. This
+// is THE hot loop of the serving path (one solve per revealed demand), so
+// its per-round normalization and lengths cost O(candidate footprint), not
+// O(m):
+//
+//  * duplicate candidates are deduplicated up front: sampling is with
+//    replacement, and a duplicate's length always EQUALS its first
+//    occurrence, so the strict `<` argmin can never select it — dropping
+//    it from the scan changes nothing (its weight was always 0);
+//  * lengths are computed only for edges that appear on SOME candidate
+//    path, the only edges the argmin ever reads;
+//  * the normalizing total is a segmented sum: the (m - |active|) untouched
+//    edges fold into one (count * shared value) product and the active
+//    mass sums in four interleaved lanes (the association documented on
+//    min_congestion_over_paths).
+struct RestrictedOracle {
+  const Graph& g;
+  const std::vector<Commodity>& commodities;
+  const FlatCandidates& candidates;
+  MinCongestionScratch& sc;
+
+  void reset(CongestionResult& out) const {
+    out.path_weights.resize(commodities.size());
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      out.path_weights[j].assign(candidates.num_paths(j), 0.0);
+    }
+  }
+
+  void prepare() {
+    const std::size_t k = commodities.size();
+    // scan_first: prefix over dedup'd paths into scan_arena;
+    // commodity_scan_first: prefix over dedup'd path indices per commodity;
+    // original_index: first original candidate index of each dedup'd path.
+    auto& scan_arena = sc.scan_arena;
+    auto& scan_first = sc.scan_first;
+    auto& commodity_scan_first = sc.commodity_scan_first;
+    auto& original_index = sc.original_index;
+    scan_arena.clear();
+    scan_first.assign(1, 0);
+    commodity_scan_first.assign(1, 0);
+    original_index.clear();
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t num_paths = candidates.num_paths(j);
+      assert(commodities[j].amount <= 0.0 || num_paths > 0);
+      const std::size_t scan_begin =
+          static_cast<std::size_t>(commodity_scan_first.back());
+      for (std::size_t i = 0; i < num_paths; ++i) {
+        const auto span = candidates.edges(j, i);
+        bool duplicate = false;
+        for (std::size_t d = scan_begin;
+             d < scan_first.size() - 1 && !duplicate; ++d) {
+          const std::size_t len =
+              static_cast<std::size_t>(scan_first[d + 1] - scan_first[d]);
+          duplicate =
+              len == span.size() &&
+              std::equal(span.begin(), span.end(),
+                         scan_arena.begin() +
+                             static_cast<std::ptrdiff_t>(scan_first[d]));
+        }
+        if (duplicate) continue;
+        scan_arena.insert(scan_arena.end(), span.begin(), span.end());
+        scan_first.push_back(static_cast<std::int64_t>(scan_arena.size()));
+        original_index.push_back(static_cast<std::int32_t>(i));
+      }
+      commodity_scan_first.push_back(
+          static_cast<std::int64_t>(scan_first.size()) - 1);
+    }
+    sc.counts.assign(original_index.size(), 0);
+    sc.chosen_edges.assign(k, std::span<const int>{});
+
+    // The distinct candidate edge set: the only edges whose lengths the
+    // best response will ever read.
+    sc.cand_edges.clear();
+    sc.in_cand.assign(sc.cap.size(), 0);
+    for (int e : scan_arena) {
+      if (!sc.in_cand[static_cast<std::size_t>(e)]) {
+        sc.in_cand[static_cast<std::size_t>(e)] = 1;
+        sc.cand_edges.push_back(e);
+      }
+    }
+  }
+
+  void best_response(double untouched_value) {
+    const auto& active = sc.active;
+    const auto& expv = sc.expv;
+    auto& lengths = sc.lengths;
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    std::size_t a = 0;
+    for (; a + 4 <= active.size(); a += 4) {
+      l0 += expv[static_cast<std::size_t>(active[a])];
+      l1 += expv[static_cast<std::size_t>(active[a + 1])];
+      l2 += expv[static_cast<std::size_t>(active[a + 2])];
+      l3 += expv[static_cast<std::size_t>(active[a + 3])];
+    }
+    for (; a < active.size(); ++a) {
+      l0 += expv[static_cast<std::size_t>(active[a])];
+    }
+    const double total =
+        static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
+        ((l0 + l1) + (l2 + l3));
+    for (int e : sc.cand_edges) {
+      const double value = sc.is_active[static_cast<std::size_t>(e)]
+                               ? expv[static_cast<std::size_t>(e)]
+                               : untouched_value;
+      const double xe = value / total;
+      lengths[static_cast<std::size_t>(e)] =
+          xe / sc.cap[static_cast<std::size_t>(e)];
+    }
+
+    // Per commodity, argmin path length over the dedup'd scan arena (strict
+    // <, so relative order ties resolve exactly as a full scan does). Four
+    // paths are accumulated in interleaved lanes — each lane is its own
+    // left-to-right addition chain, so every path's sum is bit-identical to
+    // a serial evaluation; interleaving only breaks the latency dependence
+    // BETWEEN paths.
+    const int* arena = sc.scan_arena.data();
+    const auto& scan_first = sc.scan_first;
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      sc.chosen_edges[j] = {};
+      sc.chosen_len[j] = 0.0;
+      const std::size_t begin =
+          static_cast<std::size_t>(sc.commodity_scan_first[j]);
+      const std::size_t end =
+          static_cast<std::size_t>(sc.commodity_scan_first[j + 1]);
+      if (commodities[j].amount <= 0.0 || begin == end) continue;
+      double best = std::numeric_limits<double>::infinity();
+      std::size_t best_d = begin;
+      auto consider = [&](std::size_t d, double len) {
+        if (len < best) {
+          best = len;
+          best_d = d;
+        }
+      };
+      std::size_t d = begin;
+      for (; d + 4 <= end; d += 4) {
+        const int* p0 = arena + scan_first[d];
+        const int* p1 = arena + scan_first[d + 1];
+        const int* p2 = arena + scan_first[d + 2];
+        const int* p3 = arena + scan_first[d + 3];
+        const std::size_t n0 = static_cast<std::size_t>(scan_first[d + 1] -
+                                                        scan_first[d]);
+        const std::size_t n1 = static_cast<std::size_t>(scan_first[d + 2] -
+                                                        scan_first[d + 1]);
+        const std::size_t n2 = static_cast<std::size_t>(scan_first[d + 3] -
+                                                        scan_first[d + 2]);
+        const std::size_t n3 = static_cast<std::size_t>(scan_first[d + 4] -
+                                                        scan_first[d + 3]);
+        const std::size_t common = std::min(std::min(n0, n1), std::min(n2, n3));
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t i = 0; i < common; ++i) {
+          s0 += lengths[static_cast<std::size_t>(p0[i])];
+          s1 += lengths[static_cast<std::size_t>(p1[i])];
+          s2 += lengths[static_cast<std::size_t>(p2[i])];
+          s3 += lengths[static_cast<std::size_t>(p3[i])];
+        }
+        for (std::size_t i = common; i < n0; ++i) {
+          s0 += lengths[static_cast<std::size_t>(p0[i])];
+        }
+        for (std::size_t i = common; i < n1; ++i) {
+          s1 += lengths[static_cast<std::size_t>(p1[i])];
+        }
+        for (std::size_t i = common; i < n2; ++i) {
+          s2 += lengths[static_cast<std::size_t>(p2[i])];
+        }
+        for (std::size_t i = common; i < n3; ++i) {
+          s3 += lengths[static_cast<std::size_t>(p3[i])];
+        }
+        consider(d, s0);
+        consider(d + 1, s1);
+        consider(d + 2, s2);
+        consider(d + 3, s3);
+      }
+      for (; d < end; ++d) {
+        const int* p = arena + scan_first[d];
+        const int* stop = arena + scan_first[d + 1];
+        double len = 0.0;
+        for (; p != stop; ++p) len += lengths[static_cast<std::size_t>(*p)];
+        consider(d, len);
+      }
+      sc.chosen_edges[j] = {arena + scan_first[best_d],
+                            static_cast<std::size_t>(scan_first[best_d + 1] -
+                                                     scan_first[best_d])};
+      sc.chosen_len[j] = best;
+      ++sc.counts[best_d];
+    }
+  }
+
+  std::span<const int> path(std::size_t j) const { return sc.chosen_edges[j]; }
+  // The weights conversion in finish() rebuilds the iterate from counts.
+  void snapshot() { sc.budget_counts = sc.counts; }
+  void rewind() { sc.counts = sc.budget_counts; }
+
+  // Choice counts become fractional weights over the ORIGINAL candidate
+  // indexing (duplicates keep their reset weight: 0); the returned loads
+  // and congestion are those of exactly these weights.
+  void finish(int rounds, CongestionResult& out) const {
+    const int total_rounds = std::max(rounds, 1);
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      if (commodities[j].amount <= 0.0) continue;
+      const std::size_t begin =
+          static_cast<std::size_t>(sc.commodity_scan_first[j]);
+      const std::size_t end =
+          static_cast<std::size_t>(sc.commodity_scan_first[j + 1]);
+      for (std::size_t d = begin; d < end; ++d) {
+        out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
+            commodities[j].amount * static_cast<double>(sc.counts[d]) /
+            static_cast<double>(total_rounds);
+      }
+    }
+    out.congestion = congestion_of_weights(g, commodities, candidates,
+                                           out.path_weights, &out.edge_load);
+  }
+};
+
+// The free oracle: any s_j-t_j path (the offline optimum /
+// maximum-concurrent-flow solve). This is the LP oracle behind every
+// competitive ratio, bit-identical to the reference loop plus naive
+// Dijkstra best response kept in bench/legacy_free_path_mwu.h:
+//
+//  * commodities are grouped by source ONCE (the reference rebuilt the same
+//    grouping every round: sources ascending, input order within a source);
+//  * Dijkstra best responses run through dijkstra_into_targets with reused
+//    dist/parent/heap scratch over a cached CSR snapshot — same algorithm,
+//    same heap discipline, zero per-round allocation;
+//  * Dijkstra may read ANY edge's length, so all m lengths are refreshed
+//    each round over a serial index-order total of the same per-edge values
+//    the reference sums (expv on active edges, the shared value elsewhere).
+struct FreeOracle {
+  const Graph& g;
+  const std::vector<Commodity>& commodities;
+  MinCongestionScratch& sc;
+
+  void reset(CongestionResult& out) const { out.path_weights.clear(); }
+
+  // Source s's commodities occupy by_source[source_first[s] ..
+  // source_first[s + 1]).
+  std::span<const std::size_t> group(int s) const {
+    const std::size_t first = sc.source_first[static_cast<std::size_t>(s)];
+    return {sc.by_source.data() + first,
+            sc.source_first[static_cast<std::size_t>(s) + 1] - first};
+  }
+
+  void prepare() {
+    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+    const std::size_t k = commodities.size();
+    // Group commodities by source once, as a stable counting sort into two
+    // flat scratch arrays.
+    auto& source_first = sc.source_first;
+    source_first.assign(n + 2, 0);
+    std::size_t active_commodities = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (commodities[j].amount > 0.0) {
+        ++source_first[static_cast<std::size_t>(commodities[j].s) + 2];
+        ++active_commodities;
+      }
+    }
+    for (std::size_t s = 2; s < source_first.size(); ++s) {
+      source_first[s] += source_first[s - 1];
+    }
+    sc.by_source.resize(active_commodities);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (commodities[j].amount > 0.0) {
+        sc.by_source[source_first[static_cast<std::size_t>(commodities[j].s) +
+                                  1]++] = j;
+      }
+    }
+    sc.sources.clear();
+    for (std::size_t s = 0; s < n; ++s) {
+      if (source_first[s + 1] > source_first[s]) {
+        sc.sources.push_back(static_cast<int>(s));
+      }
+    }
+
+    // Per-source distinct-target counts for the early-exit Dijkstra (the
+    // is_target mask itself is set/cleared per (round, source)).
+    sc.is_target.assign(n, 0);
+    sc.distinct_targets.assign(sc.sources.size(), 0);
+    for (std::size_t si = 0; si < sc.sources.size(); ++si) {
+      int count = 0;
+      for (std::size_t j : group(sc.sources[si])) {
+        const std::size_t t = static_cast<std::size_t>(commodities[j].t);
+        if (!sc.is_target[t]) {
+          sc.is_target[t] = 1;
+          ++count;
+        }
+      }
+      for (std::size_t j : group(sc.sources[si])) {
+        sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
+      }
+      sc.distinct_targets[si] = count;
+    }
+
+    sc.owned.resize(k);  // stale contents are cleared every round
+    sc.dist.assign(n, 0.0);
+    sc.parent_edge.assign(n, -1);
+    // The CSR snapshot is cached across CALLS on the same graph (see
+    // MinCongestionScratch::adj); arc order is identical to Graph::incident.
+    if (sc.adj_graph != &g || sc.adj_vertices != g.num_vertices() ||
+        sc.adj_edges != g.num_edges()) {
+      sc.adj.emplace(g);
+      sc.adj_graph = &g;
+      sc.adj_vertices = g.num_vertices();
+      sc.adj_edges = g.num_edges();
+    }
+  }
+
+  void best_response(double untouched_value) {
+    const std::size_t m = sc.cap.size();
+    const auto value = [&](std::size_t e) {
+      return sc.is_active[e] ? sc.expv[e] : untouched_value;
+    };
+    double total = 0.0;
+    for (std::size_t e = 0; e < m; ++e) total += value(e);
+    bool lengths_positive = true;
+    for (std::size_t e = 0; e < m; ++e) {
+      const double xe = value(e) / total;
+      sc.lengths[e] = xe / sc.cap[e];
+      lengths_positive = lengths_positive && sc.lengths[e] > 0.0;
+    }
+
+    // One Dijkstra per distinct source, walked back to edge ids per
+    // commodity. The Dijkstra stops once this source's targets are all
+    // settled — bit-identical for everything the walk-back reads as long
+    // as lengths are strictly positive (see dijkstra_into_targets); the
+    // full sweep is the fallback for the underflow-to-zero case.
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      sc.owned[j].clear();
+      sc.chosen_len[j] = 0.0;
+    }
+    for (std::size_t si = 0; si < sc.sources.size(); ++si) {
+      const int s = sc.sources[si];
+      if (lengths_positive) {
+        for (std::size_t j : group(s)) {
+          sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 1;
+        }
+        dijkstra_into_targets(*sc.adj, s, sc.lengths, sc.dist, sc.parent_edge,
+                              sc.dijkstra, sc.is_target,
+                              sc.distinct_targets[si]);
+        for (std::size_t j : group(s)) {
+          sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
+        }
+      } else {
+        dijkstra_into(g, s, sc.lengths, sc.dist, sc.parent_edge, sc.dijkstra);
+      }
+      for (std::size_t j : group(s)) {
+        const int t = commodities[j].t;
+        assert(sc.dist[static_cast<std::size_t>(t)] !=
+               std::numeric_limits<double>::infinity());
+        sc.chosen_len[j] = sc.dist[static_cast<std::size_t>(t)];
+        for (int v = t; v != s;) {
+          const int e = sc.parent_edge[static_cast<std::size_t>(v)];
+          sc.owned[j].push_back(e);
+          v = g.edge(e).other(v);
+        }
+      }
+    }
+  }
+
+  std::span<const int> path(std::size_t j) const { return sc.owned[j]; }
+  // Free mode returns the averaged loads directly, so they are the snapshot.
+  void snapshot() { sc.budget_load = sc.cumulative_load; }
+  void rewind() { sc.cumulative_load = sc.budget_load; }
+
+  void finish(int rounds, CongestionResult& out) const {
+    const double rounds_used = static_cast<double>(std::max(rounds, 1));
+    double congestion = 0.0;
+    for (std::size_t e = 0; e < sc.cap.size(); ++e) {
+      out.edge_load[e] = sc.cumulative_load[e] / rounds_used;
+      congestion = std::max(congestion, out.edge_load[e] / sc.cap[e]);
+    }
+    out.congestion = congestion;
+  }
+};
+
+}  // namespace
+
+void min_congestion_over_paths_into(const Graph& g,
+                                    const std::vector<Commodity>& commodities,
+                                    const FlatCandidates& candidates,
+                                    const MinCongestionOptions& options,
+                                    MinCongestionScratch& sc,
+                                    CongestionResult& out) {
+  assert(candidates.num_commodities() == commodities.size());
+  RestrictedOracle oracle{g, commodities, candidates, sc};
+  run_mwu(g, commodities, options, sc, oracle, out);
 }
 
 CongestionResult min_congestion_over_paths(
@@ -677,429 +832,12 @@ CongestionResult min_congestion_over_paths(
       g, commodities, flatten_candidates(g, candidate_paths), options);
 }
 
-// The free-path MWU (the offline optimum / maximum-concurrent-flow solve),
-// on the flat substrate. This is the LP oracle behind every competitive
-// ratio and lower-bound experiment, so — like the restricted solver above —
-// it carries every optimization that is provably BIT-IDENTICAL to the
-// reference loop (the shared run_mwu template + naive Dijkstra best
-// response, kept verbatim in bench_m5_free_path as the "before"):
-//
-//  * commodities are grouped by source ONCE: the grouping is a pure
-//    function of the commodity list, which never changes across rounds,
-//    and the reference rebuilt the exact same grouping every round (source
-//    order ascending, commodity order within a source preserved);
-//  * Dijkstra best responses run through dijkstra_into with reused
-//    dist/parent/heap scratch — same algorithm, same heap discipline, zero
-//    per-round allocation (the reference allocated dist, parent_edge, the
-//    heap, and the by_source table every round);
-//  * the adversary max_log is maintained incrementally and
-//    exp(log_x[e] - max_log) is cached exactly as in the restricted solver
-//    (untouched edges share the one value exp(0.0 - max_log));
-//  * UNLIKE the restricted case, Dijkstra may read ANY edge's length, so
-//    all m lengths are refreshed each round — two divisions per edge; the
-//    m exp() calls are what the cache removes;
-//  * round loads aggregate sparsely over the touched-edge set, and the
-//    early-exit check short-circuits (both identical-by-IEEE arguments as
-//    in the restricted solver).
-//
-// options.fast_math swaps the serial total-sum for a four-lane interleaved
-// accumulator sum (each lane a left-to-right chain; lanes combined
-// pairwise). Same epsilon contract as the restricted solver: per-edge
-// values exact, only the total's association changes.
 void min_congestion_free_into(const Graph& g,
                               const std::vector<Commodity>& commodities,
                               const MinCongestionOptions& options,
                               MinCongestionScratch& sc, CongestionResult& out) {
-  const std::size_t m = static_cast<std::size_t>(g.num_edges());
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  const std::size_t k = commodities.size();
-  out.path_weights.clear();  // free mode: no per-path weights
-  out.edge_load.assign(m, 0.0);
-  out.congestion = 0.0;
-  out.lower_bound = 0.0;
-  out.rounds_used = 0;
-  out.status = SolveStatus::kCompleted;
-  out.optimality_gap = 0.0;
-  if (k == 0 || m == 0) return;
-
-  auto& cap = sc.cap;
-  cap.resize(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    cap[e] = g.edge(static_cast<int>(e)).capacity;
-  }
-
-  // Group commodities by source once, as a stable counting sort into two
-  // flat scratch arrays: sources ascend and commodity order within a
-  // source is input order, exactly the vector-of-vectors grouping the
-  // reference builds (hoisted out of the round loop there too) without its
-  // per-source node allocations.
-  auto& source_first = sc.source_first;
-  auto& by_source = sc.by_source;
-  source_first.assign(n + 2, 0);
-  std::size_t active_commodities = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (commodities[j].amount > 0.0) {
-      ++source_first[static_cast<std::size_t>(commodities[j].s) + 2];
-      ++active_commodities;
-    }
-  }
-  for (std::size_t s = 2; s < source_first.size(); ++s) {
-    source_first[s] += source_first[s - 1];
-  }
-  by_source.resize(active_commodities);
-  for (std::size_t j = 0; j < k; ++j) {
-    if (commodities[j].amount > 0.0) {
-      by_source[source_first[static_cast<std::size_t>(commodities[j].s) + 1]++] =
-          j;
-    }
-  }
-  // After the cursor fill, source s's commodities occupy
-  // by_source[source_first[s] .. source_first[s + 1]).
-  const auto group = [&](int s) {
-    return std::span<const std::size_t>(
-        by_source.data() + source_first[static_cast<std::size_t>(s)],
-        source_first[static_cast<std::size_t>(s) + 1] -
-            source_first[static_cast<std::size_t>(s)]);
-  };
-  auto& sources = sc.sources;
-  sources.clear();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (source_first[s + 1] > source_first[s]) {
-      sources.push_back(static_cast<int>(s));
-    }
-  }
-
-  // Per-source distinct-target counts for the early-exit Dijkstra (the
-  // is_target mask itself is set/cleared per (round, source)).
-  auto& is_target = sc.is_target;
-  auto& distinct_targets = sc.distinct_targets;
-  is_target.assign(n, 0);
-  distinct_targets.assign(sources.size(), 0);
-  for (std::size_t si = 0; si < sources.size(); ++si) {
-    int count = 0;
-    for (std::size_t j : group(sources[si])) {
-      const std::size_t t = static_cast<std::size_t>(commodities[j].t);
-      if (!is_target[t]) {
-        is_target[t] = 1;
-        ++count;
-      }
-    }
-    for (std::size_t j : group(sources[si])) {
-      is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
-    }
-    distinct_targets[si] = count;
-  }
-
-  // ---- MWU state (scratch-backed; assign/clear keep capacity) ------------
-  auto& log_x = sc.log_x;
-  auto& expv = sc.expv;
-  auto& lengths = sc.lengths;
-  auto& cumulative_load = sc.cumulative_load;
-  auto& round_load = sc.round_load;
-  auto& owned = sc.owned;  // chosen edge ids per commodity
-  auto& chosen_len = sc.chosen_len;
-  auto& touched = sc.touched;
-  auto& active = sc.active;
-  auto& dirty = sc.dirty;
-  auto& is_active = sc.is_active;
-  auto& is_dirty = sc.is_dirty;
-  log_x.assign(m, 0.0);
-  expv.assign(m, 0.0);  // cached exp(log_x[e] - max_log)
-  lengths.assign(m, 0.0);
-  cumulative_load.assign(m, 0.0);
-  round_load.assign(m, 0.0);
-  owned.resize(k);  // stale contents are cleared first round
-  chosen_len.assign(k, 0.0);
-  touched.clear();  // edges with round_load != 0 this round
-  active.clear();   // edges with log_x != 0 (ever touched)
-  dirty.clear();    // active edges whose cached exp is stale
-  is_active.assign(m, 0);
-  is_dirty.assign(m, 0);
-  touched.reserve(m);
-  double max_log = 0.0;           // max over all-zero log_x
-  double cached_max_log = std::numeric_limits<double>::quiet_NaN();
-
-  // ---- warm start (opt-in; same contract as the restricted solver) -------
-  if (options.warm != nullptr && options.warm->scale > 0.0 &&
-      options.warm->log_x.size() == m) {
-    const double scale = options.warm->scale;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double seeded = options.warm->log_x[e] * scale;
-      if (seeded > 0.0 && std::isfinite(seeded)) {
-        log_x[e] = seeded;
-        is_active[e] = 1;
-        active.push_back(static_cast<int>(e));
-        max_log = std::max(max_log, seeded);
-      }
-    }
-  }
-
-  // Dijkstra scratch, reused across every (source, round), and the flat
-  // CSR adjacency snapshot the relaxation scans run on. The snapshot is
-  // cached in the scratch across CALLS on the same graph (see
-  // MinCongestionScratch::adj: arcs depend on incidence only, so the
-  // scenario layer's capacity-only mutations keep it valid); arc order is
-  // identical to Graph::incident, outputs bit-identical.
-  auto& dist = sc.dist;
-  auto& parent_edge = sc.parent_edge;
-  dist.assign(n, 0.0);
-  parent_edge.assign(n, -1);
-  DijkstraScratch& heap_scratch = sc.dijkstra;
-  if (sc.adj_graph != &g || sc.adj_vertices != g.num_vertices() ||
-      sc.adj_edges != g.num_edges()) {
-    sc.adj.emplace(g);
-    sc.adj_graph = &g;
-    sc.adj_vertices = g.num_vertices();
-    sc.adj_edges = g.num_edges();
-  }
-  const FlatAdjacency& adj = *sc.adj;
-
-  const double eta =
-      std::sqrt(std::log(static_cast<double>(m) + 2.0) /
-                static_cast<double>(std::max(options.rounds, 1)));
-
-  double width_norm = 0.0;
-  double best_lower = 0.0;
-
-  // ---- anytime budget ----------------------------------------------------
-  // Same contract as the restricted solver: a round budget truncates the
-  // same trajectory (eta still derives from options.rounds); nothing here
-  // runs, and the clock is never read, when the budget is disabled.
-  const SolveBudget& budget = options.budget;
-  const int round_cap =
-      (budget.max_rounds > 0 && budget.max_rounds < options.rounds)
-          ? budget.max_rounds
-          : options.rounds;
-  const double gap_mult =
-      budget.target_gap > 0.0 ? budget.target_gap : options.target_gap;
-  const bool track_best = budget.max_rounds > 0 || budget.deadline_ms > 0.0;
-  const auto budget_start = budget.deadline_ms > 0.0
-                                ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
-  double best_seen = std::numeric_limits<double>::infinity();
-  int best_round = 0;
-  bool target_hit = false;
-  bool deadline_hit = false;
-  auto& budget_load = sc.budget_load;
-  if (track_best) budget_load.assign(m, 0.0);
-
-  int round = 0;
-  for (round = 0; round < round_cap; ++round) {
-    // Normalize x from log-space (exp cache identical to the restricted
-    // solver's); the best response reads every edge, so all m lengths are
-    // refreshed.
-    if (max_log == cached_max_log) {
-      for (int e : dirty) {
-        expv[static_cast<std::size_t>(e)] =
-            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-        is_dirty[static_cast<std::size_t>(e)] = 0;
-      }
-    } else {
-      std::fill(expv.begin(), expv.end(), std::exp(0.0 - max_log));
-      for (int e : active) {
-        expv[static_cast<std::size_t>(e)] =
-            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-      }
-      for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
-      cached_max_log = max_log;
-    }
-    dirty.clear();
-    double total = 0.0;
-    if (options.fast_math) {
-      // Four-lane accumulator sum (the documented reassociation).
-      double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-      std::size_t e = 0;
-      for (; e + 4 <= m; e += 4) {
-        l0 += expv[e];
-        l1 += expv[e + 1];
-        l2 += expv[e + 2];
-        l3 += expv[e + 3];
-      }
-      for (; e < m; ++e) l0 += expv[e];
-      total = (l0 + l1) + (l2 + l3);
-    } else {
-      for (std::size_t e = 0; e < m; ++e) total += expv[e];
-    }
-    bool lengths_positive = true;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double xe = expv[e] / total;
-      lengths[e] = xe / cap[e];
-      lengths_positive = lengths_positive && lengths[e] > 0.0;
-    }
-
-    // Best response: one Dijkstra per distinct source, walked back to edge
-    // ids per commodity (reference order: sources ascending, commodities
-    // in input order within a source). The Dijkstra stops once this
-    // source's targets are all settled — bit-identical for everything the
-    // walk-back reads as long as lengths are strictly positive (see
-    // dijkstra_into_targets); the full sweep is the fallback for the
-    // pathological underflow-to-zero case.
-    for (std::size_t j = 0; j < k; ++j) {
-      owned[j].clear();
-      chosen_len[j] = 0.0;
-    }
-    for (std::size_t si = 0; si < sources.size(); ++si) {
-      const int s = sources[si];
-      if (lengths_positive) {
-        for (std::size_t j : group(s)) {
-          is_target[static_cast<std::size_t>(commodities[j].t)] = 1;
-        }
-        dijkstra_into_targets(adj, s, lengths, dist, parent_edge, heap_scratch,
-                              is_target, distinct_targets[si]);
-        for (std::size_t j : group(s)) {
-          is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
-        }
-      } else {
-        dijkstra_into(g, s, lengths, dist, parent_edge, heap_scratch);
-      }
-      for (std::size_t j : group(s)) {
-        const int t = commodities[j].t;
-        assert(dist[static_cast<std::size_t>(t)] !=
-               std::numeric_limits<double>::infinity());
-        chosen_len[j] = dist[static_cast<std::size_t>(t)];
-        int v = t;
-        while (v != s) {
-          const int e = parent_edge[static_cast<std::size_t>(v)];
-          owned[j].push_back(e);
-          v = g.edge(e).other(v);
-        }
-      }
-    }
-
-    // Dual certificate: opt >= sum_j d_j * dist(s_j,t_j) / sum_e x_e, and
-    // sum_e x_e == 1 after normalization.
-    double dual = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      dual += commodities[j].amount * chosen_len[j];
-    }
-    best_lower = std::max(best_lower, dual);
-
-    // Aggregate this round's pure-profile loads, sparsely (the reference's
-    // full-m passes are `+= 0.0` / max-vs-0.0 no-ops off the chosen paths).
-    for (std::size_t j = 0; j < k; ++j) {
-      for (int e : owned[j]) {
-        if (round_load[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
-        round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
-      }
-    }
-    double width = 0.0;
-    for (int e : touched) {
-      cumulative_load[static_cast<std::size_t>(e)] +=
-          round_load[static_cast<std::size_t>(e)];
-      width = std::max(width, round_load[static_cast<std::size_t>(e)] /
-                                  cap[static_cast<std::size_t>(e)]);
-    }
-    width_norm = std::max(width_norm, width);
-    if (width_norm > 0.0) {
-      for (int e : touched) {
-        log_x[static_cast<std::size_t>(e)] +=
-            eta * (round_load[static_cast<std::size_t>(e)] /
-                   cap[static_cast<std::size_t>(e)]) /
-            width_norm;
-        max_log = std::max(max_log, log_x[static_cast<std::size_t>(e)]);
-        if (!is_dirty[static_cast<std::size_t>(e)]) {
-          is_dirty[static_cast<std::size_t>(e)] = 1;
-          dirty.push_back(e);
-        }
-        if (!is_active[static_cast<std::size_t>(e)]) {
-          is_active[static_cast<std::size_t>(e)] = 1;
-          active.push_back(e);
-        }
-      }
-    }
-    // Opt-in convergence telemetry (same null-gated observation-only
-    // discipline as the restricted solver above).
-    if (options.sink != nullptr) {
-      double cur = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        cur = std::max(cur, cumulative_load[e] /
-                                (static_cast<double>(round + 1) * cap[e]));
-      }
-      options.sink->record({round + 1, cur, dual, best_lower,
-                            certified_gap(cur, best_lower),
-                            static_cast<int>(touched.size())});
-    }
-
-    for (int e : touched) round_load[static_cast<std::size_t>(e)] = 0.0;
-    touched.clear();
-
-    // Best-prefix tracking for budget stops (free mode returns the
-    // averaged loads directly, so the loads themselves are snapshotted).
-    if (track_best) {
-      double cur = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        cur = std::max(cur, cumulative_load[e] /
-                                (static_cast<double>(round + 1) * cap[e]));
-      }
-      if (cur < best_seen) {
-        best_seen = cur;
-        best_round = round + 1;
-        budget_load = cumulative_load;
-      }
-    }
-
-    if (round + 1 >= options.min_rounds && best_lower > 0.0) {
-      const double bar = best_lower * gap_mult;
-      bool exit_now = true;
-      for (std::size_t e = 0; e < m; ++e) {
-        if (cumulative_load[e] /
-                (static_cast<double>(round + 1) * cap[e]) >
-            bar) {
-          exit_now = false;
-          break;
-        }
-      }
-      if (exit_now) {
-        ++round;
-        target_hit = true;
-        break;
-      }
-    }
-
-    if (budget.deadline_ms > 0.0 &&
-        (round + 1) % kDeadlineCheckRounds == 0) {
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - budget_start)
-              .count();
-      if (elapsed_ms >= budget.deadline_ms) {
-        ++round;
-        deadline_hit = true;
-        break;
-      }
-    }
-  }
-
-  SolveStatus status = SolveStatus::kCompleted;
-  if (target_hit) {
-    status = SolveStatus::kTargetReached;
-  } else if (deadline_hit) {
-    status = SolveStatus::kBudgetDeadline;
-  } else if (round_cap < options.rounds && round >= round_cap) {
-    status = SolveStatus::kBudgetRounds;
-  }
-  if ((status == SolveStatus::kBudgetRounds ||
-       status == SolveStatus::kBudgetDeadline) &&
-      best_round > 0 && best_round < round) {
-    round = best_round;
-    cumulative_load = budget_load;
-  }
-
-  const double rounds_used = static_cast<double>(std::max(round, 1));
-  double congestion = 0.0;
-  for (std::size_t e = 0; e < m; ++e) {
-    out.edge_load[e] = cumulative_load[e] / rounds_used;
-    congestion = std::max(congestion, out.edge_load[e] / cap[e]);
-  }
-  out.congestion = congestion;
-  out.lower_bound = best_lower;
-  out.rounds_used = round;
-  out.status = status;
-  out.optimality_gap = certified_gap(out.congestion, out.lower_bound);
-
-  if (options.capture_log_x != nullptr) {
-    options.capture_log_x->assign(log_x.begin(), log_x.end());
-  }
+  FreeOracle oracle{g, commodities, sc};
+  run_mwu(g, commodities, options, sc, oracle, out);
 }
 
 CongestionResult min_congestion_free(const Graph& g,

@@ -96,9 +96,8 @@ inline constexpr int kDeadlineCheckRounds = 16;
 ///  * Seeding only changes the solver's STARTING iterate. The returned
 ///    congestion is still the exact congestion of the routing actually
 ///    averaged, and the dual bound is still a valid lower bound on opt, so
-///    warm and cold results of the same instance cross-validate exactly like
-///    fast_math: lower_warm <= congestion_cold and lower_cold <=
-///    congestion_warm.
+///    warm and cold results of the same instance cross-validate:
+///    lower_warm <= congestion_cold and lower_cold <= congestion_warm.
 ///  * `log_x` must have one entry per edge of the solved graph and every
 ///    entry must be finite and >= 0 (MWU log-weights only grow from 0).
 ///    A size mismatch is ignored (the solve runs cold).
@@ -131,34 +130,6 @@ struct MinCongestionOptions {
   /// reads solver state, never writes it). Null (default) = no recording
   /// and no extra work.
   obs::ConvergenceSink* sink = nullptr;
-  /// Opt-in fast-math mode (default OFF). Replaces the reference loop's
-  /// O(m)-per-round serial total-sum of the adversary weights with a
-  /// segmented accumulator sum — in the restricted solver the untouched-edge
-  /// mass is additionally folded as one (count * value) product, making the
-  /// round cost proportional to the demand footprint instead of to m.
-  ///
-  /// Numerical contract (relaxes bit-identity, nothing else):
-  ///  * every per-edge quantity (exp weights, loads, the final congestion
-  ///    evaluation) is computed with the exact mode's arithmetic; ONLY the
-  ///    normalizing total sum_e x_e is accumulated in a different
-  ///    association, perturbing it by at most m * 2^-52 relative;
-  ///  * the perturbed lengths can flip the router's choice between paths
-  ///    whose lengths agree to within that perturbation — equally good
-  ///    best responses — so on tie-degenerate instances (unit-capacity
-  ///    tori/hypercubes) per-round path counts, and with them the averaged
-  ///    routing, may differ by a few round-granularity quanta;
-  ///  * BOTH runs remain exact certificates of the same LP: the returned
-  ///    congestion is the true congestion of the routing actually
-  ///    averaged, and the dual bound is a valid lower bound on opt up to a
-  ///    1 + m * 2^-52 factor. Hence lower_fast <= congestion_exact and
-  ///    lower_exact <= congestion_fast (cross-validity), and both
-  ///    congestions sit within the solver's convergence band of opt:
-  ///      |congestion_fast - congestion_exact|
-  ///          <= 0.05 * max(1, congestion_exact)
-  ///    on every supported instance (tests and bench_m5 enforce this band
-  ///    plus cross-validity; observed differences are ~1e-3, i.e. one or
-  ///    two flipped rounds out of hundreds).
-  bool fast_math = false;
 };
 
 struct CongestionResult {
@@ -189,7 +160,7 @@ struct CongestionResult {
 /// never influence results: a solve through a warm scratch is bit-identical
 /// to one through a fresh scratch (pinned by tests/test_runtime.cpp).
 struct MinCongestionScratch {
-  // Restricted solver: dedup'd candidate scan arena.
+  // Restricted oracle: dedup'd candidate scan arena and choice counts.
   std::vector<int> scan_arena;
   std::vector<std::int64_t> scan_first;
   std::vector<std::int64_t> commodity_scan_first;
@@ -198,7 +169,7 @@ struct MinCongestionScratch {
   std::vector<int> cand_edges;
   std::vector<char> in_cand;
   std::vector<std::span<const int>> chosen_edges;
-  // Shared MWU state.
+  // Shared MWU state (run_mwu).
   std::vector<double> cap;
   std::vector<double> log_x;
   std::vector<double> expv;
@@ -208,14 +179,15 @@ struct MinCongestionScratch {
   std::vector<double> chosen_len;
   std::vector<int> touched;
   // Anytime-budget best-iterate snapshots (only touched when a round cap /
-  // deadline budget is active; empty otherwise).
+  // deadline budget is active; empty otherwise): the restricted oracle
+  // keeps choice counts, the free oracle cumulative loads.
   std::vector<double> budget_load;
   std::vector<int> budget_counts;
   std::vector<int> active;
   std::vector<int> dirty;
   std::vector<char> is_active;
   std::vector<char> is_dirty;
-  // Free solver: counting-sorted source grouping + Dijkstra state.
+  // Free oracle: counting-sorted source grouping + Dijkstra state.
   std::vector<std::size_t> source_first;  // n + 2 prefix/cursor array
   std::vector<std::size_t> by_source;     // commodity indices, source-major
   std::vector<int> sources;
@@ -248,6 +220,12 @@ CongestionResult min_congestion_over_paths(
 /// `candidates` must hold one commodity entry per commodity, in order;
 /// every commodity with amount > 0 needs >= 1 candidate. Produces results
 /// bit-identical to the vertex-sequence overload on the same candidates.
+/// Each round's cost is proportional to the candidate footprint, not to m:
+/// the normalizing total sum_e x_e is a segmented sum (the untouched edges'
+/// shared weight times their count, plus the touched edges' weights in four
+/// lanes). Only that total's association differs from a serial sum over all
+/// m edges; every per-edge value is exact, and the returned congestion and
+/// dual bound remain exact certificates of the LP.
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,

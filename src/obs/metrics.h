@@ -5,7 +5,7 @@
 //
 //  * ServiceCounters is the HOT half: a fixed struct of relaxed atomic
 //    counters (plus one fixed-bucket latency histogram) bumped inline on
-//    the serving paths — engine routes, batch shards, scenario epochs,
+//    the serving paths — engine routes, batches, scenario epochs,
 //    warm-start hits, fault fires. An uncontended relaxed fetch_add is a
 //    few nanoseconds, never allocates, and never touches floating-point
 //    solver state, so the counters are always on without violating the

@@ -14,10 +14,9 @@
 //                         multiplicity_g * load_g[e]
 //
 // — a canonical serial fold whose order and arithmetic do not depend on
-// whether aggregation is on, how many threads solve, or how many shards
-// the groups are partitioned across. That fold is the
-// aggregated-vs-raw / thread-count / shard-count bit-identity argument of
-// route_batch's scale-out mode (see api/sor_engine.h).
+// whether aggregation is on or how many threads solve. That fold is the
+// aggregated-vs-raw / thread-count bit-identity argument of route_batch's
+// scale-out mode (see api/sor_engine.h).
 //
 // The index is a flat open-addressing table over plain vectors (no
 // node-based containers), so a reused aggregator reaches a steady state

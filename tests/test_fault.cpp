@@ -3,7 +3,7 @@
 // function of the plan, anytime budgets must return certified best-so-far
 // iterates and be bit-identical when they never trigger, and graceful
 // degradation must fold zero load for failed work while leaving every
-// surviving output bit-identical across threads, shards, and modes.
+// surviving output bit-identical across threads and modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -583,29 +583,25 @@ TEST(FaultBatch, SkipSurvivingLoadsInvariantAcrossThreadsAndShards) {
   BatchReport first;
   bool have_first = false;
   for (int threads : {1, 2}) {
-    for (int shards : {1, 3}) {
-      SorEngine engine = batch_engine(demands, threads);
-      engine.set_fault_plan(plan_or_die("worker_throw@2;worker_throw@7"));
-      scale::SpanDemandSource source(demands);
-      BatchSpec bspec;
-      bspec.on_error = OnError::kSkipAndReport;
-      bspec.shards = shards;
-      const BatchReport report = engine.route_batch(source, {}, bspec);
-      EXPECT_EQ(report.num_failed, 2u);
-      ASSERT_EQ(report.errors.size(), 2u);
-      EXPECT_EQ(report.errors[0].index, 1u);
-      EXPECT_EQ(report.errors[1].index, 6u);
-      if (!have_first) {
-        first = report;
-        have_first = true;
-        continue;
-      }
-      const std::string what = "threads=" + std::to_string(threads) +
-                               " shards=" + std::to_string(shards);
-      EXPECT_EQ(report.global_edge_load, first.global_edge_load) << what;
-      EXPECT_EQ(report.global_congestion, first.global_congestion) << what;
-      EXPECT_EQ(report.max_congestion, first.max_congestion) << what;
+    SorEngine engine = batch_engine(demands, threads);
+    engine.set_fault_plan(plan_or_die("worker_throw@2;worker_throw@7"));
+    scale::SpanDemandSource source(demands);
+    BatchSpec bspec;
+    bspec.on_error = OnError::kSkipAndReport;
+    const BatchReport report = engine.route_batch(source, {}, bspec);
+    EXPECT_EQ(report.num_failed, 2u);
+    ASSERT_EQ(report.errors.size(), 2u);
+    EXPECT_EQ(report.errors[0].index, 1u);
+    EXPECT_EQ(report.errors[1].index, 6u);
+    if (!have_first) {
+      first = report;
+      have_first = true;
+      continue;
     }
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(report.global_edge_load, first.global_edge_load) << what;
+    EXPECT_EQ(report.global_congestion, first.global_congestion) << what;
+    EXPECT_EQ(report.max_congestion, first.max_congestion) << what;
   }
 }
 
@@ -723,7 +719,7 @@ TEST(FaultBatch, TruncatedFileStreamCompletesWithARecord) {
 TEST(FaultBatch, ChaosStreamIsDeterministicAcrossConfigs) {
   // A long poisoned stream: periodic read faults (counter-based, global
   // plan) plus periodic worker faults (index-keyed, engine plan). Every
-  // (threads, shards) config must produce the identical report.
+  // thread count must produce the identical report.
   constexpr int kDemands = 400;
   std::string text;
   Rng gen_rng(77);
@@ -745,46 +741,42 @@ TEST(FaultBatch, ChaosStreamIsDeterministicAcrossConfigs) {
   bool have_first = false;
   GlobalPlanGuard guard("stream_read%97");
   for (int threads : {1, 2}) {
-    for (int shards : {1, 3}) {
-      guard.reset("stream_read%97");  // rewind the fire_next counter
-      SorEngine engine = batch_engine(all, threads);
-      engine.set_fault_plan(plan_or_die("seed=3;stream_read%97;worker_throw~0.05"));
-      io::FileDemandSource source(path);
-      BatchSpec bspec;
-      bspec.on_error = OnError::kSkipAndReport;
-      bspec.shards = shards;
-      const BatchReport report = engine.route_batch(source, rspec, bspec);
-      // Accounting: every pull is a slot; read faults occupy extra slots.
-      std::size_t read_faults = 0;
-      for (const DemandError& err : report.errors) {
-        EXPECT_TRUE(err.code == ErrorCode::kStreamRead ||
-                    err.code == ErrorCode::kWorkerFault)
-            << error_code_name(err.code);
-        if (err.code == ErrorCode::kStreamRead) ++read_faults;
-      }
-      EXPECT_EQ(report.num_demands, kDemands + read_faults);
-      // Identical demands aggregate: a failed group's one error record
-      // accounts for every member, so num_failed >= errors.size().
-      EXPECT_GE(report.num_failed, report.errors.size());
-      EXPECT_GT(read_faults, 0u);
-      EXPECT_GT(report.errors.size(), read_faults);  // worker faults too
-      if (!have_first) {
-        first = report;
-        have_first = true;
-        continue;
-      }
-      const std::string what = "threads=" + std::to_string(threads) +
-                               " shards=" + std::to_string(shards);
-      EXPECT_EQ(report.num_demands, first.num_demands) << what;
-      EXPECT_EQ(report.num_failed, first.num_failed) << what;
-      ASSERT_EQ(report.errors.size(), first.errors.size()) << what;
-      for (std::size_t i = 0; i < report.errors.size(); ++i) {
-        EXPECT_EQ(report.errors[i].index, first.errors[i].index) << what;
-        EXPECT_EQ(report.errors[i].code, first.errors[i].code) << what;
-      }
-      EXPECT_EQ(report.global_edge_load, first.global_edge_load) << what;
-      EXPECT_EQ(report.global_congestion, first.global_congestion) << what;
+    guard.reset("stream_read%97");  // rewind the fire_next counter
+    SorEngine engine = batch_engine(all, threads);
+    engine.set_fault_plan(plan_or_die("seed=3;stream_read%97;worker_throw~0.05"));
+    io::FileDemandSource source(path);
+    BatchSpec bspec;
+    bspec.on_error = OnError::kSkipAndReport;
+    const BatchReport report = engine.route_batch(source, rspec, bspec);
+    // Accounting: every pull is a slot; read faults occupy extra slots.
+    std::size_t read_faults = 0;
+    for (const DemandError& err : report.errors) {
+      EXPECT_TRUE(err.code == ErrorCode::kStreamRead ||
+                  err.code == ErrorCode::kWorkerFault)
+          << error_code_name(err.code);
+      if (err.code == ErrorCode::kStreamRead) ++read_faults;
     }
+    EXPECT_EQ(report.num_demands, kDemands + read_faults);
+    // Identical demands aggregate: a failed group's one error record
+    // accounts for every member, so num_failed >= errors.size().
+    EXPECT_GE(report.num_failed, report.errors.size());
+    EXPECT_GT(read_faults, 0u);
+    EXPECT_GT(report.errors.size(), read_faults);  // worker faults too
+    if (!have_first) {
+      first = report;
+      have_first = true;
+      continue;
+    }
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(report.num_demands, first.num_demands) << what;
+    EXPECT_EQ(report.num_failed, first.num_failed) << what;
+    ASSERT_EQ(report.errors.size(), first.errors.size()) << what;
+    for (std::size_t i = 0; i < report.errors.size(); ++i) {
+      EXPECT_EQ(report.errors[i].index, first.errors[i].index) << what;
+      EXPECT_EQ(report.errors[i].code, first.errors[i].code) << what;
+    }
+    EXPECT_EQ(report.global_edge_load, first.global_edge_load) << what;
+    EXPECT_EQ(report.global_congestion, first.global_congestion) << what;
   }
   std::remove(path.c_str());
 }

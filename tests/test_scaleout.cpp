@@ -1,5 +1,5 @@
 // The scale-out routing layer (src/scale/, api/sor_engine.h route_batch):
-// streaming ingestion, pre-solve aggregation, and sharded engines must all
+// streaming ingestion, pre-solve aggregation, and the thread count must all
 // be NUMERICALLY INVISIBLE — every mode knob is a memory/wall-clock
 // decision whose outputs are bit-identical to the plain serial batch.
 // Plus the demand-stream text reader (src/io/demand_stream.h): malformed
@@ -124,28 +124,24 @@ TEST(ScaleOut, AggregateOnlyModeDropsReportsKeepsGlobals) {
   EXPECT_GT(lean.global_congestion, 0.0);
 }
 
-// The headline invariance: every (shards, threads) pair in {1,2,4}^2,
-// with and without aggregation, produces the identical BatchReport.
+// The headline invariance: every thread count in {1,2,4}, with and without
+// aggregation, produces the identical BatchReport.
 TEST(ScaleOut, ShardAndThreadCountInvariance) {
   const auto demands = duplicated_batch(16, 6, 2, 17);
   SorEngine reference_engine = engine_for(demands, 1);
   const BatchReport reference = reference_engine.route_batch(demands);
   ASSERT_GT(reference.global_congestion, 0.0);
 
-  for (int shards : {1, 2, 4}) {
-    for (int threads : {1, 2, 4}) {
-      for (bool aggregate : {false, true}) {
-        SorEngine engine = engine_for(demands, threads);
-        scale::SpanDemandSource source(demands);
-        BatchSpec spec;
-        spec.shards = shards;
-        spec.aggregate_duplicates = aggregate;
-        const BatchReport run = engine.route_batch(source, {}, spec);
-        expect_same_batch(reference, run,
-                          "shards=" + std::to_string(shards) +
-                              " threads=" + std::to_string(threads) +
-                              " agg=" + std::to_string(aggregate));
-      }
+  for (int threads : {1, 2, 4}) {
+    for (bool aggregate : {false, true}) {
+      SorEngine engine = engine_for(demands, threads);
+      scale::SpanDemandSource source(demands);
+      BatchSpec spec;
+      spec.aggregate_duplicates = aggregate;
+      const BatchReport run = engine.route_batch(source, {}, spec);
+      expect_same_batch(reference, run,
+                        "threads=" + std::to_string(threads) +
+                            " agg=" + std::to_string(aggregate));
     }
   }
 }
@@ -183,11 +179,6 @@ TEST(ScaleOut, EntryFeedAggregatesDuplicates) {
 TEST(ScaleOut, InvalidSpecsAreRejected) {
   const auto demands = duplicated_batch(16, 2, 2, 1);
   SorEngine engine = engine_for(demands, 1);
-  scale::SpanDemandSource s1(demands);
-  BatchSpec bad_shards;
-  bad_shards.shards = 0;
-  EXPECT_THROW(engine.route_batch(s1, {}, bad_shards), std::invalid_argument);
-
   scale::SpanDemandSource s2(demands);
   BatchSpec raw_no_reports;
   raw_no_reports.keep_reports = false;

@@ -19,7 +19,7 @@ Checks, in order:
      whose output comparison was skipped ("-") fails, not just one that
      failed;
   3. identity: no row anywhere may say identical=no — bit-identity (or,
-     for fast-math rows, the documented epsilon contract) is a
+     for bench_m4's route rows, bench_common.h's within_contract) is a
      correctness gate, never a tolerance;
   4. memory (bench_m7 rows, where ms_per_op carries a VALUE, ops = 1):
      --mem-zero PHASE requires >= 1 row whose value is exactly 0 with
