@@ -53,8 +53,8 @@ int main() {
 
   // Verify by solving the best adaptive routing on the sampled paths
   // exactly (the frozen PathSystem serves the adversarial demand too).
-  const sor::RouteReport best = engine.route(
-      adversary.demand, {.exact = true, .compute_optimum = false});
+  const sor::SemiObliviousSolution best =
+      sor::route_fractional_exact(engine.graph(), ps, adversary.demand);
   std::printf("best adaptive routing on the sampled paths: congestion %.3f\n",
               best.congestion);
   std::printf("=> measured competitive ratio %.2f against optimum 1\n",

@@ -705,7 +705,7 @@ int main(int argc, char** argv) {
 
     sor::RouteSpec route_spec;
     route_spec.round_integral = opt.integral;
-    route_spec.budget = budget;
+    route_spec.mwu.budget = budget;
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
@@ -767,7 +767,7 @@ int main(int argc, char** argv) {
 
   sor::RouteSpec route_spec;
   route_spec.round_integral = opt.integral;
-  route_spec.budget = budget;
+  route_spec.mwu.budget = budget;
   route_spec.warm_start = opt.warm_start;
   route_spec.record_convergence = !opt.convergence_out.empty();
 
@@ -837,7 +837,7 @@ int main(int argc, char** argv) {
                 report.convergence.size(), opt.convergence_out.c_str());
   }
   std::printf("fractional congestion: %.4f\n", report.congestion);
-  if (route_spec.budget.enabled()) {
+  if (route_spec.mwu.budget.enabled()) {
     std::printf("solve status: %s, certified optimality gap <= %.4f\n",
                 sor::to_string(report.solve_status), report.optimality_gap);
   }

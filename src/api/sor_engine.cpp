@@ -58,23 +58,6 @@ bool is_near_integral(const Demand& d) {
   return true;
 }
 
-/// Replay safety: the stored report only stands in for a fresh solve when
-/// every result-shaping knob matches the capture. (The warm/capture
-/// pointers inside mwu are engine-internal and deliberately ignored.)
-bool warm_spec_matches(const RouteSpec& a, const RouteSpec& b) {
-  return a.mwu.rounds == b.mwu.rounds &&
-         a.mwu.target_gap == b.mwu.target_gap &&
-         a.mwu.min_rounds == b.mwu.min_rounds &&
-         a.mwu.budget == b.mwu.budget && a.exact == b.exact &&
-         a.compute_optimum == b.compute_optimum &&
-         a.compute_lower_bound == b.compute_lower_bound &&
-         a.round_integral == b.round_integral &&
-         a.rounding_trials == b.rounding_trials &&
-         a.simulate_packets == b.simulate_packets && a.policy == b.policy &&
-         a.budget == b.budget &&
-         a.record_convergence == b.record_convergence;
-}
-
 /// Maps the captured epoch's per-unit integral choices onto the CURRENT
 /// candidate indexing: unit u of commodity j gets the index of its
 /// previously chosen path among ps.refs(s, t), or -1 when that path is no
@@ -94,7 +77,7 @@ void build_rounding_seed(const PathSystem& ps, const Demand& demand,
       int mapped = -1;
       if (choice >= 0 &&
           static_cast<std::size_t>(choice) < entry->columns.size()) {
-        const PathRef prev = entry->columns[static_cast<std::size_t>(choice)].ref;
+        const PathRef prev = entry->columns[static_cast<std::size_t>(choice)];
         for (std::size_t i = 0; i < refs.size(); ++i) {
           if (refs[i].offset == prev.offset && refs[i].hops == prev.hops) {
             mapped = static_cast<int>(i);
@@ -381,7 +364,7 @@ obs::MetricsRegistry SorEngine::metrics() const {
               c.fault_fires.load(memory_order_relaxed),
               "injected faults triggered (all sites)");
   reg.histogram("sor_route_ms", c.route_ms,
-                "wall milliseconds per route_one call");
+                "wall milliseconds per route_one_into call");
 
   // Engine memory gauges. "Absent, never 0" discipline for anything this
   // build/platform cannot measure: a reader must not mistake "no data"
@@ -435,25 +418,23 @@ void SorEngine::require_installed_pairs(const Demand& demand) const {
 }
 
 RouteReport SorEngine::route(const Demand& demand, const RouteSpec& spec) {
-  if (spec.warm_start) {
-    RouteReport out;
-    route_warm_into(demand, spec, out);
-    return out;
-  }
-  require_installed_pairs(demand);
-  return route_one(demand, spec, rng_);
+  RouteReport out;
+  route_into(demand, spec, out);
+  return out;
 }
 
 RouteReport& SorEngine::route_into(const Demand& demand, const RouteSpec& spec,
                                    RouteReport& out) {
-  if (spec.warm_start) return route_warm_into(demand, spec, out);
   require_installed_pairs(demand);
+  // Cold and warm routes visit this injection checkpoint in the same
+  // position: warm mode must not change which sites a route reaches.
   if (fault::FaultPlan* plan = active_fault_plan();
       plan && plan->fire_next(fault::Site::kScratchAlloc)) {
     throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
                    "route: injected scratch-arena allocation failure "
                    "(fault-plan site scratch_alloc)");
   }
+  if (spec.warm_start) return route_warm_into(demand, spec, out);
   auto scratch = scratch_pool_.acquire();
   route_one_into(demand, spec, rng_, *scratch, out);
   return out;
@@ -462,15 +443,6 @@ RouteReport& SorEngine::route_into(const Demand& demand, const RouteSpec& spec,
 RouteReport& SorEngine::route_warm_into(const Demand& demand,
                                         const RouteSpec& spec,
                                         RouteReport& out) {
-  require_installed_pairs(demand);
-  // Same fault site as the cold path, in the same position: warm mode must
-  // not change which injection checkpoints a route visits.
-  if (fault::FaultPlan* plan = active_fault_plan();
-      plan && plan->fire_next(fault::Site::kScratchAlloc)) {
-    throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
-                   "route: injected scratch-arena allocation failure "
-                   "(fault-plan site scratch_alloc)");
-  }
   if (!warm_state_) warm_state_ = std::make_unique<warm::WarmStartState>();
   warm::WarmStartState& st = *warm_state_;
   const auto m = static_cast<std::size_t>(graph_->num_edges());
@@ -478,14 +450,12 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   // Routes that draw randomness (rounding, simulation) cannot be replayed:
   // skipping their rng draws would shift the engine stream relative to a
   // cold run. Fractional-only routes draw nothing, so replay is stream-safe.
-  const bool replayable =
-      !spec.exact && !spec.round_integral && !spec.simulate_packets;
+  const bool replayable = !spec.round_integral && !spec.simulate_packets;
 
   // ---- replay fast path: the bit-identical instance ---------------------
   if (replayable && st.valid && warm_replay_ &&
       st.graph_version == graph_version_ &&
-      st.paths_version == paths_version_ &&
-      warm_spec_matches(spec, warm_spec_) &&
+      st.paths_version == paths_version_ && spec == warm_spec_ &&
       warm::demand_matches(st.demand, demand)) {
     const obs::TraceSpan span("replay", "warm");
     obs::ServiceCounters& counters = obs::service_counters();
@@ -513,17 +483,17 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   std::vector<std::vector<int>> rounding_seed;
   double scale = 0.0;
   bool hit = false;
-  if (st.valid && !spec.exact && st.restricted_log_x.size() == m) {
+  if (st.valid && st.restricted_log_x.size() == m) {
     scale = warm::support_overlap_scale(st.demand, demand);
     if (scale > 0.0) {
       hit = true;
       restricted_seed.log_x = st.restricted_log_x;
       restricted_seed.scale = scale;
-      hooks.restricted = &restricted_seed;
+      hooks.restricted.warm = &restricted_seed;
       if (spec.compute_optimum && st.free_log_x.size() == m) {
         free_seed.log_x = st.free_log_x;
         free_seed.scale = scale;
-        hooks.free_path = &free_seed;
+        hooks.free_path.warm = &free_seed;
       }
       if ((spec.round_integral || spec.simulate_packets) &&
           !st.columns.empty()) {
@@ -532,13 +502,11 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
       }
     }
   }
-  if (!spec.exact) {
-    // Captures write after the solvers read their seeds (the seed is copied
-    // into solver scratch at init), so capturing into the same vectors the
-    // seeds alias is safe.
-    hooks.capture_restricted = &st.restricted_log_x;
-    if (spec.compute_optimum) hooks.capture_free = &st.free_log_x;
-  }
+  // Captures write after the solvers read their seeds (the seed is copied
+  // into solver scratch at init), so capturing into the same vectors the
+  // seeds alias is safe.
+  hooks.restricted.capture_log_x = &st.restricted_log_x;
+  if (spec.compute_optimum) hooks.free_path.capture_log_x = &st.free_log_x;
 
   {
     const obs::TraceSpan span(hit ? "seed" : "cold", "warm");
@@ -547,15 +515,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   }
 
   // ---- capture ----------------------------------------------------------
-  if (spec.exact) {
-    // The exact-LP path has no MWU endpoint to carry; drop stale captures
-    // rather than seed the next epoch from a different solve's state.
-    st.invalidate();
-    warm_replay_.reset();
-    out.warm = WarmInfo{};
-    out.warm.enabled = true;
-    return out;
-  }
   if (hit) {
     obs::ServiceCounters& counters = obs::service_counters();
     counters.warm_hits.fetch_add(1, std::memory_order_relaxed);
@@ -577,8 +536,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
     if (out.integral && j < out.integral->choices.size()) {
       choices = out.integral->choices[j];
     }
-    st.columns.record(c.s, c.t, paths_->refs(c.s, c.t),
-                      out.solution.weights[j], choices);
+    st.columns.record(c.s, c.t, paths_->refs(c.s, c.t), choices);
   }
   if (replayable) {
     if (!warm_replay_) warm_replay_ = std::make_unique<RouteReport>();
@@ -598,20 +556,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
 
 // route_batch lives in sor_engine_batch.cpp — the scale-out streaming /
 // aggregation pipeline is a subsystem of its own.
-
-RouteReport SorEngine::route_one(const Demand& demand, const RouteSpec& spec,
-                                 Rng& rng) const {
-  RouteReport report;
-  if (fault::FaultPlan* plan = active_fault_plan();
-      plan && plan->fire_next(fault::Site::kScratchAlloc)) {
-    throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
-                   "route: injected scratch-arena allocation failure "
-                   "(fault-plan site scratch_alloc)");
-  }
-  auto scratch = scratch_pool_.acquire();
-  route_one_into(demand, spec, rng, *scratch, report);
-  return report;
-}
 
 void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
                                Rng& rng, runtime::EngineScratch& scratch,
@@ -638,36 +582,17 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   out.simulation.reset();
   out.warm = WarmInfo{};  // route_warm_into overwrites after this returns
 
-  // RouteSpec::budget is the convenience alias for mwu.budget: an enabled
-  // spec budget governs the restricted solve and the optimum oracle below.
-  MinCongestionOptions mwu = spec.mwu;
-  if (spec.budget.enabled()) mwu.budget = spec.budget;
-  // Warm hooks split the one option set: each solver gets its own seed and
-  // capture target. Null hooks leave both copies equal to `mwu`.
-  MinCongestionOptions restricted_opts = mwu;
-  MinCongestionOptions optimum_opts = mwu;
-  if (hooks != nullptr) {
-    restricted_opts.warm = hooks->restricted;
-    restricted_opts.capture_log_x = hooks->capture_restricted;
-    optimum_opts.warm = hooks->free_path;
-    optimum_opts.capture_log_x = hooks->capture_free;
-  }
   // Opt-in convergence telemetry: the sink binds RouteReport.convergence
   // (constructing it clears stale records either way, capacity retained);
   // only the restricted solve — the route itself — records through it.
+  MwuHooks restricted_hooks = hooks != nullptr ? hooks->restricted : MwuHooks{};
   obs::ConvergenceSink sink(out.convergence);
-  if (spec.record_convergence && !spec.exact) {
-    restricted_opts.sink = &sink;
-  }
+  if (spec.record_convergence) restricted_hooks.sink = &sink;
 
   {
     StageScope stage("route", out.times.route_ms);
-    if (spec.exact) {
-      out.solution = route_fractional_exact(*graph_, ps, demand);
-    } else {
-      route_fractional_into(*graph_, ps, demand, restricted_opts,
-                            scratch.route, out.solution);
-    }
+    route_fractional_into(*graph_, ps, demand, spec.mwu, scratch.route,
+                          out.solution, restricted_hooks);
     stage.set_arg("rounds", static_cast<std::uint64_t>(std::max(
                                 out.solution.rounds_used, 0)));
   }
@@ -680,6 +605,7 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
 
   double lb = 0.0;
   if (spec.compute_lower_bound) {
+    const StageScope stage("lower_bound", out.times.lower_bound_ms);
     lb = distance_lower_bound(*graph_, demand, scratch.distance);
     if (graph_->total_capacity() > 0.0) {
       lb = std::max(lb, demand.size() / graph_->total_capacity());
@@ -688,8 +614,9 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   if (spec.compute_optimum) {
     {
       const StageScope stage("optimum", out.times.optimum_ms);
-      out.optimum =
-          optimal_congestion(*graph_, demand, optimum_opts, scratch.optimum);
+      out.optimum = optimal_congestion(
+          *graph_, demand, spec.mwu, scratch.optimum,
+          hooks != nullptr ? hooks->free_path : MwuHooks{});
     }
     lb = std::max(lb, out.optimum->value());
   }

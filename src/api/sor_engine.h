@@ -114,11 +114,13 @@ struct SamplingSpec {
                                   bool with_cut = false);
 };
 
-/// Stage 3..5 knobs for one revealed demand.
+/// Stage 3..5 knobs for one revealed demand. Plain values only: two specs
+/// that compare equal route a demand identically.
 struct RouteSpec {
+  /// Options of both MWU solves, the restricted route and the optimum
+  /// oracle; `mwu.budget` is the anytime-solve budget (see SolveBudget),
+  /// exposed as `sor_cli --solve-budget`.
   MinCongestionOptions mwu;
-  /// Exact LP instead of the MWU engine (tiny instances only).
-  bool exact = false;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
   bool compute_optimum = true;
   /// Compute the cheap distance-duality lower bound (one Dijkstra per
@@ -133,13 +135,6 @@ struct RouteSpec {
   /// round_integral).
   bool simulate_packets = false;
   SchedulePolicy policy = SchedulePolicy::kRandomPriority;
-  /// Anytime-solve budget, forwarded into the restricted solve AND the
-  /// offline-optimum oracle (when enabled it overrides mwu.budget). On
-  /// budget exhaustion the solvers return the best iterate seen so far
-  /// with a SolveStatus and a certified optimality gap; with the budget
-  /// disabled (default) routing is bit-identical to a build without it.
-  /// Exposed as `sor_cli --solve-budget`.
-  SolveBudget budget;
   /// Opt-in cross-epoch warm starts (default OFF; docs/warm-start.md is the
   /// contract). When on, the engine captures each route's MWU endpoint
   /// (adversary log-weights, column pool, integral choices) and seeds the
@@ -161,9 +156,10 @@ struct RouteSpec {
   /// Observation only: results are bit-identical with the flag on or off
   /// (bench_m10's identity row pins this); recording costs one extra O(m)
   /// scan per round plus one bounded vector (capacity retained across
-  /// route_into reuse). Ignored by the exact-LP path (no rounds to
-  /// record). Exposed as `sor_cli --convergence-out`.
+  /// route_into reuse). Exposed as `sor_cli --convergence-out`.
   bool record_convergence = false;
+
+  friend bool operator==(const RouteSpec&, const RouteSpec&) = default;
 };
 
 /// Wall-clock per pipeline stage, milliseconds.
@@ -171,6 +167,7 @@ struct StageTimes {
   double build_ms = 0.0;     ///< substrate construction (engine-wide)
   double sample_ms = 0.0;    ///< PathSystem installation (engine-wide)
   double route_ms = 0.0;     ///< adaptive rate selection
+  double lower_bound_ms = 0.0;  ///< distance-duality lower bound
   double optimum_ms = 0.0;   ///< offline-optimum solve
   double rounding_ms = 0.0;  ///< integral rounding + local search
   double sim_ms = 0.0;       ///< packet simulation
@@ -354,15 +351,15 @@ class SorEngine {
   /// the frozen system.
   const PathSystem& install_paths(const SamplingSpec& spec);
 
-  /// Stage 3..5 for one revealed demand, over the frozen PathSystem.
+  /// Stage 3..5 for one revealed demand, over the frozen PathSystem: a
+  /// thin wrapper over route_into() with a fresh report.
   /// Throws std::logic_error if install_paths() has not run, and
   /// std::invalid_argument if the demand has a support pair with no
   /// installed candidate paths.
   RouteReport route(const Demand& demand, const RouteSpec& spec = {});
 
   /// Buffer-reusing form of route(): refills `out`'s nested buffers in
-  /// place (capacities retained) with exactly what route() would return —
-  /// route() is a thin wrapper over this. Together with the engine's
+  /// place (capacities retained). Together with the engine's
   /// internal scratch pool this makes a steady-state serving loop
   /// allocation-free after warm-up; `out.mem` reports the measured
   /// allocation delta of each call. Returns `out`.
@@ -478,21 +475,19 @@ class SorEngine {
  private:
   SorEngine() = default;
 
-  /// The frozen-path stages for one demand; `rng` is the stream rounding
-  /// and simulation draw from (the engine stream for route(), a seed-split
-  /// stream for route_batch()).
-  RouteReport route_one(const Demand& demand, const RouteSpec& spec,
-                        Rng& rng) const;
-  /// The real stage-3..5 implementation: all working state in `scratch`,
-  /// the report refilled in place. route_one/route/route_into wrap this.
-  /// `hooks` (warm starts only; see warm/warm_state.h) carries the MWU
-  /// seeds/captures and the rounding seed — null on every cold route, and
-  /// a null-hook call is bit-identical to a build without the parameter.
+  /// The stage-3..5 implementation for one demand: all working state in
+  /// `scratch`, the report refilled in place. `rng` is the stream rounding
+  /// and simulation draw from (the engine stream for route_into(), a
+  /// seed-split stream for route_batch()). `hooks` (warm starts only; see
+  /// warm/warm_state.h) carries the MWU seeds/captures and the rounding
+  /// seed — null on every cold route, and a null-hook call is
+  /// bit-identical to a build without the parameter.
   void route_one_into(const Demand& demand, const RouteSpec& spec, Rng& rng,
                       runtime::EngineScratch& scratch, RouteReport& out,
                       const warm::RouteWarmHooks* hooks = nullptr) const;
   /// The warm-start orchestration route_into() dispatches to when
-  /// RouteSpec::warm_start is set: replay / seed decision, the seeded
+  /// RouteSpec::warm_start is set, after the installed-pair check and the
+  /// scratch fault site: replay / seed decision, the seeded
   /// route_one_into call, and the post-route capture.
   RouteReport& route_warm_into(const Demand& demand, const RouteSpec& spec,
                                RouteReport& out);
@@ -515,30 +510,26 @@ class SorEngine {
   Rng rng_{1};
   int threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Leased per route_one call (one per concurrently-active call; see
-  /// runtime::ScratchPool). mutable: scratch contents never influence
-  /// results, so lending one out is logically const.
-  mutable runtime::ScratchPool scratch_pool_;
+  /// Leased per route_one_into call, serial or batch (one per
+  /// concurrently-active call; see runtime::ScratchPool).
+  runtime::ScratchPool scratch_pool_;
   // ---- route_batch workspace (capacity-retaining across batches) -------
   // The scale-out pipeline's reusable state: the aggregation index, the
   // per-demand Rng streams (only filled when rounding/simulation need
-  // them), a fixed chunk of solve slots recycled across the stream, and
-  // the scratch pool every solve unit leases from. Persisting these across
-  // epochs is what keeps a steady-state serving loop's memory flat at
-  // millions of entries.
+  // them) and a fixed chunk of solve slots recycled across the stream.
+  // Persisting these across epochs is what keeps a steady-state serving
+  // loop's memory flat at millions of entries.
   scale::BatchAggregator batch_agg_;
   std::vector<Rng> batch_streams_;
   std::vector<Demand> batch_slot_demands_;
   std::vector<RouteReport> batch_slot_reports_;
   std::vector<RouteReport> batch_group_reports_;
-  runtime::ScratchPool batch_pool_;
   /// Pull-index -> aggregation group id, or -1 for a demand poisoned
   /// during ingest (kSkipAndReport only; -1 never appears under
   /// kFailFast, where ingest failures throw).
   std::vector<std::int32_t> batch_unit_group_;
   /// Group id -> pull index of its first-seen member (the representative
-  /// the raw-mode canonical fold charges the group's load to). Equals
-  /// BatchAggregator's member indexing when no demand is poisoned.
+  /// the raw-mode canonical fold charges the group's load to).
   std::vector<std::int64_t> batch_group_first_;
   /// Per solve-slot outcome of the current chunk (see kSlot* in
   /// sor_engine_batch.cpp) + the captured error of failed slots.

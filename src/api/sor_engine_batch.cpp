@@ -12,7 +12,7 @@
 //   2. Chunked solves. The solve units — groups under aggregation,
 //      individual demands otherwise — are processed in fixed-size chunks
 //      through a ring of reused solve slots; within a chunk, units fan
-//      out across the worker pool, each leasing scratch from the batch's
+//      out across the worker pool, each leasing scratch from the engine's
 //      one scratch pool (scratch contents never influence results).
 //   3. Canonical serial fold. After each chunk, the slots are folded —
 //      in unit order, on the calling thread — into the global per-edge
@@ -150,6 +150,25 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
   };
 
   // ---- Phase 1: streaming ingest + grouping ---------------------------
+  // One stream per pulled demand, forked in pull order — ALWAYS, so the
+  // engine stream evolves identically whatever the BatchSpec (the span
+  // overload's historical split-per-demand behavior) and whichever
+  // demands are poisoned. Stored only when rounding/simulation will draw
+  // from it.
+  auto fork_stream = [&] {
+    if (needs_streams) {
+      batch_streams_.push_back(rng_.fork());
+    } else {
+      (void)rng_.fork();
+    }
+  };
+  // A poisoned pull occupies a demand slot: an error record and no group.
+  auto poison = [&](ErrorCode code, const std::string& site,
+                    const char* detail) {
+    batch.errors.push_back({batch_unit_group_.size(), code, site, detail});
+    batch_unit_group_.push_back(-1);
+    ++batch.num_failed;
+  };
   batch_agg_.reset();
   batch_streams_.clear();
   batch_unit_group_.clear();
@@ -164,28 +183,13 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
       try {
         have = source.next(entries);
       } catch (const SorError& err) {
-        const std::size_t index = batch_unit_group_.size();
-        batch.errors.push_back({index, err.code(), err.site(), err.what()});
-        batch_unit_group_.push_back(-1);
-        ++batch.num_failed;
-        if (needs_streams) {
-          batch_streams_.push_back(rng_.fork());
-        } else {
-          (void)rng_.fork();
-        }
+        poison(err.code(), err.site(), err.what());
+        fork_stream();
         if (err.code() == ErrorCode::kStreamTruncated) break;
         continue;
       } catch (const std::exception& err) {
-        const std::size_t index = batch_unit_group_.size();
-        batch.errors.push_back(
-            {index, ErrorCode::kStreamRead, "demand_stream", err.what()});
-        batch_unit_group_.push_back(-1);
-        ++batch.num_failed;
-        if (needs_streams) {
-          batch_streams_.push_back(rng_.fork());
-        } else {
-          (void)rng_.fork();
-        }
+        poison(ErrorCode::kStreamRead, "demand_stream", err.what());
+        fork_stream();
         continue;
       }
     } else {
@@ -195,10 +199,7 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
     std::optional<SorError> bad = validate(entries);
     if (bad && !skip) throw *bad;
     if (bad) {
-      const std::size_t index = batch_unit_group_.size();
-      batch.errors.push_back({index, bad->code(), bad->site(), bad->what()});
-      batch_unit_group_.push_back(-1);
-      ++batch.num_failed;
+      poison(bad->code(), bad->site(), bad->what());
     } else {
       const int g = batch_agg_.add(entries);
       batch_unit_group_.push_back(g);
@@ -207,16 +208,7 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
             static_cast<std::int64_t>(batch_unit_group_.size()) - 1);
       }
     }
-    // One stream per pulled demand, forked in pull order — ALWAYS, so the
-    // engine stream evolves identically whatever the BatchSpec (the span
-    // overload's historical split-per-demand behavior) and whichever
-    // demands are poisoned. Stored only when rounding/simulation will
-    // draw from it.
-    if (needs_streams) {
-      batch_streams_.push_back(rng_.fork());
-    } else {
-      (void)rng_.fork();
-    }
+    fork_stream();
   }
 
   const std::size_t num_demands = batch_unit_group_.size();
@@ -253,7 +245,7 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
                        "route_batch: injected scratch-arena allocation "
                        "failure (fault-plan site scratch_alloc)");
       }
-      auto lease = batch_pool_.acquire();
+      auto lease = scratch_pool_.acquire();
       if (plan && plan->fires(fault::Site::kWorkerThrow, u)) {
         throw SorError(ErrorCode::kWorkerFault, "worker",
                        "route_batch: injected worker fault (fault-plan site "
@@ -323,8 +315,9 @@ BatchReport SorEngine::route_batch(scale::DemandSource& source,
       batch.max_congestion = std::max(batch.max_congestion, r.congestion);
       batch.max_competitive_ratio =
           std::max(batch.max_competitive_ratio, r.competitive_ratio);
-      batch.total_route_ms += r.times.route_ms + r.times.optimum_ms +
-                              r.times.rounding_ms + r.times.sim_ms;
+      batch.total_route_ms += r.times.route_ms + r.times.lower_bound_ms +
+                              r.times.optimum_ms + r.times.rounding_ms +
+                              r.times.sim_ms;
       const scale::DemandGroup& group =
           groups[static_cast<std::size_t>(g)];
       // Fold exactly once per group, at its representative, in unit

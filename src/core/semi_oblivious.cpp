@@ -53,7 +53,8 @@ std::vector<std::vector<Path>> gather_candidates(
 void route_fractional_into(const Graph& g, const PathSystem& ps,
                            const Demand& d,
                            const MinCongestionOptions& options,
-                           RouteScratch& scratch, SemiObliviousSolution& out) {
+                           RouteScratch& scratch, SemiObliviousSolution& out,
+                           const MwuHooks& hooks) {
   d.commodities_into(out.commodities);
   const std::size_t k = out.commodities.size();
 
@@ -78,12 +79,11 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   // results (same candidates, same iteration order, same arithmetic).
   if (ps.flat_for(g)) {
     flat_candidates_into(ps, out.commodities, scratch.flat);
-    min_congestion_over_paths_into(g, out.commodities, scratch.flat, options,
-                                   scratch.mwu, scratch.result);
   } else {
-    scratch.result =
-        min_congestion_over_paths(g, out.commodities, out.paths, options);
+    scratch.flat = flatten_candidates(g, out.paths);
   }
+  min_congestion_over_paths_into(g, out.commodities, scratch.flat, options,
+                                 hooks, scratch.mwu, scratch.result);
 
   const CongestionResult& result = scratch.result;
   out.weights.resize(k);
@@ -128,11 +128,12 @@ SemiObliviousSolution route_fractional_exact(const Graph& g,
 
 OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
                                      const MinCongestionOptions& options,
-                                     OptimumScratch& scratch) {
+                                     OptimumScratch& scratch,
+                                     const MwuHooks& hooks) {
   OptimalCongestion opt;
   if (d.empty()) return opt;
   d.commodities_into(scratch.commodities);
-  min_congestion_free_into(g, scratch.commodities, options, scratch.mwu,
+  min_congestion_free_into(g, scratch.commodities, options, hooks, scratch.mwu,
                            scratch.result);
   opt.upper = scratch.result.congestion;
   opt.lower = scratch.result.lower_bound;

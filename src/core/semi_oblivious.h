@@ -50,11 +50,12 @@ struct RouteScratch {
 /// Scratch-threaded route: refills `out`'s (nested) buffers in place with
 /// exactly what route_fractional would return — bit-identical fields, and
 /// route_fractional is a thin wrapper over this — while every intermediate
-/// lives in `scratch`.
+/// lives in `scratch`. `hooks` reach the restricted MWU solve.
 void route_fractional_into(const Graph& g, const PathSystem& ps,
                            const Demand& d,
                            const MinCongestionOptions& options,
-                           RouteScratch& scratch, SemiObliviousSolution& out);
+                           RouteScratch& scratch, SemiObliviousSolution& out,
+                           const MwuHooks& hooks = {});
 
 /// Exact LP variant (small instances; used for validation).
 SemiObliviousSolution route_fractional_exact(const Graph& g,
@@ -88,9 +89,11 @@ struct OptimumScratch {
 };
 
 /// Scratch-threaded optimum; identical result to the overload above.
+/// `hooks` reach the free-path MWU solve.
 OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
                                      const MinCongestionOptions& options,
-                                     OptimumScratch& scratch);
+                                     OptimumScratch& scratch,
+                                     const MwuHooks& hooks = {});
 
 /// Cheap distance-duality lower bound on opt_{G,R}(d) (no iteration):
 /// opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e w_e with w_e = 1/cap_e.

@@ -175,8 +175,8 @@ namespace {
 //   finish(rounds, out)    out.edge_load and out.congestion
 template <class Oracle>
 void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
-             const MinCongestionOptions& options, MinCongestionScratch& sc,
-             Oracle& oracle, CongestionResult& out) {
+             const MinCongestionOptions& options, const MwuHooks& hooks,
+             MinCongestionScratch& sc, Oracle& oracle, CongestionResult& out) {
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
   out.edge_load.assign(m, 0.0);
@@ -227,11 +227,11 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   // cached_max_log above already forces the round-0 exp refresh to walk the
   // seeded active set. A null/mismatched/zero-scaled seed leaves every
   // vector exactly as the cold solve built it.
-  if (options.warm != nullptr && options.warm->scale > 0.0 &&
-      options.warm->log_x.size() == m) {
-    const double scale = options.warm->scale;
+  if (hooks.warm != nullptr && hooks.warm->scale > 0.0 &&
+      hooks.warm->log_x.size() == m) {
+    const double scale = hooks.warm->scale;
     for (std::size_t e = 0; e < m; ++e) {
-      const double seeded = options.warm->log_x[e] * scale;
+      const double seeded = hooks.warm->log_x[e] * scale;
       if (seeded > 0.0 && std::isfinite(seeded)) {
         log_x[e] = seeded;
         is_active[e] = 1;
@@ -338,14 +338,14 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
     // The sink and the budget read the same averaged congestion; both are
     // observation (nothing the round loop reads back), and neither scan
     // runs unless one of them is on.
-    if (options.sink != nullptr || track_best) {
+    if (hooks.sink != nullptr || track_best) {
       double cur = 0.0;
       for (std::size_t e = 0; e < m; ++e) {
         cur = std::max(cur, cumulative_load[e] /
                                 (static_cast<double>(round + 1) * cap[e]));
       }
-      if (options.sink != nullptr) {
-        options.sink->record({round + 1, cur, dual, best_lower,
+      if (hooks.sink != nullptr) {
+        hooks.sink->record({round + 1, cur, dual, best_lower,
                               certified_gap(cur, best_lower),
                               static_cast<int>(touched.size())});
       }
@@ -419,8 +419,8 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
 
   // Capture half of the warm-start cycle: hand the final adversary state to
   // the caller (capacity-retaining assign; results above are unaffected).
-  if (options.capture_log_x != nullptr) {
-    options.capture_log_x->assign(log_x.begin(), log_x.end());
+  if (hooks.capture_log_x != nullptr) {
+    hooks.capture_log_x->assign(log_x.begin(), log_x.end());
   }
 }
 
@@ -804,11 +804,12 @@ void min_congestion_over_paths_into(const Graph& g,
                                     const std::vector<Commodity>& commodities,
                                     const FlatCandidates& candidates,
                                     const MinCongestionOptions& options,
+                                    const MwuHooks& hooks,
                                     MinCongestionScratch& sc,
                                     CongestionResult& out) {
   assert(candidates.num_commodities() == commodities.size());
   RestrictedOracle oracle{g, commodities, candidates, sc};
-  run_mwu(g, commodities, options, sc, oracle, out);
+  run_mwu(g, commodities, options, hooks, sc, oracle, out);
 }
 
 CongestionResult min_congestion_over_paths(
@@ -816,8 +817,8 @@ CongestionResult min_congestion_over_paths(
     const FlatCandidates& candidates, const MinCongestionOptions& options) {
   MinCongestionScratch scratch;
   CongestionResult result;
-  min_congestion_over_paths_into(g, commodities, candidates, options, scratch,
-                                 result);
+  min_congestion_over_paths_into(g, commodities, candidates, options, {},
+                                 scratch, result);
   return result;
 }
 
@@ -835,9 +836,10 @@ CongestionResult min_congestion_over_paths(
 void min_congestion_free_into(const Graph& g,
                               const std::vector<Commodity>& commodities,
                               const MinCongestionOptions& options,
-                              MinCongestionScratch& sc, CongestionResult& out) {
+                              const MwuHooks& hooks, MinCongestionScratch& sc,
+                              CongestionResult& out) {
   FreeOracle oracle{g, commodities, sc};
-  run_mwu(g, commodities, options, sc, oracle, out);
+  run_mwu(g, commodities, options, hooks, sc, oracle, out);
 }
 
 CongestionResult min_congestion_free(const Graph& g,
@@ -845,7 +847,7 @@ CongestionResult min_congestion_free(const Graph& g,
                                      const MinCongestionOptions& options) {
   MinCongestionScratch scratch;
   CongestionResult result;
-  min_congestion_free_into(g, commodities, options, scratch, result);
+  min_congestion_free_into(g, commodities, options, {}, scratch, result);
   return result;
 }
 

@@ -113,6 +113,15 @@ struct MinCongestionOptions {
   double target_gap = 1.02;  ///< stop early once upper/lower <= target_gap
   int min_rounds = 50;
   SolveBudget budget;        ///< anytime budget; default = disabled
+  friend bool operator==(const MinCongestionOptions&,
+                         const MinCongestionOptions&) = default;
+};
+
+/// Per-solve pointers into the caller's state, kept apart from the value
+/// options so that one MinCongestionOptions can feed several solves
+/// without sharing a seed, a capture target or a sink between them.
+/// All-null (the default) is a plain cold solve.
+struct MwuHooks {
   /// Optional warm-start seed (see MwuWarmStart). Null = cold solve; the
   /// cold path is bit-identical to a build without this field.
   const MwuWarmStart* warm = nullptr;
@@ -234,11 +243,12 @@ CongestionResult min_congestion_over_paths(
 /// Scratch-threaded form of the flat restricted solve: all working state
 /// lives in `scratch`, the result is written into `out` (both reused across
 /// calls, capacities retained). Bit-identical to the value-returning
-/// overload, which is now a thin wrapper over this.
+/// overload, which is a thin wrapper over this with no hooks.
 void min_congestion_over_paths_into(const Graph& g,
                                     const std::vector<Commodity>& commodities,
                                     const FlatCandidates& candidates,
                                     const MinCongestionOptions& options,
+                                    const MwuHooks& hooks,
                                     MinCongestionScratch& scratch,
                                     CongestionResult& out);
 
@@ -258,6 +268,7 @@ CongestionResult min_congestion_free(
 void min_congestion_free_into(const Graph& g,
                               const std::vector<Commodity>& commodities,
                               const MinCongestionOptions& options,
+                              const MwuHooks& hooks,
                               MinCongestionScratch& scratch,
                               CongestionResult& out);
 

@@ -4,12 +4,12 @@
 // this records: the congestion of the averaged iterate closing on the dual
 // lower bound round by round. Both MWU solvers (restricted and free, see
 // lp/min_congestion.h) accept an opt-in ConvergenceSink through
-// MinCongestionOptions::sink; when attached, each round appends one
-// ConvergenceRecord AFTER the round's load aggregation, before the
-// early-exit checks.
+// MwuHooks::sink; when attached, each round appends one ConvergenceRecord
+// AFTER the round's load aggregation, before the early-exit checks.
+// SorEngine attaches one to the restricted solve only: a route records
+// one record per restricted round (up to max_records).
 //
-// Contract (same discipline as the warm/capture pointers on
-// MinCongestionOptions):
+// Contract (same discipline as the warm/capture pointers on MwuHooks):
 //  * sink == nullptr (the default) is free: the solvers never read the
 //    clock, never allocate, and produce bit-identical outputs to a build
 //    without the field.

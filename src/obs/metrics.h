@@ -86,7 +86,7 @@ struct ServiceCounters {
   std::atomic<std::uint64_t> scenario_reinstalls{0}; ///< epochs that reinstalled
   std::atomic<std::uint64_t> fault_fires{0};      ///< injected faults triggered
 
-  LatencyHistogram route_ms;  ///< wall-ms per route_one call
+  LatencyHistogram route_ms;  ///< wall-ms per route_one_into call
 
   /// Zeroes every counter and the histogram (tests / delta measurement).
   void reset();

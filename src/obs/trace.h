@@ -19,8 +19,9 @@
 //    (string literals at every call site); records store the pointers.
 //
 // Span taxonomy (category.name) — see docs/observability.md for the table:
-//   engine.build / engine.install / engine.route / engine.optimum /
-//   engine.rounding / engine.sim / engine.rebuild, batch.batch,
+//   engine.build / engine.install / engine.route / engine.lower_bound /
+//   engine.optimum / engine.rounding / engine.sim / engine.rebuild,
+//   batch.batch,
 //   scenario.epoch, warm.replay / warm.seed / warm.cold / warm.capture;
 //   instant events runtime.scratch_mint, scale.agg_table_grow,
 //   warm.columns_evicted, and fault.<site_name> at every

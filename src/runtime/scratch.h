@@ -1,17 +1,17 @@
 // Engine-owned scratch for the steady-state serving loop.
 //
 // One EngineScratch aggregates every reusable working set a single
-// route_one call needs — the restricted-MWU route scratch, the free-MWU
-// optimum scratch, the distance-bound Dijkstra row, and the packet-path
-// staging arena. All of it is capacity-retaining (see the per-layer scratch
+// route_one_into call needs — the restricted-MWU route scratch, the
+// free-MWU optimum scratch, the distance-bound Dijkstra row, and the
+// packet-path staging arena. All of it is capacity-retaining (see the per-layer scratch
 // structs), so a warm EngineScratch makes the whole stage-3..5 pipeline
 // allocation-free under a stable demand shape — the measured contract
 // bench_m7_service_memory gates.
 //
 // ScratchPool is the concurrency story: route_batch fans demands out across
 // the engine's thread pool, and scratch contents must never be shared
-// mid-solve, so each route_one call leases a scratch from a mutex-guarded
-// free list (RAII; returned on lease destruction). WHICH scratch a call
+// mid-solve, so each route_one_into call leases a scratch from a
+// mutex-guarded free list (RAII; returned on lease destruction). WHICH scratch a call
 // gets is scheduling-dependent, but scratch contents never influence
 // results — every consumer resets its buffers with assign()/clear() before
 // reading them — so the nondeterministic borrowing is invisible in outputs
@@ -27,7 +27,7 @@
 
 namespace sor::runtime {
 
-/// Everything one route_one call scratches on, pre-warmed across calls.
+/// Everything one route_one_into call scratches on, pre-warmed across calls.
 struct EngineScratch {
   RouteScratch route;            ///< restricted MWU + flat candidate gather
   OptimumScratch optimum;        ///< free-path MWU (offline optimum oracle)

@@ -36,7 +36,6 @@ void BatchAggregator::reset() {
   arena_.clear();
   groups_.clear();
   hashes_.clear();
-  member_group_.clear();
   // Keep the table's capacity; just empty every slot.
   if (!table_.empty()) table_.assign(table_.size(), -1);
 }
@@ -70,12 +69,10 @@ int BatchAggregator::add(std::span<const DemandEntry> entries) {
       group.offset = arena_.size();
       group.len = static_cast<std::uint32_t>(entries.size());
       group.multiplicity = 1;
-      group.first = static_cast<std::int64_t>(member_group_.size());
       arena_.insert(arena_.end(), entries.begin(), entries.end());
       groups_.push_back(group);
       hashes_.push_back(h);
       table_[slot] = fresh;
-      member_group_.push_back(fresh);
       return fresh;
     }
     if (hashes_[static_cast<std::size_t>(g)] == h) {
@@ -83,7 +80,6 @@ int BatchAggregator::add(std::span<const DemandEntry> entries) {
       if (mine.size() == entries.size() &&
           std::equal(mine.begin(), mine.end(), entries.begin())) {
         ++groups_[static_cast<std::size_t>(g)].multiplicity;
-        member_group_.push_back(g);
         return g;
       }
     }

@@ -37,12 +37,11 @@ struct DemandGroup {
   std::size_t offset = 0;         ///< first entry in the aggregator arena
   std::uint32_t len = 0;          ///< entry count
   std::int64_t multiplicity = 0;  ///< how many stream demands coalesced
-  std::int64_t first = 0;         ///< stream index of the representative
 };
 
 class BatchAggregator {
  public:
-  /// Forgets every group and member while retaining capacity.
+  /// Forgets every group while retaining capacity.
   void reset();
 
   /// Registers one pulled demand (entries per the DemandSource contract)
@@ -56,10 +55,6 @@ class BatchAggregator {
     return std::span<const DemandEntry>(arena_).subspan(group.offset,
                                                         group.len);
   }
-  /// Group id of stream demand i, for de-aggregating per-demand reports.
-  std::span<const std::int32_t> member_group() const { return member_group_; }
-  std::size_t num_demands() const { return member_group_.size(); }
-  std::size_t num_groups() const { return groups_.size(); }
 
  private:
   void grow_table();
@@ -67,7 +62,6 @@ class BatchAggregator {
   std::vector<DemandEntry> arena_;       ///< all groups' entries, contiguous
   std::vector<DemandGroup> groups_;      ///< first-seen order
   std::vector<std::uint64_t> hashes_;    ///< per group (grow without rehash)
-  std::vector<std::int32_t> member_group_;
   std::vector<std::int32_t> table_;      ///< open addressing; -1 = empty
   std::size_t mask_ = 0;
 };

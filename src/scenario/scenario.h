@@ -110,7 +110,7 @@ struct ScenarioSpec {
   std::vector<LinkEvent> events;
   /// Failure response of the serving loop (see DegradePolicy).
   DegradePolicy degrade = DegradePolicy::kFail;
-  /// Anytime budget forwarded to every epoch route (RouteSpec::budget);
+  /// Anytime budget forwarded to every epoch route (RouteSpec::mwu.budget);
   /// disabled by default — epoch solves run to their round cap.
   SolveBudget budget;
   /// Forwarded to every epoch route (RouteSpec::warm_start): carry MWU
@@ -230,7 +230,7 @@ struct EpochReport {
   /// optimality_gap); 0 when the solve ran to completion.
   double optimality_gap = 0.0;
   /// MWU rounds the epoch's restricted solve actually ran
-  /// (RouteReport::solution.rounds_used; 0 for exact/degraded epochs).
+  /// (RouteReport::solution.rounds_used; 0 for degraded epochs).
   int mwu_rounds = 0;
   /// Warm-start accounting (zeros unless ScenarioSpec::warm_start):
   /// rounds the warm seed saved vs the last cold solve, and whether the

@@ -4,21 +4,10 @@
 
 namespace sor::warm {
 
-std::size_t ColumnPool::num_columns() const {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : entries_) total += entry.columns.size();
-  return total;
-}
-
 void ColumnPool::record(int s, int t, std::span<const PathRef> refs,
-                        std::span<const double> weights,
                         std::span<const int> choices) {
   PairColumns& entry = entries_[pair_key(s, t)];
-  entry.columns.resize(refs.size());
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    entry.columns[i].ref = refs[i];
-    entry.columns[i].weight = i < weights.size() ? weights[i] : 0.0;
-  }
+  entry.columns.assign(refs.begin(), refs.end());
   entry.choices.assign(choices.begin(), choices.end());
 }
 
@@ -31,9 +20,9 @@ void ColumnPool::apply_remap(const PathRemap& remap) {
   std::uint64_t evicted = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     bool alive = true;
-    for (Column& col : it->second.columns) {
-      if (const auto remapped = remap.try_remap(col.ref)) {
-        col.ref = *remapped;
+    for (PathRef& ref : it->second.columns) {
+      if (const auto remapped = remap.try_remap(ref)) {
+        ref = *remapped;
       } else {
         alive = false;
         break;

@@ -1,9 +1,8 @@
-// Cross-epoch column pool (ROADMAP item 1, after the CG-with-explicit-basis
-// design of SWU-RISE/raptor's mcfcg): the per-pair candidate columns — an
-// interned PathRef plus the fractional rate the previous epoch's solve gave
-// it, and the per-unit integral choice when rounding ran — kept alive
-// ACROSS epochs so the next solve of a nearby instance can be seeded from
-// them instead of starting cold.
+// Cross-epoch column pool: the per-pair candidate columns (interned
+// PathRefs) of the previous epoch and the per-unit integral choice among
+// them when rounding ran, kept alive ACROSS epochs so the next route's
+// rounding can start from the previous integral solution (remapped onto
+// the current candidate indexing).
 //
 // Lifetime under the reinstall cycle. Pool entries hold PathRefs into the
 // engine's PathStore arena, so they must follow the arena through
@@ -25,18 +24,11 @@
 
 namespace sor::warm {
 
-/// One recorded candidate column: the interned path and the fractional
-/// rate the capturing epoch's MWU solve assigned it.
-struct Column {
-  PathRef ref;
-  double weight = 0.0;
-};
-
-/// Per-pair columns of one captured epoch. `choices` holds the integral
-/// rounding's per-unit candidate index into `columns` (empty when the
-/// capturing route did not round).
+/// Per-pair columns of one captured epoch: the candidate paths, and the
+/// integral rounding's per-unit candidate index into `columns` (empty when
+/// the capturing route did not round).
 struct PairColumns {
-  std::vector<Column> columns;
+  std::vector<PathRef> columns;
   std::vector<int> choices;
 };
 
@@ -45,14 +37,12 @@ class ColumnPool {
   void clear() { entries_.clear(); }
   bool empty() const { return entries_.empty(); }
   std::size_t num_pairs() const { return entries_.size(); }
-  std::size_t num_columns() const;
 
   /// Records pair (s, t)'s column set, replacing any previous entry.
-  /// `refs` and `weights` must be aligned (PathSystem::refs is documented
-  /// to match paths() order, which is the solver's weight order); `choices`
-  /// may be empty.
+  /// `refs` is in PathSystem::refs order, which `choices` indexes;
+  /// `choices` may be empty.
   void record(int s, int t, std::span<const PathRef> refs,
-              std::span<const double> weights, std::span<const int> choices);
+              std::span<const int> choices);
 
   /// The recorded columns for (s, t), or nullptr.
   const PairColumns* find(int s, int t) const;

@@ -2,7 +2,7 @@
 //
 // WarmStartState is the engine-owned capture of one route's solver
 // endpoint: the restricted and free MWU adversary log-weights, the routed
-// demand's support, the column pool (fractional rates + integral choices
+// demand's support, the column pool (candidate paths + integral choices
 // per pair), and the bookkeeping that decides how the NEXT warm route may
 // reuse it — full replay when the instance is bit-identical, a damped
 // log-weight seed otherwise, or nothing after rebuild_backend().
@@ -46,7 +46,7 @@ struct WarmStartState {
   std::vector<double> free_log_x;
   /// The captured demand's support, (s, t)-sorted (Demand::entries_into).
   std::vector<DemandEntry> demand;
-  /// Per-pair fractional columns + integral choices of the captured route.
+  /// Per-pair candidate columns + integral choices of the captured route.
   ColumnPool columns;
 
   void invalidate() {
@@ -59,14 +59,12 @@ struct WarmStartState {
   }
 };
 
-/// Per-route warm hooks the engine threads into route_one_into: the seeds
-/// to start each solver from and the capture targets to end them into.
-/// All-null == cold route (bit-identical to a build without warm starts).
+/// Per-route warm hooks the engine threads into route_one_into: each
+/// solver's seed and capture target, and the rounding seed. All-null ==
+/// cold route (bit-identical to a build without warm starts).
 struct RouteWarmHooks {
-  const MwuWarmStart* restricted = nullptr;
-  const MwuWarmStart* free_path = nullptr;
-  std::vector<double>* capture_restricted = nullptr;
-  std::vector<double>* capture_free = nullptr;
+  MwuHooks restricted;
+  MwuHooks free_path;
   /// Previous epoch's integral choices mapped to CURRENT candidate indices
   /// (see round_randomized's seed_choices parameter).
   const std::vector<std::vector<int>>* rounding_seed = nullptr;

@@ -337,7 +337,7 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   SorEngine idle_engine = build();
   idle_engine.install_paths(SamplingSpec::for_demand(d, 3));
   RouteSpec idle_spec;
-  idle_spec.budget.max_rounds = 1 << 20;
+  idle_spec.mwu.budget.max_rounds = 1 << 20;
   const RouteReport idle = idle_engine.route(d, idle_spec);
   EXPECT_EQ(base.congestion, idle.congestion);
   EXPECT_EQ(base.solution.edge_load, idle.solution.edge_load);
@@ -348,7 +348,7 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   SorEngine tight_engine = build();
   tight_engine.install_paths(SamplingSpec::for_demand(d, 3));
   RouteSpec tight_spec;
-  tight_spec.budget.max_rounds = 4;
+  tight_spec.mwu.budget.max_rounds = 4;
   const RouteReport tight = tight_engine.route(d, tight_spec);
   EXPECT_EQ(tight.solve_status, SolveStatus::kBudgetRounds);
   EXPECT_GE(tight.optimality_gap, 0.0);

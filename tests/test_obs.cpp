@@ -158,6 +158,34 @@ TEST(TraceRecorder, EventsStayReadableAfterDisable) {
   EXPECT_EQ(rec.size(), 1u);
 }
 
+TEST(TraceRecorder, DistanceLowerBoundIsOneEngineSpan) {
+  TracerGuard guard;
+  const Demand d = small_demand();
+  SorEngine engine = make_engine();
+  engine.install_paths(SamplingSpec::for_demand(d, 3));
+  const auto lower_bound_spans = [] {
+    int count = 0;
+    for (const obs::TraceEvent& ev : obs::tracer().events()) {
+      if (std::string(ev.cat) == "engine" &&
+          std::string(ev.name) == "lower_bound") {
+        ++count;
+      }
+    }
+    return count;
+  };
+  RouteSpec spec;
+  spec.compute_optimum = false;
+  obs::tracer().enable(64);
+  engine.route(d, spec);
+  EXPECT_EQ(lower_bound_spans(), 1);
+
+  obs::tracer().clear();
+  spec.compute_lower_bound = false;
+  const RouteReport off = engine.route(d, spec);
+  EXPECT_EQ(lower_bound_spans(), 0);
+  EXPECT_EQ(off.times.lower_bound_ms, 0.0);
+}
+
 // ---- convergence telemetry ---------------------------------------------
 
 TEST(Convergence, RestrictedSolverIsBitIdenticalWithSinkAttached) {
@@ -174,10 +202,11 @@ TEST(Convergence, RestrictedSolverIsBitIdenticalWithSinkAttached) {
 
   std::vector<obs::ConvergenceRecord> records;
   obs::ConvergenceSink sink(records);
-  MinCongestionOptions observed = base;
-  observed.sink = &sink;
-  const CongestionResult traced =
-      min_congestion_over_paths(inst.g, inst.commodities, paths, observed);
+  MinCongestionScratch scratch;
+  CongestionResult traced;
+  min_congestion_over_paths_into(inst.g, inst.commodities,
+                                 flatten_candidates(inst.g, paths), base,
+                                 {.sink = &sink}, scratch, traced);
 
   EXPECT_EQ(plain.congestion, traced.congestion);
   EXPECT_EQ(plain.lower_bound, traced.lower_bound);
@@ -215,10 +244,10 @@ TEST(Convergence, FreeSolverRecordsTheSameTrajectoryShape) {
 
   std::vector<obs::ConvergenceRecord> records;
   obs::ConvergenceSink sink(records);
-  MinCongestionOptions observed = base;
-  observed.sink = &sink;
-  const CongestionResult traced =
-      min_congestion_free(inst.g, inst.commodities, observed);
+  MinCongestionScratch scratch;
+  CongestionResult traced;
+  min_congestion_free_into(inst.g, inst.commodities, base, {.sink = &sink},
+                           scratch, traced);
 
   EXPECT_EQ(plain.congestion, traced.congestion);
   EXPECT_EQ(plain.lower_bound, traced.lower_bound);
@@ -272,39 +301,34 @@ TEST(Convergence, CsvAndJsonWriters) {
 
 TEST(Convergence, RouteSpecSurfacesRecordsAndStaysBitIdentical) {
   const Demand d = small_demand();
-  SorEngine a = make_engine();
-  a.install_paths(SamplingSpec::for_demand(d, 3));
-  const RouteReport plain = a.route(d, RouteSpec{});
-  EXPECT_TRUE(plain.convergence.empty());
+  // Only the restricted solve records, whether or not the optimum oracle
+  // runs too.
+  for (const bool optimum : {true, false}) {
+    SCOPED_TRACE(optimum ? "compute_optimum" : "no optimum");
+    RouteSpec spec;
+    spec.compute_optimum = optimum;
+    SorEngine a = make_engine();
+    a.install_paths(SamplingSpec::for_demand(d, 3));
+    const RouteReport plain = a.route(d, spec);
+    EXPECT_TRUE(plain.convergence.empty());
 
-  SorEngine b = make_engine();
-  b.install_paths(SamplingSpec::for_demand(d, 3));
-  RouteSpec spec;
-  spec.record_convergence = true;
-  const RouteReport traced = b.route(d, spec);
+    SorEngine b = make_engine();
+    b.install_paths(SamplingSpec::for_demand(d, 3));
+    spec.record_convergence = true;
+    const RouteReport traced = b.route(d, spec);
 
-  ASSERT_FALSE(traced.convergence.empty());
-  EXPECT_EQ(traced.convergence.size(),
-            static_cast<std::size_t>(traced.solution.rounds_used));
-  EXPECT_EQ(plain.congestion, traced.congestion);
-  EXPECT_EQ(plain.solution.lower_bound, traced.solution.lower_bound);
-  EXPECT_EQ(plain.solution.rounds_used, traced.solution.rounds_used);
-  ASSERT_EQ(plain.solution.edge_load.size(),
-            traced.solution.edge_load.size());
-  for (std::size_t e = 0; e < plain.solution.edge_load.size(); ++e) {
-    EXPECT_EQ(plain.solution.edge_load[e], traced.solution.edge_load[e]);
+    ASSERT_FALSE(traced.convergence.empty());
+    EXPECT_EQ(traced.convergence.size(),
+              static_cast<std::size_t>(traced.solution.rounds_used));
+    EXPECT_EQ(plain.congestion, traced.congestion);
+    EXPECT_EQ(plain.solution.lower_bound, traced.solution.lower_bound);
+    EXPECT_EQ(plain.solution.rounds_used, traced.solution.rounds_used);
+    ASSERT_EQ(plain.solution.edge_load.size(),
+              traced.solution.edge_load.size());
+    for (std::size_t e = 0; e < plain.solution.edge_load.size(); ++e) {
+      EXPECT_EQ(plain.solution.edge_load[e], traced.solution.edge_load[e]);
+    }
   }
-}
-
-TEST(Convergence, ExactRouteIgnoresTheFlag) {
-  const Demand d = small_demand();
-  SorEngine engine = make_engine();
-  engine.install_paths(SamplingSpec::for_demand(d, 3));
-  RouteSpec spec;
-  spec.exact = true;
-  spec.record_convergence = true;  // no MWU rounds to record
-  const RouteReport report = engine.route(d, spec);
-  EXPECT_TRUE(report.convergence.empty());
 }
 
 // ---- MetricsRegistry ----------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "api/sor_engine.h"
 #include "graph/generators.h"
@@ -137,19 +138,41 @@ TEST(WarmStart, IdenticalInstanceReplaysBitIdentically) {
 }
 
 TEST(WarmStart, SpecChangeDisablesReplayButStillSeeds) {
+  // Replay needs the captured spec (RouteSpec ==): changing any one value
+  // field that a fractional-only warm route carries forfeits the verbatim
+  // replay, never the seed.
+  const std::pair<const char*, void (*)(RouteSpec&)> changes[] = {
+      {"mwu.rounds", [](RouteSpec& s) { s.mwu.rounds = 700; }},
+      {"mwu.target_gap", [](RouteSpec& s) { s.mwu.target_gap = 1.05; }},
+      {"mwu.min_rounds", [](RouteSpec& s) { s.mwu.min_rounds = 60; }},
+      {"mwu.budget.max_rounds",
+       [](RouteSpec& s) { s.mwu.budget.max_rounds = 1 << 20; }},
+      {"compute_optimum", [](RouteSpec& s) { s.compute_optimum = false; }},
+      {"compute_lower_bound",
+       [](RouteSpec& s) { s.compute_lower_bound = false; }},
+      {"rounding_trials", [](RouteSpec& s) { s.rounding_trials = 4; }},
+      {"policy",
+       [](RouteSpec& s) { s.policy = SchedulePolicy::kFurthestToGo; }},
+      {"record_convergence",
+       [](RouteSpec& s) { s.record_convergence = true; }},
+  };
   const Demand d = breathing_demand(1.0);
-  SorEngine engine = make_engine();
-  engine.install_paths(SamplingSpec::for_demand(d, 3));
   RouteSpec spec;
   spec.warm_start = true;
-  engine.route(d, spec);
+  for (const auto& [field, change] : changes) {
+    SCOPED_TRACE(field);
+    SorEngine engine = make_engine();
+    engine.install_paths(SamplingSpec::for_demand(d, 3));
+    engine.route(d, spec);
 
-  RouteSpec changed = spec;
-  changed.mwu.rounds = 700;  // not the captured spec -> no verbatim replay
-  const RouteReport second = engine.route(d, changed);
-  EXPECT_FALSE(second.warm.replayed);
-  EXPECT_TRUE(second.warm.hit);
-  EXPECT_DOUBLE_EQ(second.warm.scale, 1.0);
+    RouteSpec changed = spec;
+    change(changed);
+    ASSERT_FALSE(changed == spec);
+    const RouteReport second = engine.route(d, changed);
+    EXPECT_FALSE(second.warm.replayed);
+    EXPECT_TRUE(second.warm.hit);
+    EXPECT_DOUBLE_EQ(second.warm.scale, 1.0);
+  }
 }
 
 TEST(WarmStart, SeededSolveUnderChurnHasCrossValidCertificates) {
@@ -344,19 +367,15 @@ TEST(ColumnPool, RecordFindAndRemapThroughCompaction) {
 
   warm::ColumnPool pool;
   const PathRef live_refs[] = {b, c};
-  const double weights[] = {0.25, 0.75};
   const int choices[] = {1, 1, 0};
-  pool.record(0, 4, live_refs, weights, choices);
+  pool.record(0, 4, live_refs, choices);
   const PathRef dead_refs[] = {a};
-  const double dead_weights[] = {1.0};
-  pool.record(0, 2, dead_refs, dead_weights, {});
+  pool.record(0, 2, dead_refs, {});
   EXPECT_EQ(pool.num_pairs(), 2u);
-  EXPECT_EQ(pool.num_columns(), 3u);
 
   const warm::PairColumns* found = pool.find(0, 4);
   ASSERT_NE(found, nullptr);
   ASSERT_EQ(found->columns.size(), 2u);
-  EXPECT_DOUBLE_EQ(found->columns[1].weight, 0.75);
   ASSERT_EQ(found->choices.size(), 3u);
   EXPECT_EQ(pool.find(4, 0), nullptr);
 
@@ -369,7 +388,7 @@ TEST(ColumnPool, RecordFindAndRemapThroughCompaction) {
   EXPECT_EQ(pool.find(0, 2), nullptr);
   const warm::PairColumns* survived = pool.find(0, 4);
   ASSERT_NE(survived, nullptr);
-  const Path read_back = store.to_path(survived->columns[1].ref);
+  const Path read_back = store.to_path(survived->columns[1]);
   EXPECT_EQ(read_back, (Path{0, 1, 4}));
 }
 
