@@ -343,9 +343,9 @@ void bench_instance(Table& table, const std::string& name, Graph graph,
   // must be bit-identical (same canonical parallel-edge choice), the
   // scan-and-append is the speedup.
   {
-    std::vector<const Path*> all_paths;
-    for (const auto& [pair, list] : ps.entries()) {
-      for (const Path& p : list) all_paths.push_back(&p);
+    std::vector<Path> all_paths;
+    for (const auto& [pair, refs] : ps.entries()) {
+      for (PathRef ref : refs) all_paths.push_back(ps.store().to_path(ref));
     }
     const FlatAdjacency adj(engine.graph());
     double flat_ms = 0.0;
@@ -359,16 +359,16 @@ void bench_instance(Table& table, const std::string& name, Graph graph,
     for (int r = 0; r < resolve_reps; ++r) {
       flat_arena.clear();
       const auto flat_start = Clock::now();
-      for (const Path* p : all_paths) {
-        append_path_edge_ids(adj, engine.graph(), *p, flat_arena);
+      for (const Path& p : all_paths) {
+        append_path_edge_ids(adj, engine.graph(), p, flat_arena);
       }
       flat_ms += ms_since(flat_start);
       hash_arena.clear();
       const auto hash_start = Clock::now();
-      for (const Path* p : all_paths) {
+      for (const Path& p : all_paths) {
         // Verbatim pre-change simulator setup: temp vector per path, one
         // edge_between hash per hop, then the arena copy.
-        const auto ids = path_edge_ids(engine.graph(), *p);
+        const auto ids = path_edge_ids(engine.graph(), p);
         hash_arena.insert(hash_arena.end(), ids.begin(), ids.end());
       }
       hash_ms += ms_since(hash_start);

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "io/serialization.h"
+
 namespace sor {
 
 double BackendSpec::param(const std::string& key, double fallback) const {
@@ -57,14 +59,16 @@ BackendSpec BackendSpec::parse(const std::string& text) {
 }
 
 std::string BackendSpec::to_string() const {
-  std::ostringstream out;
-  out << name;
+  std::string out = name;
   char sep = ':';
   for (const auto& [key, value] : params) {
-    out << sep << key << '=' << value;
+    out += sep;
+    out += key;
+    out += '=';
+    out += io::detail::format_double(value);
     sep = ',';
   }
-  return out.str();
+  return out;
 }
 
 BackendRegistry& BackendRegistry::instance() {

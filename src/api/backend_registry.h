@@ -44,7 +44,8 @@ struct BackendSpec {
   /// std::invalid_argument on malformed input (empty name, bad number).
   static BackendSpec parse(const std::string& text);
 
-  /// Round-trip back to the flat text form.
+  /// Round-trip back to the flat text form. Knob values print in
+  /// shortest round-trip decimal, so parse(to_string()) == *this.
   std::string to_string() const;
 };
 

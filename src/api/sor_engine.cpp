@@ -262,7 +262,7 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   obs::service_counters().installs.fetch_add(1, std::memory_order_relaxed);
   const StageScope stage("install", sample_ms_);
   util::ThreadPool* workers = pool();
-  // Reinstall into the EXISTING system when one is bound to our graph:
+  // Reinstall into the EXISTING system when there is one:
   // begin_reinstall() drops the pair index but keeps the interning arena,
   // sampling appends the new paths' slabs behind the (now dead) old ones,
   // and compact_store() slides them down in place. The arena stays bounded
@@ -271,15 +271,10 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   // order are identical to a fresh install, and every consumer reads slab
   // contents through remapped refs, so route results are bit-identical to
   // the replace-the-system behavior this supersedes.
-  if (paths_ && paths_->flat_for(*graph_)) {
+  if (paths_) {
     paths_->begin_reinstall();
   } else {
     paths_.emplace(*graph_);
-    // Fresh store: any pooled refs point into the OLD arena, whose offsets
-    // could alias the new one's — retire them outright (the reinstall
-    // branch instead retires via the compaction remap below, where dead
-    // offsets can never alias because sampling appends past the old end).
-    if (warm_state_) warm_state_->columns.clear();
   }
   if (!(spec.pairs.empty() && !spec.all_pairs)) {  // else: explicit empty
     std::vector<std::pair<int, int>> all;

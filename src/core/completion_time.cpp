@@ -50,9 +50,7 @@ CompletionTimeSolution route_completion_time(
   // the demand's support (any other cap is equivalent to the next one down).
   std::set<int> caps;
   for (const auto& [pair, value] : d.entries()) {
-    for (const Path& p : ps.paths(pair.first, pair.second)) {
-      caps.insert(hop_count(p));
-    }
+    for (PathRef ref : ps.refs(pair.first, pair.second)) caps.insert(ref.hops);
   }
   assert(!caps.empty() && "path system does not cover the demand support");
 
@@ -63,9 +61,9 @@ CompletionTimeSolution route_completion_time(
     bool covered = true;
     for (const auto& [pair, value] : d.entries()) {
       bool any = false;
-      for (const Path& p : ps.paths(pair.first, pair.second)) {
-        if (hop_count(p) <= cap) {
-          restricted.add_path(pair.first, pair.second, p);
+      for (PathRef ref : ps.refs(pair.first, pair.second)) {
+        if (ref.hops <= cap) {
+          restricted.add_path(pair.first, pair.second, ps.store().to_path(ref));
           any = true;
         }
       }

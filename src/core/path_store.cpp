@@ -27,7 +27,6 @@ std::optional<PathRef> PathRemap::try_remap(PathRef ref) const {
 }
 
 PathRef PathStore::intern(const Path& path) {
-  assert(g_ != nullptr && "PathStore::intern requires a bound graph");
   assert(!path.empty());
   const int hops = hop_count(path);
   PathRef ref;
@@ -58,8 +57,7 @@ PathRef PathStore::intern(const Path& path) {
 }
 
 PathRef PathStore::adopt(const PathStore& other, PathRef ref) {
-  assert(g_ != nullptr && g_ == other.g_ &&
-         "adopt requires both stores bound to the same graph");
+  assert(g_ == other.g_ && "adopt requires both stores bound to the same graph");
   PathRef rebased;
   rebased.offset = static_cast<std::int64_t>(data_.size());
   rebased.hops = ref.hops;

@@ -62,17 +62,16 @@ class PathRemap {
 /// Append-only interning arena for simple paths of one fixed graph.
 class PathStore {
  public:
-  PathStore() = default;
   /// Binds the store to `g` (not owned; must outlive the store's use).
   explicit PathStore(const Graph& g) : g_(&g) {}
 
-  /// The bound graph, or nullptr for a default-constructed store.
+  /// The bound graph.
   const Graph* graph() const { return g_; }
 
   /// Interns `path`, resolving each hop to its canonical edge id exactly
-  /// once. Requires a bound graph; throws std::invalid_argument (in every
-  /// build type) if consecutive vertices are not adjacent in it — e.g.
-  /// when merging a path system built on a structurally different graph.
+  /// once. Throws std::invalid_argument (in every build type) if
+  /// consecutive vertices are not adjacent in the bound graph — e.g. when
+  /// merging a path system built on a structurally different graph.
   PathRef intern(const Path& path);
 
   /// Copies the slab behind `ref` from `other` (bound to the same graph)
@@ -133,8 +132,8 @@ class PathStore {
 /// commodity j's candidate i occupies one contiguous span. This is the
 /// representation the MWU inner loop, rounding, and congestion accounting
 /// iterate — built once per solve, with zero hashing when the source is a
-/// graph-bound PathSystem (gather from interned spans) and one hash per hop
-/// otherwise (flatten_candidates).
+/// PathSystem (flat_candidates gathers its interned spans) and one hash
+/// per hop when it is a list of vertex paths (flatten_candidates).
 class FlatCandidates {
  public:
   /// Pre-sizes all three internal vectors. `commodities == 0` (the common
@@ -190,9 +189,12 @@ class FlatCandidates {
   std::vector<std::int64_t> commodity_first_{0};  // prefix over path indices
 };
 
-/// Legacy bridge: resolves vertex-sequence candidates through
-/// Graph::edge_between (one hash lookup per hop) into a flat arena. The
-/// fast, zero-hashing gather lives in path_system.h (flat_candidates).
+/// Hash bridge for the vertex-path entry points — the vertex overloads of
+/// min_congestion_over_paths and congestion_of_weights, rounding, and
+/// exact_integral_congestion: resolves vertex-sequence candidates through
+/// Graph::edge_between (one hash lookup per hop) into a flat arena. A
+/// PathSystem's candidates never take this route; flat_candidates
+/// (path_system.h) gathers their interned edge ids with zero hashing.
 FlatCandidates flatten_candidates(const Graph& g,
                                   const std::vector<std::vector<Path>>& paths);
 

@@ -7,45 +7,41 @@
 
 namespace sor {
 
-void PathSystem::add_path(int s, int t, Path path) {
+void PathSystem::add_path(int s, int t, const Path& path) {
   assert(s != t);
   assert(!path.empty() && path.front() == s && path.back() == t);
 #ifndef NDEBUG
-  if (n_ > 0) {
-    for (int v : path) assert(v >= 0 && v < n_ && "path vertex out of range");
-  }
+  const int n = store_.graph()->num_vertices();
+  for (int v : path) assert(v >= 0 && v < n && "path vertex out of range");
 #endif
-  if (store_.graph() != nullptr) {
-    refs_[pair_key(s, t)].push_back(store_.intern(path));
-  }
-  auto& list = paths_[{s, t}];
-  list.push_back(std::move(path));
+  // Intern first: a throwing intern must not leave an empty pair behind.
+  const PathRef ref = store_.intern(path);
+  auto& list = index_[{s, t}];
+  list.push_back(ref);
   ++total_paths_;
   sparsity_ = std::max(sparsity_, list.size());
 }
 
-const std::vector<Path>& PathSystem::paths(int s, int t) const {
-  // One immutable empty list for every miss across every instance; a
-  // per-instance member would tie the returned reference's lifetime to the
-  // queried object and invite accidental mutation through const lookups.
-  static const std::vector<Path> kNoPaths;
-  auto it = paths_.find({s, t});
-  return it == paths_.end() ? kNoPaths : it->second;
+std::vector<Path> PathSystem::paths(int s, int t) const {
+  const std::span<const PathRef> list = refs(s, t);
+  std::vector<Path> out;
+  out.reserve(list.size());
+  for (PathRef ref : list) out.push_back(store_.to_path(ref));
+  return out;
 }
 
 std::span<const PathRef> PathSystem::refs(int s, int t) const {
-  auto it = refs_.find(pair_key(s, t));
-  if (it == refs_.end()) return {};
-  return {it->second.data(), it->second.size()};
+  auto it = index_.find({s, t});
+  if (it == index_.end()) return {};
+  return it->second;
 }
 
 bool PathSystem::has_pair(int s, int t) const {
-  return paths_.find({s, t}) != paths_.end();
+  return index_.find({s, t}) != index_.end();
 }
 
 void PathSystem::begin_reinstall() {
-  paths_.clear();
-  refs_.clear();
+  index_.clear();
   sparsity_ = 0;
   total_paths_ = 0;
   // store_ intentionally untouched: its slabs are now dead but its capacity
@@ -54,18 +50,14 @@ void PathSystem::begin_reinstall() {
 }
 
 std::size_t PathSystem::compact_store(PathRemap* out_remap) {
-  if (store_.graph() == nullptr) return 0;
   const std::size_t before = store_.arena_size();
-  // Gather live refs in ORDERED pair-map order so the compacted layout (and
-  // with it every downstream arena dump) is deterministic regardless of
-  // refs_'s unordered iteration order.
   std::vector<PathRef> live;
   live.reserve(total_paths_);
-  for (const auto& [pair, list] : paths_) {
-    for (PathRef ref : refs(pair.first, pair.second)) live.push_back(ref);
+  for (const auto& [pair, refs] : index_) {
+    live.insert(live.end(), refs.begin(), refs.end());
   }
   PathRemap remap = store_.compact(live);
-  for (auto& [key, refs] : refs_) {
+  for (auto& [pair, refs] : index_) {
     for (PathRef& ref : refs) ref = remap(ref);
   }
   if (out_remap != nullptr) *out_remap = std::move(remap);
@@ -73,33 +65,21 @@ std::size_t PathSystem::compact_store(PathRemap* out_remap) {
 }
 
 void PathSystem::merge(const PathSystem& other) {
-  assert(n_ == 0 || other.num_vertices() == 0 || n_ == other.num_vertices());
-  // When both systems are interned against the same graph, slabs are copied
-  // arena-to-arena without re-resolving edges; otherwise (this bound, other
-  // not or differently bound) paths are re-interned through edge_between.
-  const bool adopt =
-      store_.graph() != nullptr && store_.graph() == other.store_.graph();
+  const bool adopt = store_.graph() == other.store_.graph();
   std::vector<PathRef> staged;
-  for (const auto& [pair, list] : other.entries()) {
-    if (store_.graph() != nullptr) {
-      // Stage the pair's refs before touching refs_/paths_: intern may
-      // throw (untransferable path), and refs(s,t) must stay aligned with
-      // paths(s,t) — a caller that catches keeps a consistent system with
-      // every fully-processed pair merged and the failing pair untouched.
-      staged.clear();
-      if (adopt) {
-        for (PathRef ref : other.refs(pair.first, pair.second)) {
-          staged.push_back(store_.adopt(other.store_, ref));
-        }
-      } else {
-        for (const Path& p : list) staged.push_back(store_.intern(p));
-      }
-      auto& refs = refs_[pair_key(pair.first, pair.second)];
-      refs.insert(refs.end(), staged.begin(), staged.end());
+  for (const auto& [pair, refs] : other.index_) {
+    // Stage the pair's refs before touching the index: intern may throw
+    // (untransferable path), and a caller that catches keeps a consistent
+    // system with every fully-processed pair merged and the failing pair
+    // untouched.
+    staged.clear();
+    for (PathRef ref : refs) {
+      staged.push_back(adopt ? store_.adopt(other.store_, ref)
+                             : store_.intern(other.store_.to_path(ref)));
     }
-    auto& mine = paths_[pair];
-    mine.insert(mine.end(), list.begin(), list.end());
-    total_paths_ += list.size();
+    auto& mine = index_[pair];
+    mine.insert(mine.end(), staged.begin(), staged.end());
+    total_paths_ += staged.size();
     sparsity_ = std::max(sparsity_, mine.size());
   }
 }
@@ -107,8 +87,6 @@ void PathSystem::merge(const PathSystem& other) {
 void flat_candidates_into(const PathSystem& ps,
                           const std::vector<Commodity>& commodities,
                           FlatCandidates& out) {
-  assert(ps.store().graph() != nullptr &&
-         "flat_candidates requires a graph-bound path system");
   const PathStore& store = ps.store();
   out.clear();
   std::size_t total_paths = 0;
@@ -147,7 +125,7 @@ void sample_pairs_into(const ObliviousRouting& routing,
                        const std::vector<std::pair<int, int>>& pairs,
                        Rng& rng, util::ThreadPool* pool,
                        const DrawCount& draws, PathSystem& ps) {
-  assert(ps.flat_for(routing.graph()) &&
+  assert(ps.store().graph() == &routing.graph() &&
          "sample_pairs_into requires a system bound to the routing's graph");
   std::vector<Rng> streams = rng.split(pairs.size());
   std::vector<std::vector<Path>> sampled(pairs.size());
@@ -166,8 +144,8 @@ void sample_pairs_into(const ObliviousRouting& routing,
     for (std::size_t i = 0; i < pairs.size(); ++i) sample_one(i);
   }
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (Path& path : sampled[i]) {
-      ps.add_path(pairs[i].first, pairs[i].second, std::move(path));
+    for (const Path& path : sampled[i]) {
+      ps.add_path(pairs[i].first, pairs[i].second, path);
     }
   }
 }

@@ -6,20 +6,18 @@
 // are fixed obliviously (Stage 2); route weights are chosen adaptively per
 // demand by core/semi_oblivious.h (Stage 4).
 //
-// Storage is two-layered. The boundary layer keeps vertex-sequence `Path`s
-// in a std::map — the representation backends, serialization, and tests
-// speak. A graph-BOUND system (constructed from a Graph, as every sampler
-// does) additionally interns each path into a flat PathStore arena with
-// precomputed edge ids, indexed by packed (s,t) int64 key -> [PathRef]; the
-// hot consumers (route_fractional's MWU loop, rounding, packet simulation)
-// iterate those spans with zero hashing and zero allocation, and produce
-// bit-identical results to the boundary representation.
+// Storage is one interning arena. A PathSystem is bound to its graph at
+// construction and interns every path into a flat PathStore, vertices and
+// precomputed edge ids together; an ordered (s, t) -> [PathRef] index
+// names each pair's candidates in insertion order. The hot consumers
+// (route_fractional's MWU loop, the deletion process, rounding, packet
+// simulation) read those refs with zero hashing and zero allocation;
+// paths(s, t) materializes vertex sequences for boundary callers (io,
+// robustness, the lower-bound adversary, tests).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -37,24 +35,20 @@ namespace sor {
 /// `sparsity()` counts paths with multiplicity, matching |P(s, t)| <= alpha.
 class PathSystem {
  public:
-  PathSystem() = default;
-  explicit PathSystem(int num_vertices) : n_(num_vertices) {}
-  /// Graph-bound construction: paths are additionally interned into the
-  /// flat PathStore with edge ids precomputed at insertion. `g` is not
-  /// owned and must outlive every add_path/merge/flat access.
-  explicit PathSystem(const Graph& g)
-      : n_(g.num_vertices()), store_(g) {}
+  /// Binds the system to `g` (not owned; must outlive every add_path and
+  /// merge). The interned edge ids index g's edges, so routes over this
+  /// system take `g` as their graph.
+  explicit PathSystem(const Graph& g) : store_(g) {}
 
-  int num_vertices() const { return n_; }
+  /// Appends a candidate (s, t)-path, interning it into the arena. The path
+  /// must run from s to t over edges of the bound graph; a non-adjacent hop
+  /// throws std::invalid_argument and leaves the system unchanged.
+  void add_path(int s, int t, const Path& path);
 
-  /// Appends a candidate (s, t)-path. The path must run from s to t; in
-  /// debug builds every vertex is validated against num_vertices().
-  void add_path(int s, int t, Path path);
-
-  /// Candidate paths for a pair. A miss returns a reference to a single
-  /// immutable program-wide empty list: no allocation, no per-instance
-  /// state, safe to call concurrently on a const PathSystem.
-  const std::vector<Path>& paths(int s, int t) const;
+  /// Candidate paths for a pair, materialized from the arena in insertion
+  /// order (empty for a miss). Boundary callers only: hot loops read
+  /// refs(s, t) through store().
+  std::vector<Path> paths(int s, int t) const;
 
   bool has_pair(int s, int t) const;
 
@@ -65,73 +59,56 @@ class PathSystem {
   std::size_t total_paths() const { return total_paths_; }
 
   /// Number of pairs with at least one path.
-  std::size_t num_pairs() const { return paths_.size(); }
+  std::size_t num_pairs() const { return index_.size(); }
 
-  /// Deterministic iteration over (pair -> paths).
-  const std::map<std::pair<int, int>, std::vector<Path>>& entries() const {
-    return paths_;
+  /// Deterministic iteration over (pair -> interned refs).
+  const std::map<std::pair<int, int>, std::vector<PathRef>>& entries() const {
+    return index_;
   }
 
   /// Merges another path system into this one (pairwise union of path
   /// lists; used by the multi-scale completion-time construction, Lemma 2.8).
-  /// When this system is graph-bound, other's paths are re-interned against
-  /// OUR graph (slabs are adopted arena-to-arena when both are bound to the
-  /// same graph); a path that does not transfer — consecutive vertices not
-  /// adjacent here — throws std::invalid_argument rather than storing a
-  /// poisoned edge id.
+  /// Slabs are adopted arena-to-arena when both systems are bound to the
+  /// same graph; otherwise other's paths are re-interned against OUR graph,
+  /// and a path that does not transfer — consecutive vertices not adjacent
+  /// here — throws std::invalid_argument rather than storing a poisoned
+  /// edge id.
   void merge(const PathSystem& other);
 
-  // ---- flat substrate (graph-bound systems only) -----------------------
-
-  /// True iff this system was built bound to exactly `g`, i.e. the interned
-  /// edge-id spans below are valid for `g` and hot loops may use them.
-  bool flat_for(const Graph& g) const { return store_.graph() == &g; }
-
-  /// The interning arena (empty for unbound systems).
+  /// The interning arena every ref below points into.
   const PathStore& store() const { return store_; }
 
-  /// Interned refs for a pair, in the same order as paths(s, t). Empty for
-  /// a miss or an unbound system.
+  /// Interned refs for a pair, in insertion order. Empty for a miss.
   std::span<const PathRef> refs(int s, int t) const;
 
   // ---- reinstall lifecycle (service runtime) ---------------------------
 
   /// Begins a reinstall cycle on a long-lived system: drops the pair index
-  /// (paths_, refs_, counters) but KEEPS the interning arena — the old
-  /// slabs become dead weight that the post-sampling compact_store() call
-  /// reclaims in place. Container capacities (including the per-pair ref
-  /// vectors' node allocations) are released with the index; the arena,
-  /// which dominates the footprint, is not.
+  /// and counters but KEEPS the interning arena — the old slabs become
+  /// dead weight that the post-sampling compact_store() call reclaims in
+  /// place. The index's node allocations are released; the arena, which
+  /// dominates the footprint, is not.
   void begin_reinstall();
 
   /// In-place GC of the interning arena: compacts the store down to the
   /// slabs currently referenced by the pair index and rewrites every ref
-  /// through the remap. Layout is deterministic — live slabs are gathered
-  /// by iterating the ORDERED pair map, not the unordered ref index — so a
-  /// fixed seed still yields a bit-identical arena. No-op for unbound
-  /// systems. Returns the number of ints reclaimed. A non-null `out_remap`
-  /// receives the compaction's remap so OUTSIDE holders of refs into the
-  /// store (the warm-start column pool) can rewrite — or retire — theirs
-  /// through PathRemap::try_remap.
+  /// through the remap. Live slabs are gathered in the index's pair order,
+  /// so a fixed seed yields a bit-identical arena. Returns the number of
+  /// ints reclaimed. A non-null `out_remap` receives the compaction's remap
+  /// so OUTSIDE holders of refs into the store (the warm-start column pool)
+  /// can rewrite — or retire — theirs through PathRemap::try_remap.
   std::size_t compact_store(PathRemap* out_remap = nullptr);
 
  private:
-  static std::int64_t pair_key(int s, int t) {
-    return (static_cast<std::int64_t>(s) << 32) |
-           static_cast<std::uint32_t>(t);
-  }
-
-  int n_ = 0;
-  std::map<std::pair<int, int>, std::vector<Path>> paths_;
   PathStore store_;
-  std::unordered_map<std::int64_t, std::vector<PathRef>> refs_;
+  std::map<std::pair<int, int>, std::vector<PathRef>> index_;
   std::size_t sparsity_ = 0;
   std::size_t total_paths_ = 0;
 };
 
 /// Zero-hashing gather: the flat candidate view of `commodities` over a
-/// graph-bound path system (spans copied straight from the interning
-/// arena). Requires ps.flat_for(the graph the commodities live on).
+/// path system (edge-id spans copied straight from the interning arena).
+/// The edge ids are those of the graph `ps` is bound to.
 FlatCandidates flat_candidates(const PathSystem& ps,
                                const std::vector<Commodity>& commodities);
 

@@ -22,19 +22,18 @@ Graph remove_edges(const Graph& g, const std::vector<int>& failed_edges) {
 
 PathSystem surviving_paths(const Graph& g, const PathSystem& ps,
                            const std::vector<int>& failed_edges) {
+  assert(ps.store().graph() == &g && "path system is bound to another graph");
   std::vector<char> failed(static_cast<std::size_t>(g.num_edges()), 0);
   for (int e : failed_edges) failed[static_cast<std::size_t>(e)] = 1;
+  const PathStore& store = ps.store();
   PathSystem out(g);
-  for (const auto& [pair, list] : ps.entries()) {
-    for (const Path& p : list) {
-      bool ok = true;
-      for (int e : path_edge_ids(g, p)) {
-        if (failed[static_cast<std::size_t>(e)]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) out.add_path(pair.first, pair.second, p);
+  for (const auto& [pair, refs] : ps.entries()) {
+    for (PathRef ref : refs) {
+      const auto edges = store.edge_ids(ref);
+      const bool ok = std::none_of(edges.begin(), edges.end(), [&](int e) {
+        return failed[static_cast<std::size_t>(e)] != 0;
+      });
+      if (ok) out.add_path(pair.first, pair.second, store.to_path(ref));
     }
   }
   return out;
@@ -53,7 +52,7 @@ FailureReport evaluate_under_failures(const Graph& g, const PathSystem& ps,
 
   Demand covered;
   for (const auto& [pair, value] : d.entries()) {
-    if (!survivors.paths(pair.first, pair.second).empty()) {
+    if (survivors.has_pair(pair.first, pair.second)) {
       covered.set(pair.first, pair.second, value);
       ++report.pairs_covered;
       report.demand_covered += value;
@@ -61,14 +60,10 @@ FailureReport evaluate_under_failures(const Graph& g, const PathSystem& ps,
   }
   if (covered.empty()) return report;
 
-  // Re-map surviving paths onto the failed graph (vertex ids unchanged, so
-  // vertex-sequence paths transfer directly) and re-optimize rates.
+  // Re-intern the survivors against the failed graph (vertex ids unchanged,
+  // so every surviving path transfers) and re-optimize rates.
   PathSystem remapped(failed_graph);
-  for (const auto& [pair, value] : covered.entries()) {
-    for (const Path& p : survivors.paths(pair.first, pair.second)) {
-      remapped.add_path(pair.first, pair.second, p);
-    }
-  }
+  remapped.merge(survivors);
   const auto routed = route_fractional(failed_graph, remapped, covered, options);
   report.congestion = routed.congestion;
   return report;
@@ -92,15 +87,15 @@ PathSystem repair_path_system(const Graph& failed_graph,
                               const ObliviousRouting& routing,
                               const PathSystem& survivors, const Demand& d,
                               int alpha, Rng& rng) {
-  PathSystem repaired = survivors;
+  PathSystem repaired(failed_graph);
+  repaired.merge(survivors);
   for (const auto& [pair, value] : d.entries()) {
-    if (!survivors.paths(pair.first, pair.second).empty()) continue;
+    if (survivors.has_pair(pair.first, pair.second)) continue;
     for (int i = 0; i < alpha; ++i) {
       repaired.add_path(pair.first, pair.second,
                         routing.sample_path(pair.first, pair.second, rng));
     }
   }
-  (void)failed_graph;
   return repaired;
 }
 

@@ -58,7 +58,8 @@ std::vector<int> sample_failures(const Graph& g, int count, Rng& rng);
 
 /// Repair: resample `alpha` fresh candidates (from `routing`, which must
 /// be defined on the failed graph) for every demand pair the failures left
-/// uncovered. Returns the repaired path system (survivors + new paths).
+/// uncovered. Returns the repaired path system (survivors + new paths),
+/// bound to `failed_graph`.
 PathSystem repair_path_system(const Graph& failed_graph,
                               const ObliviousRouting& routing,
                               const PathSystem& survivors, const Demand& d,

@@ -55,9 +55,9 @@ IntegralSolution round_randomized(const Graph& g,
                                   Rng& rng, int trials,
                                   const std::vector<std::vector<int>>* seed_choices) {
   assert(trials >= 1);
+  // Trials carry only choices, loads and congestion; the winner gets the
+  // candidate set once, on return.
   IntegralSolution best;
-  best.commodities = fractional.commodities;
-  best.paths = fractional.paths;
   best.congestion = std::numeric_limits<double>::infinity();
 
   const FlatCandidates flat = flatten_candidates(g, fractional.paths);
@@ -67,8 +67,6 @@ IntegralSolution round_randomized(const Graph& g,
   // solution is never worse than the seeded previous-epoch assignment.
   if (seed_choices != nullptr) {
     IntegralSolution seeded;
-    seeded.commodities = fractional.commodities;
-    seeded.paths = fractional.paths;
     seeded.choices.resize(fractional.commodities.size());
     for (std::size_t j = 0; j < fractional.commodities.size(); ++j) {
       const int units = static_cast<int>(
@@ -101,8 +99,6 @@ IntegralSolution round_randomized(const Graph& g,
 
   for (int trial = 0; trial < trials; ++trial) {
     IntegralSolution candidate;
-    candidate.commodities = fractional.commodities;
-    candidate.paths = fractional.paths;
     candidate.choices.resize(fractional.commodities.size());
     for (std::size_t j = 0; j < fractional.commodities.size(); ++j) {
       const int units = static_cast<int>(
@@ -119,6 +115,8 @@ IntegralSolution round_randomized(const Graph& g,
     integral_congestion(g, flat, candidate);
     if (candidate.congestion < best.congestion) best = std::move(candidate);
   }
+  best.commodities = fractional.commodities;
+  best.paths = fractional.paths;
   return best;
 }
 

@@ -40,10 +40,9 @@ std::vector<std::vector<Path>> gather_candidates(
   std::vector<std::vector<Path>> paths;
   paths.reserve(commodities.size());
   for (const Commodity& c : commodities) {
-    const auto& list = ps.paths(c.s, c.t);
-    assert((c.amount <= 0.0 || !list.empty()) &&
+    paths.push_back(ps.paths(c.s, c.t));
+    assert((c.amount <= 0.0 || !paths.back().empty()) &&
            "path system does not cover the demand support");
-    paths.push_back(list);
   }
   return paths;
 }
@@ -55,33 +54,30 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
                            const MinCongestionOptions& options,
                            RouteScratch& scratch, SemiObliviousSolution& out,
                            const MwuHooks& hooks) {
+  assert(ps.store().graph() == &g && "path system is bound to another graph");
   d.commodities_into(out.commodities);
   const std::size_t k = out.commodities.size();
 
-  // Candidate COPIES into the solution's reused nested buffers: resize +
-  // assign keep capacity at every nesting level, so under a stable demand
-  // shape this refill allocates nothing.
+  // Candidate vertex COPIES from the arena into the solution's reused
+  // nested buffers: resize + assign keep capacity at every nesting level,
+  // so under a stable demand shape this refill allocates nothing.
+  const PathStore& store = ps.store();
   out.paths.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = out.commodities[j];
-    const auto& list = ps.paths(c.s, c.t);
-    assert((c.amount <= 0.0 || !list.empty()) &&
+    const auto refs = ps.refs(c.s, c.t);
+    assert((c.amount <= 0.0 || !refs.empty()) &&
            "path system does not cover the demand support");
-    out.paths[j].resize(list.size());
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      out.paths[j][i].assign(list[i].begin(), list[i].end());
+    out.paths[j].resize(refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const auto vertices = store.vertices(refs[i]);
+      out.paths[j][i].assign(vertices.begin(), vertices.end());
     }
   }
 
-  // Graph-bound systems carry interned edge-id spans: the whole solve runs
-  // on the flat representation with zero hashing. Unbound systems resolve
-  // edges once through the legacy bridge. Both produce bit-identical
-  // results (same candidates, same iteration order, same arithmetic).
-  if (ps.flat_for(g)) {
-    flat_candidates_into(ps, out.commodities, scratch.flat);
-  } else {
-    scratch.flat = flatten_candidates(g, out.paths);
-  }
+  // The solve runs on the interned edge ids of the same refs, with zero
+  // hashing.
+  flat_candidates_into(ps, out.commodities, scratch.flat);
   min_congestion_over_paths_into(g, out.commodities, scratch.flat, options,
                                  hooks, scratch.mwu, scratch.result);
 

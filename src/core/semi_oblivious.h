@@ -31,7 +31,8 @@ struct SemiObliviousSolution {
   int rounds_used = 0;
 };
 
-/// Routes `d` over `ps` with the MWU engine. Every support pair of `d` must
+/// Routes `d` over `ps` with the MWU engine. `ps` must be bound to `g` (its
+/// interned edge ids index g's edges), and every support pair of `d` must
 /// have at least one candidate path in `ps`.
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
                                        const Demand& d,

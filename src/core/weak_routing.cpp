@@ -9,6 +9,7 @@ DeletionProcessResult run_deletion_process(const Graph& g,
                                            const PathSystem& ps,
                                            const Demand& d, double gamma) {
   assert(gamma > 0.0);
+  assert(ps.store().graph() == &g && "path system is bound to another graph");
   DeletionProcessResult result;
   result.commodities = d.commodities();
   const std::size_t k = result.commodities.size();
@@ -23,17 +24,13 @@ DeletionProcessResult run_deletion_process(const Graph& g,
   };
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = result.commodities[j];
-    const auto& candidates = ps.paths(c.s, c.t);
-    assert(!candidates.empty() && "path system must cover the demand");
-    result.paths[j] = candidates;
-    result.weights[j].assign(candidates.size(),
-                             c.amount / static_cast<double>(candidates.size()));
+    result.paths[j] = ps.paths(c.s, c.t);
+    const std::size_t count = result.paths[j].size();
+    assert(count > 0 && "path system must cover the demand");
+    result.weights[j].assign(count, c.amount / static_cast<double>(count));
   }
-  // Edge ids resolved exactly once: zero-hashing gather from the interned
-  // spans of a graph-bound system, one edge_between per hop otherwise.
-  result.flat = ps.flat_for(g)
-                    ? flat_candidates(ps, result.commodities)
-                    : flatten_candidates(g, result.paths);
+  // Zero-hashing gather of the interned edge ids.
+  result.flat = flat_candidates(ps, result.commodities);
   std::vector<std::vector<PathRef>> paths_on_edge(
       static_cast<std::size_t>(g.num_edges()));
   for (std::size_t j = 0; j < k; ++j) {
@@ -130,21 +127,12 @@ IterativeHalvingResult iterative_halving_route(const Graph& g,
     if (!any) break;  // the process cannot serve anything at this gamma
   }
 
-  // Flush whatever is left on the first candidate of each pair, again over
-  // interned spans when the system is graph-bound.
-  const bool flat = ps.flat_for(g);
+  // Flush whatever is left on the first candidate of each pair.
   for (const auto& [pair, value] : remaining.entries()) {
-    assert(!ps.paths(pair.first, pair.second).empty());
-    if (flat) {
-      const auto refs = ps.refs(pair.first, pair.second);
-      for (int e : ps.store().edge_ids(refs.front())) {
-        result.edge_load[static_cast<std::size_t>(e)] += value;
-      }
-    } else {
-      const auto& candidates = ps.paths(pair.first, pair.second);
-      for (int e : path_edge_ids(g, candidates.front())) {
-        result.edge_load[static_cast<std::size_t>(e)] += value;
-      }
+    const auto refs = ps.refs(pair.first, pair.second);
+    assert(!refs.empty());
+    for (int e : ps.store().edge_ids(refs.front())) {
+      result.edge_load[static_cast<std::size_t>(e)] += value;
     }
     result.flushed_size += value;
   }

@@ -21,9 +21,8 @@
 namespace sor {
 
 struct DeletionProcessResult {
-  /// Per-candidate edge ids, resolved exactly once per call: gathered
-  /// straight from the interned PathStore spans when the path system is
-  /// bound to the host graph, through Graph::edge_between otherwise.
+  /// Per-candidate edge ids, gathered once per call straight from the path
+  /// system's interned PathStore spans.
   /// flat.edges(j, i) parallels paths[j][i]; downstream consumers (the
   /// iterative-halving reduction, benches) iterate these spans instead of
   /// re-resolving edges per use.

@@ -12,15 +12,8 @@ namespace sor::io {
 namespace detail {
 
 bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');  // full-line AND inline comments
-    if (hash != std::string::npos) line.erase(hash);
-    const auto last = line.find_last_not_of(" \t\r");
-    if (last == std::string::npos) continue;  // blank or comment-only
-    line.erase(last + 1);
-    return true;
-  }
-  return false;
+  int line_no = 0;
+  return next_content_line(in, line, line_no);
 }
 
 bool next_content_line(std::istream& in, std::string& line, int& line_no) {
@@ -104,17 +97,17 @@ std::optional<Demand> read_demand(std::istream& in) {
 
 void write_path_system(std::ostream& out, const PathSystem& ps) {
   out << "# path system: s t v0 v1 ... vk\n";
-  for (const auto& [pair, list] : ps.entries()) {
-    for (const Path& p : list) {
+  for (const auto& [pair, refs] : ps.entries()) {
+    for (PathRef ref : refs) {
       out << pair.first << ' ' << pair.second;
-      for (int v : p) out << ' ' << v;
+      for (int v : ps.store().vertices(ref)) out << ' ' << v;
       out << '\n';
     }
   }
 }
 
 std::optional<PathSystem> read_path_system(std::istream& in, const Graph& g) {
-  PathSystem ps(g);  // graph-bound: loaded paths are interned on the fly
+  PathSystem ps(g);  // loaded paths are interned on the fly
   std::string line;
   while (next_content_line(in, line)) {
     std::istringstream ls(line);

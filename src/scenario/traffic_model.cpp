@@ -126,8 +126,6 @@ std::optional<TrafficModelSpec> TrafficModelSpec::parse(
 }
 
 std::string TrafficModelSpec::to_string() const {
-  // Knob values in shortest-round-trip decimal (BackendSpec::to_string
-  // would truncate to stream precision), so parse(to_string()) == *this.
   std::string out = kind_name(kind);
   char sep = ':';
   for (const auto& [key, value] : params) {

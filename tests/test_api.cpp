@@ -27,6 +27,15 @@ TEST(BackendSpec, ParsesParams) {
   EXPECT_EQ(spec.to_string(), "racke:eta=6.5,num_trees=10");
 }
 
+TEST(BackendSpec, ToStringRoundTripsEveryDigit) {
+  const BackendSpec spec =
+      BackendSpec::parse("racke:eta=0.1234567,num_trees=10");
+  EXPECT_EQ(spec.to_string(), "racke:eta=0.1234567,num_trees=10");
+  const BackendSpec reparsed = BackendSpec::parse(spec.to_string());
+  EXPECT_EQ(reparsed.name, spec.name);
+  EXPECT_EQ(reparsed.params, spec.params);
+}
+
 TEST(BackendSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(BackendSpec::parse(""), std::invalid_argument);
   EXPECT_THROW(BackendSpec::parse(":a=1"), std::invalid_argument);

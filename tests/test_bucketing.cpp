@@ -131,7 +131,7 @@ TEST(Bucketing, ReductionBoundHoldsAgainstDirectRouting) {
 
 TEST(Bucketing, EmptyDemand) {
   const Graph g = gen::grid(2, 2);
-  const auto result = route_via_buckets(g, PathSystem(4), Demand{}, 2);
+  const auto result = route_via_buckets(g, PathSystem(g), Demand{}, 2);
   EXPECT_DOUBLE_EQ(result.congestion, 0.0);
   EXPECT_EQ(result.buckets_used, 0);
 }

@@ -77,7 +77,7 @@ TEST(CompletionTime, ObjectiveIsCongestionPlusDilation) {
 
 TEST(CompletionTime, EmptyDemandIsZero) {
   const Graph g = gen::grid(2, 2);
-  const auto solution = route_completion_time(g, PathSystem(4), Demand{});
+  const auto solution = route_completion_time(g, PathSystem(g), Demand{});
   EXPECT_DOUBLE_EQ(solution.objective, 0.0);
 }
 

@@ -12,32 +12,38 @@ namespace {
 
 /// Builds the Section 8 setting: C(n, k) with an alpha-sample of the
 /// natural uniform-middle oblivious routing on all left-to-right leaf pairs.
+/// Constructed in place and never copied: `ps` is bound to `graph`.
 struct GadgetInstance {
-  Graph graph;
-  gen::GadgetLayout layout;
-  PathSystem ps;
-};
+  GadgetInstance(int n, int alpha, Rng& rng)
+      : layout{n, gen::lower_bound_k(n, alpha)},
+        graph(gen::lower_bound_gadget(n, layout.k)),
+        ps(sample(graph, layout, alpha, rng)) {}
+  GadgetInstance(const GadgetInstance&) = delete;
+  GadgetInstance& operator=(const GadgetInstance&) = delete;
 
-GadgetInstance make_instance(int n, int alpha, Rng& rng) {
-  GadgetInstance inst;
-  inst.layout = gen::GadgetLayout{n, gen::lower_bound_k(n, alpha)};
-  inst.graph = gen::lower_bound_gadget(n, inst.layout.k);
-  RandomShortestPathRouting routing(inst.graph);
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      pairs.emplace_back(inst.layout.left_leaf(i), inst.layout.right_leaf(j));
+  gen::GadgetLayout layout;
+  Graph graph;
+  PathSystem ps;
+
+ private:
+  static PathSystem sample(const Graph& graph, const gen::GadgetLayout& layout,
+                           int alpha, Rng& rng) {
+    RandomShortestPathRouting routing(graph);
+    std::vector<std::pair<int, int>> pairs;
+    for (int i = 0; i < layout.n; ++i) {
+      for (int j = 0; j < layout.n; ++j) {
+        pairs.emplace_back(layout.left_leaf(i), layout.right_leaf(j));
+      }
     }
+    return sample_path_system(routing, alpha, pairs, rng);
   }
-  inst.ps = sample_path_system(routing, alpha, pairs, rng);
-  return inst;
-}
+};
 
 TEST(LowerBound, AdversaryFindsFullMatching) {
   Rng rng(1);
   const int n = 64;   // k = floor(64^(1/4)) = 2 for alpha = 2
   const int alpha = 2;
-  auto inst = make_instance(n, alpha, rng);
+  GadgetInstance inst(n, alpha, rng);
   ASSERT_EQ(inst.layout.k, 2);
   const auto adversary = find_adversarial_demand(
       inst.graph, inst.layout, inst.ps, alpha, inst.layout.k);
@@ -51,7 +57,7 @@ TEST(LowerBound, EveryCandidatePathCrossesTheCover) {
   Rng rng(2);
   const int n = 81;
   const int alpha = 2;  // k = floor(81^(1/4)) = 3
-  auto inst = make_instance(n, alpha, rng);
+  GadgetInstance inst(n, alpha, rng);
   const auto adversary = find_adversarial_demand(
       inst.graph, inst.layout, inst.ps, alpha, inst.layout.k);
   ASSERT_GT(adversary.matching_size, 0);
@@ -70,7 +76,7 @@ TEST(LowerBound, EveryCandidatePathCrossesTheCover) {
 
 TEST(LowerBound, AdversarialDemandIsPermutation) {
   Rng rng(3);
-  auto inst = make_instance(64, 2, rng);
+  GadgetInstance inst(64, 2, rng);
   const auto adversary = find_adversarial_demand(
       inst.graph, inst.layout, inst.ps, 2, inst.layout.k);
   std::vector<int> out_count(static_cast<std::size_t>(inst.graph.num_vertices()), 0);
@@ -88,7 +94,7 @@ TEST(LowerBound, MeasuredCongestionMeetsTheBound) {
   Rng rng(4);
   const int n = 256;  // k = 4 for alpha = 2
   const int alpha = 2;
-  auto inst = make_instance(n, alpha, rng);
+  GadgetInstance inst(n, alpha, rng);
   ASSERT_EQ(inst.layout.k, 4);
   const auto adversary = find_adversarial_demand(
       inst.graph, inst.layout, inst.ps, alpha, inst.layout.k);
@@ -104,8 +110,8 @@ TEST(LowerBound, LargerAlphaWeakensTheBound) {
   // The guaranteed bound k/alpha decreases in alpha (with k adjusted as in
   // the construction): the "power of a few random choices."
   Rng rng(5);
-  auto inst1 = make_instance(256, 1, rng);   // k = 16, bound 16
-  auto inst2 = make_instance(256, 2, rng);   // k = 4, bound 2
+  GadgetInstance inst1(256, 1, rng);   // k = 16, bound 16
+  GadgetInstance inst2(256, 2, rng);   // k = 4, bound 2
   const auto adv1 = find_adversarial_demand(inst1.graph, inst1.layout,
                                             inst1.ps, 1, inst1.layout.k);
   const auto adv2 = find_adversarial_demand(inst2.graph, inst2.layout,

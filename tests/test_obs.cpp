@@ -186,6 +186,58 @@ TEST(TraceRecorder, DistanceLowerBoundIsOneEngineSpan) {
   EXPECT_EQ(off.times.lower_bound_ms, 0.0);
 }
 
+TEST(TraceRecorder, BatchWorkersRecordOneRouteSpanPerDemand) {
+  TracerGuard guard;
+  std::vector<Demand> demands;
+  Rng rng(3);
+  for (int i = 0; i < 8; ++i) {
+    demands.push_back(gen::random_permutation_demand(16, rng));
+  }
+  RouteSpec spec;
+  spec.simulate_packets = true;
+  const auto run_batch = [&] {
+    SorEngine engine = SorEngine::build(gen::grid(4, 4, true),
+                                        "racke:num_trees=3", 7, /*threads=*/4);
+    engine.install_paths(SamplingSpec::for_demands(demands, 3));
+    return engine.route_batch(demands, spec);
+  };
+  const BatchReport untraced = run_batch();
+
+  obs::tracer().enable(4096);
+  const BatchReport traced = run_batch();
+  obs::tracer().disable();
+  EXPECT_EQ(obs::tracer().dropped(), 0u);
+  int route_spans = 0;
+  for (const obs::TraceEvent& ev : obs::tracer().events()) {
+    if (std::string(ev.cat) == "engine" && std::string(ev.name) == "route") {
+      ++route_spans;
+    }
+  }
+  EXPECT_EQ(route_spans, static_cast<int>(demands.size()));
+
+  ASSERT_EQ(traced.reports.size(), untraced.reports.size());
+  for (std::size_t i = 0; i < traced.reports.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RouteReport& a = traced.reports[i];
+    const RouteReport& b = untraced.reports[i];
+    EXPECT_EQ(a.congestion, b.congestion);
+    EXPECT_EQ(a.solution.weights, b.solution.weights);
+    EXPECT_EQ(a.solution.edge_load, b.solution.edge_load);
+    EXPECT_EQ(a.solution.lower_bound, b.solution.lower_bound);
+    EXPECT_EQ(a.solution.rounds_used, b.solution.rounds_used);
+    EXPECT_EQ(a.opt_lower_bound, b.opt_lower_bound);
+    EXPECT_EQ(a.competitive_ratio, b.competitive_ratio);
+    ASSERT_TRUE(a.optimum.has_value() && b.optimum.has_value());
+    EXPECT_EQ(a.optimum->upper, b.optimum->upper);
+    EXPECT_EQ(a.optimum->lower, b.optimum->lower);
+    ASSERT_TRUE(a.integral.has_value() && b.integral.has_value());
+    EXPECT_EQ(a.integral->choices, b.integral->choices);
+    EXPECT_EQ(a.integral->edge_load, b.integral->edge_load);
+    ASSERT_TRUE(a.simulation.has_value() && b.simulation.has_value());
+    EXPECT_EQ(a.simulation->makespan, b.simulation->makespan);
+  }
+}
+
 // ---- convergence telemetry ---------------------------------------------
 
 TEST(Convergence, RestrictedSolverIsBitIdenticalWithSinkAttached) {

@@ -1,11 +1,12 @@
 // The flat-memory path substrate: interning round-trips, ref stability
-// across append/merge, edge-id spans vs path_edge_ids, and old-vs-new
-// PathSystem representation equivalence on random graphs (the bit-identity
-// contract the hot loops rely on).
+// across append/merge, edge-id spans vs path_edge_ids, and routing over the
+// interned arena against the vertex-path solver entry point on random
+// graphs (the bit-identity contract the hot loops rely on).
 #include "core/path_store.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "api/sor_engine.h"
@@ -79,13 +80,14 @@ TEST(PathSystemFlat, BoundSystemsInternEveryPath) {
   RandomShortestPathRouting routing(g);
   Rng rng(7);
   const PathSystem ps = sample_path_system_all_pairs(routing, 3, rng);
-  ASSERT_TRUE(ps.flat_for(g));
+  EXPECT_EQ(ps.store().graph(), &g);
   EXPECT_EQ(ps.store().num_paths(), ps.total_paths());
 
-  for (const auto& [pair, list] : ps.entries()) {
-    const auto refs = ps.refs(pair.first, pair.second);
+  for (const auto& [pair, refs] : ps.entries()) {
+    const std::vector<Path> list = ps.paths(pair.first, pair.second);
     ASSERT_EQ(refs.size(), list.size());
     for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_TRUE(is_valid_path(g, list[i], pair.first, pair.second));
       EXPECT_EQ(ps.store().to_path(refs[i]), list[i]);
       const auto expected = path_edge_ids(g, list[i]);
       const auto edges = ps.store().edge_ids(refs[i]);
@@ -95,16 +97,6 @@ TEST(PathSystemFlat, BoundSystemsInternEveryPath) {
       }
     }
   }
-}
-
-TEST(PathSystemFlat, UnboundSystemsStayLegacy) {
-  PathSystem ps(4);
-  ps.add_path(0, 3, {0, 1, 3});
-  const Graph g = triangle_plus();
-  EXPECT_FALSE(ps.flat_for(g));
-  EXPECT_TRUE(ps.refs(0, 3).empty());
-  EXPECT_EQ(ps.store().num_paths(), 0u);
-  EXPECT_EQ(ps.paths(0, 3).size(), 1u);  // boundary layer unaffected
 }
 
 TEST(PathSystemFlat, CountersMatchRecount) {
@@ -128,17 +120,23 @@ TEST(PathSystemFlat, MergeKeepsRefsValidAndAdopts) {
   Rng rng(3);
   PathSystem a = sample_path_system(routing, 2, {{0, 8}, {1, 7}}, rng);
   const PathSystem b = sample_path_system(routing, 3, {{0, 8}, {2, 6}}, rng);
+  // Expected contents: a's paths, then b's, per pair.
+  std::map<std::pair<int, int>, std::vector<Path>> expected;
+  const auto collect = [&expected](const PathSystem& ps) {
+    for (const auto& [pair, refs] : ps.entries()) {
+      for (PathRef ref : refs) expected[pair].push_back(ps.store().to_path(ref));
+    }
+  };
+  collect(a);
+  collect(b);
   a.merge(b);
   EXPECT_EQ(a.paths(0, 8).size(), 5u);
   EXPECT_EQ(a.refs(0, 8).size(), 5u);
   EXPECT_EQ(a.store().num_paths(), a.total_paths());
-  // Every ref (old and adopted) resolves to its boundary path.
-  for (const auto& [pair, list] : a.entries()) {
-    const auto refs = a.refs(pair.first, pair.second);
-    ASSERT_EQ(refs.size(), list.size());
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      EXPECT_EQ(a.store().to_path(refs[i]), list[i]);
-    }
+  // Every ref (old and adopted) resolves to its source path, in order.
+  ASSERT_EQ(a.num_pairs(), expected.size());
+  for (const auto& [pair, list] : expected) {
+    EXPECT_EQ(a.paths(pair.first, pair.second), list);
   }
 }
 
@@ -163,50 +161,37 @@ TEST(PathSystemFlat, CrossGraphMergeOfUntransferablePathThrows) {
   EXPECT_THROW(on_a.merge(on_b), std::invalid_argument);
 }
 
-TEST(PathSystemFlat, MergeIntoUnboundKeepsBoundaryOnly) {
-  const Graph g = gen::grid(3, 3);
-  RandomShortestPathRouting routing(g);
-  Rng rng(5);
-  const PathSystem bound = sample_path_system(routing, 2, {{0, 8}}, rng);
-  PathSystem unbound(g.num_vertices());
-  unbound.merge(bound);
-  EXPECT_EQ(unbound.paths(0, 8).size(), 2u);
-  EXPECT_TRUE(unbound.refs(0, 8).empty());
-}
-
-/// Routing over a graph-bound system (zero-hashing gather from interned
-/// spans) gives EXACTLY the same output as routing over an unbound clone
-/// (edge ids re-resolved through the flatten_candidates hash bridge), on
-/// random graphs and demands. The deeper old-vs-new contract — the
-/// specialized solver against a verbatim copy of the pre-change
-/// nested-vector MWU — is pinned per run by bench_m4_hot_path, which
-/// compares congestion, dual bound, edge loads and path weights and is
-/// asserted identical in CI.
+/// Routing over a path system (zero-hashing gather from interned spans)
+/// gives EXACTLY the same output as the vertex-path solver entry point over
+/// the materialized candidates (edge ids re-resolved through the
+/// flatten_candidates hash bridge), on random graphs and demands.
 TEST(PathSystemFlat, FlatAndLegacyRoutingBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
     Rng rng(seed);
     const Graph g = gen::random_regular(24, 4, rng);
     ASSERT_TRUE(g.is_connected());
     RandomShortestPathRouting routing(g);
     const Demand d = gen::random_permutation_demand(g.num_vertices(), rng);
-    const PathSystem bound =
+    const PathSystem ps =
         sample_path_system(routing, 4, support_pairs(d), rng);
-    ASSERT_TRUE(bound.flat_for(g));
 
-    // Clone into a graph-UNBOUND system: same candidates, gathered through
-    // the legacy hash-per-hop bridge instead of the interned spans.
-    PathSystem legacy(g.num_vertices());
-    legacy.merge(bound);
-    ASSERT_FALSE(legacy.flat_for(g));
-
-    const auto fast = route_fractional(g, bound, d);
-    const auto slow = route_fractional(g, legacy, d);
-    EXPECT_EQ(fast.congestion, slow.congestion) << "seed " << seed;
-    EXPECT_EQ(fast.lower_bound, slow.lower_bound) << "seed " << seed;
-    EXPECT_EQ(fast.edge_load, slow.edge_load) << "seed " << seed;
-    EXPECT_EQ(fast.weights, slow.weights) << "seed " << seed;
-    EXPECT_EQ(fast.paths, slow.paths) << "seed " << seed;
-    EXPECT_EQ(fast.max_hops, slow.max_hops) << "seed " << seed;
+    const std::vector<Commodity> commodities = d.commodities();
+    std::vector<std::vector<Path>> candidates;
+    for (const Commodity& c : commodities) {
+      candidates.push_back(ps.paths(c.s, c.t));
+    }
+    const auto fast = route_fractional(g, ps, d);
+    const CongestionResult slow =
+        min_congestion_over_paths(g, commodities, candidates);
+    EXPECT_EQ(fast.paths, candidates);
+    EXPECT_EQ(fast.congestion, slow.congestion);
+    EXPECT_EQ(fast.lower_bound, slow.lower_bound);
+    EXPECT_EQ(fast.edge_load, slow.edge_load);
+    EXPECT_EQ(fast.weights, slow.path_weights);
+    EXPECT_EQ(fast.status, slow.status);
+    EXPECT_EQ(fast.optimality_gap, slow.optimality_gap);
+    EXPECT_EQ(fast.rounds_used, slow.rounds_used);
   }
 }
 

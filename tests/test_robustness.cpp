@@ -23,7 +23,7 @@ TEST(Robustness, RemoveEdgesPreservesTheRest) {
 
 TEST(Robustness, SurvivingPathsDropCrossingCandidates) {
   const Graph g = gen::grid(2, 3);  // 0 1 2 / 3 4 5
-  PathSystem ps(6);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   ps.add_path(0, 2, {0, 3, 4, 5, 2});
   const int edge01 = g.edge_between(0, 1);
@@ -118,9 +118,12 @@ TEST(Robustness, RepairRestoresCoverage) {
   RandomShortestPathRouting failed_routing(failed_graph);
   const PathSystem repaired =
       repair_path_system(failed_graph, failed_routing, survivors, d, 2, rng);
+  EXPECT_EQ(repaired.store().graph(), &failed_graph);
   for (const auto& [pair, value] : d.entries()) {
     EXPECT_FALSE(repaired.paths(pair.first, pair.second).empty());
   }
+  // Bound to the failed graph, the repaired system routes there directly.
+  EXPECT_GT(route_fractional(failed_graph, repaired, d).congestion, 0.0);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "oblivious/valiant.h"
+#include "runtime/alloc_stats.h"
 
 namespace sor {
 namespace {
@@ -69,6 +71,29 @@ TEST_P(RoundingLemmaSweep, SatisfiesLemma63Bound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundingLemmaSweep, ::testing::Range(0, 10));
+
+TEST(Rounding, ExtraTrialsDoNotCopyTheCandidateSet) {
+  if (!runtime::counting_compiled()) {
+    GTEST_SKIP() << "built without SOR_ALLOC_STATS";
+  }
+  const Graph g = gen::grid(4, 4);
+  RandomShortestPathRouting routing(g);
+  Rng rng(9);
+  const Demand d = gen::random_permutation_demand(16, rng);
+  const auto fractional = routed_instance(g, routing, d, 4, rng);
+  const auto allocs = [&](int trials) {
+    Rng draws(21);
+    const runtime::AllocProbe probe;
+    const IntegralSolution integral =
+        round_randomized(g, fractional, draws, trials);
+    return static_cast<std::int64_t>(probe.delta().allocs);
+  };
+  // A trial owns only its choices (one vector per commodity plus the
+  // outer one) and its edge loads; the candidate set is copied once, into
+  // the winner.
+  const auto k = static_cast<std::int64_t>(fractional.commodities.size());
+  EXPECT_LE(allocs(8) - allocs(1), 7 * (k + 4));
+}
 
 TEST(Rounding, LocalSearchNeverHurts) {
   const Graph g = gen::grid(4, 4);

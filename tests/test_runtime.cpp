@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -138,6 +139,8 @@ TEST(PathStoreCompact, ReinstallCycleKeepsPathSystemArenaFlat) {
   Rng rng(11);
   const Graph g = gen::grid(4, 4, /*wrap=*/true);
   const std::vector<Path> batch = random_paths(g, 60, rng);
+  std::map<std::pair<int, int>, std::vector<Path>> inserted;
+  for (const Path& p : batch) inserted[{p.front(), p.back()}].push_back(p);
   PathSystem ps(g);
   std::size_t stable_size = 0, stable_capacity = 0;
   for (int cycle = 0; cycle < 10; ++cycle) {
@@ -147,6 +150,12 @@ TEST(PathStoreCompact, ReinstallCycleKeepsPathSystemArenaFlat) {
       ps.add_path(p.front(), p.back(), p);
     }
     ps.compact_store();
+    // The compacted arena reads back exactly the inserted batch, per pair
+    // in insertion order.
+    ASSERT_EQ(ps.num_pairs(), inserted.size());
+    for (const auto& [pair, paths] : inserted) {
+      EXPECT_EQ(ps.paths(pair.first, pair.second), paths);
+    }
     if (cycle == 0) {
       // Identical content each cycle -> identical live arena size.
       stable_size = ps.store().arena_size();

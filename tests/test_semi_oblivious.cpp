@@ -13,7 +13,7 @@ TEST(SemiOblivious, SinglePairSinglePath) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 3.0);
@@ -49,7 +49,7 @@ TEST(SemiOblivious, ExactMatchesMwuOnDiamond) {
   g.add_edge(1, 3);
   g.add_edge(0, 2);
   g.add_edge(2, 3);
-  PathSystem ps(4);
+  PathSystem ps(g);
   ps.add_path(0, 3, {0, 1, 3});
   ps.add_path(0, 3, {0, 2, 3});
   Demand d;
@@ -96,7 +96,7 @@ TEST(SemiOblivious, EmptyDemand) {
   const Graph g = gen::complete(3);
   const OptimalCongestion opt = optimal_congestion(g, Demand{});
   EXPECT_DOUBLE_EQ(opt.upper, 0.0);
-  const auto solution = route_fractional(g, PathSystem(3), Demand{});
+  const auto solution = route_fractional(g, PathSystem(g), Demand{});
   EXPECT_DOUBLE_EQ(solution.congestion, 0.0);
 }
 
@@ -110,7 +110,7 @@ TEST(SemiOblivious, MaxHopsTracksUsedPathsOnly) {
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   g.add_edge(0, 3);  // direct edge
-  PathSystem ps(4);
+  PathSystem ps(g);
   ps.add_path(0, 3, {0, 3});
   ps.add_path(0, 3, {0, 1, 2, 3});
   ps.add_path(1, 2, {1, 2});

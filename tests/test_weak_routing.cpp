@@ -47,7 +47,7 @@ TEST(DeletionProcess, TinyThresholdDeletesPaths) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 4.0);
@@ -103,7 +103,7 @@ TEST(IterativeHalving, ImpossibleGammaFlushes) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 10.0);
@@ -111,41 +111,6 @@ TEST(IterativeHalving, ImpossibleGammaFlushes) {
       iterative_halving_route(g, ps, d, /*gamma=*/0.5, /*max_rounds=*/8);
   EXPECT_DOUBLE_EQ(result.flushed_size, 10.0);
   EXPECT_DOUBLE_EQ(result.congestion, 10.0);
-}
-
-TEST(DeletionProcess, InternedSpansMatchUnboundSystem) {
-  // The graph-bound fast path (interned PathStore edge-id spans) and the
-  // unbound fallback (edge_between per hop) must produce identical
-  // results: same edge ids, same deletion sweep, same survivors.
-  const int dim = 4;
-  const Graph g = gen::hypercube(dim);
-  ValiantRouting routing(g, dim);
-  Rng rng(17);
-  const Demand d = gen::random_permutation_demand(g.num_vertices(), rng);
-  const PathSystem bound =
-      sample_path_system(routing, 4, support_pairs(d), rng);
-  ASSERT_TRUE(bound.flat_for(g));
-  PathSystem unbound(g.num_vertices());
-  for (const auto& [pair, paths] : bound.entries()) {
-    for (const Path& p : paths) unbound.add_path(pair.first, pair.second, p);
-  }
-  ASSERT_FALSE(unbound.flat_for(g));
-
-  for (double gamma : {0.5, 2.0, 8.0}) {
-    const auto fast = run_deletion_process(g, bound, d, gamma);
-    const auto slow = run_deletion_process(g, unbound, d, gamma);
-    EXPECT_EQ(fast.congestion, slow.congestion) << "gamma " << gamma;
-    EXPECT_EQ(fast.routed_fraction, slow.routed_fraction);
-    EXPECT_EQ(fast.edges_overloaded, slow.edges_overloaded);
-    EXPECT_EQ(fast.edge_load, slow.edge_load);
-    EXPECT_EQ(fast.weights, slow.weights);
-  }
-  const auto fast = iterative_halving_route(g, bound, d, /*gamma=*/3.0);
-  const auto slow = iterative_halving_route(g, unbound, d, /*gamma=*/3.0);
-  EXPECT_EQ(fast.congestion, slow.congestion);
-  EXPECT_EQ(fast.rounds, slow.rounds);
-  EXPECT_EQ(fast.flushed_size, slow.flushed_size);
-  EXPECT_EQ(fast.edge_load, slow.edge_load);
 }
 
 TEST(IterativeHalving, RoundsShrinkGeometrically) {
