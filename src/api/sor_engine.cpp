@@ -53,7 +53,9 @@ class StageScope {
 bool is_near_integral(const Demand& d) {
   for (const auto& [pair, value] : d.entries()) {
     const double rounded = std::round(value);
-    if (rounded < 0.5 || std::abs(value - rounded) > 1e-6) return false;
+    if (rounded < 0.5 || std::abs(value - rounded) > kIntegralTolerance) {
+      return false;
+    }
   }
   return true;
 }

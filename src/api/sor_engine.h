@@ -123,8 +123,9 @@ struct RouteSpec {
   MinCongestionOptions mwu;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
   bool compute_optimum = true;
-  /// Compute the cheap distance-duality lower bound (one Dijkstra per
-  /// distinct demand source). Turn off together with compute_optimum when
+  /// Compute the cheap distance-duality lower bound (one CSR Dijkstra per
+  /// distinct demand source, stopped at that source's last target; see
+  /// distance_lower_bound). Turn off together with compute_optimum when
   /// the caller supplies its own denominator (hot benchmark loops).
   bool compute_lower_bound = true;
   /// Lemma 6.3 randomized rounding to one path per unit (requires a

@@ -104,7 +104,7 @@ IntegralSolution round_randomized(const Graph& g,
       const int units = static_cast<int>(
           std::llround(fractional.commodities[j].amount));
       assert(std::abs(fractional.commodities[j].amount -
-                      static_cast<double>(units)) < 1e-9 &&
+                      static_cast<double>(units)) <= kIntegralTolerance &&
              "randomized rounding requires an integral demand");
       candidate.choices[j].reserve(static_cast<std::size_t>(units));
       for (int u = 0; u < units; ++u) {

@@ -26,10 +26,16 @@ struct IntegralSolution {
 /// Exact congestion of an integral assignment (recomputes edge loads).
 double integral_congestion(const Graph& g, IntegralSolution& solution);
 
+/// How far a demand amount may lie from an integer and still count as
+/// integral: SorEngine rounds a demand only when every amount is within
+/// this of a positive integer, and round_randomized asserts the same bound.
+inline constexpr double kIntegralTolerance = 1e-6;
+
 /// Lemma 6.3 randomized rounding: each demand unit independently picks a
 /// candidate proportional to the fractional weights; the best of `trials`
 /// independent roundings is returned. Requires an integral demand (amounts
-/// are rounded to nearest integers).
+/// are rounded to nearest integers; each must lie within
+/// kIntegralTolerance of one).
 ///
 /// `seed_choices` (optional, warm start): per-commodity per-unit candidate
 /// indices from a previous epoch's integral solution. When non-null, one

@@ -164,18 +164,34 @@ double distance_lower_bound(const Graph& g, const Demand& d,
     lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
     denominator += 1.0;  // cap_e * w_e with w_e = 1/cap_e
   }
-  // One Dijkstra per distinct source in the support, into reused scratch
-  // (identical output to the allocating overload; see DijkstraScratch).
-  double numerator = 0.0;
-  int current_source = -1;
+  // One early-exit Dijkstra per distinct source in the support: entries()
+  // is ordered by (s, t), so each source's targets are one distinct run of
+  // entries. Lengths 1/cap_e are strictly positive, so every target's
+  // distance equals a full sweep's (see dijkstra_into_targets); the
+  // numerator is summed in entries() order.
+  const FlatAdjacency& adj = scratch.adj.get(g);
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   auto& dist = scratch.dist;
-  dist.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
-  for (const auto& [pair, value] : d.entries()) {
-    if (pair.first != current_source) {
-      current_source = pair.first;
-      dijkstra_into(g, current_source, lengths, dist, {}, scratch.dijkstra);
+  auto& is_target = scratch.is_target;
+  dist.assign(n, 0.0);
+  is_target.assign(n, 0);
+  double numerator = 0.0;
+  const auto& entries = d.entries();
+  for (auto first = entries.begin(); first != entries.end();) {
+    const int source = first->first.first;
+    auto last = first;
+    int num_targets = 0;
+    for (; last != entries.end() && last->first.first == source; ++last) {
+      is_target[static_cast<std::size_t>(last->first.second)] = 1;
+      ++num_targets;
     }
-    numerator += value * dist[static_cast<std::size_t>(pair.second)];
+    dijkstra_into_targets(adj, source, lengths, dist, {}, scratch.dijkstra,
+                          is_target, num_targets);
+    for (; first != last; ++first) {
+      const std::size_t t = static_cast<std::size_t>(first->first.second);
+      numerator += first->second * dist[t];
+      is_target[t] = 0;
+    }
   }
   return numerator / denominator;
 }

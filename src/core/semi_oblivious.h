@@ -100,14 +100,20 @@ OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
 /// opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e w_e with w_e = 1/cap_e.
 /// On unit capacities this is (sum_j d_j * hopdist(s_j,t_j)) / m. Used by
 /// the large-scale benches where the MWU optimum would dominate runtime.
+/// One CSR Dijkstra per distinct demand source, stopped once that source's
+/// last target is settled; the distances, and so the bound, are bit-identical
+/// to full sweeps.
 double distance_lower_bound(const Graph& g, const Demand& d);
 
-/// Reusable scratch for distance_lower_bound (lengths, one Dijkstra row,
-/// and the heap).
+/// Reusable scratch for distance_lower_bound: the lengths, one Dijkstra
+/// row, the target mask, the heap, and the CSR snapshot of the graph (kept
+/// across calls on the same topology, see FlatAdjacencyCache).
 struct DistanceBoundScratch {
   std::vector<double> lengths;
   std::vector<double> dist;
+  std::vector<char> is_target;
   DijkstraScratch dijkstra;
+  FlatAdjacencyCache adj;
 };
 
 /// Scratch-threaded distance bound; identical result to the overload above.

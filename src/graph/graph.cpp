@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -9,6 +10,11 @@ namespace sor {
 Graph::Graph(int num_vertices) : n_(num_vertices) {
   assert(num_vertices >= 0);
   incident_.resize(static_cast<std::size_t>(num_vertices));
+}
+
+std::uint64_t Graph::next_topology_stamp() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 std::int64_t Graph::pair_key(int u, int v) {
@@ -30,6 +36,7 @@ int Graph::add_edge(int u, int v, double capacity) {
                        capacity) {
     it->second = id;
   }
+  topology_stamp_ = next_topology_stamp();
   return id;
 }
 

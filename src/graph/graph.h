@@ -35,7 +35,8 @@ using Path = std::vector<int>;
 /// [0, num_edges()) referring into `edges()`. The incidence lists make
 /// traversal O(degree); `edge_between` resolves a vertex pair to a canonical
 /// (maximum-capacity) edge id, which is how vertex-sequence paths are charged
-/// to edges.
+/// to edges. `topology_stamp` names the incidence structure in O(1), the key
+/// under which derived structures (CSR snapshots) are cached.
 class Graph {
  public:
   Graph() = default;
@@ -55,6 +56,13 @@ class Graph {
 
   int num_vertices() const { return n_; }
   int num_edges() const { return static_cast<int>(edges_.size()); }
+
+  /// Process-unique id of this graph's incidence structure: drawn anew at
+  /// construction and by every add_edge, left alone by set_capacity, and
+  /// shared by copies (which share the structure). Equal stamps therefore
+  /// mean equal vertex count, edge endpoints and incidence order, whatever
+  /// the address. Never 0.
+  std::uint64_t topology_stamp() const { return topology_stamp_; }
 
   const Edge& edge(int e) const { return edges_[static_cast<std::size_t>(e)]; }
   const std::vector<Edge>& edges() const { return edges_; }
@@ -84,8 +92,10 @@ class Graph {
 
  private:
   static std::int64_t pair_key(int u, int v);
+  static std::uint64_t next_topology_stamp();
 
   int n_ = 0;
+  std::uint64_t topology_stamp_ = next_topology_stamp();
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> incident_;
   std::unordered_map<std::int64_t, int> canonical_edge_;

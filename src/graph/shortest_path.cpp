@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <queue>
 #include <utility>
 
 namespace sor {
@@ -39,52 +40,6 @@ std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g) {
   return dist;
 }
 
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge, DijkstraScratch& scratch) {
-  assert(static_cast<int>(length.size()) == g.num_edges());
-  assert(static_cast<int>(dist.size()) == g.num_vertices());
-  assert(parent_edge.empty() ||
-         static_cast<int>(parent_edge.size()) == g.num_vertices());
-  const double inf = std::numeric_limits<double>::infinity();
-  std::fill(dist.begin(), dist.end(), inf);
-  std::fill(parent_edge.begin(), parent_edge.end(), -1);
-  // A min-heap over (dist, vertex) run directly with push_heap/pop_heap on
-  // the reused scratch vector — the exact operation sequence of a
-  // std::priority_queue with std::greater, minus its per-call allocation.
-  using Item = std::pair<double, int>;
-  std::vector<Item>& heap = scratch.heap;
-  heap.clear();
-  dist[static_cast<std::size_t>(source)] = 0.0;
-  heap.emplace_back(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<Item>{});
-    heap.pop_back();
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    for (int e : g.incident(v)) {
-      assert(length[static_cast<std::size_t>(e)] >= 0.0);
-      const int w = g.edge(e).other(v);
-      const double nd = d + length[static_cast<std::size_t>(e)];
-      if (nd < dist[static_cast<std::size_t>(w)]) {
-        dist[static_cast<std::size_t>(w)] = nd;
-        if (!parent_edge.empty()) {
-          parent_edge[static_cast<std::size_t>(w)] = e;
-        }
-        heap.emplace_back(nd, w);
-        std::push_heap(heap.begin(), heap.end(), std::greater<Item>{});
-      }
-    }
-  }
-}
-
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge) {
-  DijkstraScratch scratch;
-  dijkstra_into(g, source, length, dist, parent_edge, scratch);
-}
-
 FlatAdjacency::FlatAdjacency(const Graph& g) {
   const int n = g.num_vertices();
   first_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -112,6 +67,14 @@ FlatAdjacency::FlatAdjacency(const Graph& g) {
       last_seen_at[static_cast<std::size_t>(arc.to)] = v;
     }
   }
+}
+
+const FlatAdjacency& FlatAdjacencyCache::get(const Graph& g) {
+  if (stamp_ != g.topology_stamp()) {
+    adj_.emplace(g);
+    stamp_ = g.topology_stamp();
+  }
+  return *adj_;
 }
 
 std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
@@ -208,12 +171,14 @@ void dijkstra_into_targets(const FlatAdjacency& adj, int source,
                            const std::vector<double>& length,
                            std::span<double> dist, std::span<int> parent_edge,
                            DijkstraScratch& scratch,
-                           const std::vector<char>& is_target,
-                           int num_targets) {
+                           std::span<const char> is_target, int num_targets) {
   assert(static_cast<int>(dist.size()) == adj.num_vertices());
   assert(parent_edge.empty() ||
          static_cast<int>(parent_edge.size()) == adj.num_vertices());
-  assert(static_cast<int>(is_target.size()) == adj.num_vertices());
+  const bool full_sweep = is_target.empty();
+  assert(full_sweep ? num_targets == 0
+                    : static_cast<int>(is_target.size()) ==
+                          adj.num_vertices());
   const double inf = std::numeric_limits<double>::infinity();
   std::fill(dist.begin(), dist.end(), inf);
   std::fill(parent_edge.begin(), parent_edge.end(), -1);
@@ -225,9 +190,13 @@ void dijkstra_into_targets(const FlatAdjacency& adj, int source,
   while (!heap.empty()) {
     const auto [d, v] = heap4_pop(heap);
     if (d > dist[static_cast<std::size_t>(v)]) continue;
-    if (is_target[static_cast<std::size_t>(v)] && --remaining == 0) return;
+    if (!full_sweep && is_target[static_cast<std::size_t>(v)] &&
+        --remaining == 0) {
+      return;
+    }
     for (const FlatAdjacency::Arc arc : adj.arcs(v)) {
-      assert(length[static_cast<std::size_t>(arc.edge)] > 0.0);
+      assert(full_sweep ? length[static_cast<std::size_t>(arc.edge)] >= 0.0
+                        : length[static_cast<std::size_t>(arc.edge)] > 0.0);
       const double nd = d + length[static_cast<std::size_t>(arc.edge)];
       if (nd < dist[static_cast<std::size_t>(arc.to)]) {
         dist[static_cast<std::size_t>(arc.to)] = nd;
@@ -243,12 +212,28 @@ void dijkstra_into_targets(const FlatAdjacency& adj, int source,
 std::vector<double> dijkstra(const Graph& g, int source,
                              const std::vector<double>& length,
                              std::vector<int>* parent_edge) {
-  std::vector<double> dist(static_cast<std::size_t>(g.num_vertices()));
-  if (parent_edge) {
-    parent_edge->resize(static_cast<std::size_t>(g.num_vertices()));
-    dijkstra_into(g, source, length, dist, *parent_edge);
-  } else {
-    dijkstra_into(g, source, length, dist, {});
+  assert(static_cast<int>(length.size()) == g.num_edges());
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  if (parent_edge) parent_edge->assign(n, -1);
+  using Item = std::pair<double, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+  dist[static_cast<std::size_t>(source)] = 0.0;
+  heap.emplace(0.0, source);
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[static_cast<std::size_t>(v)]) continue;
+    for (int e : g.incident(v)) {
+      assert(length[static_cast<std::size_t>(e)] >= 0.0);
+      const int w = g.edge(e).other(v);
+      const double nd = d + length[static_cast<std::size_t>(e)];
+      if (nd < dist[static_cast<std::size_t>(w)]) {
+        dist[static_cast<std::size_t>(w)] = nd;
+        if (parent_edge) (*parent_edge)[static_cast<std::size_t>(w)] = e;
+        heap.emplace(nd, w);
+      }
+    }
   }
   return dist;
 }

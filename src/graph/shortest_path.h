@@ -3,7 +3,9 @@
 // paths (the diversity primitive the oblivious routers build on).
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -22,41 +24,29 @@ std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g);
 
 /// Dijkstra from `source` with per-edge lengths (length[e] >= 0).
 /// Returns distances; `parent_edge`, if non-null, receives for each vertex
-/// the edge id used to reach it (-1 for source/unreachable).
+/// the edge id used to reach it (-1 for source/unreachable). A plain
+/// binary-heap run over the incidence lists, kept as the reference the
+/// CSR kernel below is tested against; library code runs the kernel.
 std::vector<double> dijkstra(const Graph& g, int source,
                              const std::vector<double>& length,
                              std::vector<int>* parent_edge = nullptr);
 
-/// Dijkstra writing into caller-provided buffers of size num_vertices()
-/// (rows of a flat all-pairs matrix, say), avoiding the per-call
-/// allocations of `dijkstra` when sweeping many sources. `parent_edge` may
-/// be empty to skip parent tracking. Same algorithm, identical output.
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge);
-
-/// Reusable scratch for `dijkstra_into`: the binary heap's backing storage,
-/// kept hot across calls so a repeated best-response sweep (one Dijkstra
-/// per source per MWU round) allocates nothing after the first call. The
-/// heap discipline (std::push_heap/pop_heap over (dist, vertex) pairs with
-/// std::greater) is exactly what std::priority_queue performs, so output is
-/// bit-identical to the scratch-free overload.
+/// Reusable scratch for `dijkstra_into_targets`: the backing storage of its
+/// 4-ary heap, kept hot across calls so a repeated sweep (one Dijkstra per
+/// source per MWU round, per demand, or per FRT row) allocates nothing
+/// after the first call.
 struct DijkstraScratch {
   std::vector<std::pair<double, int>> heap;
 };
 
-/// Scratch-reusing variant of `dijkstra_into`; identical output.
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge, DijkstraScratch& scratch);
-
 /// Flat CSR snapshot of a graph's incidence structure: per-vertex arc
 /// ranges of packed {neighbor, edge id} pairs, in exactly
 /// Graph::incident / Edge::other order. Built once (O(n + m)) and reused
-/// by scan-heavy repeated-Dijkstra loops (one Dijkstra per source per MWU
-/// round): the relaxation scan walks one contiguous 8-byte-per-arc array
-/// instead of chasing vector-of-vector incident lists and 24-byte Edge
-/// structs. Identical iteration order, hence bit-identical outputs.
+/// by every Dijkstra sweep of the library (the free oracle's per-source best
+/// responses, the distance bound, FRT's all-pairs rows): the relaxation scan
+/// walks one contiguous 8-byte-per-arc array instead of chasing
+/// vector-of-vector incident lists and 24-byte Edge structs. Identical
+/// iteration order, hence bit-identical outputs.
 class FlatAdjacency {
  public:
   struct Arc {
@@ -102,27 +92,50 @@ std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
 void append_path_edge_ids(const FlatAdjacency& adj, const Graph& g,
                           const Path& path, std::vector<int>& out);
 
-/// Early-exit Dijkstra over a FlatAdjacency snapshot: stops as soon as
-/// every vertex flagged in `is_target` (exactly `num_targets` distinct
-/// flags) has been settled. Requires every length to be STRICTLY
-/// positive. Then, for every settled vertex — in particular every target
-/// and every vertex on a shortest path to one (strictly positive lengths
-/// put those at strictly smaller dist, hence settled strictly earlier,
-/// with parent pointers that can never be overwritten once settled) —
-/// `dist` and `parent_edge` are bit-identical to a full `dijkstra_into`
-/// run's; entries of unsettled vertices are unspecified (infinity/-1 or a
-/// tentative value). The scratch vector is run as a 4-ary min-heap: every
-/// heap item (dist, vertex) is distinct and the comparator is a total
-/// order, so the pop sequence — and with it every settled dist and parent
-/// pointer — is the same for ANY correct heap. Used by the free-path MWU,
-/// whose per-round best response only reads target distances and walks
-/// parents back from targets.
+/// Caches one FlatAdjacency across calls: `get(g)` rebuilds the snapshot
+/// only when g's topology stamp differs from the one it was built from, so
+/// capacity updates keep it and any other graph, even one constructed at
+/// the same address with the same shape, replaces it. Scratch structs that
+/// run Dijkstra sweeps over a served graph hold one of these.
+class FlatAdjacencyCache {
+ public:
+  const FlatAdjacency& get(const Graph& g);
+
+ private:
+  std::optional<FlatAdjacency> adj_;
+  std::uint64_t stamp_ = 0;  // 0 is never a topology stamp
+};
+
+/// Dijkstra over a FlatAdjacency snapshot: the library's Dijkstra kernel,
+/// with two modes.
+///
+/// Full sweep (`is_target` empty, `num_targets` 0): every length must be
+/// >= 0, and the run settles every reachable vertex. `dist` and
+/// `parent_edge` then equal `dijkstra()`'s for every vertex, bit for bit
+/// (unreachable: infinity / -1).
+///
+/// Early exit (`is_target` of size num_vertices with exactly `num_targets`
+/// distinct flags): stops as soon as every flagged vertex has been settled.
+/// Requires every length to be STRICTLY positive. Then, for every settled
+/// vertex — in particular every target and every vertex on a shortest path
+/// to one (strictly positive lengths put those at strictly smaller dist,
+/// hence settled strictly earlier, with parent pointers that can never be
+/// overwritten once settled) — `dist` and `parent_edge` equal a full
+/// sweep's; entries of unsettled vertices are unspecified (infinity/-1 or
+/// a tentative value).
+///
+/// Either way the scratch vector runs as a 4-ary min-heap: every heap item
+/// (dist, vertex) is distinct (a vertex re-enters only with a strictly
+/// smaller dist) and the comparator is a total order, so the pop sequence —
+/// and with it every settled dist and parent pointer — is the same for ANY
+/// correct heap, the reference's binary heap included. `parent_edge` may be
+/// empty to skip parent tracking.
 void dijkstra_into_targets(const FlatAdjacency& adj, int source,
                            const std::vector<double>& length,
                            std::span<double> dist, std::span<int> parent_edge,
                            DijkstraScratch& scratch,
-                           const std::vector<char>& is_target,
-                           int num_targets);
+                           std::span<const char> is_target = {},
+                           int num_targets = 0);
 
 /// One shortest s-t path under `length` (deterministic tie-breaking by edge
 /// id). Returns empty path if t is unreachable.

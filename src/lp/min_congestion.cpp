@@ -161,8 +161,11 @@ namespace {
 //  * round loads are aggregated sparsely over the touched-edge set: for an
 //    untouched edge every reference update is `+= 0.0` or a max against
 //    0.0, which leaves IEEE doubles bit-unchanged;
-//  * the early-exit check short-circuits on the first violating edge (the
-//    reference computes a max and compares once; the boolean is the same).
+//  * the early-exit check walks the active edges only and short-circuits
+//    on the first violating one (the reference computes a max over all m
+//    edges and compares once): any other edge never carried load, so its
+//    cumulative load is +0.0 and its ratio +0.0 never exceeds the bar
+//    best_lower * gap > 0 — the boolean is the same.
 //
 // An Oracle provides:
 //   reset(out)             its output fields for an empty/unsolved instance
@@ -361,12 +364,14 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
 
     if (round + 1 >= options.min_rounds && best_lower > 0.0) {
       // Exit iff max_e cumulative/(rounds * cap) <= lower * gap, i.e. iff
-      // no edge violates; short-circuit on the first violation.
+      // no edge violates; only active edges can, and the scan stops at the
+      // first that does.
       const double bar = best_lower * gap_mult;
       bool exit_now = true;
-      for (std::size_t e = 0; e < m; ++e) {
-        if (cumulative_load[e] /
-                (static_cast<double>(round + 1) * cap[e]) >
+      for (int e : active) {
+        if (cumulative_load[static_cast<std::size_t>(e)] /
+                (static_cast<double>(round + 1) *
+                 cap[static_cast<std::size_t>(e)]) >
             bar) {
           exit_now = false;
           break;
@@ -646,8 +651,9 @@ struct RestrictedOracle {
 //  * commodities are grouped by source ONCE (the reference rebuilt the same
 //    grouping every round: sources ascending, input order within a source);
 //  * Dijkstra best responses run through dijkstra_into_targets with reused
-//    dist/parent/heap scratch over a cached CSR snapshot — same algorithm,
-//    same heap discipline, zero per-round allocation;
+//    dist/parent/heap scratch over a cached CSR snapshot — same settled
+//    dists and parents as the reference's binary heap, zero per-round
+//    allocation;
 //  * Dijkstra may read ANY edge's length, so all m lengths are refreshed
 //    each round over a serial index-order total of the same per-edge values
 //    the reference sums (expv on active edges, the shared value elsewhere).
@@ -719,15 +725,6 @@ struct FreeOracle {
     sc.owned.resize(k);  // stale contents are cleared every round
     sc.dist.assign(n, 0.0);
     sc.parent_edge.assign(n, -1);
-    // The CSR snapshot is cached across CALLS on the same graph (see
-    // MinCongestionScratch::adj); arc order is identical to Graph::incident.
-    if (sc.adj_graph != &g || sc.adj_vertices != g.num_vertices() ||
-        sc.adj_edges != g.num_edges()) {
-      sc.adj.emplace(g);
-      sc.adj_graph = &g;
-      sc.adj_vertices = g.num_vertices();
-      sc.adj_edges = g.num_edges();
-    }
   }
 
   void best_response(double untouched_value) {
@@ -753,20 +750,24 @@ struct FreeOracle {
       sc.owned[j].clear();
       sc.chosen_len[j] = 0.0;
     }
+    // The CSR snapshot is cached across calls on the same topology (see
+    // FlatAdjacencyCache); arc order is identical to Graph::incident.
+    const FlatAdjacency& adj = sc.adj.get(g);
     for (std::size_t si = 0; si < sc.sources.size(); ++si) {
       const int s = sc.sources[si];
       if (lengths_positive) {
         for (std::size_t j : group(s)) {
           sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 1;
         }
-        dijkstra_into_targets(*sc.adj, s, sc.lengths, sc.dist, sc.parent_edge,
+        dijkstra_into_targets(adj, s, sc.lengths, sc.dist, sc.parent_edge,
                               sc.dijkstra, sc.is_target,
                               sc.distinct_targets[si]);
         for (std::size_t j : group(s)) {
           sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
         }
       } else {
-        dijkstra_into(g, s, sc.lengths, sc.dist, sc.parent_edge, sc.dijkstra);
+        dijkstra_into_targets(adj, s, sc.lengths, sc.dist, sc.parent_edge,
+                              sc.dijkstra);
       }
       for (std::size_t j : group(s)) {
         const int t = commodities[j].t;

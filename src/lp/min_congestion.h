@@ -206,14 +206,9 @@ struct MinCongestionScratch {
   std::vector<double> dist;
   std::vector<int> parent_edge;
   DijkstraScratch dijkstra;
-  // CSR snapshot cache, keyed on graph identity + shape. Arcs depend only
-  // on the incidence structure, never on capacities, so the snapshot stays
-  // valid across Graph::set_edge_capacity (the only mutation the scenario
-  // layer performs on a served graph).
-  std::optional<FlatAdjacency> adj;
-  const Graph* adj_graph = nullptr;
-  int adj_vertices = 0;
-  int adj_edges = 0;
+  // CSR snapshot, kept across calls on the same topology (arcs never read
+  // capacities, so Graph::set_capacity keeps it valid).
+  FlatAdjacencyCache adj;
 };
 
 /// Fractional min-congestion routing of `commodities` where commodity j may
@@ -232,9 +227,10 @@ CongestionResult min_congestion_over_paths(
 /// Each round's cost is proportional to the candidate footprint, not to m:
 /// the normalizing total sum_e x_e is a segmented sum (the untouched edges'
 /// shared weight times their count, plus the touched edges' weights in four
-/// lanes). Only that total's association differs from a serial sum over all
-/// m edges; every per-edge value is exact, and the returned congestion and
-/// dual bound remain exact certificates of the LP.
+/// lanes), and the early-exit check scans only edges that ever carried load
+/// or a warm seed. Only the total's association differs from a serial sum
+/// over all m edges; every per-edge value is exact, and the returned
+/// congestion and dual bound remain exact certificates of the LP.
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,
@@ -264,7 +260,8 @@ CongestionResult min_congestion_free(
 
 /// Scratch-threaded form of the free solve (see
 /// min_congestion_over_paths_into for the contract). Also caches the CSR
-/// adjacency snapshot in the scratch across calls on the same graph.
+/// adjacency snapshot in the scratch across calls on graphs of the same
+/// topology stamp (see FlatAdjacencyCache).
 void min_congestion_free_into(const Graph& g,
                               const std::vector<Commodity>& commodities,
                               const MinCongestionOptions& options,

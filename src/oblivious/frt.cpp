@@ -11,8 +11,8 @@
 namespace sor {
 namespace {
 
-/// Reconstructs the shortest path from `src` to `dst` given `parent_edge`
-/// produced by dijkstra_into(g, src, ...).
+/// Reconstructs the shortest path from `src` to `dst` given the
+/// `parent_edge` row of a full Dijkstra sweep from `src`.
 Path reconstruct(const Graph& g, int src, int dst,
                  std::span<const int> parent_edge) {
   Path reversed = {dst};
@@ -40,16 +40,19 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
   // All-pairs shortest distances + parent pointers w.r.t. edge_length, in
   // flat n*n row-major buffers (one contiguous slab instead of n separate
   // heap rows): dist[u*n + v]. The per-tree constructor dominates racke
-  // build time, so every Dijkstra writes straight into its row.
+  // build time, so every row is one full sweep of the CSR kernel over a
+  // snapshot built once per tree, written straight into the row.
   std::vector<double> dist(sn * sn);
   std::vector<int> parent(sn * sn);
+  const FlatAdjacency adj(g);
+  DijkstraScratch scratch;
   double diameter = 0.0;
   double min_positive = std::numeric_limits<double>::infinity();
   for (int v = 0; v < n; ++v) {
     const std::size_t row = static_cast<std::size_t>(v) * sn;
-    dijkstra_into(g, v, edge_length,
-                  std::span<double>(dist.data() + row, sn),
-                  std::span<int>(parent.data() + row, sn));
+    dijkstra_into_targets(adj, v, edge_length,
+                          std::span<double>(dist.data() + row, sn),
+                          std::span<int>(parent.data() + row, sn), scratch);
     for (int w = 0; w < n; ++w) {
       const double d = dist[row + static_cast<std::size_t>(w)];
       assert(d != std::numeric_limits<double>::infinity() &&

@@ -2,11 +2,13 @@
 //
 // One EngineScratch aggregates every reusable working set a single
 // route_one_into call needs — the restricted-MWU route scratch, the
-// free-MWU optimum scratch, the distance-bound Dijkstra row, and the
-// packet-path staging arena. All of it is capacity-retaining (see the per-layer scratch
-// structs), so a warm EngineScratch makes the whole stage-3..5 pipeline
-// allocation-free under a stable demand shape — the measured contract
-// bench_m7_service_memory gates.
+// free-MWU optimum scratch, the distance-bound Dijkstra state, and the
+// packet-path staging arena. All of it is capacity-retaining (see the
+// per-layer scratch structs), and the two Dijkstra users keep their CSR
+// snapshot of the served graph across calls (FlatAdjacencyCache, rebuilt
+// only when the topology stamp changes), so a warm EngineScratch makes the
+// whole stage-3..5 pipeline allocation-free under a stable demand shape —
+// the measured contract bench_m7_service_memory gates.
 //
 // ScratchPool is the concurrency story: route_batch fans demands out across
 // the engine's thread pool, and scratch contents must never be shared
@@ -31,7 +33,7 @@ namespace sor::runtime {
 struct EngineScratch {
   RouteScratch route;            ///< restricted MWU + flat candidate gather
   OptimumScratch optimum;        ///< free-path MWU (offline optimum oracle)
-  DistanceBoundScratch distance; ///< distance-duality lower bound
+  DistanceBoundScratch distance; ///< distance-duality lower bound + CSR
   std::vector<Path> packet_paths;  ///< packet-simulation staging
 };
 

@@ -6,6 +6,7 @@
 // surviving output bit-identical across threads and modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "io/scenario_io.h"
 #include "io/serialization.h"
 #include "lp/min_congestion.h"
+#include "obs/convergence.h"
 #include "scale/demand_source.h"
 #include "scenario/scenario.h"
 
@@ -286,6 +288,36 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
   EXPECT_EQ(a.lower_bound, b.lower_bound);
 }
 
+/// Checks the early-exit rule against a sink's trajectory: the solve must
+/// stop at exactly the first round >= min_rounds whose record has
+/// congestion <= best_lower * gap, or run all rounds when none does. The
+/// sink's congestion is its own max over all m edges, independent of the
+/// solver's stop scan. Returns whether the target was reached.
+bool expect_stop_rule(const CongestionResult& r,
+                      const std::vector<obs::ConvergenceRecord>& records,
+                      const MinCongestionOptions& options) {
+  const double gap = options.budget.target_gap > 0.0
+                         ? options.budget.target_gap
+                         : options.target_gap;
+  int first_met = 0;
+  for (const obs::ConvergenceRecord& rec : records) {
+    if (rec.round >= options.min_rounds && rec.best_lower > 0.0 &&
+        rec.congestion <= rec.best_lower * gap) {
+      first_met = rec.round;
+      break;
+    }
+  }
+  EXPECT_EQ(records.size(), static_cast<std::size_t>(r.rounds_used));
+  if (first_met == 0) {
+    EXPECT_EQ(r.status, SolveStatus::kCompleted);
+    EXPECT_EQ(r.rounds_used, options.rounds);
+    return false;
+  }
+  EXPECT_EQ(r.status, SolveStatus::kTargetReached);
+  EXPECT_EQ(r.rounds_used, first_met);
+  return true;
+}
+
 TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   RestrictedInstance inst;
   const CongestionResult full =
@@ -299,6 +331,53 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   EXPECT_LE(early.rounds_used, full.rounds_used);
   expect_certificate(early);
   EXPECT_LE(early.congestion, early.lower_bound * 10.0 + 1e-9);
+
+  // The stop round, per solver, across bars and min_rounds: restricted,
+  // free, and restricted warm-seeded on every edge (so the active set
+  // starts with edges no candidate uses, which keep zero load).
+  const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
+  std::vector<double> seed(static_cast<std::size_t>(inst.g.num_edges()));
+  for (std::size_t e = 0; e < seed.size(); ++e) {
+    seed[e] = 0.2 + 0.1 * static_cast<double>(e % 3);
+  }
+  const MwuWarmStart warm{seed, 1.0};
+  MinCongestionScratch scratch;
+  CongestionResult r;
+  std::vector<obs::ConvergenceRecord> records;
+  int reached = 0;
+  int reached_late = 0;  // stops past the first round the rule could fire
+  for (const double gap : {10.0, 1.5, 1.2, 1.05}) {
+    for (const int min_rounds : {1, 50}) {
+      SCOPED_TRACE(testing::Message() << "gap " << gap << " min_rounds "
+                                      << min_rounds);
+      MinCongestionOptions o;
+      o.budget.target_gap = gap;
+      o.min_rounds = min_rounds;
+      for (int solver = 0; solver < 3; ++solver) {
+        obs::ConvergenceSink sink(records);
+        MwuHooks hooks;
+        hooks.sink = &sink;
+        if (solver == 1) {
+          min_congestion_free_into(inst.g, inst.commodities, o, hooks,
+                                   scratch, r);
+        } else {
+          if (solver == 2) hooks.warm = &warm;
+          min_congestion_over_paths_into(inst.g, inst.commodities, flat, o,
+                                         hooks, scratch, r);
+        }
+        if (solver == 2) {
+          EXPECT_TRUE(std::count(r.edge_load.begin(), r.edge_load.end(),
+                                 0.0) > 0);
+        }
+        if (expect_stop_rule(r, records, o)) {
+          ++reached;
+          if (r.rounds_used > min_rounds) ++reached_late;
+        }
+      }
+    }
+  }
+  EXPECT_GE(reached, 6);
+  EXPECT_GE(reached_late, 1);
 }
 
 TEST(AnytimeSolve, DeadlineBudgetStopsAtACheckpoint) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 
@@ -132,6 +134,33 @@ TEST(Frt, RespectsEdgeLengths) {
     std::vector<double> load(4, 0.0);
     tree.accumulate_embedding_load(g, load);
     EXPECT_DOUBLE_EQ(load[static_cast<std::size_t>(heavy)], 0.0);
+  }
+}
+
+TEST(Frt, EmbeddedPathsMatchReferenceDijkstra) {
+  // Every tree edge embeds the shortest path between the two centers that
+  // the reference dijkstra() row of the parent center rebuilds — under unit
+  // lengths (many ties, so tie-breaking must match too) and random ones.
+  Rng rng(7);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Graph g = gen::erdos_renyi_connected(24, 0.2, rng);
+    std::vector<double> lengths = unit_lengths(g);
+    if (trial % 2 == 1) {
+      for (double& l : lengths) l = 0.1 + rng.uniform_double();
+    }
+    const FrtTree tree(g, lengths, rng);
+    for (const FrtNode& node : tree.nodes()) {
+      if (node.parent < 0) continue;
+      const int parent_center =
+          tree.nodes()[static_cast<std::size_t>(node.parent)].center;
+      if (node.center == parent_center) {
+        EXPECT_TRUE(node.path_to_parent.empty());
+        continue;
+      }
+      Path expected = shortest_path(g, parent_center, node.center, lengths);
+      std::reverse(expected.begin(), expected.end());
+      EXPECT_EQ(node.path_to_parent, expected);
+    }
   }
 }
 

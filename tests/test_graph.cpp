@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 namespace sor {
@@ -21,6 +22,23 @@ TEST(Graph, AddEdgeAndAccessors) {
   EXPECT_EQ(g.edge_between(1, 2), e1);
   EXPECT_EQ(g.edge_between(2, 1), e1);
   EXPECT_EQ(g.edge_between(0, 3), -1);
+}
+
+TEST(Graph, TopologyStampTracksIncidenceOnly) {
+  Graph g(3);
+  const std::uint64_t built = g.topology_stamp();
+  EXPECT_NE(built, 0u);
+  EXPECT_NE(Graph(3).topology_stamp(), built);  // process-unique
+  g.add_edge(0, 1);
+  const std::uint64_t one_edge = g.topology_stamp();
+  EXPECT_NE(one_edge, built);
+  g.set_capacity(0, 5.0);  // capacities are not topology
+  EXPECT_EQ(g.topology_stamp(), one_edge);
+  Graph copy = g;  // a copy shares the structure, hence the stamp
+  EXPECT_EQ(copy.topology_stamp(), one_edge);
+  copy.add_edge(1, 2);
+  EXPECT_NE(copy.topology_stamp(), one_edge);
+  EXPECT_EQ(g.topology_stamp(), one_edge);
 }
 
 TEST(Graph, ParallelEdgesCanonicalIsMaxCapacity) {

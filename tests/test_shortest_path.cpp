@@ -70,39 +70,73 @@ TEST(ShortestPath, ShortestPathHopsIsValidAndTight) {
 }
 
 TEST(ShortestPath, DijkstraIntoTargetsMatchesFullRun) {
-  // The early-exit CSR variant must agree bit-for-bit with the full
-  // dijkstra_into on everything its contract covers: the target's dist
-  // and the whole parent chain back to the source (strictly positive
-  // lengths make the settled prefix final).
+  // The CSR kernel must agree bit-for-bit with the reference dijkstra():
+  // in full-sweep mode on every vertex, zero-length edges included; in
+  // early-exit mode on everything its contract covers — each target's dist
+  // and its whole parent chain back to the source (strictly positive
+  // lengths make the settled prefix final), for one or several targets.
+  // Odd trials are multigraphs with parallel edges and two isolated
+  // vertices, so some targets are unreachable (infinity / -1).
   Rng rng(29);
-  for (int trial = 0; trial < 6; ++trial) {
-    const Graph g = gen::erdos_renyi_connected(30, 0.15, rng);
-    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  for (int trial = 0; trial < 10; ++trial) {
+    Graph g(30);
+    if (trial % 2 == 0) {
+      g = gen::erdos_renyi_connected(30, 0.15, rng);
+    } else {
+      for (int i = 0; i < 60; ++i) {
+        const int u = rng.uniform_int(0, 27);
+        int v = rng.uniform_int(0, 27);
+        if (v == u) v = (u + 1) % 28;
+        g.add_edge(u, v);
+      }
+    }
+    const int n = g.num_vertices();
+    const std::size_t sn = static_cast<std::size_t>(n);
     std::vector<double> length(static_cast<std::size_t>(g.num_edges()));
     for (double& l : length) l = 0.05 + rng.uniform_double();
+    std::vector<double> with_zeros = length;
+    for (double& l : with_zeros) {
+      if (rng.uniform_double() < 0.3) l = 0.0;
+    }
     const FlatAdjacency adj(g);
-    ASSERT_EQ(adj.num_vertices(), g.num_vertices());
-    std::vector<double> full_dist(n), dist(n);
-    std::vector<int> full_parent(n), parent(n);
+    ASSERT_EQ(adj.num_vertices(), n);
+    std::vector<double> dist(sn);
+    std::vector<int> full_parent, parent(sn);
     DijkstraScratch scratch;
     for (int probe = 0; probe < 5; ++probe) {
-      const int s = rng.uniform_int(0, g.num_vertices() - 1);
-      int t = rng.uniform_int(0, g.num_vertices() - 1);
-      if (s == t) t = (t + 1) % g.num_vertices();
-      dijkstra_into(g, s, length, full_dist, full_parent);
-      std::vector<char> is_target(n, 0);
-      is_target[static_cast<std::size_t>(t)] = 1;
-      dijkstra_into_targets(adj, s, length, dist, parent, scratch, is_target,
-                            1);
-      EXPECT_EQ(dist[static_cast<std::size_t>(t)],
-                full_dist[static_cast<std::size_t>(t)]);
-      int v = t;
-      while (v != s) {
-        ASSERT_EQ(parent[static_cast<std::size_t>(v)],
-                  full_parent[static_cast<std::size_t>(v)]);
-        EXPECT_EQ(dist[static_cast<std::size_t>(v)],
-                  full_dist[static_cast<std::size_t>(v)]);
-        v = g.edge(parent[static_cast<std::size_t>(v)]).other(v);
+      const int s = rng.uniform_int(0, n - 1);
+      for (const std::vector<double>* len : {&length, &with_zeros}) {
+        const auto full_dist = dijkstra(g, s, *len, &full_parent);
+        dijkstra_into_targets(adj, s, *len, dist, parent, scratch);
+        EXPECT_EQ(dist, full_dist);
+        EXPECT_EQ(parent, full_parent);
+      }
+      const auto full_dist = dijkstra(g, s, length, &full_parent);
+      for (int num_targets : {1, 3, 8}) {
+        std::vector<char> is_target(sn, 0);
+        std::vector<int> targets;
+        while (static_cast<int>(targets.size()) < num_targets) {
+          const int t = rng.uniform_int(0, n - 1);
+          if (is_target[static_cast<std::size_t>(t)]) continue;
+          is_target[static_cast<std::size_t>(t)] = 1;
+          targets.push_back(t);
+        }
+        dijkstra_into_targets(adj, s, length, dist, parent, scratch,
+                              is_target, num_targets);
+        for (int t : targets) {
+          int v = t;
+          EXPECT_EQ(dist[static_cast<std::size_t>(v)],
+                    full_dist[static_cast<std::size_t>(v)]);
+          EXPECT_EQ(parent[static_cast<std::size_t>(v)],
+                    full_parent[static_cast<std::size_t>(v)]);
+          while (v != s && parent[static_cast<std::size_t>(v)] >= 0) {
+            ASSERT_EQ(parent[static_cast<std::size_t>(v)],
+                      full_parent[static_cast<std::size_t>(v)]);
+            v = g.edge(parent[static_cast<std::size_t>(v)]).other(v);
+            EXPECT_EQ(dist[static_cast<std::size_t>(v)],
+                      full_dist[static_cast<std::size_t>(v)]);
+          }
+        }
       }
     }
   }
