@@ -20,6 +20,7 @@
 
 #include "bench_common.h"
 #include "oblivious/racke.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -64,10 +65,10 @@ void sweep_racke_construction(Table& table, bool quick) {
   for (int threads : kThreadSweep) {
     RackeOptions options;
     options.num_trees = num_trees;
-    options.threads = threads;
+    util::ThreadPool pool(threads);
     Rng rng(1234);  // same seed every sweep point: outputs must coincide
     const auto start = Clock::now();
-    RackeRouting routing(g, options, rng);
+    RackeRouting routing(g, options, rng, &pool);
     const double elapsed = ms_since(start);
     const std::vector<Path> signature = racke_signature(routing, n);
     if (threads == 1) {

@@ -67,8 +67,6 @@ class SyntheticEntrySource final : public scale::DemandSource {
     return true;
   }
 
-  std::size_t size_hint() const override { return count_; }
-
  private:
   std::span<const std::pair<int, int>> pool_;
   std::size_t count_ = 0;

@@ -112,17 +112,9 @@ const std::string& BackendRegistry::description(const std::string& name) const {
   return it->second.description;
 }
 
-const std::vector<std::string>& BackendRegistry::keys(
-    const std::string& name) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw std::invalid_argument("unknown backend \"" + name + "\"");
-  }
-  return it->second.keys;
-}
-
 std::unique_ptr<ObliviousRouting> BackendRegistry::make(
-    const Graph& g, const BackendSpec& spec, Rng& rng) const {
+    const Graph& g, const BackendSpec& spec, Rng& rng,
+    util::ThreadPool* pool) const {
   auto it = entries_.find(spec.name);
   if (it == entries_.end()) {
     std::ostringstream msg;
@@ -142,12 +134,13 @@ std::unique_ptr<ObliviousRouting> BackendRegistry::make(
       throw std::invalid_argument(msg.str());
     }
   }
-  return entry.factory(g, spec, rng);
+  return entry.factory(g, spec, rng, pool);
 }
 
 std::unique_ptr<ObliviousRouting> BackendRegistry::make(
-    const Graph& g, const std::string& spec_text, Rng& rng) const {
-  return make(g, BackendSpec::parse(spec_text), rng);
+    const Graph& g, const std::string& spec_text, Rng& rng,
+    util::ThreadPool* pool) const {
+  return make(g, BackendSpec::parse(spec_text), rng, pool);
 }
 
 }  // namespace sor

@@ -29,6 +29,10 @@
 
 namespace sor {
 
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 /// A backend selection: registry name plus numeric knobs. Every knob is a
 /// double (ints are rounded by the factories); unknown keys are rejected at
 /// construction time by the factory's declared key list.
@@ -52,8 +56,12 @@ struct BackendSpec {
 /// Process-wide name -> factory table for oblivious routing substrates.
 class BackendRegistry {
  public:
+  /// `pool` is the caller's worker pool for backends whose construction
+  /// fans out (racke builds each wave's trees on it); null = serial. The
+  /// pool never changes a backend's output, only its wall-clock.
   using Factory = std::function<std::unique_ptr<ObliviousRouting>(
-      const Graph& g, const BackendSpec& spec, Rng& rng)>;
+      const Graph& g, const BackendSpec& spec, Rng& rng,
+      util::ThreadPool* pool)>;
 
   struct Entry {
     std::string description;          ///< one-liner for --list-backends
@@ -73,22 +81,20 @@ class BackendRegistry {
   std::vector<std::string> names() const;
   /// Description for a registered name; throws std::invalid_argument else.
   const std::string& description(const std::string& name) const;
-  /// Accepted param keys of a registered name (used by SorEngine to decide
-  /// whether its thread count can flow into the backend's construction);
-  /// throws std::invalid_argument for unknown names.
-  const std::vector<std::string>& keys(const std::string& name) const;
 
-  /// Builds the substrate `spec` names over `g`. Throws
-  /// std::invalid_argument for unknown names, unknown param keys, or
-  /// parameters the backend rejects (e.g. "valiant" on a non-hypercube).
-  std::unique_ptr<ObliviousRouting> make(const Graph& g,
-                                         const BackendSpec& spec,
-                                         Rng& rng) const;
+  /// Builds the substrate `spec` names over `g`, fanning construction out
+  /// on `pool` when the backend can (null = serial; SorEngine passes its
+  /// own pool). Throws std::invalid_argument for unknown names, unknown
+  /// param keys (the message lists the accepted ones), or parameters the
+  /// backend rejects (e.g. "valiant" on a non-hypercube).
+  std::unique_ptr<ObliviousRouting> make(
+      const Graph& g, const BackendSpec& spec, Rng& rng,
+      util::ThreadPool* pool = nullptr) const;
 
-  /// Convenience: make(g, BackendSpec::parse(text), rng).
-  std::unique_ptr<ObliviousRouting> make(const Graph& g,
-                                         const std::string& spec_text,
-                                         Rng& rng) const;
+  /// Convenience: make(g, BackendSpec::parse(text), rng, pool).
+  std::unique_ptr<ObliviousRouting> make(
+      const Graph& g, const std::string& spec_text, Rng& rng,
+      util::ThreadPool* pool = nullptr) const;
 
  private:
   BackendRegistry() = default;

@@ -60,34 +60,27 @@ bool is_near_integral(const Demand& d) {
   return true;
 }
 
-/// Maps the captured epoch's per-unit integral choices onto the CURRENT
-/// candidate indexing: unit u of commodity j gets the index of its
-/// previously chosen path among ps.refs(s, t), or -1 when that path is no
-/// longer a candidate (round_randomized falls back deterministically).
-void build_rounding_seed(const PathSystem& ps, const Demand& demand,
-                         const warm::ColumnPool& pool,
+/// The captured epoch's integral choices per CURRENT commodity, by a merge
+/// walk of the two (s, t)-sorted supports: a captured pair takes its
+/// choices verbatim, any other pair gets an empty list (round_randomized's
+/// argmax fallback). Verbatim is exact because `st.choices` is non-empty
+/// only while no reinstall ran since the capture, so every index still
+/// names the same installed candidate of its pair.
+void build_rounding_seed(const Demand& demand, const warm::WarmStartState& st,
                          std::vector<std::vector<int>>& out) {
   out.clear();
   out.reserve(demand.entries().size());
+  std::size_t i = 0;
   for (const auto& [pair, value] : demand.entries()) {
-    auto& units = out.emplace_back();
-    const warm::PairColumns* entry = pool.find(pair.first, pair.second);
-    if (entry == nullptr || entry->choices.empty()) continue;
-    const auto refs = ps.refs(pair.first, pair.second);
-    units.reserve(entry->choices.size());
-    for (int choice : entry->choices) {
-      int mapped = -1;
-      if (choice >= 0 &&
-          static_cast<std::size_t>(choice) < entry->columns.size()) {
-        const PathRef prev = entry->columns[static_cast<std::size_t>(choice)];
-        for (std::size_t i = 0; i < refs.size(); ++i) {
-          if (refs[i].offset == prev.offset && refs[i].hops == prev.hops) {
-            mapped = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-      units.push_back(mapped);
+    while (i < st.demand.size() &&
+           std::make_pair(st.demand[i].s, st.demand[i].t) < pair) {
+      ++i;
+    }
+    if (i < st.demand.size() && st.demand[i].s == pair.first &&
+        st.demand[i].t == pair.second) {
+      out.push_back(st.choices[i]);
+    } else {
+      out.emplace_back();
     }
   }
 }
@@ -129,24 +122,11 @@ SorEngine SorEngine::build(Graph graph, const BackendSpec& spec,
   engine.rng_.reseed(seed);
   engine.threads_ = threads;
   engine.graph_ = std::make_unique<Graph>(std::move(graph));
-  // The engine's thread count flows into backend construction when the
-  // backend declares a "threads" knob the caller has not pinned himself
-  // (racke builds its per-wave trees concurrently, say). Results stay
-  // thread-count invariant, so this is purely a wall-clock decision.
-  BackendSpec effective = spec;
-  const auto& registry = BackendRegistry::instance();
-  if (!effective.params.count("threads") && registry.has(effective.name)) {
-    const auto& keys = registry.keys(effective.name);
-    engine.owns_threads_knob_ =
-        std::find(keys.begin(), keys.end(), "threads") != keys.end();
-  }
-  if (engine.owns_threads_knob_ && threads != 1) {
-    effective.params["threads"] = static_cast<double>(threads);
-  }
-  engine.spec_ = effective;
+  engine.spec_ = spec;
   {
     const StageScope stage("build", engine.build_ms_);
-    engine.backend_ = registry.make(*engine.graph_, effective, engine.rng_);
+    engine.backend_ = BackendRegistry::instance().make(
+        *engine.graph_, spec, engine.rng_, engine.pool());
   }
   return engine;
 }
@@ -191,9 +171,9 @@ void SorEngine::set_edge_capacity(int e, double capacity) {
   // Warm-start delta update (docs/warm-start.md): the captured log-weights
   // accumulated eta * load/cap increments, so a capacity change rescales
   // the edge's future congestion pressure by old/new — apply the same
-  // factor to the stored seed. The version bump retires the REPLAY
-  // snapshot (its congestion is stale) while the rescaled seed stays live.
-  ++graph_version_;
+  // factor to the stored seed. The REPLAY snapshot goes (its congestion is
+  // stale) while the rescaled seed stays live.
+  warm_replay_.reset();
   if (warm_state_ && warm_state_->valid && old_cap > 0.0) {
     const double ratio = old_cap / capacity;
     const auto idx = static_cast<std::size_t>(e);
@@ -207,20 +187,10 @@ void SorEngine::set_edge_capacity(int e, double capacity) {
 }
 
 void SorEngine::rebuild_backend() {
-  // The "threads" knob build() injected (never one the caller pinned)
-  // tracks the CURRENT pool width: a set_threads() between build and
-  // rebuild must not resurrect the old parallelism.
-  if (owns_threads_knob_) {
-    if (threads_ != 1) {
-      spec_.params["threads"] = static_cast<double>(threads_);
-    } else {
-      spec_.params.erase("threads");
-    }
-  }
   obs::service_counters().rebuilds.fetch_add(1, std::memory_order_relaxed);
   {
     const StageScope stage("rebuild", build_ms_);
-    backend_ = BackendRegistry::instance().make(*graph_, spec_, rng_);
+    backend_ = BackendRegistry::instance().make(*graph_, spec_, rng_, pool());
   }
   // A new substrate invalidates every cross-epoch capture: the warm seed's
   // "nearby instance" premise is gone along with the old routing.
@@ -293,14 +263,13 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
                               *paths_);
     }
   }
-  PathRemap remap;
-  paths_->compact_store(&remap);
-  // Carry the column pool across the reinstall: surviving refs rewrite
-  // through the remap, dropped ones retire their pair's entry. The
-  // edge-level warm seed is untouched — it is version-insensitive to path
-  // churn — but the replay snapshot is retired via the version bump.
-  if (warm_state_) warm_state_->columns.apply_remap(remap);
-  ++paths_version_;
+  paths_->compact_store();
+  // Every requested pair was resampled into fresh slabs, so the captured
+  // integral choices and the replay snapshot no longer describe the
+  // installed candidates. The edge-level warm seed never referenced paths
+  // and stays.
+  if (warm_state_) warm_state_->choices.clear();
+  warm_replay_.reset();
   return *paths_;
 }
 
@@ -450,9 +419,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   const bool replayable = !spec.round_integral && !spec.simulate_packets;
 
   // ---- replay fast path: the bit-identical instance ---------------------
-  if (replayable && st.valid && warm_replay_ &&
-      st.graph_version == graph_version_ &&
-      st.paths_version == paths_version_ && spec == warm_spec_ &&
+  if (replayable && st.valid && warm_replay_ && spec == warm_spec_ &&
       warm::demand_matches(st.demand, demand)) {
     const obs::TraceSpan span("replay", "warm");
     obs::ServiceCounters& counters = obs::service_counters();
@@ -493,8 +460,8 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
         hooks.free_path.warm = &free_seed;
       }
       if ((spec.round_integral || spec.simulate_packets) &&
-          !st.columns.empty()) {
-        build_rounding_seed(*paths_, demand, st.columns, rounding_seed);
+          !st.choices.empty()) {
+        build_rounding_seed(demand, st, rounding_seed);
         hooks.rounding_seed = &rounding_seed;
       }
     }
@@ -522,18 +489,12 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   }
   const obs::TraceSpan capture_span("capture", "warm");
   st.valid = true;
-  st.graph_version = graph_version_;
-  st.paths_version = paths_version_;
   demand.entries_into(st.demand);
   if (!hit) st.cold_rounds = out.solution.rounds_used;
-  st.columns.clear();
-  for (std::size_t j = 0; j < out.solution.commodities.size(); ++j) {
-    const Commodity& c = out.solution.commodities[j];
-    std::span<const int> choices;
-    if (out.integral && j < out.integral->choices.size()) {
-      choices = out.integral->choices[j];
-    }
-    st.columns.record(c.s, c.t, paths_->refs(c.s, c.t), choices);
+  if (out.integral) {
+    st.choices = out.integral->choices;
+  } else {
+    st.choices.assign(out.solution.commodities.size(), {});
   }
   if (replayable) {
     if (!warm_replay_) warm_replay_ = std::make_unique<RouteReport>();

@@ -138,7 +138,7 @@ struct RouteSpec {
   SchedulePolicy policy = SchedulePolicy::kRandomPriority;
   /// Opt-in cross-epoch warm starts (default OFF; docs/warm-start.md is the
   /// contract). When on, the engine captures each route's MWU endpoint
-  /// (adversary log-weights, column pool, integral choices) and seeds the
+  /// (adversary log-weights, integral choices) and seeds the
   /// NEXT route from it: a bit-identical instance replays the stored
   /// report outright; a nearby instance resumes both MWU solvers from the
   /// damped prior iterate and seeds rounding from the prior integral
@@ -334,10 +334,10 @@ class SorEngine {
  public:
   /// Stage 1: takes ownership of `graph` and builds the named substrate
   /// over it. All randomness downstream flows from `seed`; `threads` sizes
-  /// the engine's worker pool (1 = serial, 0 = hardware concurrency) and,
-  /// when the backend accepts a "threads" param the spec does not already
-  /// set, flows into the backend's construction too. Thread count never
-  /// changes results, only wall-clock (see the header comment).
+  /// the engine's worker pool (1 = serial, 0 = hardware concurrency), which
+  /// the backend's construction runs on too (see BackendRegistry::make).
+  /// Thread count never changes results, only wall-clock (see the header
+  /// comment).
   static SorEngine build(Graph graph, const BackendSpec& spec,
                          std::uint64_t seed = 1, int threads = 1);
   /// Convenience: build(graph, BackendSpec::parse(spec_text), seed).
@@ -390,8 +390,9 @@ class SorEngine {
   BatchReport route_batch(std::span<const Demand> demands,
                           const RouteSpec& spec = {});
 
-  /// Resizes the worker pool used by install_paths() and route_batch()
-  /// (1 = serial, 0 = hardware concurrency). Cheap when unchanged.
+  /// Resizes the worker pool used by rebuild_backend(), install_paths()
+  /// and route_batch() (1 = serial, 0 = hardware concurrency). Cheap when
+  /// unchanged.
   void set_threads(int threads);
   int threads() const { return threads_; }
 
@@ -410,11 +411,10 @@ class SorEngine {
   /// Re-runs Stage 1 — backend construction with the spec build() stored —
   /// on the CURRENT graph (i.e. after any set_edge_capacity events),
   /// drawing fresh randomness from the engine stream and refreshing
-  /// build_ms(). An engine-injected "threads" knob is re-derived from the
-  /// live set_threads() width (a caller-pinned one is untouched). The
-  /// installed PathSystem is kept: its paths remain valid frozen
-  /// candidates; callers wanting paths sampled from the rebuilt substrate
-  /// follow up with install_paths().
+  /// build_ms(). Construction runs on the engine pool at its current
+  /// set_threads() width. The installed PathSystem is kept: its paths
+  /// remain valid frozen candidates; callers wanting paths sampled from the
+  /// rebuilt substrate follow up with install_paths().
   void rebuild_backend();
 
   /// Installs a deterministic fault-injection plan on this engine (nullptr
@@ -426,8 +426,7 @@ class SorEngine {
   /// The plan in effect (engine plan, else global plan; may be null).
   fault::FaultPlan* active_fault_plan() const;
 
-  /// The (effective) spec Stage 1 was built with; rebuild_backend() reuses
-  /// it verbatim.
+  /// The spec build() was given, verbatim; rebuild_backend() reuses it.
   const BackendSpec& backend_spec() const { return spec_; }
 
   const Graph& graph() const { return *graph_; }
@@ -503,10 +502,6 @@ class SorEngine {
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<ObliviousRouting> backend_;
   BackendSpec spec_;
-  /// build() (not the caller) manages spec_'s "threads" param: the backend
-  /// declares the knob and the caller's spec left it unpinned, so
-  /// rebuild_backend() refreshes it from the live pool width.
-  bool owns_threads_knob_ = false;
   std::optional<PathSystem> paths_;
   Rng rng_{1};
   int threads_ = 1;
@@ -545,15 +540,13 @@ class SorEngine {
   // to a build without it.
   std::unique_ptr<warm::WarmStartState> warm_state_;
   /// Stored report of the captured route, returned verbatim when the next
-  /// warm route is the bit-identical instance (same demand, versions, spec).
+  /// warm route is the bit-identical instance (same demand and spec).
+  /// set_edge_capacity, install_paths and rebuild_backend drop it (the
+  /// stored report is stale), while the edge-level log-weight seed
+  /// survives the first two (rescaled in place on capacity edits).
   std::unique_ptr<RouteReport> warm_replay_;
   /// The spec the replay snapshot was captured under.
   RouteSpec warm_spec_;
-  /// Bumped by set_edge_capacity / install_paths; a version mismatch
-  /// disables replay (the stored report is stale) while the edge-level
-  /// log-weight seed survives (rescaled in place on capacity edits).
-  std::uint64_t graph_version_ = 0;
-  std::uint64_t paths_version_ = 0;
   double build_ms_ = 0.0;
   double sample_ms_ = 0.0;
 };

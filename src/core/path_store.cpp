@@ -17,15 +17,6 @@ PathRef PathRemap::operator()(PathRef ref) const {
   return out;
 }
 
-std::optional<PathRef> PathRemap::try_remap(PathRef ref) const {
-  const auto it = std::lower_bound(from_.begin(), from_.end(), ref.offset);
-  if (it == from_.end() || *it != ref.offset) return std::nullopt;
-  PathRef out;
-  out.offset = to_[static_cast<std::size_t>(it - from_.begin())];
-  out.hops = ref.hops;
-  return out;
-}
-
 PathRef PathStore::intern(const Path& path) {
   assert(!path.empty());
   const int hops = hop_count(path);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -42,14 +41,6 @@ class PathRemap {
   /// The re-based ref (same hops, slid-down offset). Asserts that `ref`
   /// was in the compaction's live set.
   PathRef operator()(PathRef ref) const;
-
-  /// Non-asserting lookup for holders of refs that may NOT have been in the
-  /// live set (the cross-epoch warm-start column pool): the re-based ref
-  /// when `ref` survived the compaction, nullopt when its slab was dropped.
-  /// A reinstall appends fresh slabs past the old arena end before
-  /// compacting, so a previous generation's offsets can never collide with
-  /// a surviving slab's pre-compaction offset.
-  std::optional<PathRef> try_remap(PathRef ref) const;
 
   std::size_t live_paths() const { return from_.size(); }
 
@@ -77,14 +68,6 @@ class PathStore {
   /// Copies the slab behind `ref` from `other` (bound to the same graph)
   /// without re-resolving edges; returns the re-based ref.
   PathRef adopt(const PathStore& other, PathRef ref);
-
-  /// Pre-sizes the arena for `paths` paths spanning `edges` hops total
-  /// (each path of h hops occupies 2h + 1 ints, so the reservation is
-  /// 2 * edges + paths ints on top of the current size). Lets a warm-up
-  /// pass bound interning to one allocation.
-  void reserve(std::size_t paths, std::size_t edges) {
-    data_.reserve(data_.size() + 2 * edges + paths);
-  }
 
   /// Drops every path but keeps the arena's capacity — the degenerate
   /// (empty live set) compaction, used when NO existing ref survives a

@@ -49,18 +49,17 @@ void PathSystem::begin_reinstall() {
   // after re-sampling reclaims the dead prefix in place.
 }
 
-std::size_t PathSystem::compact_store(PathRemap* out_remap) {
+std::size_t PathSystem::compact_store() {
   const std::size_t before = store_.arena_size();
   std::vector<PathRef> live;
   live.reserve(total_paths_);
   for (const auto& [pair, refs] : index_) {
     live.insert(live.end(), refs.begin(), refs.end());
   }
-  PathRemap remap = store_.compact(live);
+  const PathRemap remap = store_.compact(live);
   for (auto& [pair, refs] : index_) {
     for (PathRef& ref : refs) ref = remap(ref);
   }
-  if (out_remap != nullptr) *out_remap = std::move(remap);
   return before - store_.arena_size();
 }
 

@@ -94,10 +94,8 @@ class PathSystem {
   /// slabs currently referenced by the pair index and rewrites every ref
   /// through the remap. Live slabs are gathered in the index's pair order,
   /// so a fixed seed yields a bit-identical arena. Returns the number of
-  /// ints reclaimed. A non-null `out_remap` receives the compaction's remap
-  /// so OUTSIDE holders of refs into the store (the warm-start column pool)
-  /// can rewrite — or retire — theirs through PathRemap::try_remap.
-  std::size_t compact_store(PathRemap* out_remap = nullptr);
+  /// ints reclaimed.
+  std::size_t compact_store();
 
  private:
   PathStore store_;

@@ -112,16 +112,13 @@ Path hop_bounded_shortest_path(const Graph& g, int s, int t, int max_hops,
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,
     const MinCongestionOptions& options) {
-  // Reuse the restricted-path engine shape: implement MWU here with the
-  // hop-bounded oracle (cannot share the static helper without exposing it;
-  // the loop is small enough to restate via min_congestion_over_paths on
-  // lazily discovered paths).
-  //
-  // Column generation: maintain, per commodity, the set of hop-bounded
-  // paths discovered so far; alternate (a) best response against current
-  // edge weights via the DP, (b) a restricted MWU solve over the collected
-  // columns. Few iterations suffice because each DP adds the currently
-  // most violated column.
+  // Column generation over hop-bounded DP paths: maintain, per commodity,
+  // the set of hop-bounded paths discovered so far, and alternate (a) a
+  // best response against the current edge lengths via the DP, (b) a
+  // restricted MWU solve over the collected columns
+  // (min_congestion_over_paths, which runs the shared run_mwu round loop),
+  // (c) a length refresh from that solve's loads. Few iterations suffice
+  // because each DP adds the currently most violated column.
   const std::size_t k = commodities.size();
   std::vector<std::vector<Path>> columns(k);
   // Edge ids of every discovered column, resolved exactly once when the

@@ -99,8 +99,8 @@ void register_hop_constrained_backends(BackendRegistry& registry) {
       {"recursive budgeted-Valiant routing with bounded dilation "
        "(param hops = hop budget h)",
        {"hops"},
-       [](const Graph& g, const BackendSpec& spec,
-          Rng&) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec& spec, Rng&,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          const int hops = spec.param_int("hops", 8);
          if (hops < 1) {
            throw std::invalid_argument("hop_constrained: hops must be >= 1");

@@ -13,7 +13,7 @@
 namespace sor {
 
 RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
-                           Rng& rng)
+                           Rng& rng, util::ThreadPool* pool)
     : g_(&g) {
   assert(options.num_trees >= 1);
   assert(options.wave >= 1);
@@ -22,7 +22,6 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
   std::vector<double> load(m, 0.0);
   std::vector<double> lengths(m, 0.0);
   trees_.reserve(static_cast<std::size_t>(options.num_trees));
-  util::ThreadPool pool(options.threads);
   for (int base = 0; base < options.num_trees; base += options.wave) {
     const int count = std::min(options.wave, options.num_trees - base);
     double max_rel = 0.0;
@@ -39,9 +38,14 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
     // build per tree: the wave's output is invariant to thread count.
     std::vector<Rng> streams = rng.split(static_cast<std::size_t>(count));
     std::vector<std::optional<FrtTree>> wave(static_cast<std::size_t>(count));
-    pool.parallel_for(static_cast<std::size_t>(count), [&](std::size_t i) {
+    const auto build_tree = [&](std::size_t i) {
       wave[i].emplace(g, lengths, streams[i]);
-    });
+    };
+    if (pool) {
+      pool->parallel_for(wave.size(), build_tree);
+    } else {
+      for (std::size_t i = 0; i < wave.size(); ++i) build_tree(i);
+    }
     for (std::optional<FrtTree>& tree : wave) {
       trees_.push_back(std::move(*tree));
       trees_.back().accumulate_embedding_load(g, load);
@@ -68,31 +72,27 @@ void register_racke_backends(BackendRegistry& registry) {
       "racke",
       {"Raecke-style distribution over MWU-reweighted FRT trees "
        "(general connected graphs)",
-       {"num_trees", "eta", "wave", "threads"},
-       [](const Graph& g, const BackendSpec& spec,
-          Rng& rng) -> std::unique_ptr<ObliviousRouting> {
+       {"num_trees", "eta", "wave"},
+       [](const Graph& g, const BackendSpec& spec, Rng& rng,
+          util::ThreadPool* pool) -> std::unique_ptr<ObliviousRouting> {
          RackeOptions options;
          options.num_trees = spec.param_int("num_trees", options.num_trees);
          options.eta = spec.param("eta", options.eta);
          options.wave = spec.param_int("wave", options.wave);
-         options.threads = spec.param_int("threads", options.threads);
          if (options.num_trees < 1) {
            throw std::invalid_argument("racke: num_trees must be >= 1");
          }
          if (options.wave < 1) {
            throw std::invalid_argument("racke: wave must be >= 1");
          }
-         if (options.threads < 0) {
-           throw std::invalid_argument("racke: threads must be >= 0");
-         }
-         return std::make_unique<RackeRouting>(g, options, rng);
+         return std::make_unique<RackeRouting>(g, options, rng, pool);
        }});
   registry.add(
       "frt",
       {"single random FRT tree embedding (racke with num_trees = 1)",
        {},
-       [](const Graph& g, const BackendSpec&,
-          Rng& rng) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec&, Rng& rng,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<RackeRouting>(
              g, RackeOptions{.num_trees = 1, .eta = 0.0}, rng);
        }});

@@ -24,6 +24,10 @@
 
 namespace sor {
 
+namespace util {
+class ThreadPool;
+}  // namespace util
+
 struct RackeOptions {
   int num_trees = 12;
   /// MWU aggressiveness; the exponent is eta * (rel load / max rel load).
@@ -33,16 +37,16 @@ struct RackeOptions {
   /// trees within a wave are built independently from per-tree seed-split
   /// Rng streams. That independence is what makes the construction
   /// parallelizable; the wave size (not the thread count) is what defines
-  /// the output, so results are bit-identical for every `threads` value.
+  /// the output, so results are bit-identical with or without a pool.
   int wave = 4;
-  /// Threads for building the trees of a wave concurrently (<= wave is
-  /// useful). 1 = serial; 0 = hardware concurrency.
-  int threads = 1;
 };
 
 class RackeRouting final : public ObliviousRouting {
  public:
-  RackeRouting(const Graph& g, const RackeOptions& options, Rng& rng);
+  /// Builds each wave's trees concurrently on `pool` (the caller's; at most
+  /// `wave` of them run at once), or serially when `pool` is null.
+  RackeRouting(const Graph& g, const RackeOptions& options, Rng& rng,
+               util::ThreadPool* pool = nullptr);
 
   Path sample_path(int s, int t, Rng& rng) const override;
   std::string name() const override { return "racke-trees"; }

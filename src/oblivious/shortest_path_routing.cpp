@@ -10,16 +10,16 @@ void register_shortest_path_backends(BackendRegistry& registry) {
       "shortest_path",
       {"uniform random tight-predecessor walk over shortest paths only",
        {},
-       [](const Graph& g, const BackendSpec&,
-          Rng&) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec&, Rng&,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<RandomShortestPathRouting>(g);
        }});
   registry.add(
       "shortest_path_det",
       {"deterministic 1-sparse shortest-path baseline (same path per pair)",
        {},
-       [](const Graph& g, const BackendSpec&,
-          Rng&) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec&, Rng&,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<DeterministicShortestPathRouting>(g);
        }});
 }

@@ -98,8 +98,8 @@ void register_hypercube_backends(BackendRegistry& registry) {
       "valiant",
       {"Valiant-Brebner two-leg random-waypoint bit fixing (hypercubes)",
        {"dim"},
-       [](const Graph& g, const BackendSpec& spec,
-          Rng&) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec& spec, Rng&,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<ValiantRouting>(
              g, hypercube_dim_or_throw(g, spec, "valiant"));
        }});
@@ -107,8 +107,8 @@ void register_hypercube_backends(BackendRegistry& registry) {
       "greedy_bitfix",
       {"deterministic greedy bit fixing, the 1-path baseline (hypercubes)",
        {"dim"},
-       [](const Graph& g, const BackendSpec& spec,
-          Rng&) -> std::unique_ptr<ObliviousRouting> {
+       [](const Graph& g, const BackendSpec& spec, Rng&,
+          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<GreedyBitFixRouting>(
              g, hypercube_dim_or_throw(g, spec, "greedy_bitfix"));
        }});

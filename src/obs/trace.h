@@ -23,9 +23,8 @@
 //   engine.optimum / engine.rounding / engine.sim / engine.rebuild,
 //   batch.batch,
 //   scenario.epoch, warm.replay / warm.seed / warm.cold / warm.capture;
-//   instant events runtime.scratch_mint, scale.agg_table_grow,
-//   warm.columns_evicted, and fault.<site_name> at every
-//   fault-injection fire.
+//   instant events runtime.scratch_mint, scale.agg_table_grow, and
+//   fault.<site_name> at every fault-injection fire.
 #pragma once
 
 #include <atomic>

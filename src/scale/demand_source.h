@@ -40,10 +40,6 @@ class DemandSource {
   /// route_batch ingests the whole stream before solving, so a throw
   /// always precedes any routing work.
   virtual bool next(std::span<const DemandEntry>& out) = 0;
-
-  /// Expected number of demands (0 = unknown); a reserve() hint only,
-  /// never a contract.
-  virtual std::size_t size_hint() const { return 0; }
 };
 
 /// Adapter over already-materialized demands (a vector binds implicitly):
@@ -61,8 +57,6 @@ class SpanDemandSource final : public DemandSource {
     out = buffer_;
     return true;
   }
-
-  std::size_t size_hint() const override { return demands_.size(); }
 
  private:
   std::span<const Demand> demands_;
@@ -83,8 +77,6 @@ class EntrySpanDemandSource final : public DemandSource {
     out = entries_.subspan(index_++, 1);
     return true;
   }
-
-  std::size_t size_hint() const override { return entries_.size(); }
 
  private:
   std::span<const DemandEntry> entries_;

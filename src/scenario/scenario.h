@@ -165,9 +165,6 @@ class EpochDemandSource final : public scale::DemandSource {
         root_(spec.seed) {}
 
   bool next(std::span<const DemandEntry>& out) override;
-  std::size_t size_hint() const override {
-    return static_cast<std::size_t>(epochs_);
-  }
 
   /// Epochs already streamed (== the next epoch index).
   int epochs_pulled() const { return next_epoch_; }

@@ -2,10 +2,10 @@
 //
 // WarmStartState is the engine-owned capture of one route's solver
 // endpoint: the restricted and free MWU adversary log-weights, the routed
-// demand's support, the column pool (candidate paths + integral choices
-// per pair), and the bookkeeping that decides how the NEXT warm route may
-// reuse it — full replay when the instance is bit-identical, a damped
-// log-weight seed otherwise, or nothing after rebuild_backend().
+// demand's support, the integral choices per captured commodity, and the
+// bookkeeping that decides how the NEXT warm route may reuse it — full
+// replay when the instance is bit-identical, a damped log-weight seed
+// otherwise, or nothing after rebuild_backend().
 //
 // Like runtime::EngineScratch it is engine-owned storage that never
 // influences a cold route: with RouteSpec::warm_start off (the default) no
@@ -13,13 +13,11 @@
 // without this subsystem.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/demand.h"
 #include "lp/min_congestion.h"
-#include "warm/column_pool.h"
 
 namespace sor::warm {
 
@@ -28,13 +26,6 @@ struct WarmStartState {
   /// False until the first warm-enabled route captures, and again after
   /// SorEngine::rebuild_backend() (a new substrate invalidates everything).
   bool valid = false;
-  /// Engine counters at capture time: replay (returning the stored report
-  /// verbatim) additionally requires both to still match, i.e. no capacity
-  /// edit and no reinstall since the capture. The log-weight seed is
-  /// version-insensitive — capacity edits rescale it in place and path
-  /// reinstalls don't touch edge-level state.
-  std::uint64_t graph_version = 0;
-  std::uint64_t paths_version = 0;
   /// rounds_used of the most recent UNSEEDED (cold-equivalent) solve in
   /// this serving sequence — the reference a warm solve's rounds_saved is
   /// measured against.
@@ -46,15 +37,19 @@ struct WarmStartState {
   std::vector<double> free_log_x;
   /// The captured demand's support, (s, t)-sorted (Demand::entries_into).
   std::vector<DemandEntry> demand;
-  /// Per-pair candidate columns + integral choices of the captured route.
-  ColumnPool columns;
+  /// Per captured commodity, aligned with `demand`: the integral rounding's
+  /// per-unit candidate indices into that pair's PathSystem::refs (an empty
+  /// list when the capturing route did not round). Sized to the commodity
+  /// count on every capture; install_paths clears it, because a reinstall
+  /// resamples every pair and the indices no longer name the same paths.
+  std::vector<std::vector<int>> choices;
 
   void invalidate() {
     valid = false;
     restricted_log_x.clear();
     free_log_x.clear();
     demand.clear();
-    columns.clear();
+    choices.clear();
     cold_rounds = 0;
   }
 };
@@ -65,8 +60,8 @@ struct WarmStartState {
 struct RouteWarmHooks {
   MwuHooks restricted;
   MwuHooks free_path;
-  /// Previous epoch's integral choices mapped to CURRENT candidate indices
-  /// (see round_randomized's seed_choices parameter).
+  /// Previous epoch's integral choices per CURRENT commodity (see
+  /// round_randomized's seed_choices parameter).
   const std::vector<std::vector<int>>* rounding_seed = nullptr;
 };
 

@@ -94,6 +94,21 @@ TEST(BackendRegistry, RejectsUnknownParamKeys) {
       std::invalid_argument);
 }
 
+TEST(BackendRegistry, RackeRejectsAThreadsKey) {
+  // Construction threads come from the caller's pool, never from the spec.
+  const Graph g = gen::grid(3, 3);
+  Rng rng(1);
+  try {
+    BackendRegistry::instance().make(g, "racke:threads=2", rng);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("\"threads\""), std::string::npos) << what;
+    EXPECT_NE(what.find("accepted: num_trees eta wave"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(BackendRegistry, ValiantRejectsNonHypercubes) {
   Rng rng(1);
   // Same vertex AND edge count as the 4-cube, but not a hypercube.

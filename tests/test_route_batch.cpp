@@ -13,6 +13,7 @@
 #include "api/sor_engine.h"
 #include "graph/generators.h"
 #include "oblivious/racke.h"
+#include "util/thread_pool.h"
 
 namespace sor {
 namespace {
@@ -159,21 +160,20 @@ TEST(RouteBatch, EmptyBatchYieldsEmptyReport) {
 }
 
 TEST(RackeParallel, ConstructionIsThreadCountInvariant) {
-  // Same seed, 1 vs 4 construction threads: every tree must route every
-  // probe pair identically (the per-wave trees draw from seed-split
-  // streams fixed before the fan-out).
+  // Same seed, serial vs a 4-wide pool: every tree must route every probe
+  // pair identically (the per-wave trees draw from seed-split streams
+  // fixed before the fan-out).
   Rng graph_rng(9);
   const Graph g = gen::random_regular(24, 4, graph_rng);
-  RackeOptions serial_options;
-  serial_options.num_trees = 10;
-  serial_options.threads = 1;
-  RackeOptions parallel_options = serial_options;
-  parallel_options.threads = 4;
+  RackeOptions options;
+  options.num_trees = 10;
 
   Rng rng_a(2024);
-  RackeRouting serial(g, serial_options, rng_a);
+  RackeRouting serial(g, options, rng_a, nullptr);
   Rng rng_b(2024);
-  RackeRouting parallel(g, parallel_options, rng_b);
+  util::ThreadPool pool(4);
+  RackeRouting parallel(g, options, rng_b, &pool);
+  EXPECT_EQ(rng_a.next(), rng_b.next());
 
   ASSERT_EQ(serial.num_trees(), parallel.num_trees());
   EXPECT_EQ(serial.max_relative_embedding_load(),
@@ -190,19 +190,34 @@ TEST(RackeParallel, ConstructionIsThreadCountInvariant) {
 }
 
 TEST(RackeParallel, EngineThreadsFlowIntoBackendConstruction) {
-  // SorEngine::build(threads=k) injects threads into backends that accept
-  // the knob — and the result still matches an explicitly-serial build.
+  // racke builds on the engine's pool: a 4-thread engine and a serial one
+  // build the same trees, and so do their rebuilds after set_threads
+  // swaps the widths.
   const std::uint64_t seed = 55;
-  SorEngine injected = SorEngine::build(gen::grid(4, 4), "racke:num_trees=8",
-                                        seed, /*threads=*/4);
-  SorEngine pinned = SorEngine::build(
-      gen::grid(4, 4), "racke:num_trees=8,threads=1", seed, /*threads=*/4);
-  const auto& a = dynamic_cast<const RackeRouting&>(injected.backend());
-  const auto& b = dynamic_cast<const RackeRouting&>(pinned.backend());
-  ASSERT_EQ(a.num_trees(), b.num_trees());
-  for (int tree = 0; tree < a.num_trees(); ++tree) {
-    EXPECT_EQ(a.tree_route(tree, 0, 15), b.tree_route(tree, 0, 15));
-  }
+  SorEngine wide = SorEngine::build(gen::grid(4, 4), "racke:num_trees=8",
+                                    seed, /*threads=*/4);
+  SorEngine serial = SorEngine::build(gen::grid(4, 4), "racke:num_trees=8",
+                                      seed, /*threads=*/1);
+  const auto expect_same_trees = [&] {
+    const auto& a = dynamic_cast<const RackeRouting&>(wide.backend());
+    const auto& b = dynamic_cast<const RackeRouting&>(serial.backend());
+    ASSERT_EQ(a.num_trees(), b.num_trees());
+    for (int tree = 0; tree < a.num_trees(); ++tree) {
+      for (int t = 1; t < 16; t += 2) {
+        EXPECT_EQ(a.tree_route(tree, 0, t), b.tree_route(tree, 0, t));
+      }
+    }
+    EXPECT_EQ(a.max_relative_embedding_load(),
+              b.max_relative_embedding_load());
+  };
+  expect_same_trees();
+  EXPECT_EQ(wide.backend_spec().to_string(), "racke:num_trees=8");
+
+  wide.set_threads(1);
+  serial.set_threads(4);
+  wide.rebuild_backend();
+  serial.rebuild_backend();
+  expect_same_trees();
 }
 
 }  // namespace

@@ -265,7 +265,6 @@ TEST(ScaleOut, EpochSourceMatchesTrace) {
   ASSERT_EQ(trace.demands.size(), 6u);
 
   scenario::EpochDemandSource source(g, spec);
-  EXPECT_EQ(source.size_hint(), 6u);
   std::vector<DemandEntry> expected;
   std::span<const DemandEntry> pulled;
   for (std::size_t e = 0; e < trace.demands.size(); ++e) {

@@ -1,8 +1,8 @@
 // Cross-epoch warm starts (src/warm/, docs/warm-start.md): cold-path
 // bit-identity, replay of bit-identical instances, seeded solves under
 // churn with cross-valid certificates, invalidation rules
-// (rebuild_backend, capacity edits, reinstalls), ColumnPool lifetime
-// through PathStore compaction, scenario-level accounting, and the
+// (rebuild_backend, capacity edits, reinstalls), the rounding seed the
+// captured integral choices produce, scenario-level accounting, and the
 // route_batch rejection.
 #include "warm/warm_state.h"
 
@@ -17,7 +17,6 @@
 #include "io/scenario_io.h"
 #include "scale/demand_source.h"
 #include "scenario/scenario.h"
-#include "warm/column_pool.h"
 
 namespace sor {
 namespace {
@@ -117,7 +116,9 @@ TEST(WarmStart, FirstWarmRouteIsColdEquivalentAndCaptures) {
   ASSERT_NE(a.warm_state(), nullptr);
   EXPECT_TRUE(a.warm_state()->valid);
   EXPECT_EQ(a.warm_state()->cold_rounds, cold.solution.rounds_used);
-  EXPECT_FALSE(a.warm_state()->columns.empty());
+  // A fractional-only capture still records one (empty) choice list per
+  // commodity.
+  EXPECT_EQ(a.warm_state()->choices.size(), d.entries().size());
   EXPECT_EQ(a.warm_state()->restricted_log_x.size(),
             static_cast<std::size_t>(a.graph().num_edges()));
 }
@@ -279,16 +280,17 @@ TEST(WarmStart, ReinstallEmptiesPoolButEdgeSeedSurvives) {
   RouteSpec spec;
   spec.warm_start = true;
   engine.route(d, spec);
-  ASSERT_FALSE(engine.warm_state()->columns.empty());
+  ASSERT_FALSE(engine.warm_state()->choices.empty());
 
-  // Full reinstall: every old slab dies, the pool legitimately empties —
-  // but the edge-level log-weight seed is path-churn-insensitive.
+  // Full reinstall: every pair is resampled, so the captured choices no
+  // longer index the installed candidates and go — but the edge-level
+  // log-weight seed is path-churn-insensitive.
   engine.install_paths(SamplingSpec::for_demand(d, 3));
-  EXPECT_TRUE(engine.warm_state()->columns.empty());
+  EXPECT_TRUE(engine.warm_state()->choices.empty());
   EXPECT_TRUE(engine.warm_state()->valid);
 
   const RouteReport warm = engine.route(d, spec);
-  EXPECT_FALSE(warm.warm.replayed);  // paths_version moved on
+  EXPECT_FALSE(warm.warm.replayed);  // the reinstall dropped the snapshot
   EXPECT_TRUE(warm.warm.hit);
 }
 
@@ -317,6 +319,100 @@ TEST(WarmStart, RoundingSeededFromPreviousIntegralSolution) {
   // The seeded candidate is evaluated as trial 0: the result can only be
   // as good or better than the first epoch's rounding.
   EXPECT_LE(second.integral->congestion, first.integral->congestion);
+}
+
+/// The rounding seed a capture should hand the next route over `d`: per
+/// entry of `d`, the captured route's choices for that pair, or an empty
+/// list when the capture did not route the pair or did not round.
+std::vector<std::vector<int>> expected_seed(const Demand& d,
+                                            const RouteReport& capture) {
+  std::vector<std::vector<int>> seed;
+  const auto& captured = capture.solution.commodities;
+  for (const auto& [pair, value] : d.entries()) {
+    auto& units = seed.emplace_back();
+    for (std::size_t j = 0; j < captured.size(); ++j) {
+      if (capture.integral && captured[j].s == pair.first &&
+          captured[j].t == pair.second) {
+        units = capture.integral->choices[j];
+      }
+    }
+  }
+  return seed;
+}
+
+/// Routes `d` warm with rounding, then replays its rounding from a copy of
+/// the engine stream taken before the route, seeded with `seed`: the
+/// integral choices must match.
+void expect_rounding_seeded_with(SorEngine& engine, const Demand& d,
+                                 const RouteSpec& spec,
+                                 const std::vector<std::vector<int>>* seed) {
+  Rng stream = engine.rng();  // rounding is the route's first draw
+  const RouteReport r = engine.route(d, spec);
+  ASSERT_TRUE(r.warm.hit);
+  ASSERT_TRUE(r.integral.has_value());
+  IntegralSolution replay = round_randomized(engine.graph(), r.solution,
+                                             stream, spec.rounding_trials,
+                                             seed);
+  local_search_improve(engine.graph(), replay);
+  EXPECT_EQ(replay.choices, r.integral->choices);
+}
+
+TEST(WarmStart, RoundingSeedIsTheCapturedChoicesPerPair) {
+  Demand captured;
+  captured.set(0, 5, 2.0);
+  captured.set(1, 10, 1.0);
+  captured.set(3, 12, 3.0);
+  captured.set(7, 2, 1.0);
+  Demand next = captured;  // same support, one volume moved
+  next.set(1, 10, 2.0);
+  Demand partial;  // two captured pairs and two new ones
+  partial.set(0, 5, 1.0);
+  partial.set(3, 12, 2.0);
+  partial.set(6, 9, 2.0);
+  partial.set(9, 14, 1.0);
+  const std::vector<Demand> supports{captured, partial};
+  RouteSpec rounding;
+  rounding.warm_start = true;
+  rounding.round_integral = true;
+  rounding.rounding_trials = 2;  // few trials: the seeded candidate matters
+  RouteSpec fractional = rounding;
+  fractional.round_integral = false;
+
+  {
+    SCOPED_TRACE("previous capture rounded: its choices");
+    SorEngine engine = make_engine();
+    engine.install_paths(SamplingSpec::for_demands(supports, 3));
+    const RouteReport capture = engine.route(captured, rounding);
+    ASSERT_TRUE(capture.integral.has_value());
+    const auto seed = expected_seed(next, capture);
+    expect_rounding_seeded_with(engine, next, rounding, &seed);
+  }
+  {
+    SCOPED_TRACE("previous capture fractional-only: empty lists");
+    SorEngine engine = make_engine();
+    engine.install_paths(SamplingSpec::for_demands(supports, 3));
+    engine.route(captured, fractional);
+    const std::vector<std::vector<int>> seed(next.entries().size());
+    expect_rounding_seeded_with(engine, next, rounding, &seed);
+  }
+  {
+    SCOPED_TRACE("after a reinstall: no seed");
+    SorEngine engine = make_engine();
+    engine.install_paths(SamplingSpec::for_demands(supports, 3));
+    engine.route(captured, rounding);
+    engine.install_paths(SamplingSpec::for_demands(supports, 3));
+    expect_rounding_seeded_with(engine, next, rounding, nullptr);
+  }
+  {
+    SCOPED_TRACE("partly overlapping support: captured pairs only");
+    SorEngine engine = make_engine();
+    engine.install_paths(SamplingSpec::for_demands(supports, 3));
+    const RouteReport capture = engine.route(captured, rounding);
+    const auto seed = expected_seed(partial, capture);
+    ASSERT_FALSE(seed[0].empty());
+    ASSERT_TRUE(seed[2].empty());
+    expect_rounding_seeded_with(engine, partial, rounding, &seed);
+  }
 }
 
 TEST(WarmStart, RouteBatchRejectsWarmStart) {
@@ -354,56 +450,6 @@ TEST(WarmStart, SupportOverlapScaleIsTheDocumentedFormula) {
   const Demand empty;
   EXPECT_DOUBLE_EQ(warm::support_overlap_scale(prev, empty), 0.0);
   EXPECT_DOUBLE_EQ(warm::support_overlap_scale({}, same), 0.0);
-}
-
-// ---- ColumnPool x PathStore lifetime ----------------------------------
-
-TEST(ColumnPool, RecordFindAndRemapThroughCompaction) {
-  const Graph g = gen::grid(3, 3, true);
-  PathStore store(g);
-  const PathRef a = store.intern(Path{0, 1, 2});
-  const PathRef b = store.intern(Path{0, 3, 6});
-  const PathRef c = store.intern(Path{0, 1, 4});
-
-  warm::ColumnPool pool;
-  const PathRef live_refs[] = {b, c};
-  const int choices[] = {1, 1, 0};
-  pool.record(0, 4, live_refs, choices);
-  const PathRef dead_refs[] = {a};
-  pool.record(0, 2, dead_refs, {});
-  EXPECT_EQ(pool.num_pairs(), 2u);
-
-  const warm::PairColumns* found = pool.find(0, 4);
-  ASSERT_NE(found, nullptr);
-  ASSERT_EQ(found->columns.size(), 2u);
-  ASSERT_EQ(found->choices.size(), 3u);
-  EXPECT_EQ(pool.find(4, 0), nullptr);
-
-  // Compact away `a`: the (0, 2) entry dies wholesale, (0, 4) survives
-  // with slid-down refs reading the same bytes.
-  const PathRef live[] = {b, c};
-  const PathRemap remap = store.compact(live);
-  pool.apply_remap(remap);
-  EXPECT_EQ(pool.num_pairs(), 1u);
-  EXPECT_EQ(pool.find(0, 2), nullptr);
-  const warm::PairColumns* survived = pool.find(0, 4);
-  ASSERT_NE(survived, nullptr);
-  const Path read_back = store.to_path(survived->columns[1]);
-  EXPECT_EQ(read_back, (Path{0, 1, 4}));
-}
-
-TEST(ColumnPool, TryRemapDropsDeadRefsWithoutAsserting) {
-  const Graph g = gen::grid(3, 3, true);
-  PathStore store(g);
-  const PathRef a = store.intern(Path{0, 1, 2});
-  const PathRef b = store.intern(Path{0, 3, 6});
-  const PathRef live[] = {b};
-  const PathRemap remap = store.compact(live);
-  EXPECT_FALSE(remap.try_remap(a).has_value());
-  const auto moved = remap.try_remap(b);
-  ASSERT_TRUE(moved.has_value());
-  EXPECT_EQ(moved->hops, b.hops);
-  EXPECT_EQ(store.to_path(*moved), (Path{0, 3, 6}));
 }
 
 // ---- scenario + io plumbing -------------------------------------------
