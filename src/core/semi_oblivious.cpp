@@ -59,16 +59,17 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   const std::size_t k = out.commodities.size();
 
   // Candidate vertex COPIES from the arena into the solution's reused
-  // nested buffers: resize + assign keep capacity at every nesting level,
-  // so under a stable demand shape this refill allocates nothing.
+  // nested buffers: assign keeps capacity, and a shrink parks the dropped
+  // rows in the scratch's spares for the next growth, so once warm this
+  // refill allocates nothing.
   const PathStore& store = ps.store();
-  out.paths.resize(k);
+  resize_keeping_buffers(out.paths, k, scratch.spare_paths);
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = out.commodities[j];
     const auto refs = ps.refs(c.s, c.t);
     assert((c.amount <= 0.0 || !refs.empty()) &&
            "path system does not cover the demand support");
-    out.paths[j].resize(refs.size());
+    resize_keeping_buffers(out.paths[j], refs.size(), scratch.spare_path);
     for (std::size_t i = 0; i < refs.size(); ++i) {
       const auto vertices = store.vertices(refs[i]);
       out.paths[j][i].assign(vertices.begin(), vertices.end());
@@ -82,7 +83,7 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
                                  hooks, scratch.mwu, scratch.result);
 
   const CongestionResult& result = scratch.result;
-  out.weights.resize(k);
+  resize_keeping_buffers(out.weights, k, scratch.spare_weights);
   for (std::size_t j = 0; j < k; ++j) {
     out.weights[j].assign(result.path_weights[j].begin(),
                           result.path_weights[j].end());

@@ -40,12 +40,18 @@ SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
 
 /// Reusable scratch for route_fractional_into: the flat candidate gather,
 /// the MWU solver's working set, and the solver result staging buffer. All
-/// capacity-retaining — repeated routes of stable shape through one scratch
-/// allocate nothing.
+/// capacity-retaining — repeated routes through one scratch allocate
+/// nothing once warm, also when their commodity and candidate counts vary
+/// (the spare rows keep what a shrinking solution drops).
 struct RouteScratch {
   FlatCandidates flat;
   MinCongestionScratch mwu;
   CongestionResult result;
+  // Rows and paths a shrinking SemiObliviousSolution handed back (see
+  // resize_keeping_buffers).
+  std::vector<std::vector<Path>> spare_paths;
+  std::vector<Path> spare_path;
+  std::vector<std::vector<double>> spare_weights;
 };
 
 /// Scratch-threaded route: refills `out`'s (nested) buffers in place with

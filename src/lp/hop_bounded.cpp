@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 
 namespace sor {
 namespace {
@@ -143,7 +145,14 @@ CongestionResult min_congestion_hop_bounded(
       if (commodities[j].amount <= 0.0) continue;
       Path p = hop_bounded_shortest_path(g, commodities[j].s,
                                          commodities[j].t, max_hops, lengths);
-      assert(!p.empty() && "commodity unreachable within the hop bound");
+      if (p.empty()) {
+        std::ostringstream msg;
+        msg << "min_congestion_hop_bounded: pair (" << commodities[j].s
+            << ", " << commodities[j].t << ") has demand "
+            << commodities[j].amount << " but no path of at most "
+            << max_hops << " hops joins it";
+        throw std::invalid_argument(msg.str());
+      }
       assert(hop_count(p) <= max_hops);
       std::vector<int> edges = path_edge_ids(g, p);
       double cost = 0.0;

@@ -28,9 +28,10 @@ std::vector<double> hop_bounded_distances(const Graph& g, int source,
                                           const std::vector<double>& length);
 
 /// Fractional min-congestion over all routings with dilation <= max_hops —
-/// the paper's opt^(h) (fractional relaxation). Every commodity must be
-/// reachable within max_hops. `lower_bound` is the h-hop duality
-/// certificate (valid against all h-hop routings).
+/// the paper's opt^(h) (fractional relaxation). Every commodity with
+/// positive demand must be reachable within max_hops; otherwise throws
+/// std::invalid_argument naming the pair. `lower_bound` is the h-hop
+/// duality certificate (valid against all h-hop routings).
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,
     const MinCongestionOptions& options = {});

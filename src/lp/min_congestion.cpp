@@ -9,6 +9,7 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "graph/shortest_path.h"
 #include "obs/convergence.h"
@@ -161,6 +162,9 @@ namespace {
 //  * round loads are aggregated sparsely over the touched-edge set: for an
 //    untouched edge every reference update is `+= 0.0` or a max against
 //    0.0, which leaves IEEE doubles bit-unchanged;
+//  * each touched edge's round_load / cap is divided once and read by both
+//    the width and the log_x step (the reference divides twice; the same
+//    IEEE operation gives the same quotient);
 //  * the early-exit check walks the active edges only and short-circuits
 //    on the first violating one (the reference computes a max over all m
 //    edges and compares once): any other edge never carried load, so its
@@ -169,7 +173,8 @@ namespace {
 //
 // An Oracle provides:
 //   reset(out)             its output fields for an empty/unsolved instance
-//   prepare()              per-solve setup (sc.cap is already filled)
+//   prepare()              per-solve setup, sc.lengths included (sc.cap is
+//                          already filled)
 //   best_response(shared)  lengths from expv / `shared` (the untouched
 //                          value), then one path per commodity: writes
 //                          sc.chosen_len[j] and the path(j) spans
@@ -212,7 +217,6 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   auto& is_dirty = sc.is_dirty;
   log_x.assign(m, 0.0);
   expv.assign(m, 0.0);  // cached exp(log_x[e] - max_log), active edges only
-  sc.lengths.assign(m, 0.0);
   cumulative_load.assign(m, 0.0);
   round_load.assign(m, 0.0);
   chosen_len.assign(k, 0.0);
@@ -312,20 +316,20 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
         round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
       }
     }
+    // Each touched round_load becomes round_load / cap here: the one
+    // quotient both the width and the log_x step read.
     double width = 0.0;
     for (int e : touched) {
-      cumulative_load[static_cast<std::size_t>(e)] +=
-          round_load[static_cast<std::size_t>(e)];
-      width = std::max(width, round_load[static_cast<std::size_t>(e)] /
-                                  cap[static_cast<std::size_t>(e)]);
+      double& load = round_load[static_cast<std::size_t>(e)];
+      cumulative_load[static_cast<std::size_t>(e)] += load;
+      load /= cap[static_cast<std::size_t>(e)];
+      width = std::max(width, load);
     }
     width_norm = std::max(width_norm, width);
     if (width_norm > 0.0) {
       for (int e : touched) {
         log_x[static_cast<std::size_t>(e)] +=
-            eta * (round_load[static_cast<std::size_t>(e)] /
-                   cap[static_cast<std::size_t>(e)]) /
-            width_norm;
+            eta * round_load[static_cast<std::size_t>(e)] / width_norm;
         max_log = std::max(max_log, log_x[static_cast<std::size_t>(e)]);
         if (!is_dirty[static_cast<std::size_t>(e)]) {
           is_dirty[static_cast<std::size_t>(e)] = 1;
@@ -437,21 +441,28 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
 //  * duplicate candidates are deduplicated up front: sampling is with
 //    replacement, and a duplicate's length always EQUALS its first
 //    occurrence, so the strict `<` argmin can never select it — dropping
-//    it from the scan changes nothing (its weight was always 0);
-//  * lengths are computed only for edges that appear on SOME candidate
-//    path, the only edges the argmin ever reads;
+//    it from the scan changes nothing (its weight was always 0); a
+//    zero-demand commodity routes nothing and scans no candidate at all;
+//  * lengths are computed only for edges that appear on SOME distinct
+//    candidate, the only edges the path sums ever read;
 //  * the normalizing total is a segmented sum: the (m - |active|) untouched
 //    edges fold into one (count * shared value) product and the active
 //    mass sums in four interleaved lanes (the association documented on
-//    min_congestion_over_paths).
+//    min_congestion_over_paths);
+//  * every distinct candidate of the solve is summed in ONE pass over lane
+//    blocks (see prepare), then each commodity takes its argmin over its
+//    own sums in dedup order.
 struct RestrictedOracle {
+  static constexpr std::size_t kLanes = 8;
+
   const Graph& g;
   const std::vector<Commodity>& commodities;
   const FlatCandidates& candidates;
   MinCongestionScratch& sc;
 
   void reset(CongestionResult& out) const {
-    out.path_weights.resize(commodities.size());
+    resize_keeping_buffers(out.path_weights, commodities.size(),
+                           sc.spare_weights);
     for (std::size_t j = 0; j < commodities.size(); ++j) {
       out.path_weights[j].assign(candidates.num_paths(j), 0.0);
     }
@@ -459,54 +470,95 @@ struct RestrictedOracle {
 
   void prepare() {
     const std::size_t k = commodities.size();
-    // scan_first: prefix over dedup'd paths into scan_arena;
-    // commodity_scan_first: prefix over dedup'd path indices per commodity;
-    // original_index: first original candidate index of each dedup'd path.
-    auto& scan_arena = sc.scan_arena;
-    auto& scan_first = sc.scan_first;
-    auto& commodity_scan_first = sc.commodity_scan_first;
-    auto& original_index = sc.original_index;
-    scan_arena.clear();
-    scan_first.assign(1, 0);
-    commodity_scan_first.assign(1, 0);
-    original_index.clear();
+    const std::size_t m = sc.cap.size();
+    // distinct: each positive-demand commodity's first-occurrence
+    // candidates, commodity-major; commodity_first: prefix over distinct
+    // per commodity; original_index: candidate index of each distinct path.
+    auto& distinct = sc.distinct;
+    distinct.clear();
+    sc.original_index.clear();
+    sc.commodity_first.assign(1, 0);
     for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t num_paths = candidates.num_paths(j);
-      assert(commodities[j].amount <= 0.0 || num_paths > 0);
-      const std::size_t scan_begin =
-          static_cast<std::size_t>(commodity_scan_first.back());
-      for (std::size_t i = 0; i < num_paths; ++i) {
-        const auto span = candidates.edges(j, i);
-        bool duplicate = false;
-        for (std::size_t d = scan_begin;
-             d < scan_first.size() - 1 && !duplicate; ++d) {
-          const std::size_t len =
-              static_cast<std::size_t>(scan_first[d + 1] - scan_first[d]);
-          duplicate =
-              len == span.size() &&
-              std::equal(span.begin(), span.end(),
-                         scan_arena.begin() +
-                             static_cast<std::ptrdiff_t>(scan_first[d]));
+      const Commodity& c = commodities[j];
+      if (c.amount > 0.0) {
+        if (candidates.num_paths(j) == 0) {
+          std::ostringstream msg;
+          msg << "min_congestion_over_paths: pair (" << c.s << ", " << c.t
+              << ") has demand " << c.amount << " but no candidate path";
+          throw std::invalid_argument(msg.str());
         }
-        if (duplicate) continue;
-        scan_arena.insert(scan_arena.end(), span.begin(), span.end());
-        scan_first.push_back(static_cast<std::int64_t>(scan_arena.size()));
-        original_index.push_back(static_cast<std::int32_t>(i));
+        const std::size_t first = distinct.size();
+        for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+          const auto path = candidates.edges(j, i);
+          const bool repeat = std::any_of(
+              distinct.begin() + static_cast<std::ptrdiff_t>(first),
+              distinct.end(), [&](std::span<const int> other) {
+                return std::equal(path.begin(), path.end(), other.begin(),
+                                  other.end());
+              });
+          if (repeat) continue;
+          distinct.push_back(path);
+          sc.original_index.push_back(static_cast<std::int32_t>(i));
+        }
       }
-      commodity_scan_first.push_back(
-          static_cast<std::int64_t>(scan_first.size()) - 1);
+      sc.commodity_first.push_back(
+          static_cast<std::int64_t>(distinct.size()));
     }
-    sc.counts.assign(original_index.size(), 0);
+    const std::size_t num_distinct = distinct.size();
+    sc.counts.assign(num_distinct, 0);
     sc.chosen_edges.assign(k, std::span<const int>{});
 
+    // Lane blocks. A stable counting sort by hop count orders the distinct
+    // paths into by_hops, which is padded to whole blocks of kLanes with
+    // the dump slot num_distinct. Block b holds the paths by_hops[kLanes*b
+    // ..] transposed — hop h of lane l at lane_edges[block_first[b] +
+    // kLanes*h + l] — for as many hops as its longest (last) path. A
+    // shorter lane is padded with edge id m, whose length stays +0.0: its
+    // sum is a left-to-right chain from +0.0 like a serial one, and
+    // x + (+0.0) == x for every x >= +0.0, so padding changes no sum.
+    std::size_t max_hops = 0;
+    for (const auto path : distinct) max_hops = std::max(max_hops, path.size());
+    auto& hop_first = sc.hop_first;
+    hop_first.assign(max_hops + 2, 0);
+    for (const auto path : distinct) ++hop_first[path.size() + 1];
+    for (std::size_t h = 1; h < hop_first.size(); ++h) {
+      hop_first[h] += hop_first[h - 1];
+    }
+    auto& by_hops = sc.by_hops;
+    by_hops.assign((num_distinct + kLanes - 1) / kLanes * kLanes,
+                   static_cast<std::int32_t>(num_distinct));
+    for (std::size_t d = 0; d < num_distinct; ++d) {
+      by_hops[hop_first[distinct[d].size()]++] = static_cast<std::int32_t>(d);
+    }
+    sc.lane_edges.clear();
+    sc.block_first.assign(1, 0);
+    for (std::size_t first = 0; first < by_hops.size(); first += kLanes) {
+      const std::size_t last = std::min(first + kLanes, num_distinct) - 1;
+      const std::size_t hops =
+          distinct[static_cast<std::size_t>(by_hops[last])].size();
+      for (std::size_t h = 0; h < hops; ++h) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t d = static_cast<std::size_t>(by_hops[first + l]);
+          sc.lane_edges.push_back(d < num_distinct && h < distinct[d].size()
+                                      ? distinct[d][h]
+                                      : static_cast<int>(m));
+        }
+      }
+      sc.block_first.push_back(static_cast<std::int64_t>(sc.lane_edges.size()));
+    }
+    sc.path_len.assign(num_distinct + 1, 0.0);
+    sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
+
     // The distinct candidate edge set: the only edges whose lengths the
-    // best response will ever read.
+    // path sums will ever read.
     sc.cand_edges.clear();
-    sc.in_cand.assign(sc.cap.size(), 0);
-    for (int e : scan_arena) {
-      if (!sc.in_cand[static_cast<std::size_t>(e)]) {
-        sc.in_cand[static_cast<std::size_t>(e)] = 1;
-        sc.cand_edges.push_back(e);
+    sc.in_cand.assign(m, 0);
+    for (const auto path : distinct) {
+      for (int e : path) {
+        if (!sc.in_cand[static_cast<std::size_t>(e)]) {
+          sc.in_cand[static_cast<std::size_t>(e)] = 1;
+          sc.cand_edges.push_back(e);
+        }
       }
     }
   }
@@ -538,79 +590,44 @@ struct RestrictedOracle {
           xe / sc.cap[static_cast<std::size_t>(e)];
     }
 
-    // Per commodity, argmin path length over the dedup'd scan arena (strict
-    // <, so relative order ties resolve exactly as a full scan does). Four
-    // paths are accumulated in interleaved lanes — each lane is its own
-    // left-to-right addition chain, so every path's sum is bit-identical to
-    // a serial evaluation; interleaving only breaks the latency dependence
-    // BETWEEN paths.
-    const int* arena = sc.scan_arena.data();
-    const auto& scan_first = sc.scan_first;
+    // Every distinct path's length, kLanes paths at a time: each lane is
+    // its own left-to-right addition chain from +0.0, so every sum is
+    // bit-identical to a serial evaluation; the lanes only break the
+    // latency dependence BETWEEN paths.
+    const int* lane_edges = sc.lane_edges.data();
+    const std::int32_t* owner = sc.by_hops.data();
+    for (std::size_t b = 0; b + 1 < sc.block_first.size();
+         ++b, owner += kLanes) {
+      double sum[kLanes] = {};
+      const int* stop = lane_edges + sc.block_first[b + 1];
+      for (const int* hop = lane_edges + sc.block_first[b]; hop != stop;
+           hop += kLanes) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          sum[l] += lengths[static_cast<std::size_t>(hop[l])];
+        }
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        sc.path_len[static_cast<std::size_t>(owner[l])] = sum[l];
+      }
+    }
+
+    // Per commodity, the strict `<` argmin over its distinct paths in dedup
+    // order, so ties resolve exactly as a serial scan of the candidates.
     for (std::size_t j = 0; j < commodities.size(); ++j) {
-      sc.chosen_edges[j] = {};
-      sc.chosen_len[j] = 0.0;
       const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_scan_first[j]);
+          static_cast<std::size_t>(sc.commodity_first[j]);
       const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_scan_first[j + 1]);
-      if (commodities[j].amount <= 0.0 || begin == end) continue;
+          static_cast<std::size_t>(sc.commodity_first[j + 1]);
+      if (begin == end) continue;  // zero demand: no path, length 0
       double best = std::numeric_limits<double>::infinity();
       std::size_t best_d = begin;
-      auto consider = [&](std::size_t d, double len) {
-        if (len < best) {
-          best = len;
+      for (std::size_t d = begin; d < end; ++d) {
+        if (sc.path_len[d] < best) {
+          best = sc.path_len[d];
           best_d = d;
         }
-      };
-      std::size_t d = begin;
-      for (; d + 4 <= end; d += 4) {
-        const int* p0 = arena + scan_first[d];
-        const int* p1 = arena + scan_first[d + 1];
-        const int* p2 = arena + scan_first[d + 2];
-        const int* p3 = arena + scan_first[d + 3];
-        const std::size_t n0 = static_cast<std::size_t>(scan_first[d + 1] -
-                                                        scan_first[d]);
-        const std::size_t n1 = static_cast<std::size_t>(scan_first[d + 2] -
-                                                        scan_first[d + 1]);
-        const std::size_t n2 = static_cast<std::size_t>(scan_first[d + 3] -
-                                                        scan_first[d + 2]);
-        const std::size_t n3 = static_cast<std::size_t>(scan_first[d + 4] -
-                                                        scan_first[d + 3]);
-        const std::size_t common = std::min(std::min(n0, n1), std::min(n2, n3));
-        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-        for (std::size_t i = 0; i < common; ++i) {
-          s0 += lengths[static_cast<std::size_t>(p0[i])];
-          s1 += lengths[static_cast<std::size_t>(p1[i])];
-          s2 += lengths[static_cast<std::size_t>(p2[i])];
-          s3 += lengths[static_cast<std::size_t>(p3[i])];
-        }
-        for (std::size_t i = common; i < n0; ++i) {
-          s0 += lengths[static_cast<std::size_t>(p0[i])];
-        }
-        for (std::size_t i = common; i < n1; ++i) {
-          s1 += lengths[static_cast<std::size_t>(p1[i])];
-        }
-        for (std::size_t i = common; i < n2; ++i) {
-          s2 += lengths[static_cast<std::size_t>(p2[i])];
-        }
-        for (std::size_t i = common; i < n3; ++i) {
-          s3 += lengths[static_cast<std::size_t>(p3[i])];
-        }
-        consider(d, s0);
-        consider(d + 1, s1);
-        consider(d + 2, s2);
-        consider(d + 3, s3);
       }
-      for (; d < end; ++d) {
-        const int* p = arena + scan_first[d];
-        const int* stop = arena + scan_first[d + 1];
-        double len = 0.0;
-        for (; p != stop; ++p) len += lengths[static_cast<std::size_t>(*p)];
-        consider(d, len);
-      }
-      sc.chosen_edges[j] = {arena + scan_first[best_d],
-                            static_cast<std::size_t>(scan_first[best_d + 1] -
-                                                     scan_first[best_d])};
+      sc.chosen_edges[j] = sc.distinct[best_d];
       sc.chosen_len[j] = best;
       ++sc.counts[best_d];
     }
@@ -627,11 +644,10 @@ struct RestrictedOracle {
   void finish(int rounds, CongestionResult& out) const {
     const int total_rounds = std::max(rounds, 1);
     for (std::size_t j = 0; j < commodities.size(); ++j) {
-      if (commodities[j].amount <= 0.0) continue;
       const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_scan_first[j]);
+          static_cast<std::size_t>(sc.commodity_first[j]);
       const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_scan_first[j + 1]);
+          static_cast<std::size_t>(sc.commodity_first[j + 1]);
       for (std::size_t d = begin; d < end; ++d) {
         out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
             commodities[j].amount * static_cast<double>(sc.counts[d]) /
@@ -722,9 +738,12 @@ struct FreeOracle {
       sc.distinct_targets[si] = count;
     }
 
-    sc.owned.resize(k);  // stale contents are cleared every round
+    // Rows past k are kept, not freed: a later, larger demand reuses their
+    // buffers. Rows below k are cleared every round.
+    if (sc.owned.size() < k) sc.owned.resize(k);
     sc.dist.assign(n, 0.0);
     sc.parent_edge.assign(n, -1);
+    sc.lengths.assign(sc.cap.size(), 0.0);
   }
 
   void best_response(double untouched_value) {
@@ -771,8 +790,14 @@ struct FreeOracle {
       }
       for (std::size_t j : group(s)) {
         const int t = commodities[j].t;
-        assert(sc.dist[static_cast<std::size_t>(t)] !=
-               std::numeric_limits<double>::infinity());
+        if (sc.dist[static_cast<std::size_t>(t)] ==
+            std::numeric_limits<double>::infinity()) {
+          std::ostringstream msg;
+          msg << "min_congestion_free: pair (" << s << ", " << t
+              << ") has demand " << commodities[j].amount
+              << " but no path joins it";
+          throw std::invalid_argument(msg.str());
+        }
         sc.chosen_len[j] = sc.dist[static_cast<std::size_t>(t)];
         for (int v = t; v != s;) {
           const int e = sc.parent_edge[static_cast<std::size_t>(v)];

@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/path_store.h"
@@ -162,22 +163,50 @@ struct CongestionResult {
   double optimality_gap = 0.0;
 };
 
+/// Resizes `v` to `n` elements without freeing the buffers a shrink drops:
+/// they move to `spare`, and a later growth takes them back before it
+/// default-constructs new ones. Per-commodity rows thus survive a demand
+/// whose commodity count goes down and back up, so alternating demand
+/// shapes stay allocation-free once warm.
+template <class T>
+void resize_keeping_buffers(std::vector<T>& v, std::size_t n,
+                            std::vector<T>& spare) {
+  while (v.size() > n) {
+    spare.push_back(std::move(v.back()));
+    v.pop_back();
+  }
+  while (v.size() < n && !spare.empty()) {
+    v.push_back(std::move(spare.back()));
+    spare.pop_back();
+  }
+  v.resize(n);
+}
+
 /// Reusable scratch for the two MWU solvers below. Every vector a solve
 /// needs lives here and is reset with clear()/assign() (capacity retained),
-/// so a warm scratch makes repeated solves of stable shape allocation-free —
-/// the steady-state serving contract the runtime layer gates. Contents
-/// never influence results: a solve through a warm scratch is bit-identical
-/// to one through a fresh scratch (pinned by tests/test_runtime.cpp).
+/// so a warm scratch makes repeated solves allocation-free once its buffers
+/// have grown to the largest solve they serve — the steady-state serving
+/// contract the runtime layer gates. Contents never influence results: a
+/// solve through a warm scratch is bit-identical to one through a fresh
+/// scratch (pinned by tests/test_runtime.cpp).
 struct MinCongestionScratch {
-  // Restricted oracle: dedup'd candidate scan arena and choice counts.
-  std::vector<int> scan_arena;
-  std::vector<std::int64_t> scan_first;
-  std::vector<std::int64_t> commodity_scan_first;
-  std::vector<std::int32_t> original_index;
+  // Restricted oracle: the distinct candidates (spans into the solve's
+  // FlatCandidates), their lane blocks, per-round path sums and choice
+  // counts (see RestrictedOracle::prepare in min_congestion.cpp).
+  std::vector<std::span<const int>> distinct;
+  std::vector<std::int64_t> commodity_first;  // prefix over `distinct`
+  std::vector<std::int32_t> original_index;   // candidate index per path
+  std::vector<std::size_t> hop_first;         // counting-sort buckets
+  std::vector<std::int32_t> by_hops;          // lane -> distinct path
+  std::vector<int> lane_edges;                // transposed 8-path blocks
+  std::vector<std::int64_t> block_first;      // prefix over lane_edges
+  std::vector<double> path_len;               // this round's path sums
   std::vector<int> counts;
   std::vector<int> cand_edges;
   std::vector<char> in_cand;
   std::vector<std::span<const int>> chosen_edges;
+  // Weight rows a shrinking CongestionResult::path_weights handed back.
+  std::vector<std::vector<double>> spare_weights;
   // Shared MWU state (run_mwu).
   std::vector<double> cap;
   std::vector<double> log_x;
@@ -213,7 +242,8 @@ struct MinCongestionScratch {
 
 /// Fractional min-congestion routing of `commodities` where commodity j may
 /// only use `candidate_paths[j]`. Each candidate must be a valid s_j-t_j
-/// path; every commodity with amount > 0 needs >= 1 candidate.
+/// path; every commodity with amount > 0 needs >= 1 candidate (else throws
+/// std::invalid_argument naming the pair).
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const std::vector<std::vector<Path>>& candidate_paths,
@@ -231,6 +261,11 @@ CongestionResult min_congestion_over_paths(
 /// or a warm seed. Only the total's association differs from a serial sum
 /// over all m edges; every per-edge value is exact, and the returned
 /// congestion and dual bound remain exact certificates of the LP.
+/// The path sums run in one pass over all of the solve's distinct
+/// candidates, eight paths per block (sorted by hop count, short lanes
+/// padded with a +0.0-length edge); every sum is still a serial
+/// left-to-right chain from +0.0, so the lanes change no bit (pinned
+/// against a textbook loop by tests/test_restricted_reference.cpp).
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,
@@ -250,10 +285,12 @@ void min_congestion_over_paths_into(const Graph& g,
 
 /// Fractional min-congestion over ALL paths (the offline optimum, i.e. the
 /// maximum-concurrent-flow LP). Only congestion/lower_bound/edge_load are
-/// populated. Runs on the flat substrate: scratch-reusing Dijkstra best
-/// responses, incremental max_log/exp caching, and sparse touched-set load
-/// aggregation, all bit-identical to the reference MWU loop (pinned by
-/// tests/test_free_path_flat.cpp and bench_m5_free_path's legacy replica).
+/// populated. Throws std::invalid_argument naming the pair when a commodity
+/// with amount > 0 has no s_j-t_j path. Runs on the flat substrate:
+/// scratch-reusing Dijkstra best responses, incremental max_log/exp
+/// caching, and sparse touched-set load aggregation, all bit-identical to
+/// the reference MWU loop (pinned by tests/test_free_path_flat.cpp and
+/// bench_m5_free_path's legacy replica).
 CongestionResult min_congestion_free(
     const Graph& g, const std::vector<Commodity>& commodities,
     const MinCongestionOptions& options = {});

@@ -6,9 +6,14 @@
 // packet-path staging arena. All of it is capacity-retaining (see the
 // per-layer scratch structs), and the two Dijkstra users keep their CSR
 // snapshot of the served graph across calls (FlatAdjacencyCache, rebuilt
-// only when the topology stamp changes), so a warm EngineScratch makes the
-// whole stage-3..5 pipeline allocation-free under a stable demand shape —
-// the measured contract bench_m7_service_memory gates.
+// only when the topology stamp changes), so a warm EngineScratch makes
+// fractional routes and their certificates allocation-free — the measured
+// contract bench_m7_service_memory gates. "Warm" means every buffer has
+// grown to the largest size the demand mix asks of it: buffers only grow,
+// and the per-commodity rows a smaller demand drops are parked in spare
+// lists for the next larger one (resize_keeping_buffers), so the
+// commodity count may change from route to route. Rounding and the packet
+// simulator still allocate per route.
 //
 // ScratchPool is the concurrency story: route_batch fans demands out across
 // the engine's thread pool, and scratch contents must never be shared

@@ -243,9 +243,10 @@ ScenarioReport run_scenario(SorEngine& engine, const ScenarioSpec& spec,
   std::size_t next_event = 0;
 
   // Reused across epochs: route_into refills this report's nested buffers
-  // in place (assign/resize keep capacity), so a steady-state epoch — no
-  // reinstall, full coverage, stable demand shape — performs zero heap
-  // allocations in the serving loop. bench_m7_service_memory gates this.
+  // in place (capacity kept, rows of a shrinking demand parked for reuse),
+  // so a steady-state epoch — no reinstall, full coverage, warm buffers —
+  // performs zero heap allocations in the serving loop.
+  // bench_m7_service_memory gates this.
   RouteReport route_report;
 
   // Tracks whether any install has ever succeeded: under a DegradePolicy

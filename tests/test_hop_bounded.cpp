@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -52,6 +54,24 @@ TEST(HopBounded, UnreachableWithinBound) {
   const auto d = hop_bounded_distances(g, 0, 2, unit_lengths(g));
   EXPECT_TRUE(std::isinf(d[3]));
   EXPECT_TRUE(hop_bounded_shortest_path(g, 0, 3, 2, unit_lengths(g)).empty());
+}
+
+TEST(HopBoundedCongestion, RejectsPairBeyondTheHopBound) {
+  // 0-1-2-3 has no path of at most 2 hops from 0 to 3, so the solve must
+  // reject that pair by name; with 3 hops it routes.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 3, 2.0}};
+  try {
+    (void)min_congestion_hop_bounded(g, demand, 2);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("(0, 3)"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_GT(min_congestion_hop_bounded(g, demand, 3).congestion, 0.0);
 }
 
 TEST(HopBounded, ExtractedPathRespectsBoundAndCost) {

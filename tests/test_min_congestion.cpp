@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -109,6 +113,43 @@ TEST(MinCongestion, EmptyDemandIsZero) {
   const Graph g = gen::complete(4);
   const auto result = min_congestion_free(g, {});
   EXPECT_DOUBLE_EQ(result.congestion, 0.0);
+}
+
+// The solvers reject demand they cannot route with std::invalid_argument
+// naming the pair: a restricted commodity with demand but no candidate, a
+// free commodity whose target is unreachable.
+void expect_rejects_pair(const std::function<void()>& solve,
+                         const std::string& pair) {
+  try {
+    solve();
+    ADD_FAILURE() << "expected std::invalid_argument naming " << pair;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(pair), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(MinCongestion, RestrictedRejectsDemandWithoutCandidates) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  const std::vector<Commodity> demand = {{0, 1, 1.0}, {2, 3, 5.0}};
+  const std::vector<std::vector<Path>> paths = {{{0, 1}}, {}};
+  expect_rejects_pair(
+      [&] { (void)min_congestion_over_paths(g, demand, paths); }, "(2, 3)");
+  // A zero-demand pair needs no candidate.
+  const std::vector<Commodity> idle = {{0, 1, 1.0}, {2, 3, 0.0}};
+  EXPECT_DOUBLE_EQ(min_congestion_over_paths(g, idle, paths).congestion, 1.0);
+}
+
+TEST(MinCongestion, FreeRejectsUnreachablePair) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 3, 2.0}};
+  expect_rejects_pair([&] { (void)min_congestion_free(g, demand); },
+                      "(0, 3)");
 }
 
 class MwuVsSimplexSweep : public ::testing::TestWithParam<int> {};

@@ -262,6 +262,34 @@ TEST(Runtime, WarmRouteIntoIsAllocationFree) {
   EXPECT_EQ(report.mem.allocs, 0u);
 }
 
+TEST(Runtime, AlternatingCommodityCountsStayAllocationFree) {
+  if (!runtime::counting_compiled()) {
+    GTEST_SKIP() << "built without SOR_ALLOC_STATS";
+  }
+  // Two demands on different pairs, one with k commodities and one with
+  // k - 1, routed in turn with the default spec (route + optimum). A shrink
+  // must not free the per-commodity rows the next, larger demand refills.
+  SorEngine engine = small_engine();
+  Demand wide;
+  Demand narrow;
+  for (int v = 0; v < 6; ++v) wide.add(v, 15 - v, 1.0);
+  for (int v = 0; v < 5; ++v) narrow.add(v, 8 + v, 1.0);
+  const Demand both[] = {wide, narrow};
+  engine.install_paths(SamplingSpec::for_demands(both, 4));
+
+  RouteReport report;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    SCOPED_TRACE(cycle);
+    for (const Demand& d : both) {
+      engine.route_into(d, {}, report);
+      if (cycle == 2) {
+        EXPECT_EQ(report.mem.allocs, 0u);
+        EXPECT_EQ(report.mem.alloc_bytes, 0u);
+      }
+    }
+  }
+}
+
 TEST(Runtime, RouteBatchMatchesSerialRoutesThroughTheScratchPool) {
   SorEngine engine = small_engine(/*threads=*/4);
   Rng rng(17);
