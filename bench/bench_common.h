@@ -88,10 +88,10 @@ class JsonSink {
 };
 
 // ---- canonical stage-row schema ----------------------------------------
-// One JsonSink field set across every throughput harness (m3/m4/m5), so
+// One JsonSink field set across every throughput harness (m3/m4, t8), so
 // the CI perf-regression gate (tools/bench_gate.py) parses every artifact
 // uniformly:
-//   phase        stage name ("route", "free_route", "construct", ...)
+//   phase        stage name ("route", "construct", "anytime_gap", ...)
 //   instance     topology/backend/batch description
 //   threads      pool width the row ran with (1 for single-thread stages)
 //   ms_per_op    wall-clock per operation

@@ -180,9 +180,6 @@ void SorEngine::set_edge_capacity(int e, double capacity) {
     if (idx < warm_state_->restricted_log_x.size()) {
       warm_state_->restricted_log_x[idx] *= ratio;
     }
-    if (idx < warm_state_->free_log_x.size()) {
-      warm_state_->free_log_x[idx] *= ratio;
-    }
   }
 }
 
@@ -443,7 +440,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   // ---- seed decision ----------------------------------------------------
   warm::RouteWarmHooks hooks;
   MwuWarmStart restricted_seed;
-  MwuWarmStart free_seed;
   std::vector<std::vector<int>> rounding_seed;
   double scale = 0.0;
   bool hit = false;
@@ -454,11 +450,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
       restricted_seed.log_x = st.restricted_log_x;
       restricted_seed.scale = scale;
       hooks.restricted.warm = &restricted_seed;
-      if (spec.compute_optimum && st.free_log_x.size() == m) {
-        free_seed.log_x = st.free_log_x;
-        free_seed.scale = scale;
-        hooks.free_path.warm = &free_seed;
-      }
       if ((spec.round_integral || spec.simulate_packets) &&
           !st.choices.empty()) {
         build_rounding_seed(demand, st, rounding_seed);
@@ -466,11 +457,10 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
       }
     }
   }
-  // Captures write after the solvers read their seeds (the seed is copied
-  // into solver scratch at init), so capturing into the same vectors the
-  // seeds alias is safe.
+  // The capture writes after the solver reads its seed (the seed is copied
+  // into solver scratch at init), so capturing into the vector the seed
+  // aliases is safe.
   hooks.restricted.capture_log_x = &st.restricted_log_x;
-  if (spec.compute_optimum) hooks.free_path.capture_log_x = &st.free_log_x;
 
   {
     const obs::TraceSpan span(hit ? "seed" : "cold", "warm");
@@ -572,9 +562,8 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   if (spec.compute_optimum) {
     {
       const StageScope stage("optimum", out.times.optimum_ms);
-      out.optimum = optimal_congestion(
-          *graph_, demand, spec.mwu, scratch.optimum,
-          hooks != nullptr ? hooks->free_path : MwuHooks{});
+      out.optimum =
+          optimal_congestion(*graph_, demand, spec.mwu, scratch.optimum);
     }
     lb = std::max(lb, out.optimum->value());
   }

@@ -117,9 +117,10 @@ struct SamplingSpec {
 /// Stage 3..5 knobs for one revealed demand. Plain values only: two specs
 /// that compare equal route a demand identically.
 struct RouteSpec {
-  /// Options of both MWU solves, the restricted route and the optimum
-  /// oracle; `mwu.budget` is the anytime-solve budget (see SolveBudget),
-  /// exposed as `sor_cli --solve-budget`.
+  /// Options of the restricted route and of the optimum's master solves
+  /// (see min_congestion_by_columns_into); `mwu.budget` is the
+  /// anytime-solve budget (see SolveBudget), exposed as
+  /// `sor_cli --solve-budget`.
   MinCongestionOptions mwu;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
   bool compute_optimum = true;
@@ -479,7 +480,7 @@ class SorEngine {
   /// `scratch`, the report refilled in place. `rng` is the stream rounding
   /// and simulation draw from (the engine stream for route_into(), a
   /// seed-split stream for route_batch()). `hooks` (warm starts only; see
-  /// warm/warm_state.h) carries the MWU seeds/captures and the rounding
+  /// warm/warm_state.h) carries the MWU seed/capture and the rounding
   /// seed — null on every cold route, and a null-hook call is
   /// bit-identical to a build without the parameter.
   void route_one_into(const Demand& demand, const RouteSpec& spec, Rng& rng,

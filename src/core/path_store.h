@@ -158,6 +158,7 @@ class FlatCandidates {
                                     commodity_first_[j]);
   }
   std::size_t total_paths() const { return path_first_.size() - 1; }
+  std::size_t total_edges() const { return arena_.size(); }
 
   std::span<const int> edges(std::size_t j, std::size_t i) const {
     const std::size_t p =

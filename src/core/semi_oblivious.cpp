@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <span>
+#include <sstream>
+#include <stdexcept>
 
 #include "graph/shortest_path.h"
 
@@ -123,15 +127,109 @@ SemiObliviousSolution route_fractional_exact(const Graph& g,
                   std::move(result));
 }
 
+namespace {
+
+// One early-exit CSR Dijkstra per source run of the (s, t)-sorted
+// `commodities` (Demand::commodities_into's order) under `lengths`, the
+// loop the distance bound and the optimum's pricer share. Returns
+// sum_j d_j * dist(s_j, t_j), summed in commodity order; after each run,
+// visit(j) sees commodity j's distance in sc.dist and, when `parent_edge`
+// is non-empty, the run's shortest-path tree. The early exit needs
+// strictly positive lengths (see dijkstra_into_targets); a zero length
+// (an underflowed softmax weight) falls back to full sweeps, whose target
+// distances are the same.
+template <class Visit>
+double sum_source_runs(const Graph& g, std::span<const Commodity> commodities,
+                       const std::vector<double>& lengths,
+                       DistanceBoundScratch& sc, std::span<int> parent_edge,
+                       Visit&& visit) {
+  const FlatAdjacency& adj = sc.adj.get(g);
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  auto& dist = sc.dist;
+  auto& is_target = sc.is_target;
+  dist.assign(n, 0.0);
+  is_target.assign(n, 0);
+  const bool positive = std::all_of(lengths.begin(), lengths.end(),
+                                    [](double len) { return len > 0.0; });
+  double numerator = 0.0;
+  for (std::size_t first = 0; first < commodities.size();) {
+    const int source = commodities[first].s;
+    std::size_t last = first;
+    int num_targets = 0;
+    for (; last < commodities.size() && commodities[last].s == source;
+         ++last) {
+      is_target[static_cast<std::size_t>(commodities[last].t)] = 1;
+      ++num_targets;
+    }
+    if (positive) {
+      dijkstra_into_targets(adj, source, lengths, dist, parent_edge,
+                            sc.dijkstra, is_target, num_targets);
+    } else {
+      dijkstra_into_targets(adj, source, lengths, dist, parent_edge,
+                            sc.dijkstra);
+    }
+    for (; first != last; ++first) {
+      const std::size_t t = static_cast<std::size_t>(commodities[first].t);
+      numerator += commodities[first].amount * dist[t];
+      is_target[t] = 0;
+      visit(first);
+    }
+  }
+  return numerator;
+}
+
+// The optimum's pricer: every commodity's shortest path over the whole
+// graph, walked back from the shortest-path tree of its source's run.
+class DijkstraPricer final : public ColumnPricer {
+ public:
+  DijkstraPricer(const Graph& g, OptimumScratch& sc) : g_(g), sc_(sc) {}
+
+  double price(const std::vector<double>& lengths,
+               FlatCandidates& paths) override {
+    const auto& commodities = sc_.commodities;
+    const std::size_t n = static_cast<std::size_t>(g_.num_vertices());
+    sc_.parent_edge.resize(n);
+    sc_.walk.reserve(n);  // a shortest path has fewer than n edges
+    return sum_source_runs(
+        g_, commodities, lengths, sc_.pricing, sc_.parent_edge,
+        [&](std::size_t j) {
+          const Commodity& c = commodities[j];
+          if (sc_.pricing.dist[static_cast<std::size_t>(c.t)] ==
+              std::numeric_limits<double>::infinity()) {
+            std::ostringstream msg;
+            msg << "optimal_congestion: pair (" << c.s << ", " << c.t
+                << ") has demand " << c.amount << " but no path joins it";
+            throw std::invalid_argument(msg.str());
+          }
+          auto& walk = sc_.walk;
+          walk.clear();
+          for (int v = c.t; v != c.s;) {
+            const int e = sc_.parent_edge[static_cast<std::size_t>(v)];
+            walk.push_back(e);
+            v = g_.edge(e).other(v);
+          }
+          std::reverse(walk.begin(), walk.end());
+          paths.add_path(walk);
+          paths.end_commodity();
+        });
+  }
+
+ private:
+  const Graph& g_;
+  OptimumScratch& sc_;
+};
+
+}  // namespace
+
 OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
                                      const MinCongestionOptions& options,
-                                     OptimumScratch& scratch,
-                                     const MwuHooks& hooks) {
+                                     OptimumScratch& scratch) {
   OptimalCongestion opt;
   if (d.empty()) return opt;
   d.commodities_into(scratch.commodities);
-  min_congestion_free_into(g, scratch.commodities, options, hooks, scratch.mwu,
-                           scratch.result);
+  DijkstraPricer pricer(g, scratch);
+  min_congestion_by_columns_into(g, scratch.commodities, options, pricer,
+                                 scratch.columns, scratch.result);
   opt.upper = scratch.result.congestion;
   opt.lower = scratch.result.lower_bound;
   opt.status = scratch.result.status;
@@ -165,36 +263,10 @@ double distance_lower_bound(const Graph& g, const Demand& d,
     lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
     denominator += 1.0;  // cap_e * w_e with w_e = 1/cap_e
   }
-  // One early-exit Dijkstra per distinct source in the support: entries()
-  // is ordered by (s, t), so each source's targets are one distinct run of
-  // entries. Lengths 1/cap_e are strictly positive, so every target's
-  // distance equals a full sweep's (see dijkstra_into_targets); the
-  // numerator is summed in entries() order.
-  const FlatAdjacency& adj = scratch.adj.get(g);
-  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-  auto& dist = scratch.dist;
-  auto& is_target = scratch.is_target;
-  dist.assign(n, 0.0);
-  is_target.assign(n, 0);
-  double numerator = 0.0;
-  const auto& entries = d.entries();
-  for (auto first = entries.begin(); first != entries.end();) {
-    const int source = first->first.first;
-    auto last = first;
-    int num_targets = 0;
-    for (; last != entries.end() && last->first.first == source; ++last) {
-      is_target[static_cast<std::size_t>(last->first.second)] = 1;
-      ++num_targets;
-    }
-    dijkstra_into_targets(adj, source, lengths, dist, {}, scratch.dijkstra,
-                          is_target, num_targets);
-    for (; first != last; ++first) {
-      const std::size_t t = static_cast<std::size_t>(first->first.second);
-      numerator += first->second * dist[t];
-      is_target[t] = 0;
-    }
-  }
-  return numerator / denominator;
+  d.commodities_into(scratch.commodities);
+  return sum_source_runs(g, scratch.commodities, lengths, scratch, {},
+                         [](std::size_t) {}) /
+         denominator;
 }
 
 double distance_lower_bound(const Graph& g, const Demand& d) {

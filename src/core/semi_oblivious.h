@@ -9,6 +9,7 @@
 #include "core/demand.h"
 #include "core/path_system.h"
 #include "graph/graph.h"
+#include "graph/shortest_path.h"
 #include "lp/min_congestion.h"
 
 namespace sor {
@@ -71,8 +72,11 @@ SemiObliviousSolution route_fractional_exact(const Graph& g,
 
 /// Offline optimal congestion opt_{G,R}(d) with certificates:
 /// `upper` is the congestion of an explicit feasible fractional routing,
-/// `lower` an LP-duality bound, so lower <= opt <= upper. Runs the flat
-/// free-path MWU (see min_congestion_free).
+/// `lower` an LP-duality bound, so lower <= opt <= upper. Column generation
+/// over the restricted solve with a Dijkstra pricer (see
+/// min_congestion_by_columns_into): `lower` starts at distance_lower_bound
+/// and only rises, and `upper` is the final restricted solve over the
+/// columns found.
 struct OptimalCongestion {
   double upper = 0.0;
   double lower = 0.0;
@@ -80,27 +84,14 @@ struct OptimalCongestion {
   /// competitive ratios (the max of lower and a trivial bound; > 0 whenever
   /// the demand is nonempty).
   double value() const { return lower > 0.0 ? lower : upper; }
-  /// Why the free-path MWU solve stopped (anytime budgets truncate the
-  /// optimum oracle too).
+  /// Why the final restricted solve stopped (anytime budgets truncate the
+  /// optimum too: they apply to each of its master solves).
   SolveStatus status = SolveStatus::kCompleted;
 };
 
+/// Throws std::invalid_argument naming a pair of `d` that no path joins.
 OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
                                      const MinCongestionOptions& options = {});
-
-/// Reusable scratch for the optimum solve (free-path MWU working set).
-struct OptimumScratch {
-  std::vector<Commodity> commodities;
-  MinCongestionScratch mwu;
-  CongestionResult result;
-};
-
-/// Scratch-threaded optimum; identical result to the overload above.
-/// `hooks` reach the free-path MWU solve.
-OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
-                                     const MinCongestionOptions& options,
-                                     OptimumScratch& scratch,
-                                     const MwuHooks& hooks = {});
 
 /// Cheap distance-duality lower bound on opt_{G,R}(d) (no iteration):
 /// opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e w_e with w_e = 1/cap_e.
@@ -111,10 +102,12 @@ OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
 /// to full sweeps.
 double distance_lower_bound(const Graph& g, const Demand& d);
 
-/// Reusable scratch for distance_lower_bound: the lengths, one Dijkstra
-/// row, the target mask, the heap, and the CSR snapshot of the graph (kept
-/// across calls on the same topology, see FlatAdjacencyCache).
+/// Reusable scratch for distance_lower_bound: the demand's commodities, the
+/// lengths, one Dijkstra row, the target mask, the heap, and the CSR
+/// snapshot of the graph (kept across calls on the same topology, see
+/// FlatAdjacencyCache).
 struct DistanceBoundScratch {
+  std::vector<Commodity> commodities;
   std::vector<double> lengths;
   std::vector<double> dist;
   std::vector<char> is_target;
@@ -125,6 +118,26 @@ struct DistanceBoundScratch {
 /// Scratch-threaded distance bound; identical result to the overload above.
 double distance_lower_bound(const Graph& g, const Demand& d,
                             DistanceBoundScratch& scratch);
+
+/// Reusable scratch for the optimum: the demand's commodities, the column
+/// generation state, the Dijkstra pricer's state (its shortest-path tree
+/// and walk-back buffer beside the distance bound's Dijkstra state), and
+/// the final solve's result. Capacity-retaining: once warm, an optimum
+/// allocates nothing.
+struct OptimumScratch {
+  std::vector<Commodity> commodities;
+  ColumnGenerationScratch columns;
+  DistanceBoundScratch pricing;
+  std::vector<int> parent_edge;
+  std::vector<int> walk;
+  CongestionResult result;
+};
+
+/// Scratch-threaded optimum; identical result to the overload above, through
+/// a fresh or a reused scratch alike.
+OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
+                                     const MinCongestionOptions& options,
+                                     OptimumScratch& scratch);
 
 /// Competitive ratio of a semi-oblivious solution against the offline
 /// optimum (uses the optimum's lower certificate, so the reported ratio is

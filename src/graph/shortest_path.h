@@ -33,7 +33,7 @@ std::vector<double> dijkstra(const Graph& g, int source,
 
 /// Reusable scratch for `dijkstra_into_targets`: the backing storage of its
 /// 4-ary heap, kept hot across calls so a repeated sweep (one Dijkstra per
-/// source per MWU round, per demand, or per FRT row) allocates nothing
+/// source per pricing round, per demand, or per FRT row) allocates nothing
 /// after the first call.
 struct DijkstraScratch {
   std::vector<std::pair<double, int>> heap;
@@ -42,8 +42,8 @@ struct DijkstraScratch {
 /// Flat CSR snapshot of a graph's incidence structure: per-vertex arc
 /// ranges of packed {neighbor, edge id} pairs, in exactly
 /// Graph::incident / Edge::other order. Built once (O(n + m)) and reused
-/// by every Dijkstra sweep of the library (the free oracle's per-source best
-/// responses, the distance bound, FRT's all-pairs rows): the relaxation scan
+/// by every Dijkstra sweep of the library (the distance bound and the
+/// optimum's pricer, FRT's all-pairs rows): the relaxation scan
 /// walks one contiguous 8-byte-per-arc array instead of chasing
 /// vector-of-vector incident lists and 24-byte Edge structs. Identical
 /// iteration order, hence bit-identical outputs.

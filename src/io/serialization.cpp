@@ -86,8 +86,8 @@ std::optional<Demand> read_demand(std::istream& in) {
     int s = 0;
     int t = 0;
     double value = 0.0;
-    if (!(ls >> s >> t >> value) || !fully_consumed(ls) || s == t ||
-        value < 0.0 || !std::isfinite(value)) {
+    if (!(ls >> s >> t >> value) || !fully_consumed(ls) || s < 0 || t < 0 ||
+        s == t || value < 0.0 || !std::isfinite(value)) {
       return std::nullopt;
     }
     d.set(s, t, value);

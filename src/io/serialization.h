@@ -22,7 +22,9 @@ void write_dot(std::ostream& out, const Graph& g,
 /// Demand text format: one "s t value" triple per line, '#' comments.
 void write_demand(std::ostream& out, const Demand& d);
 
-/// Parses the demand format; returns nullopt on malformed input.
+/// Parses the demand format; returns nullopt on malformed input: a line
+/// that is not exactly "s t value", a negative vertex id, s == t, or a
+/// negative or non-finite value.
 std::optional<Demand> read_demand(std::istream& in);
 
 /// Path system text format: one "s t v0 v1 ... vk" line per candidate path.

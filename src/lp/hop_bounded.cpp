@@ -63,10 +63,9 @@ struct HopDp {
                 static_cast<std::size_t>(v)];
   }
 
-  /// Reconstructs a <= max_hops walk from source to t; the caller
-  /// simplifies. Requires value(max_hops, t) < inf.
-  Path extract(const Graph& g, int source, int t) {
-    Path reversed = {t};
+  /// Appends the edge ids of a cheapest <= max_hops walk from source to t
+  /// onto `edges`, walked back from t. Requires value(max_hops, t) < inf.
+  void walk_back(const Graph& g, int source, int t, std::vector<int>& edges) {
     int k = max_hops;
     int v = t;
     while (v != source || k > 0) {
@@ -80,11 +79,20 @@ struct HopDp {
       // The parent layer is the largest k' < k with the same prefix cost;
       // stepping back one layer per edge is sound because parent_at(k, v)
       // was set when the edge relaxed layer k.
+      edges.push_back(e);
       v = g.edge(e).other(v);
-      reversed.push_back(v);
       --k;
       assert(k >= 0);
     }
+  }
+
+  /// Reconstructs a <= max_hops walk from source to t and simplifies it.
+  /// Requires value(max_hops, t) < inf.
+  Path extract(const Graph& g, int source, int t) {
+    std::vector<int> edges;
+    walk_back(g, source, t, edges);
+    Path reversed = {t};
+    for (int e : edges) reversed.push_back(g.edge(e).other(reversed.back()));
     std::reverse(reversed.begin(), reversed.end());
     return simplify_walk(reversed);
   }
@@ -111,105 +119,62 @@ Path hop_bounded_shortest_path(const Graph& g, int s, int t, int max_hops,
   return dp.extract(g, s, t);
 }
 
+namespace {
+
+// The h-hop pricer: per commodity, the layered DP's cheapest walk of at
+// most max_hops edges (a simple path under strictly positive lengths), and
+// the DP's distance for the h-hop duality bound
+//   opt^(h) >= sum_j d_j * hopdist_w(s_j, t_j) / sum_e cap_e * w_e.
+class HopPricer final : public ColumnPricer {
+ public:
+  HopPricer(const Graph& g, const std::vector<Commodity>& commodities,
+            int max_hops)
+      : g_(g), commodities_(commodities), max_hops_(max_hops) {}
+
+  double price(const std::vector<double>& lengths,
+               FlatCandidates& paths) override {
+    double numerator = 0.0;
+    for (const Commodity& c : commodities_) {
+      if (c.amount > 0.0) {
+        HopDp dp(g_, c.s, max_hops_, lengths);
+        const double dist = dp.value(max_hops_, c.t);
+        if (dist == kInf) {
+          std::ostringstream msg;
+          msg << "min_congestion_hop_bounded: pair (" << c.s << ", " << c.t
+              << ") has demand " << c.amount << " but no path of at most "
+              << max_hops_ << " hops joins it";
+          throw std::invalid_argument(msg.str());
+        }
+        numerator += c.amount * dist;
+        walk_.clear();
+        dp.walk_back(g_, c.s, c.t, walk_);
+        std::reverse(walk_.begin(), walk_.end());
+        paths.add_path(walk_);
+      }
+      paths.end_commodity();
+    }
+    return numerator;
+  }
+
+ private:
+  const Graph& g_;
+  const std::vector<Commodity>& commodities_;
+  int max_hops_;
+  std::vector<int> walk_;
+};
+
+}  // namespace
+
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,
     const MinCongestionOptions& options) {
-  // Column generation over hop-bounded DP paths: maintain, per commodity,
-  // the set of hop-bounded paths discovered so far, and alternate (a) a
-  // best response against the current edge lengths via the DP, (b) a
-  // restricted MWU solve over the collected columns
-  // (min_congestion_over_paths, which runs the shared run_mwu round loop),
-  // (c) a length refresh from that solve's loads. Few iterations suffice
-  // because each DP adds the currently most violated column.
-  const std::size_t k = commodities.size();
-  std::vector<std::vector<Path>> columns(k);
-  // Edge ids of every discovered column, resolved exactly once when the
-  // column is added and reused by the dual certificate and every restricted
-  // solve below (the solver re-resolved them per outer iteration before).
-  std::vector<std::vector<std::vector<int>>> column_edges(k);
-  std::vector<double> lengths(static_cast<std::size_t>(g.num_edges()));
-  for (int e = 0; e < g.num_edges(); ++e) {
-    lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
-  }
-
-  CongestionResult best;
-  best.congestion = kInf;
-  double best_dual = 0.0;
-  const int outer_iterations = 6;
-  for (int iter = 0; iter < outer_iterations; ++iter) {
-    // (a) add the best-response column for every commodity, and evaluate
-    // the h-hop duality certificate under the current lengths w:
-    //   opt^(h) >= sum_j d_j * hopdist_w(s_j, t_j) / sum_e cap_e * w_e.
-    double dual_numerator = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (commodities[j].amount <= 0.0) continue;
-      Path p = hop_bounded_shortest_path(g, commodities[j].s,
-                                         commodities[j].t, max_hops, lengths);
-      if (p.empty()) {
-        std::ostringstream msg;
-        msg << "min_congestion_hop_bounded: pair (" << commodities[j].s
-            << ", " << commodities[j].t << ") has demand "
-            << commodities[j].amount << " but no path of at most "
-            << max_hops << " hops joins it";
-        throw std::invalid_argument(msg.str());
-      }
-      assert(hop_count(p) <= max_hops);
-      std::vector<int> edges = path_edge_ids(g, p);
-      double cost = 0.0;
-      for (int e : edges) {
-        cost += lengths[static_cast<std::size_t>(e)];
-      }
-      dual_numerator += commodities[j].amount * cost;
-      bool duplicate = false;
-      for (const Path& q : columns[j]) {
-        if (q == p) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        columns[j].push_back(std::move(p));
-        column_edges[j].push_back(std::move(edges));
-      }
-    }
-    double dual_denominator = 0.0;
-    for (int e = 0; e < g.num_edges(); ++e) {
-      dual_denominator +=
-          g.edge(e).capacity * lengths[static_cast<std::size_t>(e)];
-    }
-    if (dual_denominator > 0.0) {
-      best_dual = std::max(best_dual, dual_numerator / dual_denominator);
-    }
-    // (b) optimize over the columns, on the flat representation.
-    FlatCandidates usable;
-    for (std::size_t j = 0; j < k; ++j) {
-      for (const auto& edges : column_edges[j]) usable.add_path(edges);
-      usable.end_commodity();
-    }
-    CongestionResult result =
-        min_congestion_over_paths(g, commodities, usable, options);
-    if (result.congestion < best.congestion) {
-      best = result;
-      best.path_weights.clear();  // column indices are internal
-    }
-    // (c) refresh lengths from the load profile so the next DP finds the
-    // most violated alternative route.
-    double max_rel = 0.0;
-    for (int e = 0; e < g.num_edges(); ++e) {
-      max_rel = std::max(max_rel, result.edge_load[static_cast<std::size_t>(e)] /
-                                      g.edge(e).capacity);
-    }
-    for (int e = 0; e < g.num_edges(); ++e) {
-      const double rel = max_rel > 0.0
-                             ? result.edge_load[static_cast<std::size_t>(e)] /
-                                   (g.edge(e).capacity * max_rel)
-                             : 0.0;
-      lengths[static_cast<std::size_t>(e)] =
-          (1.0 + 9.0 * rel) / g.edge(e).capacity;
-    }
-  }
-  best.lower_bound = best_dual;
-  return best;
+  HopPricer pricer(g, commodities, max_hops);
+  ColumnGenerationScratch scratch;
+  CongestionResult result;
+  min_congestion_by_columns_into(g, commodities, options, pricer, scratch,
+                                 result);
+  result.path_weights.clear();  // they index the internal columns
+  return result;
 }
 
 }  // namespace sor

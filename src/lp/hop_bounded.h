@@ -3,10 +3,11 @@
 // at most h. This is the competitor completion-time semi-oblivious routing
 // is measured against.
 //
-// The best response oracle is a layered Bellman-Ford DP: dist[k][v] = the
-// cheapest walk from the source to v using exactly <= k edges. The MWU
-// engine from min_congestion.h then optimizes congestion over the h-hop
-// path polytope.
+// The pricer is a layered Bellman-Ford DP: dist[k][v] = the cheapest walk
+// from the source to v using <= k edges. Column generation over the
+// restricted MWU solve (min_congestion_by_columns_into) then optimizes
+// congestion over the h-hop path polytope, as the offline optimum does
+// over all paths with a Dijkstra pricer.
 #pragma once
 
 #include <vector>
@@ -28,10 +29,13 @@ std::vector<double> hop_bounded_distances(const Graph& g, int source,
                                           const std::vector<double>& length);
 
 /// Fractional min-congestion over all routings with dilation <= max_hops —
-/// the paper's opt^(h) (fractional relaxation). Every commodity with
-/// positive demand must be reachable within max_hops; otherwise throws
-/// std::invalid_argument naming the pair. `lower_bound` is the h-hop
-/// duality certificate (valid against all h-hop routings).
+/// the paper's opt^(h) (fractional relaxation), by column generation with
+/// the hop DP as the pricer. Every commodity with positive demand must be
+/// reachable within max_hops; otherwise throws std::invalid_argument
+/// naming the pair. `congestion` and `edge_load` are the final restricted
+/// solve's over the columns found (path_weights is empty: it would index
+/// them); `lower_bound` is the best h-hop duality certificate of the
+/// pricing rounds (valid against all h-hop routings).
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,
     const MinCongestionOptions& options = {});

@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/shortest_path.h"
 #include "obs/convergence.h"
@@ -138,19 +139,245 @@ double congestion_of_weights(const Graph& g,
 
 namespace {
 
-// ---- the shared MWU loop ---------------------------------------------------
-// Both solvers play one Freund–Schapire game: each round the adversary's
-// edge weights x_e ∝ exp(log_x[e]) set lengths x_e / cap_e, the router
-// best-responds with one path per commodity, and log_x grows by
-// eta * (round load / cap) / width on the edges it used. run_mwu owns the
-// round loop and everything the two solvers share — state, warm seeding,
-// the exp cache, the dual, load aggregation, the budget, the sink and the
-// early exit. An oracle owns what differs: the normalizing total and the
-// lengths, the best response, the budget snapshot, and the returned iterate.
+// The restricted oracle: commodity j may only use its candidate paths. This
+// is THE hot loop of the serving path (one solve per revealed demand), so
+// its per-round normalization and lengths cost O(candidate footprint), not
+// O(m):
 //
-// Every shortcut in run_mwu is BIT-IDENTICAL to the textbook loop (the
-// replicas in bench_m4 and bench/legacy_free_path_mwu.h); the one departure
-// is the restricted oracle's segmented total, documented with it below:
+//  * duplicate candidates are deduplicated up front: sampling is with
+//    replacement, and a duplicate's length always EQUALS its first
+//    occurrence, so the strict `<` argmin can never select it — dropping
+//    it from the scan changes nothing (its weight was always 0); a
+//    zero-demand commodity routes nothing and scans no candidate at all;
+//  * lengths are computed only for edges that appear on SOME distinct
+//    candidate, the only edges the path sums ever read;
+//  * the normalizing total is a segmented sum: the (m - |active|) untouched
+//    edges fold into one (count * shared value) product and the active
+//    mass sums in four interleaved lanes (the association documented on
+//    min_congestion_over_paths);
+//  * every distinct candidate of the solve is summed in ONE pass over lane
+//    blocks (see prepare), then each commodity takes its argmin over its
+//    own sums in dedup order.
+struct RestrictedOracle {
+  static constexpr std::size_t kLanes = 8;
+
+  const Graph& g;
+  const std::vector<Commodity>& commodities;
+  const FlatCandidates& candidates;
+  MinCongestionScratch& sc;
+
+  void reset(CongestionResult& out) const {
+    resize_keeping_buffers(out.path_weights, commodities.size(),
+                           sc.spare_weights);
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      out.path_weights[j].assign(candidates.num_paths(j), 0.0);
+    }
+  }
+
+  void prepare() {
+    const std::size_t k = commodities.size();
+    const std::size_t m = sc.cap.size();
+    // distinct: each positive-demand commodity's first-occurrence
+    // candidates, commodity-major; commodity_first: prefix over distinct
+    // per commodity; original_index: candidate index of each distinct path.
+    auto& distinct = sc.distinct;
+    distinct.clear();
+    sc.original_index.clear();
+    sc.commodity_first.assign(1, 0);
+    for (std::size_t j = 0; j < k; ++j) {
+      const Commodity& c = commodities[j];
+      if (c.amount > 0.0) {
+        if (candidates.num_paths(j) == 0) {
+          std::ostringstream msg;
+          msg << "min_congestion_over_paths: pair (" << c.s << ", " << c.t
+              << ") has demand " << c.amount << " but no candidate path";
+          throw std::invalid_argument(msg.str());
+        }
+        const std::size_t first = distinct.size();
+        for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+          const auto path = candidates.edges(j, i);
+          const bool repeat = std::any_of(
+              distinct.begin() + static_cast<std::ptrdiff_t>(first),
+              distinct.end(), [&](std::span<const int> other) {
+                return std::equal(path.begin(), path.end(), other.begin(),
+                                  other.end());
+              });
+          if (repeat) continue;
+          distinct.push_back(path);
+          sc.original_index.push_back(static_cast<std::int32_t>(i));
+        }
+      }
+      sc.commodity_first.push_back(
+          static_cast<std::int64_t>(distinct.size()));
+    }
+    const std::size_t num_distinct = distinct.size();
+    sc.counts.assign(num_distinct, 0);
+    sc.chosen_edges.assign(k, std::span<const int>{});
+
+    // Lane blocks. A stable counting sort by hop count orders the distinct
+    // paths into by_hops, which is padded to whole blocks of kLanes with
+    // the dump slot num_distinct. Block b holds the paths by_hops[kLanes*b
+    // ..] transposed — hop h of lane l at lane_edges[block_first[b] +
+    // kLanes*h + l] — for as many hops as its longest (last) path. A
+    // shorter lane is padded with edge id m, whose length stays +0.0: its
+    // sum is a left-to-right chain from +0.0 like a serial one, and
+    // x + (+0.0) == x for every x >= +0.0, so padding changes no sum.
+    std::size_t max_hops = 0;
+    for (const auto path : distinct) max_hops = std::max(max_hops, path.size());
+    auto& hop_first = sc.hop_first;
+    hop_first.assign(max_hops + 2, 0);
+    for (const auto path : distinct) ++hop_first[path.size() + 1];
+    for (std::size_t h = 1; h < hop_first.size(); ++h) {
+      hop_first[h] += hop_first[h - 1];
+    }
+    auto& by_hops = sc.by_hops;
+    by_hops.assign((num_distinct + kLanes - 1) / kLanes * kLanes,
+                   static_cast<std::int32_t>(num_distinct));
+    for (std::size_t d = 0; d < num_distinct; ++d) {
+      by_hops[hop_first[distinct[d].size()]++] = static_cast<std::int32_t>(d);
+    }
+    sc.lane_edges.clear();
+    sc.block_first.assign(1, 0);
+    for (std::size_t first = 0; first < by_hops.size(); first += kLanes) {
+      const std::size_t last = std::min(first + kLanes, num_distinct) - 1;
+      const std::size_t hops =
+          distinct[static_cast<std::size_t>(by_hops[last])].size();
+      for (std::size_t h = 0; h < hops; ++h) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t d = static_cast<std::size_t>(by_hops[first + l]);
+          sc.lane_edges.push_back(d < num_distinct && h < distinct[d].size()
+                                      ? distinct[d][h]
+                                      : static_cast<int>(m));
+        }
+      }
+      sc.block_first.push_back(static_cast<std::int64_t>(sc.lane_edges.size()));
+    }
+    sc.path_len.assign(num_distinct + 1, 0.0);
+    sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
+
+    // The distinct candidate edge set: the only edges whose lengths the
+    // path sums will ever read.
+    sc.cand_edges.clear();
+    sc.in_cand.assign(m, 0);
+    for (const auto path : distinct) {
+      for (int e : path) {
+        if (!sc.in_cand[static_cast<std::size_t>(e)]) {
+          sc.in_cand[static_cast<std::size_t>(e)] = 1;
+          sc.cand_edges.push_back(e);
+        }
+      }
+    }
+  }
+
+  void best_response(double untouched_value) {
+    const auto& active = sc.active;
+    const auto& expv = sc.expv;
+    auto& lengths = sc.lengths;
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    std::size_t a = 0;
+    for (; a + 4 <= active.size(); a += 4) {
+      l0 += expv[static_cast<std::size_t>(active[a])];
+      l1 += expv[static_cast<std::size_t>(active[a + 1])];
+      l2 += expv[static_cast<std::size_t>(active[a + 2])];
+      l3 += expv[static_cast<std::size_t>(active[a + 3])];
+    }
+    for (; a < active.size(); ++a) {
+      l0 += expv[static_cast<std::size_t>(active[a])];
+    }
+    const double total =
+        static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
+        ((l0 + l1) + (l2 + l3));
+    for (int e : sc.cand_edges) {
+      const double value = sc.is_active[static_cast<std::size_t>(e)]
+                               ? expv[static_cast<std::size_t>(e)]
+                               : untouched_value;
+      const double xe = value / total;
+      lengths[static_cast<std::size_t>(e)] =
+          xe / sc.cap[static_cast<std::size_t>(e)];
+    }
+
+    // Every distinct path's length, kLanes paths at a time: each lane is
+    // its own left-to-right addition chain from +0.0, so every sum is
+    // bit-identical to a serial evaluation; the lanes only break the
+    // latency dependence BETWEEN paths.
+    const int* lane_edges = sc.lane_edges.data();
+    const std::int32_t* owner = sc.by_hops.data();
+    for (std::size_t b = 0; b + 1 < sc.block_first.size();
+         ++b, owner += kLanes) {
+      double sum[kLanes] = {};
+      const int* stop = lane_edges + sc.block_first[b + 1];
+      for (const int* hop = lane_edges + sc.block_first[b]; hop != stop;
+           hop += kLanes) {
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          sum[l] += lengths[static_cast<std::size_t>(hop[l])];
+        }
+      }
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        sc.path_len[static_cast<std::size_t>(owner[l])] = sum[l];
+      }
+    }
+
+    // Per commodity, the strict `<` argmin over its distinct paths in dedup
+    // order, so ties resolve exactly as a serial scan of the candidates.
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      const std::size_t begin =
+          static_cast<std::size_t>(sc.commodity_first[j]);
+      const std::size_t end =
+          static_cast<std::size_t>(sc.commodity_first[j + 1]);
+      if (begin == end) continue;  // zero demand: no path, length 0
+      double best = std::numeric_limits<double>::infinity();
+      std::size_t best_d = begin;
+      for (std::size_t d = begin; d < end; ++d) {
+        if (sc.path_len[d] < best) {
+          best = sc.path_len[d];
+          best_d = d;
+        }
+      }
+      sc.chosen_edges[j] = sc.distinct[best_d];
+      sc.chosen_len[j] = best;
+      ++sc.counts[best_d];
+    }
+  }
+
+  std::span<const int> path(std::size_t j) const { return sc.chosen_edges[j]; }
+  // The weights conversion in finish() rebuilds the iterate from counts.
+  void snapshot() { sc.budget_counts = sc.counts; }
+  void rewind() { sc.counts = sc.budget_counts; }
+
+  // Choice counts become fractional weights over the ORIGINAL candidate
+  // indexing (duplicates keep their reset weight: 0); the returned loads
+  // and congestion are those of exactly these weights.
+  void finish(int rounds, CongestionResult& out) const {
+    const int total_rounds = std::max(rounds, 1);
+    for (std::size_t j = 0; j < commodities.size(); ++j) {
+      const std::size_t begin =
+          static_cast<std::size_t>(sc.commodity_first[j]);
+      const std::size_t end =
+          static_cast<std::size_t>(sc.commodity_first[j + 1]);
+      for (std::size_t d = begin; d < end; ++d) {
+        out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
+            commodities[j].amount * static_cast<double>(sc.counts[d]) /
+            static_cast<double>(total_rounds);
+      }
+    }
+    out.congestion = congestion_of_weights(g, commodities, candidates,
+                                           out.path_weights, &out.edge_load);
+  }
+};
+
+// ---- the MWU loop ----------------------------------------------------------
+// The restricted solve plays one Freund–Schapire game: each round the
+// adversary's edge weights x_e ∝ exp(log_x[e]) set lengths x_e / cap_e, the
+// router best-responds with one path per commodity, and log_x grows by
+// eta * (round load / cap) / width on the edges it used. run_mwu owns the
+// round loop — state, warm seeding, the exp cache, the dual, load
+// aggregation, the budget, the sink and the early exit; the oracle owns
+// the normalizing total and the lengths, the best response, the budget
+// snapshot, and the returned iterate.
+//
+// Every shortcut in run_mwu is BIT-IDENTICAL to the textbook loop (pinned
+// by tests/test_restricted_reference.cpp); the one departure is the
+// oracle's segmented total, documented with it above:
 //  * the adversary max_log is maintained incrementally (log_x only grows,
 //    and only on edges of chosen paths);
 //  * exp(log_x[e] - max_log) is cached in expv for active edges (log_x ever
@@ -171,7 +398,7 @@ namespace {
 //    cumulative load is +0.0 and its ratio +0.0 never exceeds the bar
 //    best_lower * gap > 0 — the boolean is the same.
 //
-// An Oracle provides:
+// The oracle (RestrictedOracle above) provides:
 //   reset(out)             its output fields for an empty/unsolved instance
 //   prepare()              per-solve setup, sc.lengths included (sc.cap is
 //                          already filled)
@@ -181,10 +408,10 @@ namespace {
 //   path(j)                commodity j's chosen edge ids this round
 //   snapshot() / rewind()  save / restore the best averaged iterate
 //   finish(rounds, out)    out.edge_load and out.congestion
-template <class Oracle>
 void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
              const MinCongestionOptions& options, const MwuHooks& hooks,
-             MinCongestionScratch& sc, Oracle& oracle, CongestionResult& out) {
+             MinCongestionScratch& sc, RestrictedOracle& oracle,
+             CongestionResult& out) {
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
   out.edge_load.assign(m, 0.0);
@@ -433,398 +660,22 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   }
 }
 
-// The restricted oracle: commodity j may only use its candidate paths. This
-// is THE hot loop of the serving path (one solve per revealed demand), so
-// its per-round normalization and lengths cost O(candidate footprint), not
-// O(m):
-//
-//  * duplicate candidates are deduplicated up front: sampling is with
-//    replacement, and a duplicate's length always EQUALS its first
-//    occurrence, so the strict `<` argmin can never select it — dropping
-//    it from the scan changes nothing (its weight was always 0); a
-//    zero-demand commodity routes nothing and scans no candidate at all;
-//  * lengths are computed only for edges that appear on SOME distinct
-//    candidate, the only edges the path sums ever read;
-//  * the normalizing total is a segmented sum: the (m - |active|) untouched
-//    edges fold into one (count * shared value) product and the active
-//    mass sums in four interleaved lanes (the association documented on
-//    min_congestion_over_paths);
-//  * every distinct candidate of the solve is summed in ONE pass over lane
-//    blocks (see prepare), then each commodity takes its argmin over its
-//    own sums in dedup order.
-struct RestrictedOracle {
-  static constexpr std::size_t kLanes = 8;
-
-  const Graph& g;
-  const std::vector<Commodity>& commodities;
-  const FlatCandidates& candidates;
-  MinCongestionScratch& sc;
-
-  void reset(CongestionResult& out) const {
-    resize_keeping_buffers(out.path_weights, commodities.size(),
-                           sc.spare_weights);
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      out.path_weights[j].assign(candidates.num_paths(j), 0.0);
-    }
-  }
-
-  void prepare() {
-    const std::size_t k = commodities.size();
-    const std::size_t m = sc.cap.size();
-    // distinct: each positive-demand commodity's first-occurrence
-    // candidates, commodity-major; commodity_first: prefix over distinct
-    // per commodity; original_index: candidate index of each distinct path.
-    auto& distinct = sc.distinct;
-    distinct.clear();
-    sc.original_index.clear();
-    sc.commodity_first.assign(1, 0);
-    for (std::size_t j = 0; j < k; ++j) {
-      const Commodity& c = commodities[j];
-      if (c.amount > 0.0) {
-        if (candidates.num_paths(j) == 0) {
-          std::ostringstream msg;
-          msg << "min_congestion_over_paths: pair (" << c.s << ", " << c.t
-              << ") has demand " << c.amount << " but no candidate path";
-          throw std::invalid_argument(msg.str());
-        }
-        const std::size_t first = distinct.size();
-        for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
-          const auto path = candidates.edges(j, i);
-          const bool repeat = std::any_of(
-              distinct.begin() + static_cast<std::ptrdiff_t>(first),
-              distinct.end(), [&](std::span<const int> other) {
-                return std::equal(path.begin(), path.end(), other.begin(),
-                                  other.end());
-              });
-          if (repeat) continue;
-          distinct.push_back(path);
-          sc.original_index.push_back(static_cast<std::int32_t>(i));
-        }
-      }
-      sc.commodity_first.push_back(
-          static_cast<std::int64_t>(distinct.size()));
-    }
-    const std::size_t num_distinct = distinct.size();
-    sc.counts.assign(num_distinct, 0);
-    sc.chosen_edges.assign(k, std::span<const int>{});
-
-    // Lane blocks. A stable counting sort by hop count orders the distinct
-    // paths into by_hops, which is padded to whole blocks of kLanes with
-    // the dump slot num_distinct. Block b holds the paths by_hops[kLanes*b
-    // ..] transposed — hop h of lane l at lane_edges[block_first[b] +
-    // kLanes*h + l] — for as many hops as its longest (last) path. A
-    // shorter lane is padded with edge id m, whose length stays +0.0: its
-    // sum is a left-to-right chain from +0.0 like a serial one, and
-    // x + (+0.0) == x for every x >= +0.0, so padding changes no sum.
-    std::size_t max_hops = 0;
-    for (const auto path : distinct) max_hops = std::max(max_hops, path.size());
-    auto& hop_first = sc.hop_first;
-    hop_first.assign(max_hops + 2, 0);
-    for (const auto path : distinct) ++hop_first[path.size() + 1];
-    for (std::size_t h = 1; h < hop_first.size(); ++h) {
-      hop_first[h] += hop_first[h - 1];
-    }
-    auto& by_hops = sc.by_hops;
-    by_hops.assign((num_distinct + kLanes - 1) / kLanes * kLanes,
-                   static_cast<std::int32_t>(num_distinct));
-    for (std::size_t d = 0; d < num_distinct; ++d) {
-      by_hops[hop_first[distinct[d].size()]++] = static_cast<std::int32_t>(d);
-    }
-    sc.lane_edges.clear();
-    sc.block_first.assign(1, 0);
-    for (std::size_t first = 0; first < by_hops.size(); first += kLanes) {
-      const std::size_t last = std::min(first + kLanes, num_distinct) - 1;
-      const std::size_t hops =
-          distinct[static_cast<std::size_t>(by_hops[last])].size();
-      for (std::size_t h = 0; h < hops; ++h) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const std::size_t d = static_cast<std::size_t>(by_hops[first + l]);
-          sc.lane_edges.push_back(d < num_distinct && h < distinct[d].size()
-                                      ? distinct[d][h]
-                                      : static_cast<int>(m));
-        }
-      }
-      sc.block_first.push_back(static_cast<std::int64_t>(sc.lane_edges.size()));
-    }
-    sc.path_len.assign(num_distinct + 1, 0.0);
-    sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
-
-    // The distinct candidate edge set: the only edges whose lengths the
-    // path sums will ever read.
-    sc.cand_edges.clear();
-    sc.in_cand.assign(m, 0);
-    for (const auto path : distinct) {
-      for (int e : path) {
-        if (!sc.in_cand[static_cast<std::size_t>(e)]) {
-          sc.in_cand[static_cast<std::size_t>(e)] = 1;
-          sc.cand_edges.push_back(e);
-        }
-      }
-    }
-  }
-
-  void best_response(double untouched_value) {
-    const auto& active = sc.active;
-    const auto& expv = sc.expv;
-    auto& lengths = sc.lengths;
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    std::size_t a = 0;
-    for (; a + 4 <= active.size(); a += 4) {
-      l0 += expv[static_cast<std::size_t>(active[a])];
-      l1 += expv[static_cast<std::size_t>(active[a + 1])];
-      l2 += expv[static_cast<std::size_t>(active[a + 2])];
-      l3 += expv[static_cast<std::size_t>(active[a + 3])];
-    }
-    for (; a < active.size(); ++a) {
-      l0 += expv[static_cast<std::size_t>(active[a])];
-    }
-    const double total =
-        static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
-        ((l0 + l1) + (l2 + l3));
-    for (int e : sc.cand_edges) {
-      const double value = sc.is_active[static_cast<std::size_t>(e)]
-                               ? expv[static_cast<std::size_t>(e)]
-                               : untouched_value;
-      const double xe = value / total;
-      lengths[static_cast<std::size_t>(e)] =
-          xe / sc.cap[static_cast<std::size_t>(e)];
-    }
-
-    // Every distinct path's length, kLanes paths at a time: each lane is
-    // its own left-to-right addition chain from +0.0, so every sum is
-    // bit-identical to a serial evaluation; the lanes only break the
-    // latency dependence BETWEEN paths.
-    const int* lane_edges = sc.lane_edges.data();
-    const std::int32_t* owner = sc.by_hops.data();
-    for (std::size_t b = 0; b + 1 < sc.block_first.size();
-         ++b, owner += kLanes) {
-      double sum[kLanes] = {};
-      const int* stop = lane_edges + sc.block_first[b + 1];
-      for (const int* hop = lane_edges + sc.block_first[b]; hop != stop;
-           hop += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          sum[l] += lengths[static_cast<std::size_t>(hop[l])];
-        }
-      }
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        sc.path_len[static_cast<std::size_t>(owner[l])] = sum[l];
-      }
-    }
-
-    // Per commodity, the strict `<` argmin over its distinct paths in dedup
-    // order, so ties resolve exactly as a serial scan of the candidates.
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_first[j]);
-      const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_first[j + 1]);
-      if (begin == end) continue;  // zero demand: no path, length 0
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_d = begin;
-      for (std::size_t d = begin; d < end; ++d) {
-        if (sc.path_len[d] < best) {
-          best = sc.path_len[d];
-          best_d = d;
-        }
-      }
-      sc.chosen_edges[j] = sc.distinct[best_d];
-      sc.chosen_len[j] = best;
-      ++sc.counts[best_d];
-    }
-  }
-
-  std::span<const int> path(std::size_t j) const { return sc.chosen_edges[j]; }
-  // The weights conversion in finish() rebuilds the iterate from counts.
-  void snapshot() { sc.budget_counts = sc.counts; }
-  void rewind() { sc.counts = sc.budget_counts; }
-
-  // Choice counts become fractional weights over the ORIGINAL candidate
-  // indexing (duplicates keep their reset weight: 0); the returned loads
-  // and congestion are those of exactly these weights.
-  void finish(int rounds, CongestionResult& out) const {
-    const int total_rounds = std::max(rounds, 1);
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_first[j]);
-      const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_first[j + 1]);
-      for (std::size_t d = begin; d < end; ++d) {
-        out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
-            commodities[j].amount * static_cast<double>(sc.counts[d]) /
-            static_cast<double>(total_rounds);
-      }
-    }
-    out.congestion = congestion_of_weights(g, commodities, candidates,
-                                           out.path_weights, &out.edge_load);
-  }
-};
-
-// The free oracle: any s_j-t_j path (the offline optimum /
-// maximum-concurrent-flow solve). This is the LP oracle behind every
-// competitive ratio, bit-identical to the reference loop plus naive
-// Dijkstra best response kept in bench/legacy_free_path_mwu.h:
-//
-//  * commodities are grouped by source ONCE (the reference rebuilt the same
-//    grouping every round: sources ascending, input order within a source);
-//  * Dijkstra best responses run through dijkstra_into_targets with reused
-//    dist/parent/heap scratch over a cached CSR snapshot — same settled
-//    dists and parents as the reference's binary heap, zero per-round
-//    allocation;
-//  * Dijkstra may read ANY edge's length, so all m lengths are refreshed
-//    each round over a serial index-order total of the same per-edge values
-//    the reference sums (expv on active edges, the shared value elsewhere).
-struct FreeOracle {
-  const Graph& g;
-  const std::vector<Commodity>& commodities;
-  MinCongestionScratch& sc;
-
-  void reset(CongestionResult& out) const { out.path_weights.clear(); }
-
-  // Source s's commodities occupy by_source[source_first[s] ..
-  // source_first[s + 1]).
-  std::span<const std::size_t> group(int s) const {
-    const std::size_t first = sc.source_first[static_cast<std::size_t>(s)];
-    return {sc.by_source.data() + first,
-            sc.source_first[static_cast<std::size_t>(s) + 1] - first};
-  }
-
-  void prepare() {
-    const std::size_t n = static_cast<std::size_t>(g.num_vertices());
-    const std::size_t k = commodities.size();
-    // Group commodities by source once, as a stable counting sort into two
-    // flat scratch arrays.
-    auto& source_first = sc.source_first;
-    source_first.assign(n + 2, 0);
-    std::size_t active_commodities = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (commodities[j].amount > 0.0) {
-        ++source_first[static_cast<std::size_t>(commodities[j].s) + 2];
-        ++active_commodities;
-      }
-    }
-    for (std::size_t s = 2; s < source_first.size(); ++s) {
-      source_first[s] += source_first[s - 1];
-    }
-    sc.by_source.resize(active_commodities);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (commodities[j].amount > 0.0) {
-        sc.by_source[source_first[static_cast<std::size_t>(commodities[j].s) +
-                                  1]++] = j;
-      }
-    }
-    sc.sources.clear();
-    for (std::size_t s = 0; s < n; ++s) {
-      if (source_first[s + 1] > source_first[s]) {
-        sc.sources.push_back(static_cast<int>(s));
-      }
-    }
-
-    // Per-source distinct-target counts for the early-exit Dijkstra (the
-    // is_target mask itself is set/cleared per (round, source)).
-    sc.is_target.assign(n, 0);
-    sc.distinct_targets.assign(sc.sources.size(), 0);
-    for (std::size_t si = 0; si < sc.sources.size(); ++si) {
-      int count = 0;
-      for (std::size_t j : group(sc.sources[si])) {
-        const std::size_t t = static_cast<std::size_t>(commodities[j].t);
-        if (!sc.is_target[t]) {
-          sc.is_target[t] = 1;
-          ++count;
-        }
-      }
-      for (std::size_t j : group(sc.sources[si])) {
-        sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
-      }
-      sc.distinct_targets[si] = count;
-    }
-
-    // Rows past k are kept, not freed: a later, larger demand reuses their
-    // buffers. Rows below k are cleared every round.
-    if (sc.owned.size() < k) sc.owned.resize(k);
-    sc.dist.assign(n, 0.0);
-    sc.parent_edge.assign(n, -1);
-    sc.lengths.assign(sc.cap.size(), 0.0);
-  }
-
-  void best_response(double untouched_value) {
-    const std::size_t m = sc.cap.size();
-    const auto value = [&](std::size_t e) {
-      return sc.is_active[e] ? sc.expv[e] : untouched_value;
-    };
-    double total = 0.0;
-    for (std::size_t e = 0; e < m; ++e) total += value(e);
-    bool lengths_positive = true;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double xe = value(e) / total;
-      sc.lengths[e] = xe / sc.cap[e];
-      lengths_positive = lengths_positive && sc.lengths[e] > 0.0;
-    }
-
-    // One Dijkstra per distinct source, walked back to edge ids per
-    // commodity. The Dijkstra stops once this source's targets are all
-    // settled — bit-identical for everything the walk-back reads as long
-    // as lengths are strictly positive (see dijkstra_into_targets); the
-    // full sweep is the fallback for the underflow-to-zero case.
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      sc.owned[j].clear();
-      sc.chosen_len[j] = 0.0;
-    }
-    // The CSR snapshot is cached across calls on the same topology (see
-    // FlatAdjacencyCache); arc order is identical to Graph::incident.
-    const FlatAdjacency& adj = sc.adj.get(g);
-    for (std::size_t si = 0; si < sc.sources.size(); ++si) {
-      const int s = sc.sources[si];
-      if (lengths_positive) {
-        for (std::size_t j : group(s)) {
-          sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 1;
-        }
-        dijkstra_into_targets(adj, s, sc.lengths, sc.dist, sc.parent_edge,
-                              sc.dijkstra, sc.is_target,
-                              sc.distinct_targets[si]);
-        for (std::size_t j : group(s)) {
-          sc.is_target[static_cast<std::size_t>(commodities[j].t)] = 0;
-        }
-      } else {
-        dijkstra_into_targets(adj, s, sc.lengths, sc.dist, sc.parent_edge,
-                              sc.dijkstra);
-      }
-      for (std::size_t j : group(s)) {
-        const int t = commodities[j].t;
-        if (sc.dist[static_cast<std::size_t>(t)] ==
-            std::numeric_limits<double>::infinity()) {
-          std::ostringstream msg;
-          msg << "min_congestion_free: pair (" << s << ", " << t
-              << ") has demand " << commodities[j].amount
-              << " but no path joins it";
-          throw std::invalid_argument(msg.str());
-        }
-        sc.chosen_len[j] = sc.dist[static_cast<std::size_t>(t)];
-        for (int v = t; v != s;) {
-          const int e = sc.parent_edge[static_cast<std::size_t>(v)];
-          sc.owned[j].push_back(e);
-          v = g.edge(e).other(v);
-        }
-      }
-    }
-  }
-
-  std::span<const int> path(std::size_t j) const { return sc.owned[j]; }
-  // Free mode returns the averaged loads directly, so they are the snapshot.
-  void snapshot() { sc.budget_load = sc.cumulative_load; }
-  void rewind() { sc.cumulative_load = sc.budget_load; }
-
-  void finish(int rounds, CongestionResult& out) const {
-    const double rounds_used = static_cast<double>(std::max(rounds, 1));
-    double congestion = 0.0;
-    for (std::size_t e = 0; e < sc.cap.size(); ++e) {
-      out.edge_load[e] = sc.cumulative_load[e] / rounds_used;
-      congestion = std::max(congestion, out.edge_load[e] / sc.cap[e]);
-    }
-    out.congestion = congestion;
-  }
-};
-
 }  // namespace
+
+void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
+                                   std::size_t max_hops) {
+  constexpr std::size_t kLanes = RestrictedOracle::kLanes;
+  distinct.reserve(paths);
+  original_index.reserve(paths);
+  hop_first.reserve(max_hops + 2);
+  by_hops.reserve(paths + kLanes);
+  // Blocks are hop-sorted, so their padding adds at most kLanes * max_hops.
+  lane_edges.reserve(edges + kLanes * max_hops);
+  block_first.reserve(paths / kLanes + 2);
+  path_len.reserve(paths + 1);
+  counts.reserve(paths);
+  budget_counts.reserve(paths);
+}
 
 void min_congestion_over_paths_into(const Graph& g,
                                     const std::vector<Commodity>& commodities,
@@ -859,22 +710,115 @@ CongestionResult min_congestion_over_paths(
       g, commodities, flatten_candidates(g, candidate_paths), options);
 }
 
-void min_congestion_free_into(const Graph& g,
-                              const std::vector<Commodity>& commodities,
-                              const MinCongestionOptions& options,
-                              const MwuHooks& hooks, MinCongestionScratch& sc,
-                              CongestionResult& out) {
-  FreeOracle oracle{g, commodities, sc};
-  run_mwu(g, commodities, options, hooks, sc, oracle, out);
+namespace {
+
+// Column generation's two constants: the master solves' round cap and the
+// iteration cap (min_congestion_by_columns_into).
+constexpr int kMasterRounds = 100;
+constexpr int kMaxIterations = 16;
+
+/// Rebuilds sc.columns with each commodity's priced path appended when it
+/// is not yet one of its columns; returns whether any was.
+bool append_new_columns(ColumnGenerationScratch& sc) {
+  bool added = false;
+  sc.next.clear();
+  for (std::size_t j = 0; j < sc.columns.num_commodities(); ++j) {
+    for (std::size_t i = 0; i < sc.columns.num_paths(j); ++i) {
+      sc.next.add_path(sc.columns.edges(j, i));
+    }
+    if (sc.priced.num_paths(j) > 0) {
+      const auto path = sc.priced.edges(j, 0);
+      bool known = false;
+      for (std::size_t i = 0; i < sc.columns.num_paths(j) && !known; ++i) {
+        known = std::ranges::equal(path, sc.columns.edges(j, i));
+      }
+      if (!known) {
+        sc.next.add_path(path);
+        added = true;
+      }
+    }
+    sc.next.end_commodity();
+  }
+  std::swap(sc.columns, sc.next);
+  return added;
 }
 
-CongestionResult min_congestion_free(const Graph& g,
-                                     const std::vector<Commodity>& commodities,
-                                     const MinCongestionOptions& options) {
-  MinCongestionScratch scratch;
-  CongestionResult result;
-  min_congestion_free_into(g, commodities, options, {}, scratch, result);
-  return result;
+}  // namespace
+
+void min_congestion_by_columns_into(const Graph& g,
+                                    const std::vector<Commodity>& commodities,
+                                    const MinCongestionOptions& options,
+                                    ColumnPricer& pricer,
+                                    ColumnGenerationScratch& sc,
+                                    CongestionResult& out) {
+  const std::size_t m = static_cast<std::size_t>(g.num_edges());
+  auto& lengths = sc.lengths;
+  lengths.resize(m);
+  for (std::size_t e = 0; e < m; ++e) {
+    lengths[e] = 1.0 / g.edge(static_cast<int>(e)).capacity;
+  }
+  // Under lengths 1/cap_e, sum_e cap_e * len_e is m: the distance bound.
+  sc.columns.clear();
+  const double first_numerator = pricer.price(lengths, sc.columns);
+  double lower = m > 0 ? first_numerator / static_cast<double>(m) : 0.0;
+
+  // Size every buffer once for the columns to come (the weight rows after
+  // each master solve, which sizes them): a commodity ends with at most
+  // 1 + kMaxIterations columns, and a column seldom runs past twice the
+  // length of the first, shortest ones (a headroom, not a bound: past it
+  // the edge buffers still grow).
+  const std::size_t k = commodities.size();
+  const std::size_t max_columns = k * (1 + kMaxIterations);
+  const std::size_t first_edges = sc.columns.total_edges();
+  const std::size_t max_edges = 2 * (1 + kMaxIterations) * first_edges;
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  sc.columns.reserve(max_columns, max_edges, k);
+  sc.next.reserve(max_columns, max_edges, k);
+  sc.priced.reserve(k, 2 * first_edges, k);
+  sc.mwu.reserve(max_columns, max_edges, n);
+
+  MinCongestionOptions master = options;
+  master.rounds = std::min(options.rounds, kMasterRounds);
+  const double gap = options.budget.target_gap > 0.0
+                         ? options.budget.target_gap
+                         : options.target_gap;
+  // The first master solve runs cold: its seed is empty, and a seed whose
+  // size is not m is ignored. Each later one starts from the log-weights
+  // the previous one captured into the same vector (the seed is read
+  // before the capture writes).
+  sc.log_x.clear();
+  const int iterations = commodities.empty() || m == 0 ? 0 : kMaxIterations;
+  for (int iteration = 0; iteration < iterations; ++iteration) {
+    const MwuWarmStart seed{sc.log_x, 1.0};
+    min_congestion_over_paths_into(
+        g, commodities, sc.columns, master,
+        MwuHooks{.warm = &seed, .capture_log_x = &sc.log_x}, sc.mwu, out);
+    for (auto& row : out.path_weights) row.reserve(1 + kMaxIterations);
+
+    // Lengths x_e / cap_e, x the softmax of the log-weights.
+    double max_log = 0.0;
+    for (double v : sc.log_x) max_log = std::max(max_log, v);
+    double total = 0.0;
+    for (std::size_t e = 0; e < m; ++e) {
+      lengths[e] = std::exp(sc.log_x[e] - max_log);
+      total += lengths[e];
+    }
+    double denominator = 0.0;
+    for (std::size_t e = 0; e < m; ++e) {
+      const double cap = g.edge(static_cast<int>(e)).capacity;
+      lengths[e] = lengths[e] / total / cap;
+      denominator += cap * lengths[e];
+    }
+    sc.priced.clear();
+    const double numerator = pricer.price(lengths, sc.priced);
+    if (denominator > 0.0) lower = std::max(lower, numerator / denominator);
+    if (!append_new_columns(sc) || out.congestion <= lower * gap) break;
+  }
+
+  min_congestion_over_paths_into(g, commodities, sc.columns, options, {},
+                                 sc.mwu, out);
+  out.lower_bound = lower;
+  out.optimality_gap = certified_gap(out.congestion, lower);
 }
 
 CongestionResult min_congestion_over_paths_exact(

@@ -1,18 +1,21 @@
 // Min-congestion routing solvers.
 //
-// Two regimes, one engine:
-//  * restricted: route each commodity over an explicit candidate-path set
-//    (Stage 4 of the semi-oblivious pipeline, Definition 5.1's cong_R(P, d)),
-//  * free: route over all paths of the graph — the offline optimum
-//    opt_{G,R}(d) the competitive ratio is measured against.
-//
-// Both are solved by multiplicative weights (Freund–Schapire) on the
-// zero-sum game "router picks a path per commodity, adversary picks an
-// edge", with the router best-responding to exponential edge weights. The
-// returned congestion is the *exact* congestion of the averaged routing (a
-// valid upper bound); `lower_bound` is an LP-duality certificate
+// One engine, the restricted solve: route each commodity over an explicit
+// candidate-path set (Stage 4 of the semi-oblivious pipeline, Definition
+// 5.1's cong_R(P, d)). It is solved by multiplicative weights
+// (Freund–Schapire) on the zero-sum game "router picks a path per
+// commodity, adversary picks an edge", with the router best-responding to
+// exponential edge weights. The returned congestion is the *exact*
+// congestion of the averaged routing (a valid upper bound); `lower_bound`
+// is an LP-duality certificate
 //     opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e * w_e
 // so `congestion / lower_bound` bounds the solver's suboptimality.
+//
+// The optima over larger path sets — every path (the offline optimum
+// opt_{G,R}(d), core/semi_oblivious.h) and every path of at most h hops
+// (opt^(h), lp/hop_bounded.h) — run column generation over the same
+// restricted solve (min_congestion_by_columns_into); they differ only in
+// the pricer that finds each commodity's cheapest admissible path.
 //
 // Exact reference solvers (dense simplex) are provided for small instances
 // and used by the tests to validate the MWU engine.
@@ -27,7 +30,6 @@
 
 #include "core/path_store.h"
 #include "graph/graph.h"
-#include "graph/shortest_path.h"
 #include "lp/simplex.h"
 
 namespace sor {
@@ -62,6 +64,12 @@ struct Commodity {
 ///    deadline_ms == 0.
 /// With all three fields at 0 the solve is bit-identical to a build
 /// without this struct.
+///
+/// Column generation (min_congestion_by_columns_into, so both optima)
+/// applies the budget to each master solve: every iteration's restricted
+/// solve and the final one stop at max_rounds, and each gets the full
+/// deadline_ms. target_gap also sets the bar for the iterations' early
+/// stop.
 struct SolveBudget {
   int max_rounds = 0;        ///< 0 = no cap; else stop after this many rounds
   double deadline_ms = 0.0;  ///< 0 = no deadline; wall-clock milliseconds
@@ -143,8 +151,8 @@ struct MwuHooks {
 };
 
 struct CongestionResult {
-  /// Fractional weight per commodity per candidate path (restricted mode
-  /// only; empty in free mode). weights[j][i] sums to commodity j's amount.
+  /// Fractional weight per commodity per candidate path. weights[j][i]
+  /// sums to commodity j's amount.
   std::vector<std::vector<double>> path_weights;
   /// Aggregate (fractional) load per edge of the returned routing.
   std::vector<double> edge_load;
@@ -182,7 +190,7 @@ void resize_keeping_buffers(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-/// Reusable scratch for the two MWU solvers below. Every vector a solve
+/// Reusable scratch for the restricted MWU solve below. Every vector a solve
 /// needs lives here and is reset with clear()/assign() (capacity retained),
 /// so a warm scratch makes repeated solves allocation-free once its buffers
 /// have grown to the largest solve they serve — the steady-state serving
@@ -207,7 +215,7 @@ struct MinCongestionScratch {
   std::vector<std::span<const int>> chosen_edges;
   // Weight rows a shrinking CongestionResult::path_weights handed back.
   std::vector<std::vector<double>> spare_weights;
-  // Shared MWU state (run_mwu).
+  // MWU state (run_mwu).
   std::vector<double> cap;
   std::vector<double> log_x;
   std::vector<double> expv;
@@ -216,28 +224,19 @@ struct MinCongestionScratch {
   std::vector<double> round_load;
   std::vector<double> chosen_len;
   std::vector<int> touched;
-  // Anytime-budget best-iterate snapshots (only touched when a round cap /
-  // deadline budget is active; empty otherwise): the restricted oracle
-  // keeps choice counts, the free oracle cumulative loads.
-  std::vector<double> budget_load;
+  // Anytime-budget best-iterate snapshot of the choice counts (only
+  // touched when a round cap / deadline budget is active).
   std::vector<int> budget_counts;
   std::vector<int> active;
   std::vector<int> dirty;
   std::vector<char> is_active;
   std::vector<char> is_dirty;
-  // Free oracle: counting-sorted source grouping + Dijkstra state.
-  std::vector<std::size_t> source_first;  // n + 2 prefix/cursor array
-  std::vector<std::size_t> by_source;     // commodity indices, source-major
-  std::vector<int> sources;
-  std::vector<int> distinct_targets;
-  std::vector<char> is_target;
-  std::vector<std::vector<int>> owned;
-  std::vector<double> dist;
-  std::vector<int> parent_edge;
-  DijkstraScratch dijkstra;
-  // CSR snapshot, kept across calls on the same topology (arcs never read
-  // capacities, so Graph::set_capacity keeps it valid).
-  FlatAdjacencyCache adj;
+
+  /// Sizes the per-candidate buffers for solves of up to `paths` distinct
+  /// candidates with `edges` edges in all, none longer than `max_hops`, so
+  /// that a sequence of growing solves (column generation's) allocates
+  /// them once.
+  void reserve(std::size_t paths, std::size_t edges, std::size_t max_hops);
 };
 
 /// Fractional min-congestion routing of `commodities` where commodity j may
@@ -283,28 +282,60 @@ void min_congestion_over_paths_into(const Graph& g,
                                     MinCongestionScratch& scratch,
                                     CongestionResult& out);
 
-/// Fractional min-congestion over ALL paths (the offline optimum, i.e. the
-/// maximum-concurrent-flow LP). Only congestion/lower_bound/edge_load are
-/// populated. Throws std::invalid_argument naming the pair when a commodity
-/// with amount > 0 has no s_j-t_j path. Runs on the flat substrate:
-/// scratch-reusing Dijkstra best responses, incremental max_log/exp
-/// caching, and sparse touched-set load aggregation, all bit-identical to
-/// the reference MWU loop (pinned by tests/test_free_path_flat.cpp and
-/// bench_m5_free_path's legacy replica).
-CongestionResult min_congestion_free(
-    const Graph& g, const std::vector<Commodity>& commodities,
-    const MinCongestionOptions& options = {});
+/// The pricing step of column generation (min_congestion_by_columns_into):
+/// under per-edge lengths (>= 0, one per edge), append to `paths` one
+/// commodity entry per commodity, in order, holding that commodity's
+/// cheapest admissible path as edge ids from s to t (no path for a
+/// commodity with amount <= 0), and return sum_j d_j * dist(s_j, t_j) over
+/// the admissible paths. Throw std::invalid_argument naming a pair with
+/// demand but no admissible path. The serving path's pricer (the
+/// optimum's) keeps its state in caller-owned scratch, so that a warm call
+/// allocates nothing.
+class ColumnPricer {
+ public:
+  virtual double price(const std::vector<double>& lengths,
+                       FlatCandidates& paths) = 0;
 
-/// Scratch-threaded form of the free solve (see
-/// min_congestion_over_paths_into for the contract). Also caches the CSR
-/// adjacency snapshot in the scratch across calls on graphs of the same
-/// topology stamp (see FlatAdjacencyCache).
-void min_congestion_free_into(const Graph& g,
-                              const std::vector<Commodity>& commodities,
-                              const MinCongestionOptions& options,
-                              const MwuHooks& hooks,
-                              MinCongestionScratch& scratch,
-                              CongestionResult& out);
+ protected:
+  ~ColumnPricer() = default;
+};
+
+/// Working set of min_congestion_by_columns_into, capacity-retaining like
+/// MinCongestionScratch: once warm, a solve allocates nothing.
+struct ColumnGenerationScratch {
+  FlatCandidates columns;  // every commodity's columns so far
+  FlatCandidates next;     // the columns rebuilt with this round's new ones
+  FlatCandidates priced;   // this round's priced paths
+  std::vector<double> lengths;
+  std::vector<double> log_x;  // the last master solve's log-weights
+  MinCongestionScratch mwu;
+};
+
+/// Fractional min-congestion over every path `pricer` admits, by column
+/// generation (Ford–Fulkerson 1958) over the restricted solve:
+///  1. price under lengths 1/cap_e; each commodity's path is its first
+///     column, and the bound is sum_j d_j * dist / m (the distance bound);
+///  2. at most 16 iterations of: a restricted solve over the columns
+///     (`options` with rounds capped at 100, warm-seeded with the previous
+///     iteration's log-weights), lengths x_e / cap_e from the softmax x of
+///     its log-weights, a pricing round whose bound
+///     sum_j d_j * dist / sum_e cap_e * len_e replaces a lower one, and
+///     each commodity's priced path appended when it is not yet a column.
+///     They stop early when no
+///     column is new or the solve's congestion is within the target gap
+///     (budget.target_gap, else options.target_gap) of the bound;
+///  3. a cold restricted solve over all columns with `options` unchanged.
+/// `out` is that final solve over the columns (its path_weights index the
+/// scratch's columns), except that lower_bound is the pricing bound, valid
+/// against every admissible routing, and optimality_gap certifies against
+/// it. Deterministic: the same inputs give the same bits through any
+/// scratch.
+void min_congestion_by_columns_into(const Graph& g,
+                                    const std::vector<Commodity>& commodities,
+                                    const MinCongestionOptions& options,
+                                    ColumnPricer& pricer,
+                                    ColumnGenerationScratch& scratch,
+                                    CongestionResult& out);
 
 /// Exact LP (dense simplex) version of min_congestion_over_paths. Intended
 /// for small instances; returns optimal congestion and weights.

@@ -17,17 +17,17 @@ class Tableau {
           std::vector<int> basis)
       : a_(std::move(a)), b_(std::move(b)), basis_(std::move(basis)) {}
 
-  /// Runs phase optimization for cost vector `cost` (size = #columns).
-  /// Returns false if unbounded.
-  bool optimize(const std::vector<double>& cost) {
+  /// Runs phase optimization for cost vector `cost` (size = #columns);
+  /// only columns below `num_entering` may enter the basis. Returns false
+  /// if unbounded.
+  bool optimize(const std::vector<double>& cost, std::size_t num_entering) {
     const std::size_t m = a_.size();
-    const std::size_t n = cost.size();
     for (;;) {
       // Reduced costs: r_j = c_j - c_B . B^-1 A_j; with an explicit tableau
       // (A already transformed so basic columns are unit), this is
       // r_j = c_j - sum_i c_basis[i] * a[i][j].
       int entering = -1;
-      for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t j = 0; j < num_entering; ++j) {
         double r = cost[j];
         for (std::size_t i = 0; i < m; ++i) {
           r -= cost[static_cast<std::size_t>(basis_[i])] * a_[i][j];
@@ -96,6 +96,11 @@ class Tableau {
       b_[i] -= factor * b_[row];
       if (b_[i] < 0.0 && b_[i] > -kEps) b_[i] = 0.0;
     }
+    // The new basic column is exactly a unit column, also in the rows the
+    // loop skipped: a residue left there would give the basic column a
+    // reduced cost below -kEps, and it would re-enter in a no-op pivot
+    // forever.
+    for (std::size_t i = 0; i < m; ++i) a_[i][col] = i == row ? 1.0 : 0.0;
     basis_[row] = static_cast<int>(col);
   }
 
@@ -165,7 +170,7 @@ LpSolution solve(const LinearProgram& lp) {
   // Phase 1: minimize the sum of artificials.
   std::vector<double> phase1_cost(total_cols, 0.0);
   for (std::size_t i = 0; i < m; ++i) phase1_cost[first_artificial + i] = 1.0;
-  const bool phase1_bounded = tableau.optimize(phase1_cost);
+  const bool phase1_bounded = tableau.optimize(phase1_cost, total_cols);
   assert(phase1_bounded);
   (void)phase1_bounded;
   double artificial_sum = 0.0;
@@ -179,16 +184,14 @@ LpSolution solve(const LinearProgram& lp) {
   }
   tableau.purge_artificials(first_artificial);
 
-  // Phase 2: minimize c over original + slack columns (artificials pinned
-  // at zero by giving them a prohibitive cost).
+  // Phase 2: minimize c over original + slack columns. No artificial may
+  // enter, and the ones still basic sit at 0 in redundant rows (e.g. the
+  // last conservation row of each commodity), priced 0 so that they add
+  // nothing to any reduced cost: a large price there lifts the round-off
+  // of every reduced cost above kEps, and Bland's rule then cycles.
   std::vector<double> phase2_cost(total_cols, 0.0);
   for (std::size_t j = 0; j < n; ++j) phase2_cost[j] = lp.objective[j];
-  double big = 1.0;
-  for (double c : lp.objective) big += std::abs(c);
-  for (std::size_t i = 0; i < m; ++i) {
-    phase2_cost[first_artificial + i] = big * 1e6;
-  }
-  if (!tableau.optimize(phase2_cost)) {
+  if (!tableau.optimize(phase2_cost, first_artificial)) {
     return LpSolution{LpStatus::kUnbounded, 0.0, {}};
   }
 

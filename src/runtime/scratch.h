@@ -2,13 +2,14 @@
 //
 // One EngineScratch aggregates every reusable working set a single
 // route_one_into call needs — the restricted-MWU route scratch, the
-// free-MWU optimum scratch, the distance-bound Dijkstra state, and the
-// packet-path staging arena. All of it is capacity-retaining (see the
-// per-layer scratch structs), and the two Dijkstra users keep their CSR
-// snapshot of the served graph across calls (FlatAdjacencyCache, rebuilt
-// only when the topology stamp changes), so a warm EngineScratch makes
-// fractional routes and their certificates allocation-free — the measured
-// contract bench_m7_service_memory gates. "Warm" means every buffer has
+// optimum's column-generation scratch, the distance-bound Dijkstra state,
+// and the packet-path staging arena. All of it is capacity-retaining (see
+// the per-layer scratch structs), and the two Dijkstra users (the distance
+// bound and the optimum's pricer) keep their CSR snapshot of the served
+// graph across calls (FlatAdjacencyCache, rebuilt only when the topology
+// stamp changes), so a warm EngineScratch makes fractional routes and
+// their certificates allocation-free — the measured contract
+// bench_m7_service_memory gates. "Warm" means every buffer has
 // grown to the largest size the demand mix asks of it: buffers only grow,
 // and the per-commodity rows a smaller demand drops are parked in spare
 // lists for the next larger one (resize_keeping_buffers), so the
@@ -37,7 +38,7 @@ namespace sor::runtime {
 /// Everything one route_one_into call scratches on, pre-warmed across calls.
 struct EngineScratch {
   RouteScratch route;            ///< restricted MWU + flat candidate gather
-  OptimumScratch optimum;        ///< free-path MWU (offline optimum oracle)
+  OptimumScratch optimum;        ///< offline optimum (column generation)
   DistanceBoundScratch distance; ///< distance-duality lower bound + CSR
   std::vector<Path> packet_paths;  ///< packet-simulation staging
 };

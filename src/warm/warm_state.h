@@ -1,8 +1,8 @@
 // Cross-epoch warm-start state (docs/warm-start.md is the contract page).
 //
 // WarmStartState is the engine-owned capture of one route's solver
-// endpoint: the restricted and free MWU adversary log-weights, the routed
-// demand's support, the integral choices per captured commodity, and the
+// endpoint: the restricted MWU adversary log-weights, the routed demand's
+// support, the integral choices per captured commodity, and the
 // bookkeeping that decides how the NEXT warm route may reuse it — full
 // replay when the instance is bit-identical, a damped log-weight seed
 // otherwise, or nothing after rebuild_backend().
@@ -31,10 +31,9 @@ struct WarmStartState {
   /// measured against.
   int cold_rounds = 0;
   /// Final adversary log-weights of the restricted solve (one per edge;
-  /// empty until the first capture) and of the free-path optimum oracle
-  /// (empty when compute_optimum was off).
+  /// empty until the first capture). The offline optimum always solves
+  /// cold, so nothing of it is captured.
   std::vector<double> restricted_log_x;
-  std::vector<double> free_log_x;
   /// The captured demand's support, (s, t)-sorted (Demand::entries_into).
   std::vector<DemandEntry> demand;
   /// Per captured commodity, aligned with `demand`: the integral rounding's
@@ -47,19 +46,17 @@ struct WarmStartState {
   void invalidate() {
     valid = false;
     restricted_log_x.clear();
-    free_log_x.clear();
     demand.clear();
     choices.clear();
     cold_rounds = 0;
   }
 };
 
-/// Per-route warm hooks the engine threads into route_one_into: each
-/// solver's seed and capture target, and the rounding seed. All-null ==
-/// cold route (bit-identical to a build without warm starts).
+/// Per-route warm hooks the engine threads into route_one_into: the
+/// restricted solve's seed and capture target, and the rounding seed.
+/// All-null == cold route (bit-identical to a build without warm starts).
 struct RouteWarmHooks {
   MwuHooks restricted;
-  MwuHooks free_path;
   /// Previous epoch's integral choices per CURRENT commodity (see
   /// round_randomized's seed_choices parameter).
   const std::vector<std::vector<int>>* rounding_seed = nullptr;

@@ -20,6 +20,7 @@
 
 #include "api/sor_engine.h"
 #include "core/demand.h"
+#include "core/semi_oblivious.h"
 #include "fault/fault_plan.h"
 #include "fault/sor_error.h"
 #include "graph/generators.h"
@@ -226,20 +227,33 @@ TEST(AnytimeSolve, UntriggeredBudgetIsBitIdenticalRestricted) {
   EXPECT_EQ(base.optimality_gap, same.optimality_gap);
 }
 
+/// The instance's commodities as a Demand (a repeated pair adds up).
+Demand demand_of(const RestrictedInstance& inst) {
+  Demand d;
+  for (const Commodity& c : inst.commodities) d.add(c.s, c.t, c.amount);
+  return d;
+}
+
 TEST(AnytimeSolve, UntriggeredBudgetIsBitIdenticalFree) {
   RestrictedInstance inst;
+  const Demand d = demand_of(inst);
   MinCongestionOptions plain;
-  const CongestionResult base =
-      min_congestion_free(inst.g, inst.commodities, plain);
+  OptimumScratch base_scratch;
+  const OptimalCongestion base =
+      optimal_congestion(inst.g, d, plain, base_scratch);
   MinCongestionOptions budgeted = plain;
   budgeted.budget.max_rounds = 1 << 20;
-  const CongestionResult same =
-      min_congestion_free(inst.g, inst.commodities, budgeted);
-  EXPECT_EQ(base.congestion, same.congestion);
-  EXPECT_EQ(base.edge_load, same.edge_load);
-  EXPECT_EQ(base.lower_bound, same.lower_bound);
-  EXPECT_EQ(base.rounds_used, same.rounds_used);
-  EXPECT_EQ(base.optimality_gap, same.optimality_gap);
+  OptimumScratch same_scratch;
+  const OptimalCongestion same =
+      optimal_congestion(inst.g, d, budgeted, same_scratch);
+  EXPECT_EQ(base.upper, same.upper);
+  EXPECT_EQ(base.lower, same.lower);
+  EXPECT_EQ(base.status, same.status);
+  const CongestionResult& a = base_scratch.result;
+  const CongestionResult& b = same_scratch.result;
+  EXPECT_EQ(a.edge_load, b.edge_load);
+  EXPECT_EQ(a.rounds_used, b.rounds_used);
+  EXPECT_EQ(a.optimality_gap, b.optimality_gap);
 }
 
 TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateRestricted) {
@@ -273,19 +287,23 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateRestricted) {
 }
 
 TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
+  // The budget applies to each master solve of the column generation, the
+  // final one included.
   RestrictedInstance inst;
+  const Demand d = demand_of(inst);
   MinCongestionOptions options;
   options.budget.max_rounds = 8;
-  const CongestionResult a =
-      min_congestion_free(inst.g, inst.commodities, options);
+  OptimumScratch sa;
+  const OptimalCongestion a = optimal_congestion(inst.g, d, options, sa);
   EXPECT_EQ(a.status, SolveStatus::kBudgetRounds);
-  EXPECT_LE(a.rounds_used, 8);
-  expect_certificate(a);
-  const CongestionResult b =
-      min_congestion_free(inst.g, inst.commodities, options);
-  EXPECT_EQ(a.congestion, b.congestion);
-  EXPECT_EQ(a.edge_load, b.edge_load);
-  EXPECT_EQ(a.lower_bound, b.lower_bound);
+  EXPECT_LE(sa.result.rounds_used, 8);
+  expect_certificate(sa.result);
+  EXPECT_LE(a.lower, a.upper);
+  OptimumScratch sb;
+  const OptimalCongestion b = optimal_congestion(inst.g, d, options, sb);
+  EXPECT_EQ(a.upper, b.upper);
+  EXPECT_EQ(a.lower, b.lower);
+  EXPECT_EQ(sa.result.edge_load, sb.result.edge_load);
 }
 
 /// Checks the early-exit rule against a sink's trajectory: the solve must
@@ -332,9 +350,9 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   expect_certificate(early);
   EXPECT_LE(early.congestion, early.lower_bound * 10.0 + 1e-9);
 
-  // The stop round, per solver, across bars and min_rounds: restricted,
-  // free, and restricted warm-seeded on every edge (so the active set
-  // starts with edges no candidate uses, which keep zero load).
+  // The stop round across bars and min_rounds: cold, and warm-seeded on
+  // every edge (so the active set starts with edges no candidate uses,
+  // which keep zero load).
   const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
   std::vector<double> seed(static_cast<std::size_t>(inst.g.num_edges()));
   for (std::size_t e = 0; e < seed.size(); ++e) {
@@ -353,19 +371,14 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
       MinCongestionOptions o;
       o.budget.target_gap = gap;
       o.min_rounds = min_rounds;
-      for (int solver = 0; solver < 3; ++solver) {
+      for (const bool seeded : {false, true}) {
         obs::ConvergenceSink sink(records);
         MwuHooks hooks;
         hooks.sink = &sink;
-        if (solver == 1) {
-          min_congestion_free_into(inst.g, inst.commodities, o, hooks,
-                                   scratch, r);
-        } else {
-          if (solver == 2) hooks.warm = &warm;
-          min_congestion_over_paths_into(inst.g, inst.commodities, flat, o,
-                                         hooks, scratch, r);
-        }
-        if (solver == 2) {
+        if (seeded) hooks.warm = &warm;
+        min_congestion_over_paths_into(inst.g, inst.commodities, flat, o,
+                                       hooks, scratch, r);
+        if (seeded) {
           EXPECT_TRUE(std::count(r.edge_load.begin(), r.edge_load.end(),
                                  0.0) > 0);
         }

@@ -101,6 +101,10 @@ TEST(Io, DemandRejectsSelfLoopAndNegatives) {
     std::stringstream buffer("0 1 -2.0\n");
     EXPECT_FALSE(io::read_demand(buffer).has_value());
   }
+  for (const char* line : {"-1 5 2.0\n", "3 -4 1.5\n"}) {
+    std::stringstream buffer(line);
+    EXPECT_FALSE(io::read_demand(buffer).has_value()) << line;
+  }
 }
 
 TEST(Io, DemandRejectsTrailingGarbageInsteadOfIgnoringIt) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/semi_oblivious.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -92,6 +93,30 @@ TEST(MinCongestion, FreeExactOnDiamond) {
   EXPECT_NEAR(min_congestion_free_exact(g, demand), 1.0, 1e-6);
 }
 
+TEST(MinCongestion, FreeExactFinishesOnACapacitatedCycle) {
+  // A capacitated 5-cycle 0-3-2-4-5-0 with vertex 1 hanging off 5: phase 2
+  // of the dense simplex must price the artificials still basic in the
+  // redundant conservation rows at 0. A large price lifts round-off above
+  // the pivot tolerance, and Bland's rule cycles on this instance.
+  Graph g(6);
+  g.add_edge(0, 3, 2.5);
+  g.add_edge(0, 5, 0.5);
+  g.add_edge(1, 5, 3.0);
+  g.add_edge(2, 3, 2.0);
+  g.add_edge(2, 4, 2.0);
+  g.add_edge(4, 5, 1.5);
+  const std::vector<Commodity> demand = {
+      {2, 5, 1.5}, {1, 2, 2.5}, {2, 0, 2.0}};
+  EXPECT_NEAR(min_congestion_free_exact(g, demand), 2.0, 1e-9);
+}
+
+// Builds the Demand of a commodity list with distinct pairs.
+Demand demand_of(const std::vector<Commodity>& commodities) {
+  Demand d;
+  for (const Commodity& c : commodities) d.set(c.s, c.t, c.amount);
+  return d;
+}
+
 TEST(MinCongestion, FreeMwuSandwichedByDuality) {
   Rng rng(3);
   const Graph g = gen::erdos_renyi_connected(10, 0.35, rng);
@@ -101,23 +126,25 @@ TEST(MinCongestion, FreeMwuSandwichedByDuality) {
   }
   MinCongestionOptions options;
   options.rounds = 1500;
-  const auto result = min_congestion_free(g, demand, options);
+  const OptimalCongestion result =
+      optimal_congestion(g, demand_of(demand), options);
   const double exact = min_congestion_free_exact(g, demand);
-  EXPECT_LE(result.lower_bound, exact + 1e-6);
-  EXPECT_GE(result.congestion, exact - 1e-6);
-  // MWU should be close to optimal.
-  EXPECT_LE(result.congestion, exact * 1.1 + 1e-6);
+  EXPECT_LE(result.lower, exact + 1e-6);
+  EXPECT_GE(result.upper, exact - 1e-6);
+  // The optimum should be close to optimal.
+  EXPECT_LE(result.upper, exact * 1.1 + 1e-6);
 }
 
 TEST(MinCongestion, EmptyDemandIsZero) {
   const Graph g = gen::complete(4);
-  const auto result = min_congestion_free(g, {});
-  EXPECT_DOUBLE_EQ(result.congestion, 0.0);
+  const OptimalCongestion result = optimal_congestion(g, Demand{});
+  EXPECT_DOUBLE_EQ(result.upper, 0.0);
+  EXPECT_DOUBLE_EQ(result.lower, 0.0);
 }
 
 // The solvers reject demand they cannot route with std::invalid_argument
-// naming the pair: a restricted commodity with demand but no candidate, a
-// free commodity whose target is unreachable.
+// naming the pair: a restricted commodity with demand but no candidate, an
+// optimum commodity whose target is unreachable.
 void expect_rejects_pair(const std::function<void()>& solve,
                          const std::string& pair) {
   try {
@@ -148,8 +175,8 @@ TEST(MinCongestion, FreeRejectsUnreachablePair) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 3, 2.0}};
-  expect_rejects_pair([&] { (void)min_congestion_free(g, demand); },
-                      "(0, 3)");
+  expect_rejects_pair(
+      [&] { (void)optimal_congestion(g, demand_of(demand)); }, "(0, 3)");
 }
 
 class MwuVsSimplexSweep : public ::testing::TestWithParam<int> {};

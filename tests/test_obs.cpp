@@ -286,32 +286,6 @@ TEST(Convergence, RestrictedSolverIsBitIdenticalWithSinkAttached) {
               1e-9 * std::max(1.0, traced.congestion));
 }
 
-TEST(Convergence, FreeSolverRecordsTheSameTrajectoryShape) {
-  const Instance inst = grid_instance();
-  MinCongestionOptions base;
-  base.rounds = 40;
-  base.target_gap = 1.0;
-  const CongestionResult plain =
-      min_congestion_free(inst.g, inst.commodities, base);
-
-  std::vector<obs::ConvergenceRecord> records;
-  obs::ConvergenceSink sink(records);
-  MinCongestionScratch scratch;
-  CongestionResult traced;
-  min_congestion_free_into(inst.g, inst.commodities, base, {.sink = &sink},
-                           scratch, traced);
-
-  EXPECT_EQ(plain.congestion, traced.congestion);
-  EXPECT_EQ(plain.lower_bound, traced.lower_bound);
-  ASSERT_EQ(plain.edge_load.size(), traced.edge_load.size());
-  for (std::size_t e = 0; e < plain.edge_load.size(); ++e) {
-    EXPECT_EQ(plain.edge_load[e], traced.edge_load[e]);
-  }
-  ASSERT_EQ(records.size(), static_cast<std::size_t>(traced.rounds_used));
-  EXPECT_NEAR(records.back().congestion, traced.congestion,
-              1e-9 * std::max(1.0, traced.congestion));
-}
-
 TEST(Convergence, SinkDropsPastMaxRecords) {
   std::vector<obs::ConvergenceRecord> records;
   records.reserve(3);

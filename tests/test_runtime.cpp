@@ -332,17 +332,15 @@ TEST(Runtime, ReusedScratchFollowsANewGraphAtTheSameAddress) {
   // Scratch-held CSR snapshots are keyed on the topology stamp, not on the
   // graph's address or shape: the 4-cycles 0-1-2-3-0 and 0-2-1-3-0, built
   // in turn in one std::optional slot, must each solve exactly as with a
-  // fresh scratch — the free solve and the distance bound alike.
-  const std::vector<Commodity> commodities = {{0, 2, 1.0}, {1, 3, 2.0}};
+  // fresh scratch — the optimum and the distance bound alike.
   Demand d;
   d.set(0, 2, 1.0);
   d.set(1, 3, 2.0);
   d.set(0, 1, 1.5);
   std::optional<Graph> slot;
   const Graph* address = nullptr;
-  MinCongestionScratch mwu;
+  OptimumScratch optimum;
   DistanceBoundScratch bound;
-  CongestionResult reused;
   for (const std::vector<int>& cycle :
        {std::vector<int>{0, 1, 2, 3}, std::vector<int>{0, 2, 1, 3}}) {
     Graph& g = slot.emplace(4);
@@ -352,14 +350,14 @@ TEST(Runtime, ReusedScratchFollowsANewGraphAtTheSameAddress) {
       g.add_edge(cycle[i], cycle[(i + 1) % cycle.size()],
                  1.0 + static_cast<double>(i));
     }
-    MinCongestionScratch fresh_mwu;
-    CongestionResult fresh;
-    min_congestion_free_into(g, commodities, {}, {}, fresh_mwu, fresh);
-    min_congestion_free_into(g, commodities, {}, {}, mwu, reused);
-    EXPECT_EQ(reused.edge_load, fresh.edge_load);
-    EXPECT_EQ(reused.congestion, fresh.congestion);
-    EXPECT_EQ(reused.lower_bound, fresh.lower_bound);
-    EXPECT_EQ(reused.rounds_used, fresh.rounds_used);
+    OptimumScratch fresh_optimum;
+    const OptimalCongestion fresh =
+        optimal_congestion(g, d, {}, fresh_optimum);
+    const OptimalCongestion reused = optimal_congestion(g, d, {}, optimum);
+    EXPECT_EQ(reused.upper, fresh.upper);
+    EXPECT_EQ(reused.lower, fresh.lower);
+    EXPECT_EQ(optimum.result.edge_load, fresh_optimum.result.edge_load);
+    EXPECT_EQ(optimum.result.rounds_used, fresh_optimum.result.rounds_used);
     EXPECT_EQ(distance_lower_bound(g, d, bound), distance_lower_bound(g, d));
   }
 }
