@@ -18,8 +18,9 @@
 //   mem_arena_peak     peak PathStore arena occupancy (ints) over run 2.
 //                      Deterministic for a fixed seed (sampling is
 //                      seeded), so the baseline gate pins it EXACTLY
-//                      (--mem-flat tolerance 1.0): any in-place
-//                      compaction/GC leak moves this number. identical =
+//                      (--mem-flat tolerance 1.0): a reinstall that
+//                      left old paths in the arena moves this number.
+//                      identical =
 //                      yes iff the second half's peak stayed within 5% of
 //                      the first half's (no growth trend across churn).
 //   mem_rss_growth     process RSS growth in MB across run 2 (warm
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
   banner("M7 — service-runtime memory",
          "Warm serving loop over churn traces: zero steady-state heap "
          "allocations (mem_steady_allocs, exact), flat PathStore arena "
-         "under reinstall/compaction churn (mem_arena_peak, deterministic "
+         "under reinstall churn (mem_arena_peak, deterministic "
          "per seed), flat process RSS (mem_rss_growth, MB). Rows carry the "
          "measured value in ms_per_op with ops = 1.");
   if (!sor::runtime::counting_compiled()) {
@@ -161,11 +162,10 @@ int main(int argc, char** argv) {
 
   {
     // The adversarial memory case: a fresh permutation every epoch with a
-    // reinstall per epoch (horizon 1), i.e. one full PathStore
-    // begin_reinstall + sample + compact cycle per epoch for `epochs`
-    // epochs. Without in-place compaction the arena (and RSS) would grow
-    // without bound; with it the arena peak stays pinned at the two-
-    // generation high-water mark.
+    // reinstall per epoch (horizon 1), i.e. one PathSystem clear + sample
+    // cycle per epoch for `epochs` epochs. A reinstall that kept the old
+    // paths would grow the arena (and RSS) without bound; clearing it in
+    // place keeps one generation, so the peak is the largest support's.
     ScenarioSpec spec;
     spec.name = "storm";
     spec.topology = "hypercube";

@@ -231,17 +231,13 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   obs::service_counters().installs.fetch_add(1, std::memory_order_relaxed);
   const StageScope stage("install", sample_ms_);
   util::ThreadPool* workers = pool();
-  // Reinstall into the EXISTING system when there is one:
-  // begin_reinstall() drops the pair index but keeps the interning arena,
-  // sampling appends the new paths' slabs behind the (now dead) old ones,
-  // and compact_store() slides them down in place. The arena stays bounded
-  // by the live support across arbitrarily many reinstalls, and its
-  // capacity is reused instead of reallocated. Sampling draws and insertion
-  // order are identical to a fresh install, and every consumer reads slab
-  // contents through remapped refs, so route results are bit-identical to
-  // the replace-the-system behavior this supersedes.
+  // Reinstall into the EXISTING system when there is one: clear() empties
+  // it but keeps the interning arena's capacity, so the arena holds one
+  // generation of paths and a reinstall of no larger support reallocates
+  // nothing. Sampling draws and insertion order are those of a fresh
+  // install, and so are the arena's bytes.
   if (paths_) {
-    paths_->begin_reinstall();
+    paths_->clear();
   } else {
     paths_.emplace(*graph_);
   }
@@ -260,7 +256,6 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
                               *paths_);
     }
   }
-  paths_->compact_store();
   // Every requested pair was resampled into fresh slabs, so the captured
   // integral choices and the replay snapshot no longer describe the
   // installed candidates. The edge-level warm seed never referenced paths

@@ -346,11 +346,11 @@ class SorEngine {
                          std::uint64_t seed = 1, int threads = 1);
 
   /// Stage 2: samples and freezes the candidate PathSystem, replacing any
-  /// previously installed one. Reinstalls recycle the existing system's
-  /// interning arena in place (begin_reinstall + post-sampling compaction),
-  /// so a reinstall-heavy service keeps its path memory bounded by the live
-  /// support instead of leaking one abandoned arena per install. Returns
-  /// the frozen system.
+  /// previously installed one. A reinstall clears the existing system and
+  /// samples into its interning arena (PathSystem::clear keeps the
+  /// capacity), so a reinstall-heavy service keeps its path memory bounded
+  /// by the largest installed support instead of leaking one abandoned
+  /// arena per install. Returns the frozen system.
   const PathSystem& install_paths(const SamplingSpec& spec);
 
   /// Stage 3..5 for one revealed demand, over the frozen PathSystem: a

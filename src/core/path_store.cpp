@@ -1,21 +1,10 @@
 #include "core/path_store.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 #include <stdexcept>
 
 namespace sor {
-
-PathRef PathRemap::operator()(PathRef ref) const {
-  const auto it = std::lower_bound(from_.begin(), from_.end(), ref.offset);
-  assert(it != from_.end() && *it == ref.offset &&
-         "PathRemap: ref was not in the compaction's live set");
-  PathRef out;
-  out.offset = to_[static_cast<std::size_t>(it - from_.begin())];
-  out.hops = ref.hops;
-  return out;
-}
 
 PathRef PathStore::intern(const Path& path) {
   assert(!path.empty());
@@ -56,43 +45,6 @@ PathRef PathStore::adopt(const PathStore& other, PathRef ref) {
   data_.insert(data_.end(), slab, slab + 2 * ref.hops + 1);
   ++num_paths_;
   return rebased;
-}
-
-PathRemap PathStore::compact(std::span<const PathRef> live) {
-  PathRemap remap;
-  // Unique live slabs in offset order. Duplicate refs to one slab collapse;
-  // two refs sharing an offset must agree on hops (same slab).
-  std::vector<PathRef> slabs(live.begin(), live.end());
-  std::sort(slabs.begin(), slabs.end(),
-            [](PathRef a, PathRef b) { return a.offset < b.offset; });
-  slabs.erase(std::unique(slabs.begin(), slabs.end(),
-                          [](PathRef a, PathRef b) {
-                            assert(a.offset != b.offset || a.hops == b.hops);
-                            return a.offset == b.offset;
-                          }),
-              slabs.end());
-
-  remap.from_.reserve(slabs.size());
-  remap.to_.reserve(slabs.size());
-  std::int64_t write = 0;
-  for (const PathRef& slab : slabs) {
-    const std::int64_t len = 2 * static_cast<std::int64_t>(slab.hops) + 1;
-    assert(slab.offset >= write &&
-           slab.offset + len <= static_cast<std::int64_t>(data_.size()) &&
-           "compact: live slabs must be disjoint, in-arena slabs");
-    remap.from_.push_back(slab.offset);
-    remap.to_.push_back(write);
-    if (slab.offset != write) {
-      // Slide down. dest < src always (offsets ascend, removal only
-      // shrinks), so the forward copy is overlap-safe.
-      std::copy(data_.begin() + slab.offset, data_.begin() + slab.offset + len,
-                data_.begin() + write);
-    }
-    write += len;
-  }
-  data_.resize(static_cast<std::size_t>(write));  // capacity retained
-  num_paths_ = slabs.size();
-  return remap;
 }
 
 FlatCandidates flatten_candidates(

@@ -31,25 +31,6 @@ struct PathRef {
   std::int32_t hops = 0;    ///< edges on the path (vertices = hops + 1)
 };
 
-/// The offset rewrite produced by PathStore::compact: old slab offsets ->
-/// new (slid-down) offsets, sorted ascending. Every holder of refs into
-/// the compacted store (PathSystem's pair index, engine-held refs) rewrites
-/// them through the ONE remap of that compaction; a ref the compaction was
-/// not told about is dead by definition and remap() asserts on it.
-class PathRemap {
- public:
-  /// The re-based ref (same hops, slid-down offset). Asserts that `ref`
-  /// was in the compaction's live set.
-  PathRef operator()(PathRef ref) const;
-
-  std::size_t live_paths() const { return from_.size(); }
-
- private:
-  friend class PathStore;
-  std::vector<std::int64_t> from_;  // old offsets, ascending
-  std::vector<std::int64_t> to_;    // new offset per old offset
-};
-
 /// Append-only interning arena for simple paths of one fixed graph.
 class PathStore {
  public:
@@ -69,23 +50,13 @@ class PathStore {
   /// without re-resolving edges; returns the re-based ref.
   PathRef adopt(const PathStore& other, PathRef ref);
 
-  /// Drops every path but keeps the arena's capacity — the degenerate
-  /// (empty live set) compaction, used when NO existing ref survives a
-  /// reinstall.
+  /// Drops every path but keeps the arena's capacity, so a reinstall that
+  /// interns no more than the last one reallocates nothing. Every ref into
+  /// the store is dead afterwards.
   void clear() {
     data_.clear();
     num_paths_ = 0;
   }
-
-  /// In-place compaction/GC: keeps exactly the slabs behind `live`
-  /// (duplicate refs to one slab are fine) and slides them down the arena
-  /// in offset order, dropping everything else. Capacity is retained, so a
-  /// reinstall cycle of clear-ish churn settles into zero arena
-  /// reallocation. Returns the remap every other holder of refs must
-  /// rewrite through; slab CONTENTS are untouched, so spans read through
-  /// remapped refs are bit-identical to the pre-compaction reads (the
-  /// route-result invariance tests/test_runtime.cpp pins).
-  PathRemap compact(std::span<const PathRef> live);
 
   std::span<const int> vertices(PathRef ref) const {
     return {data_.data() + ref.offset, static_cast<std::size_t>(ref.hops) + 1};

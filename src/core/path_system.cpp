@@ -40,27 +40,11 @@ bool PathSystem::has_pair(int s, int t) const {
   return index_.find({s, t}) != index_.end();
 }
 
-void PathSystem::begin_reinstall() {
+void PathSystem::clear() {
   index_.clear();
+  store_.clear();
   sparsity_ = 0;
   total_paths_ = 0;
-  // store_ intentionally untouched: its slabs are now dead but its capacity
-  // is the budget the next install's interning runs inside. compact_store()
-  // after re-sampling reclaims the dead prefix in place.
-}
-
-std::size_t PathSystem::compact_store() {
-  const std::size_t before = store_.arena_size();
-  std::vector<PathRef> live;
-  live.reserve(total_paths_);
-  for (const auto& [pair, refs] : index_) {
-    live.insert(live.end(), refs.begin(), refs.end());
-  }
-  const PathRemap remap = store_.compact(live);
-  for (auto& [pair, refs] : index_) {
-    for (PathRef& ref : refs) ref = remap(ref);
-  }
-  return before - store_.arena_size();
 }
 
 void PathSystem::merge(const PathSystem& other) {

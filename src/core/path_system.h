@@ -81,21 +81,11 @@ class PathSystem {
   /// Interned refs for a pair, in insertion order. Empty for a miss.
   std::span<const PathRef> refs(int s, int t) const;
 
-  // ---- reinstall lifecycle (service runtime) ---------------------------
-
-  /// Begins a reinstall cycle on a long-lived system: drops the pair index
-  /// and counters but KEEPS the interning arena — the old slabs become
-  /// dead weight that the post-sampling compact_store() call reclaims in
-  /// place. The index's node allocations are released; the arena, which
-  /// dominates the footprint, is not.
-  void begin_reinstall();
-
-  /// In-place GC of the interning arena: compacts the store down to the
-  /// slabs currently referenced by the pair index and rewrites every ref
-  /// through the remap. Live slabs are gathered in the index's pair order,
-  /// so a fixed seed yields a bit-identical arena. Returns the number of
-  /// ints reclaimed.
-  std::size_t compact_store();
+  /// Empties the system for a reinstall: drops the pair index and the
+  /// arena's paths in place, keeping the arena's capacity, so sampling the
+  /// next install into it writes the same bytes at the same offsets as
+  /// sampling into a fresh system.
+  void clear();
 
  private:
   PathStore store_;
@@ -132,7 +122,7 @@ PathSystem sample_path_system(const ObliviousRouting& routing, int alpha,
                               Rng& rng, util::ThreadPool* pool = nullptr);
 
 /// Appending variant for a long-lived system: samples into `ps` (which must
-/// be bound to routing.graph(); typically just begin_reinstall()'ed) instead
+/// be bound to routing.graph(); typically just clear()'ed) instead
 /// of constructing a fresh one, so the interning arena's capacity survives
 /// reinstall cycles. Identical draws and insertion order to
 /// sample_path_system on an empty system.

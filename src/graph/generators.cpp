@@ -3,13 +3,34 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace sor::gen {
 
+namespace {
+
+// Vertex and edge ids are ints: every count a generator builds must fit.
+constexpr std::int64_t kMaxIds = std::numeric_limits<int>::max();
+
+/// The argument check of a generator with a documented domain, in every
+/// build type: outside it, the generator would index past its buffers or
+/// overflow its vertex count.
+void require(bool ok, const char* generator, const char* domain) {
+  if (!ok) {
+    throw std::invalid_argument(std::string("gen::") + generator +
+                                ": requires " + domain);
+  }
+}
+
+}  // namespace
+
 Graph hypercube(int dim) {
-  assert(dim >= 1 && dim <= 20);
+  require(dim >= 1 && dim <= 20, "hypercube", "1 <= dim <= 20");
   const int n = 1 << dim;
   Graph g(n);
   for (int v = 0; v < n; ++v) {
@@ -22,7 +43,9 @@ Graph hypercube(int dim) {
 }
 
 Graph grid(int rows, int cols, bool wrap) {
-  assert(rows >= 1 && cols >= 1);
+  require(rows >= 1 && cols >= 1 &&
+              static_cast<std::int64_t>(rows) * cols <= kMaxIds / 2,
+          "grid", "rows, cols >= 1 and 2 * rows * cols <= INT_MAX");
   Graph g(rows * cols);
   auto id = [cols](int r, int c) { return r * cols + c; };
   for (int r = 0; r < rows; ++r) {
@@ -37,8 +60,9 @@ Graph grid(int rows, int cols, bool wrap) {
 }
 
 Graph random_regular(int n, int d, Rng& rng) {
-  assert(n >= 2 && d >= 1 && d < n);
-  assert(n % 2 == 0 || d % 2 == 0);
+  require(n >= 2 && d >= 1 && d < n && (n % 2 == 0 || d % 2 == 0) &&
+              static_cast<std::int64_t>(n) * d <= kMaxIds,
+          "random_regular", "1 <= d < n, n * d even and n * d <= INT_MAX");
   // Configuration model: pair up n*d half-edge stubs uniformly; redraw
   // pairings that would create a self-loop by swapping with a random stub.
   std::vector<int> stubs;
@@ -207,7 +231,12 @@ Graph lower_bound_family(int n, std::vector<int>* copy_offsets) {
 }
 
 Graph fat_tree(int k) {
-  assert(k >= 2 && k % 2 == 0);
+  // k^3/2 links, more than the 5k^2/4 switches; bounding k^2 first keeps
+  // k^3 in range.
+  const std::int64_t wide = k;
+  require(k >= 2 && k % 2 == 0 && wide * wide <= kMaxIds &&
+              wide * wide * wide / 2 <= kMaxIds,
+          "fat_tree", "an even k >= 2 with k^3 / 2 <= INT_MAX");
   const int half = k / 2;
   const int num_edge = k * half;   // edge switches
   const int num_aggr = k * half;   // aggregation switches

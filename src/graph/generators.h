@@ -1,5 +1,9 @@
 // Graph generators: classic parallel-computing topologies, synthetic WAN-like
 // traffic-engineering topologies, and the paper's lower-bound gadgets.
+//
+// hypercube, grid, random_regular and fat_tree take sizes straight from
+// scenario files and the CLI, so they throw std::invalid_argument, in every
+// build type, for arguments outside their stated domain.
 #pragma once
 
 #include "graph/graph.h"
@@ -11,12 +15,13 @@ namespace sor::gen {
 /// between ids differing in one bit. Requires 1 <= dim <= 20.
 Graph hypercube(int dim);
 
-/// rows x cols 2D grid (4-neighbour). If `wrap` is true, a torus.
+/// rows x cols 2D grid (4-neighbour). If `wrap` is true, a torus. Requires
+/// rows, cols >= 1 and 2 * rows * cols <= INT_MAX (every edge id an int).
 Graph grid(int rows, int cols, bool wrap = false);
 
 /// Random d-regular multigraph via the configuration model, with self-loops
 /// removed by re-pairing; for d >= 3 this is an expander with high
-/// probability. Requires n*d even, d < n.
+/// probability. Requires 1 <= d < n, n*d even and n*d <= INT_MAX.
 Graph random_regular(int n, int d, Rng& rng);
 
 /// Erdos-Renyi G(n, p) conditioned on connectivity: edges sampled i.i.d.,
@@ -61,7 +66,8 @@ int lower_bound_k(int n, int alpha);
 
 /// Three-level fat-tree (k-ary) as used in data-center topologies:
 /// k pods of k/2 edge + k/2 aggregation switches, (k/2)^2 core switches.
-/// Capacities grow towards the core. Requires even k >= 2.
+/// Capacities grow towards the core. Requires an even k >= 2 with
+/// k^3 / 2 (the link count) <= INT_MAX.
 Graph fat_tree(int k);
 
 /// Abilene-inspired 11-node US research WAN backbone (a standard topology in

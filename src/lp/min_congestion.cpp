@@ -139,7 +139,9 @@ double congestion_of_weights(const Graph& g,
 
 namespace {
 
-// The restricted oracle: commodity j may only use its candidate paths. This
+constexpr std::size_t kLanes = 8;
+
+// The restricted solve: commodity j may only use its candidate paths. This
 // is THE hot loop of the serving path (one solve per revealed demand), so
 // its per-round normalization and lengths cost O(candidate footprint), not
 // O(m):
@@ -156,228 +158,207 @@ namespace {
 //    mass sums in four interleaved lanes (the association documented on
 //    min_congestion_over_paths);
 //  * every distinct candidate of the solve is summed in ONE pass over lane
-//    blocks (see prepare), then each commodity takes its argmin over its
-//    own sums in dedup order.
-struct RestrictedOracle {
-  static constexpr std::size_t kLanes = 8;
+//    blocks (see prepare_candidates), then each commodity takes its argmin
+//    over its own sums in dedup order.
 
-  const Graph& g;
-  const std::vector<Commodity>& commodities;
-  const FlatCandidates& candidates;
-  MinCongestionScratch& sc;
-
-  void reset(CongestionResult& out) const {
-    resize_keeping_buffers(out.path_weights, commodities.size(),
-                           sc.spare_weights);
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      out.path_weights[j].assign(candidates.num_paths(j), 0.0);
+/// Per-solve setup of the candidate side of `sc`: the distinct candidates,
+/// their lane blocks, the path sums, the choice counts and the candidate
+/// edge set. sc.cap must already hold one capacity per edge.
+void prepare_candidates(const std::vector<Commodity>& commodities,
+                        const FlatCandidates& candidates,
+                        MinCongestionScratch& sc) {
+  const std::size_t k = commodities.size();
+  const std::size_t m = sc.cap.size();
+  // distinct: each positive-demand commodity's first-occurrence
+  // candidates, commodity-major; commodity_first: prefix over distinct
+  // per commodity; original_index: candidate index of each distinct path.
+  auto& distinct = sc.distinct;
+  distinct.clear();
+  sc.original_index.clear();
+  sc.commodity_first.assign(1, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const Commodity& c = commodities[j];
+    if (c.amount > 0.0) {
+      if (candidates.num_paths(j) == 0) {
+        std::ostringstream msg;
+        msg << "min_congestion_over_paths: pair (" << c.s << ", " << c.t
+            << ") has demand " << c.amount << " but no candidate path";
+        throw std::invalid_argument(msg.str());
+      }
+      const std::size_t first = distinct.size();
+      for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+        const auto path = candidates.edges(j, i);
+        const bool repeat = std::any_of(
+            distinct.begin() + static_cast<std::ptrdiff_t>(first),
+            distinct.end(), [&](std::span<const int> other) {
+              return std::equal(path.begin(), path.end(), other.begin(),
+                                other.end());
+            });
+        if (repeat) continue;
+        distinct.push_back(path);
+        sc.original_index.push_back(static_cast<std::int32_t>(i));
+      }
     }
+    sc.commodity_first.push_back(static_cast<std::int64_t>(distinct.size()));
   }
+  const std::size_t num_distinct = distinct.size();
+  sc.counts.assign(num_distinct, 0);
+  sc.chosen_edges.assign(k, std::span<const int>{});
 
-  void prepare() {
-    const std::size_t k = commodities.size();
-    const std::size_t m = sc.cap.size();
-    // distinct: each positive-demand commodity's first-occurrence
-    // candidates, commodity-major; commodity_first: prefix over distinct
-    // per commodity; original_index: candidate index of each distinct path.
-    auto& distinct = sc.distinct;
-    distinct.clear();
-    sc.original_index.clear();
-    sc.commodity_first.assign(1, 0);
-    for (std::size_t j = 0; j < k; ++j) {
-      const Commodity& c = commodities[j];
-      if (c.amount > 0.0) {
-        if (candidates.num_paths(j) == 0) {
-          std::ostringstream msg;
-          msg << "min_congestion_over_paths: pair (" << c.s << ", " << c.t
-              << ") has demand " << c.amount << " but no candidate path";
-          throw std::invalid_argument(msg.str());
-        }
-        const std::size_t first = distinct.size();
-        for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
-          const auto path = candidates.edges(j, i);
-          const bool repeat = std::any_of(
-              distinct.begin() + static_cast<std::ptrdiff_t>(first),
-              distinct.end(), [&](std::span<const int> other) {
-                return std::equal(path.begin(), path.end(), other.begin(),
-                                  other.end());
-              });
-          if (repeat) continue;
-          distinct.push_back(path);
-          sc.original_index.push_back(static_cast<std::int32_t>(i));
-        }
-      }
-      sc.commodity_first.push_back(
-          static_cast<std::int64_t>(distinct.size()));
-    }
-    const std::size_t num_distinct = distinct.size();
-    sc.counts.assign(num_distinct, 0);
-    sc.chosen_edges.assign(k, std::span<const int>{});
-
-    // Lane blocks. A stable counting sort by hop count orders the distinct
-    // paths into by_hops, which is padded to whole blocks of kLanes with
-    // the dump slot num_distinct. Block b holds the paths by_hops[kLanes*b
-    // ..] transposed — hop h of lane l at lane_edges[block_first[b] +
-    // kLanes*h + l] — for as many hops as its longest (last) path. A
-    // shorter lane is padded with edge id m, whose length stays +0.0: its
-    // sum is a left-to-right chain from +0.0 like a serial one, and
-    // x + (+0.0) == x for every x >= +0.0, so padding changes no sum.
-    std::size_t max_hops = 0;
-    for (const auto path : distinct) max_hops = std::max(max_hops, path.size());
-    auto& hop_first = sc.hop_first;
-    hop_first.assign(max_hops + 2, 0);
-    for (const auto path : distinct) ++hop_first[path.size() + 1];
-    for (std::size_t h = 1; h < hop_first.size(); ++h) {
-      hop_first[h] += hop_first[h - 1];
-    }
-    auto& by_hops = sc.by_hops;
-    by_hops.assign((num_distinct + kLanes - 1) / kLanes * kLanes,
-                   static_cast<std::int32_t>(num_distinct));
-    for (std::size_t d = 0; d < num_distinct; ++d) {
-      by_hops[hop_first[distinct[d].size()]++] = static_cast<std::int32_t>(d);
-    }
-    sc.lane_edges.clear();
-    sc.block_first.assign(1, 0);
-    for (std::size_t first = 0; first < by_hops.size(); first += kLanes) {
-      const std::size_t last = std::min(first + kLanes, num_distinct) - 1;
-      const std::size_t hops =
-          distinct[static_cast<std::size_t>(by_hops[last])].size();
-      for (std::size_t h = 0; h < hops; ++h) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          const std::size_t d = static_cast<std::size_t>(by_hops[first + l]);
-          sc.lane_edges.push_back(d < num_distinct && h < distinct[d].size()
-                                      ? distinct[d][h]
-                                      : static_cast<int>(m));
-        }
-      }
-      sc.block_first.push_back(static_cast<std::int64_t>(sc.lane_edges.size()));
-    }
-    sc.path_len.assign(num_distinct + 1, 0.0);
-    sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
-
-    // The distinct candidate edge set: the only edges whose lengths the
-    // path sums will ever read.
-    sc.cand_edges.clear();
-    sc.in_cand.assign(m, 0);
-    for (const auto path : distinct) {
-      for (int e : path) {
-        if (!sc.in_cand[static_cast<std::size_t>(e)]) {
-          sc.in_cand[static_cast<std::size_t>(e)] = 1;
-          sc.cand_edges.push_back(e);
-        }
-      }
-    }
+  // Lane blocks. A stable counting sort by hop count orders the distinct
+  // paths into by_hops, which is padded to whole blocks of kLanes with
+  // the dump slot num_distinct. Block b holds the paths by_hops[kLanes*b
+  // ..] transposed — hop h of lane l at lane_edges[block_first[b] +
+  // kLanes*h + l] — for as many hops as its longest (last) path. A
+  // shorter lane is padded with edge id m, whose length stays +0.0: its
+  // sum is a left-to-right chain from +0.0 like a serial one, and
+  // x + (+0.0) == x for every x >= +0.0, so padding changes no sum.
+  std::size_t max_hops = 0;
+  for (const auto path : distinct) max_hops = std::max(max_hops, path.size());
+  auto& hop_first = sc.hop_first;
+  hop_first.assign(max_hops + 2, 0);
+  for (const auto path : distinct) ++hop_first[path.size() + 1];
+  for (std::size_t h = 1; h < hop_first.size(); ++h) {
+    hop_first[h] += hop_first[h - 1];
   }
-
-  void best_response(double untouched_value) {
-    const auto& active = sc.active;
-    const auto& expv = sc.expv;
-    auto& lengths = sc.lengths;
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    std::size_t a = 0;
-    for (; a + 4 <= active.size(); a += 4) {
-      l0 += expv[static_cast<std::size_t>(active[a])];
-      l1 += expv[static_cast<std::size_t>(active[a + 1])];
-      l2 += expv[static_cast<std::size_t>(active[a + 2])];
-      l3 += expv[static_cast<std::size_t>(active[a + 3])];
-    }
-    for (; a < active.size(); ++a) {
-      l0 += expv[static_cast<std::size_t>(active[a])];
-    }
-    const double total =
-        static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
-        ((l0 + l1) + (l2 + l3));
-    for (int e : sc.cand_edges) {
-      const double value = sc.is_active[static_cast<std::size_t>(e)]
-                               ? expv[static_cast<std::size_t>(e)]
-                               : untouched_value;
-      const double xe = value / total;
-      lengths[static_cast<std::size_t>(e)] =
-          xe / sc.cap[static_cast<std::size_t>(e)];
-    }
-
-    // Every distinct path's length, kLanes paths at a time: each lane is
-    // its own left-to-right addition chain from +0.0, so every sum is
-    // bit-identical to a serial evaluation; the lanes only break the
-    // latency dependence BETWEEN paths.
-    const int* lane_edges = sc.lane_edges.data();
-    const std::int32_t* owner = sc.by_hops.data();
-    for (std::size_t b = 0; b + 1 < sc.block_first.size();
-         ++b, owner += kLanes) {
-      double sum[kLanes] = {};
-      const int* stop = lane_edges + sc.block_first[b + 1];
-      for (const int* hop = lane_edges + sc.block_first[b]; hop != stop;
-           hop += kLanes) {
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          sum[l] += lengths[static_cast<std::size_t>(hop[l])];
-        }
-      }
+  auto& by_hops = sc.by_hops;
+  by_hops.assign((num_distinct + kLanes - 1) / kLanes * kLanes,
+                 static_cast<std::int32_t>(num_distinct));
+  for (std::size_t d = 0; d < num_distinct; ++d) {
+    by_hops[hop_first[distinct[d].size()]++] = static_cast<std::int32_t>(d);
+  }
+  sc.lane_edges.clear();
+  sc.block_first.assign(1, 0);
+  for (std::size_t first = 0; first < by_hops.size(); first += kLanes) {
+    const std::size_t last = std::min(first + kLanes, num_distinct) - 1;
+    const std::size_t hops =
+        distinct[static_cast<std::size_t>(by_hops[last])].size();
+    for (std::size_t h = 0; h < hops; ++h) {
       for (std::size_t l = 0; l < kLanes; ++l) {
-        sc.path_len[static_cast<std::size_t>(owner[l])] = sum[l];
+        const std::size_t d = static_cast<std::size_t>(by_hops[first + l]);
+        sc.lane_edges.push_back(d < num_distinct && h < distinct[d].size()
+                                    ? distinct[d][h]
+                                    : static_cast<int>(m));
       }
     }
+    sc.block_first.push_back(static_cast<std::int64_t>(sc.lane_edges.size()));
+  }
+  sc.path_len.assign(num_distinct + 1, 0.0);
+  sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
 
-    // Per commodity, the strict `<` argmin over its distinct paths in dedup
-    // order, so ties resolve exactly as a serial scan of the candidates.
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_first[j]);
-      const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_first[j + 1]);
-      if (begin == end) continue;  // zero demand: no path, length 0
-      double best = std::numeric_limits<double>::infinity();
-      std::size_t best_d = begin;
-      for (std::size_t d = begin; d < end; ++d) {
-        if (sc.path_len[d] < best) {
-          best = sc.path_len[d];
-          best_d = d;
-        }
+  // The distinct candidate edge set: the only edges whose lengths the
+  // path sums will ever read.
+  sc.cand_edges.clear();
+  sc.in_cand.assign(m, 0);
+  for (const auto path : distinct) {
+    for (int e : path) {
+      if (!sc.in_cand[static_cast<std::size_t>(e)]) {
+        sc.in_cand[static_cast<std::size_t>(e)] = 1;
+        sc.cand_edges.push_back(e);
       }
-      sc.chosen_edges[j] = sc.distinct[best_d];
-      sc.chosen_len[j] = best;
-      ++sc.counts[best_d];
+    }
+  }
+}
+
+/// The router's best response to the adversary's weights: lengths from
+/// sc.expv and `untouched_value` (the shared weight of every inactive
+/// edge), then per commodity its shortest distinct candidate — written to
+/// sc.chosen_edges[j] and sc.chosen_len[j], and counted in sc.counts.
+void best_response(std::size_t k, double untouched_value,
+                   MinCongestionScratch& sc) {
+  const auto& active = sc.active;
+  const auto& expv = sc.expv;
+  auto& lengths = sc.lengths;
+  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+  std::size_t a = 0;
+  for (; a + 4 <= active.size(); a += 4) {
+    l0 += expv[static_cast<std::size_t>(active[a])];
+    l1 += expv[static_cast<std::size_t>(active[a + 1])];
+    l2 += expv[static_cast<std::size_t>(active[a + 2])];
+    l3 += expv[static_cast<std::size_t>(active[a + 3])];
+  }
+  for (; a < active.size(); ++a) {
+    l0 += expv[static_cast<std::size_t>(active[a])];
+  }
+  const double total =
+      static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
+      ((l0 + l1) + (l2 + l3));
+  for (int e : sc.cand_edges) {
+    const double value = sc.is_active[static_cast<std::size_t>(e)]
+                             ? expv[static_cast<std::size_t>(e)]
+                             : untouched_value;
+    const double xe = value / total;
+    lengths[static_cast<std::size_t>(e)] =
+        xe / sc.cap[static_cast<std::size_t>(e)];
+  }
+
+  // Every distinct path's length, kLanes paths at a time: each lane is
+  // its own left-to-right addition chain from +0.0, so every sum is
+  // bit-identical to a serial evaluation; the lanes only break the
+  // latency dependence BETWEEN paths.
+  const int* lane_edges = sc.lane_edges.data();
+  const std::int32_t* owner = sc.by_hops.data();
+  for (std::size_t b = 0; b + 1 < sc.block_first.size();
+       ++b, owner += kLanes) {
+    double sum[kLanes] = {};
+    const int* stop = lane_edges + sc.block_first[b + 1];
+    for (const int* hop = lane_edges + sc.block_first[b]; hop != stop;
+         hop += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        sum[l] += lengths[static_cast<std::size_t>(hop[l])];
+      }
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      sc.path_len[static_cast<std::size_t>(owner[l])] = sum[l];
     }
   }
 
-  std::span<const int> path(std::size_t j) const { return sc.chosen_edges[j]; }
-  // The weights conversion in finish() rebuilds the iterate from counts.
-  void snapshot() { sc.budget_counts = sc.counts; }
-  void rewind() { sc.counts = sc.budget_counts; }
-
-  // Choice counts become fractional weights over the ORIGINAL candidate
-  // indexing (duplicates keep their reset weight: 0); the returned loads
-  // and congestion are those of exactly these weights.
-  void finish(int rounds, CongestionResult& out) const {
-    const int total_rounds = std::max(rounds, 1);
-    for (std::size_t j = 0; j < commodities.size(); ++j) {
-      const std::size_t begin =
-          static_cast<std::size_t>(sc.commodity_first[j]);
-      const std::size_t end =
-          static_cast<std::size_t>(sc.commodity_first[j + 1]);
-      for (std::size_t d = begin; d < end; ++d) {
-        out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
-            commodities[j].amount * static_cast<double>(sc.counts[d]) /
-            static_cast<double>(total_rounds);
+  // Per commodity, the strict `<` argmin over its distinct paths in dedup
+  // order, so ties resolve exactly as a serial scan of the candidates.
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t begin = static_cast<std::size_t>(sc.commodity_first[j]);
+    const std::size_t end =
+        static_cast<std::size_t>(sc.commodity_first[j + 1]);
+    if (begin == end) continue;  // zero demand: no path, length 0
+    double best = std::numeric_limits<double>::infinity();
+    std::size_t best_d = begin;
+    for (std::size_t d = begin; d < end; ++d) {
+      if (sc.path_len[d] < best) {
+        best = sc.path_len[d];
+        best_d = d;
       }
     }
-    out.congestion = congestion_of_weights(g, commodities, candidates,
-                                           out.path_weights, &out.edge_load);
+    sc.chosen_edges[j] = sc.distinct[best_d];
+    sc.chosen_len[j] = best;
+    ++sc.counts[best_d];
   }
-};
+}
+
+}  // namespace
+
+void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
+                                   std::size_t max_hops) {
+  distinct.reserve(paths);
+  original_index.reserve(paths);
+  hop_first.reserve(max_hops + 2);
+  by_hops.reserve(paths + kLanes);
+  // Blocks are hop-sorted, so their padding adds at most kLanes * max_hops.
+  lane_edges.reserve(edges + kLanes * max_hops);
+  block_first.reserve(paths / kLanes + 2);
+  path_len.reserve(paths + 1);
+  counts.reserve(paths);
+  budget_counts.reserve(paths);
+}
 
 // ---- the MWU loop ----------------------------------------------------------
 // The restricted solve plays one Freund–Schapire game: each round the
 // adversary's edge weights x_e ∝ exp(log_x[e]) set lengths x_e / cap_e, the
 // router best-responds with one path per commodity, and log_x grows by
-// eta * (round load / cap) / width on the edges it used. run_mwu owns the
-// round loop — state, warm seeding, the exp cache, the dual, load
-// aggregation, the budget, the sink and the early exit; the oracle owns
-// the normalizing total and the lengths, the best response, the budget
-// snapshot, and the returned iterate.
+// eta * (round load / cap) / width on the edges it used.
 //
-// Every shortcut in run_mwu is BIT-IDENTICAL to the textbook loop (pinned
-// by tests/test_restricted_reference.cpp); the one departure is the
-// oracle's segmented total, documented with it above:
+// Every shortcut below is BIT-IDENTICAL to the textbook loop (pinned by
+// tests/test_restricted_reference.cpp); the one departure is the segmented
+// total in best_response, documented above:
 //  * the adversary max_log is maintained incrementally (log_x only grows,
 //    and only on edges of chosen paths);
 //  * exp(log_x[e] - max_log) is cached in expv for active edges (log_x ever
@@ -397,21 +378,14 @@ struct RestrictedOracle {
 //    edges and compares once): any other edge never carried load, so its
 //    cumulative load is +0.0 and its ratio +0.0 never exceeds the bar
 //    best_lower * gap > 0 — the boolean is the same.
-//
-// The oracle (RestrictedOracle above) provides:
-//   reset(out)             its output fields for an empty/unsolved instance
-//   prepare()              per-solve setup, sc.lengths included (sc.cap is
-//                          already filled)
-//   best_response(shared)  lengths from expv / `shared` (the untouched
-//                          value), then one path per commodity: writes
-//                          sc.chosen_len[j] and the path(j) spans
-//   path(j)                commodity j's chosen edge ids this round
-//   snapshot() / rewind()  save / restore the best averaged iterate
-//   finish(rounds, out)    out.edge_load and out.congestion
-void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
-             const MinCongestionOptions& options, const MwuHooks& hooks,
-             MinCongestionScratch& sc, RestrictedOracle& oracle,
-             CongestionResult& out) {
+void min_congestion_over_paths_into(const Graph& g,
+                                    const std::vector<Commodity>& commodities,
+                                    const FlatCandidates& candidates,
+                                    const MinCongestionOptions& options,
+                                    const MwuHooks& hooks,
+                                    MinCongestionScratch& sc,
+                                    CongestionResult& out) {
+  assert(candidates.num_commodities() == commodities.size());
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
   out.edge_load.assign(m, 0.0);
@@ -420,7 +394,10 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   out.rounds_used = 0;
   out.status = SolveStatus::kCompleted;
   out.optimality_gap = 0.0;
-  oracle.reset(out);
+  resize_keeping_buffers(out.path_weights, k, sc.spare_weights);
+  for (std::size_t j = 0; j < k; ++j) {
+    out.path_weights[j].assign(candidates.num_paths(j), 0.0);
+  }
   if (k == 0 || m == 0) return;
 
   // Dense capacity array (the Edge structs are 3x wider than needed here).
@@ -429,7 +406,7 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   for (std::size_t e = 0; e < m; ++e) {
     cap[e] = g.edge(static_cast<int>(e)).capacity;
   }
-  oracle.prepare();
+  prepare_candidates(commodities, candidates, sc);
 
   // ---- MWU state (scratch-backed; assign/clear keep capacity) ------------
   auto& log_x = sc.log_x;
@@ -525,7 +502,7 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
     }
     dirty.clear();
 
-    oracle.best_response(untouched_value);
+    best_response(k, untouched_value, sc);
 
     // Dual certificate: opt >= sum_j d_j * dist(s_j,t_j) / sum_e x_e, and
     // sum_e x_e == 1 after normalization.
@@ -538,7 +515,7 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
     // Aggregate this round's pure-profile loads, sparsely: only edges of
     // chosen paths are nonzero.
     for (std::size_t j = 0; j < k; ++j) {
-      for (int e : oracle.path(j)) {
+      for (int e : sc.chosen_edges[j]) {
         if (round_load[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
         round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
       }
@@ -580,14 +557,15 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
       }
       if (hooks.sink != nullptr) {
         hooks.sink->record({round + 1, cur, dual, best_lower,
-                              certified_gap(cur, best_lower),
-                              static_cast<int>(touched.size())});
+                            certified_gap(cur, best_lower),
+                            static_cast<int>(touched.size())});
       }
-      // Track the best averaged iterate so a budget stop can rewind to it.
+      // Track the best averaged iterate so a budget stop can rewind to it;
+      // the choice counts are the iterate.
       if (track_best && cur < best_seen) {
         best_seen = cur;
         best_round = round + 1;
-        oracle.snapshot();
+        sc.budget_counts = sc.counts;
       }
     }
     for (int e : touched) round_load[static_cast<std::size_t>(e)] = 0.0;
@@ -644,10 +622,25 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
     // rounds and independent of the returned iterate, so best_lower still
     // certifies the rewound result.
     round = best_round;
-    oracle.rewind();
+    sc.counts = sc.budget_counts;
   }
 
-  oracle.finish(round, out);
+  // Choice counts become fractional weights over the ORIGINAL candidate
+  // indexing (duplicates keep their reset weight: 0); the returned loads
+  // and congestion are those of exactly these weights.
+  const int total_rounds = std::max(round, 1);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t begin = static_cast<std::size_t>(sc.commodity_first[j]);
+    const std::size_t end =
+        static_cast<std::size_t>(sc.commodity_first[j + 1]);
+    for (std::size_t d = begin; d < end; ++d) {
+      out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
+          commodities[j].amount * static_cast<double>(sc.counts[d]) /
+          static_cast<double>(total_rounds);
+    }
+  }
+  out.congestion = congestion_of_weights(g, commodities, candidates,
+                                         out.path_weights, &out.edge_load);
   out.lower_bound = best_lower;
   out.rounds_used = round;
   out.status = status;
@@ -658,35 +651,6 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   if (hooks.capture_log_x != nullptr) {
     hooks.capture_log_x->assign(log_x.begin(), log_x.end());
   }
-}
-
-}  // namespace
-
-void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
-                                   std::size_t max_hops) {
-  constexpr std::size_t kLanes = RestrictedOracle::kLanes;
-  distinct.reserve(paths);
-  original_index.reserve(paths);
-  hop_first.reserve(max_hops + 2);
-  by_hops.reserve(paths + kLanes);
-  // Blocks are hop-sorted, so their padding adds at most kLanes * max_hops.
-  lane_edges.reserve(edges + kLanes * max_hops);
-  block_first.reserve(paths / kLanes + 2);
-  path_len.reserve(paths + 1);
-  counts.reserve(paths);
-  budget_counts.reserve(paths);
-}
-
-void min_congestion_over_paths_into(const Graph& g,
-                                    const std::vector<Commodity>& commodities,
-                                    const FlatCandidates& candidates,
-                                    const MinCongestionOptions& options,
-                                    const MwuHooks& hooks,
-                                    MinCongestionScratch& sc,
-                                    CongestionResult& out) {
-  assert(candidates.num_commodities() == commodities.size());
-  RestrictedOracle oracle{g, commodities, candidates, sc};
-  run_mwu(g, commodities, options, hooks, sc, oracle, out);
 }
 
 CongestionResult min_congestion_over_paths(
@@ -821,6 +785,19 @@ void min_congestion_by_columns_into(const Graph& g,
   out.optimality_gap = certified_gap(out.congestion, lower);
 }
 
+namespace {
+
+/// The exact LPs are feasible and bounded, so any other status is the
+/// simplex failing numerically; never pass its output off as the optimum.
+void throw_unless_optimal(const LpSolution& solution, const char* who) {
+  if (solution.status != LpStatus::kOptimal) {
+    throw std::runtime_error(std::string(who) +
+                             ": the dense simplex found no optimal basis");
+  }
+}
+
+}  // namespace
+
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
     const std::vector<std::vector<Path>>& candidate_paths) {
@@ -872,7 +849,7 @@ CongestionResult min_congestion_over_paths_exact(
   }
 
   const LpSolution solution = solve(lp);
-  assert(solution.status == LpStatus::kOptimal);
+  throw_unless_optimal(solution, "min_congestion_over_paths_exact");
 
   CongestionResult result;
   result.path_weights.assign(k, {});
@@ -942,7 +919,7 @@ double min_congestion_free_exact(const Graph& g,
   }
 
   const LpSolution solution = solve(lp);
-  assert(solution.status == LpStatus::kOptimal);
+  throw_unless_optimal(solution, "min_congestion_free_exact");
   return solution.objective;
 }
 

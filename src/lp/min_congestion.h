@@ -198,9 +198,9 @@ void resize_keeping_buffers(std::vector<T>& v, std::size_t n,
 /// solve through a warm scratch is bit-identical to one through a fresh
 /// scratch (pinned by tests/test_runtime.cpp).
 struct MinCongestionScratch {
-  // Restricted oracle: the distinct candidates (spans into the solve's
+  // Candidate side: the distinct candidates (spans into the solve's
   // FlatCandidates), their lane blocks, per-round path sums and choice
-  // counts (see RestrictedOracle::prepare in min_congestion.cpp).
+  // counts (see prepare_candidates in min_congestion.cpp).
   std::vector<std::span<const int>> distinct;
   std::vector<std::int64_t> commodity_first;  // prefix over `distinct`
   std::vector<std::int32_t> original_index;   // candidate index per path
@@ -215,7 +215,7 @@ struct MinCongestionScratch {
   std::vector<std::span<const int>> chosen_edges;
   // Weight rows a shrinking CongestionResult::path_weights handed back.
   std::vector<std::vector<double>> spare_weights;
-  // MWU state (run_mwu).
+  // MWU state (the round loop of min_congestion_over_paths_into).
   std::vector<double> cap;
   std::vector<double> log_x;
   std::vector<double> expv;
@@ -338,7 +338,9 @@ void min_congestion_by_columns_into(const Graph& g,
                                     CongestionResult& out);
 
 /// Exact LP (dense simplex) version of min_congestion_over_paths. Intended
-/// for small instances; returns optimal congestion and weights.
+/// for small instances; returns optimal congestion and weights. Both exact
+/// solvers throw std::runtime_error when the simplex finds no optimal basis
+/// (LpStatus::kNumericalError).
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
     const std::vector<std::vector<Path>>& candidate_paths);

@@ -8,6 +8,13 @@ namespace sor {
 namespace {
 
 constexpr double kEps = 1e-9;
+// The ratio test's floor on a pivot entry. An entry of round-off size
+// still passes a kEps test, and dividing by it blows the basic values up
+// (to -1e11 on a 22-vertex edge-flow LP) while every step looks legal.
+constexpr double kPivotEps = 1e-6;
+// Slack of the final check that the basis is feasible, relative to the
+// magnitude of each row's terms.
+constexpr double kFeasibilityTol = 1e-6;
 
 /// Standard-form tableau solver: minimize c.x with A x = b, b >= 0, x >= 0,
 /// starting from the given basis (one basic variable per row).
@@ -43,7 +50,7 @@ class Tableau {
       int leaving_row = -1;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < m; ++i) {
-        if (a_[i][static_cast<std::size_t>(entering)] > kEps) {
+        if (a_[i][static_cast<std::size_t>(entering)] > kPivotEps) {
           const double ratio =
               b_[i] / a_[i][static_cast<std::size_t>(entering)];
           if (ratio < best_ratio - kEps ||
@@ -108,6 +115,38 @@ class Tableau {
   std::vector<double> b_;
   std::vector<int> basis_;
 };
+
+/// Whether `x` satisfies every row of `lp` and the tableau's basic values
+/// `basic` are non-negative, up to kFeasibilityTol.
+bool feasible(const LinearProgram& lp, const std::vector<double>& x,
+              const std::vector<double>& basic) {
+  for (double v : basic) {
+    if (v < -kFeasibilityTol) return false;
+  }
+  for (std::size_t i = 0; i < lp.num_constraints(); ++i) {
+    double lhs = 0.0;
+    double scale = 1.0 + std::abs(lp.rhs[i]);
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      const double term = lp.rows[i][j] * x[j];
+      lhs += term;
+      scale += std::abs(term);
+    }
+    const double slack = kFeasibilityTol * scale;
+    const double excess = lhs - lp.rhs[i];
+    switch (lp.relations[i]) {
+      case Relation::kLessEqual:
+        if (excess > slack) return false;
+        break;
+      case Relation::kGreaterEqual:
+        if (excess < -slack) return false;
+        break;
+      case Relation::kEqual:
+        if (std::abs(excess) > slack) return false;
+        break;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -201,6 +240,11 @@ LpSolution solve(const LinearProgram& lp) {
   for (std::size_t i = 0; i < m; ++i) {
     const std::size_t col = static_cast<std::size_t>(tableau.basis()[i]);
     if (col < n) solution.x[col] = tableau.rhs()[i];
+  }
+  // Round-off can carry the basis off the feasible region with no pivot
+  // looking wrong; such a basis is no optimum.
+  if (!feasible(lp, solution.x, tableau.rhs())) {
+    return LpSolution{LpStatus::kNumericalError, 0.0, {}};
   }
   solution.objective = 0.0;
   for (std::size_t j = 0; j < n; ++j) {

@@ -12,7 +12,9 @@ namespace sor {
 
 enum class Relation { kLessEqual, kGreaterEqual, kEqual };
 
-enum class LpStatus { kOptimal, kInfeasible, kUnbounded };
+/// kNumericalError: the final basis violates the LP's rows or has negative
+/// basic values beyond round-off, so it is no optimum; nothing is returned.
+enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kNumericalError };
 
 /// minimize c.x  subject to  A x (rel) b,  x >= 0.
 struct LinearProgram {
@@ -35,7 +37,8 @@ struct LpSolution {
 };
 
 /// Solves with Bland's rule (no cycling). Intended for small/medium dense
-/// instances (hundreds of rows/columns).
+/// instances (hundreds of rows/columns). kOptimal is reported only for a
+/// solution that satisfies every row and x >= 0 to a relative 1e-6.
 LpSolution solve(const LinearProgram& lp);
 
 }  // namespace sor

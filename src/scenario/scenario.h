@@ -211,7 +211,7 @@ struct EpochReport {
   /// principle (scratch-pool borrowing) — so it is deliberately excluded
   /// from the bit-identity comparisons in test_scenario / bench_m6.
   std::uint64_t route_allocs = 0;
-  /// PathStore arena occupancy (ints) after this epoch's install/compact —
+  /// PathStore arena occupancy (ints) after this epoch's install —
   /// the flat-arena gauge bench_m7_service_memory charts across churn.
   std::size_t arena_ints = 0;
   /// A DegradePolicy absorbed a failure this epoch (kFail never sets it —

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/path_system.h"
 #include "graph/maxflow.h"
 #include "graph/shortest_path.h"
@@ -124,6 +126,34 @@ TEST(Generators, FatTreeStructure) {
   // k=4: 8 edge + 8 aggregation + 4 core switches.
   EXPECT_EQ(g.num_vertices(), 20);
   EXPECT_TRUE(g.is_connected());
+}
+
+// Sizes reach these generators from scenario files and the CLI, so an
+// argument outside the documented domain throws in every build type,
+// before anything is allocated.
+TEST(Generators, RejectArgumentsOutsideTheirDomain) {
+  Rng rng(1);
+  EXPECT_THROW(gen::hypercube(0), std::invalid_argument);
+  EXPECT_THROW(gen::hypercube(21), std::invalid_argument);
+  EXPECT_THROW(gen::grid(0, 4), std::invalid_argument);
+  EXPECT_THROW(gen::grid(4, -1), std::invalid_argument);
+  EXPECT_THROW(gen::grid(65536, 65536), std::invalid_argument);
+  EXPECT_THROW(gen::grid(2147483647, 2147483647, /*wrap=*/true),
+               std::invalid_argument);
+  EXPECT_THROW(gen::random_regular(7, 3, rng), std::invalid_argument);
+  EXPECT_THROW(gen::random_regular(4, 4, rng), std::invalid_argument);
+  EXPECT_THROW(gen::random_regular(1, 0, rng), std::invalid_argument);
+  EXPECT_THROW(gen::random_regular(2147483646, 2, rng),
+               std::invalid_argument);
+  EXPECT_THROW(gen::fat_tree(3), std::invalid_argument);
+  EXPECT_THROW(gen::fat_tree(0), std::invalid_argument);
+  EXPECT_THROW(gen::fat_tree(2048), std::invalid_argument);  // 2^32 links
+  EXPECT_THROW(gen::fat_tree(2147483646), std::invalid_argument);
+  // The domains' edges still build.
+  EXPECT_EQ(gen::hypercube(1).num_vertices(), 2);
+  EXPECT_EQ(gen::grid(1, 1).num_vertices(), 1);
+  EXPECT_EQ(gen::random_regular(8, 3, rng).num_edges(), 12);
+  EXPECT_EQ(gen::fat_tree(2).num_vertices(), 5);
 }
 
 TEST(Generators, AbileneStructure) {

@@ -26,6 +26,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/semi_oblivious.h"
@@ -310,6 +312,28 @@ TEST_P(CertificateSandwichSweep, RestrictedSolverBracketsExactOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CertificateSandwichSweep,
                          ::testing::Range(0, 6));
+
+// The sweep's recipe at n = 20 (seed 1) and n = 22 (seed 2), where the
+// dense simplex used to report an optimum of 0.0: phase 2 pivoted on
+// round-off-sized entries and walked the basis off the feasible region.
+// The exact LP must land inside the certified bracket or throw.
+TEST(CertificateSandwich, ExactLpLandsInsideTheBracketOrThrows) {
+  for (const auto& [n, seed] : {std::pair{20, 1}, std::pair{22, 2}}) {
+    SCOPED_TRACE(testing::Message() << "n " << n << " seed " << seed);
+    Rng rng(static_cast<std::uint64_t>(seed) * 613 + 5);
+    const Graph g = gen::erdos_renyi_connected(n, 0.3, rng);
+    const Demand d = random_demand(g.num_vertices(), 6, rng);
+    const OptimalCongestion opt = optimal_congestion(g, d);
+    double exact = 0.0;
+    try {
+      exact = min_congestion_free_exact(g, d.commodities());
+    } catch (const std::runtime_error&) {
+      continue;  // a refusal is allowed, a wrong optimum is not
+    }
+    expect_le_rel(opt.lower, exact);
+    expect_le_rel(exact, opt.upper);
+  }
+}
 
 // Capacitated multigraphs: each seed sweeps n = 6, 8 and 12 with four
 // instances each, 5 random pairs apiece.

@@ -1,13 +1,13 @@
-// The service-runtime memory subsystem: PathStore in-place compaction/GC
-// (remapped refs must read bit-identically), the engine scratch arenas
-// (warm route calls perform zero heap allocations), the allocation
-// observability layer (alloc_stats counters), and the buffer-reusing
-// route_into / run_scenario paths against their allocating originals.
+// The service-runtime memory subsystem: PathSystem reinstalls (clear()
+// keeps the arena's capacity, so reinstalling one batch never grows it),
+// the engine scratch arenas (warm route calls perform zero heap
+// allocations), the allocation observability layer (alloc_stats counters),
+// and the buffer-reusing route_into / run_scenario paths against their
+// allocating originals.
 #include "runtime/scratch.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <thread>
@@ -27,7 +27,7 @@ namespace sor {
 namespace {
 
 /// `count` valid random paths over g (random shortest-path draws between
-/// random distinct pairs) — fodder for intern/compact fuzzing.
+/// random distinct pairs).
 std::vector<Path> random_paths(const Graph& g, int count, Rng& rng) {
   RandomShortestPathRouting routing(g);
   std::vector<Path> paths;
@@ -42,99 +42,7 @@ std::vector<Path> random_paths(const Graph& g, int count, Rng& rng) {
   return paths;
 }
 
-// ---- PathStore compaction ----------------------------------------------
-
-TEST(PathStoreCompact, RemappedRefsReadBitIdenticallyOnRandomGraphs) {
-  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    const Graph g = gen::random_regular(24, 4, rng);
-    PathStore store(g);
-    const std::vector<Path> paths = random_paths(g, 200, rng);
-    std::vector<PathRef> refs;
-    for (const Path& p : paths) refs.push_back(store.intern(p));
-
-    // A random ~half of the refs survives, with duplicates thrown in.
-    std::vector<PathRef> live;
-    std::vector<std::size_t> live_idx;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      if (rng.bernoulli(0.5)) continue;
-      live.push_back(refs[i]);
-      live_idx.push_back(i);
-      if (rng.bernoulli(0.25)) live.push_back(refs[i]);  // duplicate
-    }
-    ASSERT_FALSE(live.empty());
-
-    const std::size_t size_before = store.arena_size();
-    const std::size_t capacity_before = store.arena_capacity();
-    const PathRemap remap = store.compact(live);
-
-    // In place: the arena shrank (or stayed) and never reallocated.
-    EXPECT_LE(store.arena_size(), size_before);
-    EXPECT_EQ(store.arena_capacity(), capacity_before);
-    std::vector<PathRef> unique_live = live;
-    std::sort(unique_live.begin(), unique_live.end(),
-              [](PathRef a, PathRef b) { return a.offset < b.offset; });
-    unique_live.erase(std::unique(unique_live.begin(), unique_live.end(),
-                                  [](PathRef a, PathRef b) {
-                                    return a.offset == b.offset;
-                                  }),
-                      unique_live.end());
-    EXPECT_EQ(store.num_paths(), unique_live.size());
-    EXPECT_EQ(remap.live_paths(), unique_live.size());
-
-    // Every surviving ref reads bit-identically through the remap:
-    // vertices, precomputed edge ids, and to_path all match the original.
-    for (std::size_t i = 0; i < live_idx.size(); ++i) {
-      const Path& original = paths[live_idx[i]];
-      const PathRef remapped = remap(refs[live_idx[i]]);
-      EXPECT_EQ(store.to_path(remapped), original);
-      const auto expected_edges = path_edge_ids(g, original);
-      const auto edges = store.edge_ids(remapped);
-      ASSERT_EQ(edges.size(), expected_edges.size());
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        EXPECT_EQ(edges[e], expected_edges[e]);
-      }
-    }
-  }
-}
-
-TEST(PathStoreCompact, FuzzedLiveSetsRoundTripAcrossRepeatedCycles) {
-  Rng rng(7);
-  const Graph g = gen::grid(5, 5, /*wrap=*/true);
-  PathStore store(g);
-  // Rolling live set: (ref, expected content) pairs that survived so far.
-  std::vector<std::pair<PathRef, Path>> alive;
-  std::size_t peak_capacity = 0;
-  for (int round = 0; round < 25; ++round) {
-    SCOPED_TRACE(round);
-    for (const Path& p : random_paths(g, 40, rng)) {
-      alive.emplace_back(store.intern(p), p);
-    }
-    // Keep a random subset; the per-round keep rate itself varies, so some
-    // rounds keep (almost) everything and some nearly nothing.
-    std::vector<std::pair<PathRef, Path>> kept;
-    const double keep_rate = rng.uniform_double();
-    for (const auto& entry : alive) {
-      if (rng.bernoulli(keep_rate)) kept.push_back(entry);
-    }
-    std::vector<PathRef> live;
-    for (const auto& [ref, path] : kept) live.push_back(ref);
-    const PathRemap remap = store.compact(live);
-    alive.clear();
-    for (const auto& [ref, path] : kept) {
-      const PathRef remapped = remap(ref);
-      ASSERT_EQ(store.to_path(remapped), path);
-      alive.emplace_back(remapped, path);
-    }
-    EXPECT_EQ(store.num_paths(), alive.size());
-    peak_capacity = std::max(peak_capacity, store.arena_capacity());
-  }
-  // Churn with GC settles: capacity is bounded by the peak working set,
-  // not by 25 rounds x 40 paths of appends.
-  EXPECT_EQ(store.arena_capacity(), peak_capacity);
-  EXPECT_LT(peak_capacity, 25u * 40u * 12u);
-}
+// ---- PathSystem reinstall ---------------------------------------------
 
 TEST(PathStoreCompact, ReinstallCycleKeepsPathSystemArenaFlat) {
   Rng rng(11);
@@ -143,35 +51,30 @@ TEST(PathStoreCompact, ReinstallCycleKeepsPathSystemArenaFlat) {
   std::map<std::pair<int, int>, std::vector<Path>> inserted;
   for (const Path& p : batch) inserted[{p.front(), p.back()}].push_back(p);
   PathSystem ps(g);
-  std::size_t stable_size = 0, stable_capacity = 0;
+  std::size_t first_size = 0, first_capacity = 0;
   for (int cycle = 0; cycle < 10; ++cycle) {
     SCOPED_TRACE(cycle);
-    ps.begin_reinstall();
+    ps.clear();
     for (const Path& p : batch) {
       ps.add_path(p.front(), p.back(), p);
     }
-    ps.compact_store();
-    // The compacted arena reads back exactly the inserted batch, per pair
-    // in insertion order.
+    // The arena reads back exactly the inserted batch, per pair in
+    // insertion order.
     ASSERT_EQ(ps.num_pairs(), inserted.size());
+    ASSERT_EQ(ps.total_paths(), batch.size());
     for (const auto& [pair, paths] : inserted) {
       EXPECT_EQ(ps.paths(pair.first, pair.second), paths);
     }
     if (cycle == 0) {
-      // Identical content each cycle -> identical live arena size.
-      stable_size = ps.store().arena_size();
+      first_size = ps.store().arena_size();
+      first_capacity = ps.store().arena_capacity();
       continue;
     }
-    EXPECT_EQ(ps.store().arena_size(), stable_size);
-    if (cycle == 1) {
-      // Capacity's steady state is cycle 1's high-water mark: during a
-      // reinstall the dying live set and the fresh sample coexist in the
-      // arena until compact_store() slides the survivors down, so the
-      // high water is ~2x the live size — and NEVER grows again.
-      stable_capacity = ps.store().arena_capacity();
-      continue;
-    }
-    EXPECT_EQ(ps.store().arena_capacity(), stable_capacity);
+    // clear() keeps the capacity and the arena only ever holds one
+    // generation, so reinstalling the same batch neither grows nor
+    // reallocates it.
+    EXPECT_EQ(ps.store().arena_size(), first_size);
+    EXPECT_EQ(ps.store().arena_capacity(), first_capacity);
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "graph/generators.h"
 #include "io/scenario_io.h"
@@ -255,6 +257,22 @@ TEST(Scenario, SpecReaderRejectsMalformedInput) {
   for (const char* text : bad) {
     std::stringstream in(text);
     EXPECT_FALSE(io::read_scenario(in).has_value()) << text;
+  }
+}
+
+// read_scenario accepts any positive size; building the graph must then
+// throw, not read past a buffer, overflow, or build a malformed topology.
+TEST(Scenario, GraphRejectsSizesOutsideTheGeneratorDomain) {
+  const char* lines[] = {
+      "topology expander 7 3",      // n * d odd
+      "topology fattree 3",         // odd k
+      "topology torus 2147483647",  // rows * cols overflows
+  };
+  for (const char* line : lines) {
+    std::stringstream in(std::string("scenario v1\n") + line + "\n");
+    const auto spec = io::read_scenario(in);
+    ASSERT_TRUE(spec.has_value()) << line;
+    EXPECT_THROW(make_scenario_graph(*spec), std::invalid_argument) << line;
   }
 }
 
