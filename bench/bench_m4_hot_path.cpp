@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "graph/shortest_path.h"
 
 namespace {
 
@@ -333,54 +332,6 @@ void bench_instance(Table& table, const std::string& name, Graph graph,
                         identical ? "yes" : "no");
   sor::bench::stage_row(table, "route_legacy", name, 1, legacy_ms, route_ops,
                         1.0, identical ? "yes" : "no");
-
-  // ---- sim edge resolution: FlatAdjacency arena-append vs hash-per-hop ----
-  // The packet simulator's setup resolves every packet's hops into one
-  // flat arena; since PR 5 that resolution appends over a FlatAdjacency
-  // snapshot (contiguous early-exit arc scan, zero per-path temporaries)
-  // instead of the pre-change per-path path_edge_ids temp + hash lookup
-  // per hop. Resolve every installed candidate path both ways: arenas
-  // must be bit-identical (same canonical parallel-edge choice), the
-  // scan-and-append is the speedup.
-  {
-    std::vector<Path> all_paths;
-    for (const auto& [pair, refs] : ps.entries()) {
-      for (PathRef ref : refs) all_paths.push_back(ps.store().to_path(ref));
-    }
-    const FlatAdjacency adj(engine.graph());
-    double flat_ms = 0.0;
-    double hash_ms = 0.0;
-    bool ids_identical = true;
-    std::vector<int> flat_arena;
-    std::vector<int> hash_arena;
-    // Resolution is ns-scale per path; sweep the path set many times so
-    // the gated ratio rests on multi-ms totals.
-    const int resolve_reps = reps * 16;
-    for (int r = 0; r < resolve_reps; ++r) {
-      flat_arena.clear();
-      const auto flat_start = Clock::now();
-      for (const Path& p : all_paths) {
-        append_path_edge_ids(adj, engine.graph(), p, flat_arena);
-      }
-      flat_ms += ms_since(flat_start);
-      hash_arena.clear();
-      const auto hash_start = Clock::now();
-      for (const Path& p : all_paths) {
-        // Verbatim pre-change simulator setup: temp vector per path, one
-        // edge_between hash per hop, then the arena copy.
-        const auto ids = path_edge_ids(engine.graph(), p);
-        hash_arena.insert(hash_arena.end(), ids.begin(), ids.end());
-      }
-      hash_ms += ms_since(hash_start);
-      if (r == 0) {
-        ids_identical = !flat_arena.empty() && flat_arena == hash_arena;
-      }
-    }
-    const int resolve_ops = resolve_reps * static_cast<int>(all_paths.size());
-    sor::bench::stage_row(table, "sim_resolve", name, 1, flat_ms, resolve_ops,
-                          flat_ms > 0.0 ? hash_ms / flat_ms : 0.0,
-                          ids_identical ? "yes" : "no");
-  }
 
   // ---- route_batch (single-thread serving loop through the facade) --------
   double batch_ms = 0.0;

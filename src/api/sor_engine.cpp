@@ -575,24 +575,20 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   }
 
   if (spec.simulate_packets && out.integral) {
-    // One store-and-forward packet per routed demand unit, staged into the
-    // scratch's reused path buffers.
-    auto& packet_paths = scratch.packet_paths;
+    // One store-and-forward packet per routed demand unit: the interned
+    // edge ids of its chosen candidate, staged into the scratch's reused
+    // list.
+    auto& packets = scratch.packets;
     const IntegralSolution& integral = *out.integral;
-    std::size_t num_packets = 0;
-    for (std::size_t j = 0; j < integral.choices.size(); ++j) {
-      num_packets += integral.choices[j].size();
-    }
-    packet_paths.resize(num_packets);
-    std::size_t next = 0;
+    packets.clear();
     for (std::size_t j = 0; j < integral.choices.size(); ++j) {
       for (int choice : integral.choices[j]) {
-        const Path& p = integral.paths[j][static_cast<std::size_t>(choice)];
-        packet_paths[next++].assign(p.begin(), p.end());
+        packets.push_back(
+            integral.candidates.edges(j, static_cast<std::size_t>(choice)));
       }
     }
     const StageScope stage("sim", out.times.sim_ms);
-    out.simulation = simulate_packets(*graph_, packet_paths, spec.policy, rng);
+    out.simulation = simulate_packets(*graph_, packets, spec.policy, rng);
   }
 
   out.mem = probe.delta();

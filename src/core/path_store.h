@@ -1,9 +1,10 @@
 // Flat-memory path substrate: an arena that interns each candidate path
 // once — contiguous vertex ids AND precomputed canonical edge ids — so that
 // every hot loop downstream (MWU reweighting, congestion accounting,
-// rounding, packet simulation) iterates `span<const int>` with zero hashing
-// and zero allocation. Edge resolution through Graph::edge_between happens
-// exactly once, at insertion.
+// rounding, packet simulation) iterates `span<const int>` with zero hashing.
+// Edge resolution through Graph::edge_between happens exactly once, at
+// insertion: from there on the interned ids are the path, also after a
+// capacity edit changes which parallel edge edge_between would pick.
 //
 // Memory layout. One `std::vector<int>` arena; a path with h hops occupies
 // a single slab of 2h + 1 ints:
@@ -84,10 +85,11 @@ class PathStore {
 
 /// Flat, path-major arena of candidate edge ids for a commodity list:
 /// commodity j's candidate i occupies one contiguous span. This is the
-/// representation the MWU inner loop, rounding, and congestion accounting
-/// iterate — built once per solve, with zero hashing when the source is a
-/// PathSystem (flat_candidates gathers its interned spans) and one hash
-/// per hop when it is a list of vertex paths (flatten_candidates).
+/// representation the MWU inner loop, rounding, local search, congestion
+/// accounting and packet simulation iterate — built once per solve, with
+/// zero hashing when the source is a PathSystem (flat_candidates gathers
+/// its interned spans) and one hash per hop when it is a list of vertex
+/// paths (flatten_candidates).
 class FlatCandidates {
  public:
   /// Pre-sizes all three internal vectors. `commodities == 0` (the common
@@ -138,6 +140,10 @@ class FlatCandidates {
             static_cast<std::size_t>(path_first_[p + 1] - path_first_[p])};
   }
 
+  /// Same commodities with the same candidates' edge ids, in order.
+  friend bool operator==(const FlatCandidates&,
+                         const FlatCandidates&) = default;
+
  private:
   std::vector<int> arena_;
   std::vector<std::int64_t> path_first_{0};       // prefix over paths
@@ -145,11 +151,12 @@ class FlatCandidates {
 };
 
 /// Hash bridge for the vertex-path entry points — the vertex overloads of
-/// min_congestion_over_paths and congestion_of_weights, rounding, and
+/// min_congestion_over_paths and congestion_of_weights, and
 /// exact_integral_congestion: resolves vertex-sequence candidates through
 /// Graph::edge_between (one hash lookup per hop) into a flat arena. A
-/// PathSystem's candidates never take this route; flat_candidates
-/// (path_system.h) gathers their interned edge ids with zero hashing.
+/// PathSystem's candidates never take this route, so neither do the
+/// engine's route, rounding and simulation: flat_candidates (path_system.h)
+/// gathers their interned edge ids with zero hashing.
 FlatCandidates flatten_candidates(const Graph& g,
                                   const std::vector<std::vector<Path>>& paths);
 

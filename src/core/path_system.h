@@ -9,11 +9,12 @@
 // Storage is one interning arena. A PathSystem is bound to its graph at
 // construction and interns every path into a flat PathStore, vertices and
 // precomputed edge ids together; an ordered (s, t) -> [PathRef] index
-// names each pair's candidates in insertion order. The hot consumers
-// (route_fractional's MWU loop, the deletion process, rounding, packet
-// simulation) read those refs with zero hashing and zero allocation;
-// paths(s, t) materializes vertex sequences for boundary callers (io,
-// robustness, the lower-bound adversary, tests).
+// names each pair's candidates in insertion order. The hot consumers read
+// the interned edge ids with zero hashing: route_fractional's MWU loop and
+// the deletion process gather them per solve (flat_candidates), and
+// rounding, local search and the engine's packet simulation read that
+// gather from the solution. paths(s, t) materializes vertex sequences for
+// boundary callers (io, robustness, the lower-bound adversary, tests).
 #pragma once
 
 #include <map>

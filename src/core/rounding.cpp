@@ -11,8 +11,6 @@
 namespace sor {
 namespace {
 
-/// Edge ids are resolved once per rounding entry point (one hash per hop);
-/// every trial / local-search move then iterates flat spans.
 std::vector<double> loads_of_choices(const Graph& g,
                                      const FlatCandidates& flat,
                                      const IntegralSolution& solution) {
@@ -43,11 +41,30 @@ double integral_congestion(const Graph& g, const FlatCandidates& flat,
   return solution.congestion;
 }
 
+// The vertex form of each candidate, walked from its commodity's source
+// along the candidate's edges.
+std::vector<std::vector<Path>> vertex_paths(
+    const Graph& g, const std::vector<Commodity>& commodities,
+    const FlatCandidates& candidates) {
+  std::vector<std::vector<Path>> paths(commodities.size());
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    paths[j].reserve(candidates.num_paths(j));
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+      const auto edges = candidates.edges(j, i);
+      Path& path = paths[j].emplace_back();
+      path.reserve(edges.size() + 1);
+      path.push_back(commodities[j].s);
+      for (int e : edges) path.push_back(g.edge(e).other(path.back()));
+    }
+  }
+  return paths;
+}
+
 }  // namespace
 
 double integral_congestion(const Graph& g, IntegralSolution& solution) {
-  return integral_congestion(g, flatten_candidates(g, solution.paths),
-                             solution);
+  assert(solution.candidates.num_commodities() == solution.choices.size());
+  return integral_congestion(g, solution.candidates, solution);
 }
 
 IntegralSolution round_randomized(const Graph& g,
@@ -60,7 +77,8 @@ IntegralSolution round_randomized(const Graph& g,
   IntegralSolution best;
   best.congestion = std::numeric_limits<double>::infinity();
 
-  const FlatCandidates flat = flatten_candidates(g, fractional.paths);
+  const FlatCandidates& flat = fractional.candidates;
+  assert(flat.num_commodities() == fractional.commodities.size());
 
   // Warm-start seed candidate (no rng consumed; see header contract). The
   // random trials below start from this as the incumbent, so the returned
@@ -116,7 +134,8 @@ IntegralSolution round_randomized(const Graph& g,
     if (candidate.congestion < best.congestion) best = std::move(candidate);
   }
   best.commodities = fractional.commodities;
-  best.paths = fractional.paths;
+  best.candidates = flat;
+  best.paths = vertex_paths(g, best.commodities, flat);
   return best;
 }
 
@@ -179,7 +198,8 @@ double exact_integral_congestion(const Graph& g,
 
 void local_search_improve(const Graph& g, IntegralSolution& solution,
                           int max_moves) {
-  const FlatCandidates flat = flatten_candidates(g, solution.paths);
+  const FlatCandidates& flat = solution.candidates;
+  assert(flat.num_commodities() == solution.choices.size());
   integral_congestion(g, flat, solution);
   auto& load = solution.edge_load;
 

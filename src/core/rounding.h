@@ -5,7 +5,10 @@
 // 2 * cong + 3 ln m, by sampling d(s,t) paths per pair proportionally to
 // the fractional weights. We implement exactly that (best of `trials`
 // draws, which is how the positive-probability argument is realized
-// computationally) plus a local-search polish pass.
+// computationally) plus a local-search polish pass. "The same paths" is
+// literal: rounding and local search read the fractional solution's
+// interned edge ids (SemiObliviousSolution::candidates), never a re-resolved
+// vertex path.
 #pragma once
 
 #include "core/semi_oblivious.h"
@@ -14,16 +17,24 @@
 namespace sor {
 
 /// An integral routing: for commodity j with integer demand d_j, `choices[j]`
-/// holds d_j candidate-path indices (into `paths[j]`), one per unit.
+/// holds d_j candidate-path indices (into `candidates`' commodity j), one
+/// per unit.
 struct IntegralSolution {
   std::vector<Commodity> commodities;
+  /// The fractional solution's candidates (the interned edge ids): loads,
+  /// local search and the engine's packet simulation read these.
+  FlatCandidates candidates;
+  /// The same candidates as vertex paths, for callers outside the engine:
+  /// walked once from `candidates`, never re-resolved.
   std::vector<std::vector<Path>> paths;
   std::vector<std::vector<int>> choices;
   std::vector<double> edge_load;
   double congestion = 0.0;
 };
 
-/// Exact congestion of an integral assignment (recomputes edge loads).
+/// Exact congestion of an integral assignment over `candidates`
+/// (recomputes edge loads). Requires one candidate list per commodity of
+/// `choices`.
 double integral_congestion(const Graph& g, IntegralSolution& solution);
 
 /// How far a demand amount may lie from an integer and still count as
@@ -49,9 +60,9 @@ IntegralSolution round_randomized(
     int trials = 8,
     const std::vector<std::vector<int>>* seed_choices = nullptr);
 
-/// Greedy local search: repeatedly move one unit off a maximum-congestion
-/// edge onto an alternative candidate if that strictly reduces the load
-/// profile. Terminates; improves the rounding in practice.
+/// Greedy local search over `candidates`: repeatedly move one unit off a
+/// maximum-congestion edge onto an alternative candidate if that strictly
+/// reduces the load profile. Terminates; improves the rounding in practice.
 void local_search_improve(const Graph& g, IntegralSolution& solution,
                           int max_moves = 10000);
 

@@ -12,13 +12,28 @@
 namespace sor {
 namespace {
 
-SemiObliviousSolution assemble(const Graph& g,
-                               std::vector<Commodity> commodities,
-                               std::vector<std::vector<Path>> paths,
+// Dilation of the routing's support: the most hops on a candidate that
+// carries weight.
+int support_max_hops(const FlatCandidates& candidates,
+                     const std::vector<std::vector<double>>& weights) {
+  int max_hops = 0;
+  for (std::size_t j = 0; j < candidates.num_commodities(); ++j) {
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+      if (weights[j][i] > 1e-12) {
+        max_hops = std::max(max_hops,
+                            static_cast<int>(candidates.edges(j, i).size()));
+      }
+    }
+  }
+  return max_hops;
+}
+
+SemiObliviousSolution assemble(std::vector<Commodity> commodities,
+                               FlatCandidates candidates,
                                CongestionResult result) {
   SemiObliviousSolution solution;
   solution.commodities = std::move(commodities);
-  solution.paths = std::move(paths);
+  solution.candidates = std::move(candidates);
   solution.weights = std::move(result.path_weights);
   solution.edge_load = std::move(result.edge_load);
   solution.congestion = result.congestion;
@@ -26,29 +41,8 @@ SemiObliviousSolution assemble(const Graph& g,
   solution.status = result.status;
   solution.optimality_gap = result.optimality_gap;
   solution.rounds_used = result.rounds_used;
-  solution.max_hops = 0;
-  for (std::size_t j = 0; j < solution.paths.size(); ++j) {
-    for (std::size_t i = 0; i < solution.paths[j].size(); ++i) {
-      if (solution.weights[j][i] > 1e-12) {
-        solution.max_hops =
-            std::max(solution.max_hops, hop_count(solution.paths[j][i]));
-      }
-    }
-  }
-  (void)g;
+  solution.max_hops = support_max_hops(solution.candidates, solution.weights);
   return solution;
-}
-
-std::vector<std::vector<Path>> gather_candidates(
-    const PathSystem& ps, const std::vector<Commodity>& commodities) {
-  std::vector<std::vector<Path>> paths;
-  paths.reserve(commodities.size());
-  for (const Commodity& c : commodities) {
-    paths.push_back(ps.paths(c.s, c.t));
-    assert((c.amount <= 0.0 || !paths.back().empty()) &&
-           "path system does not cover the demand support");
-  }
-  return paths;
 }
 
 }  // namespace
@@ -62,28 +56,11 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   d.commodities_into(out.commodities);
   const std::size_t k = out.commodities.size();
 
-  // Candidate vertex COPIES from the arena into the solution's reused
-  // nested buffers: assign keeps capacity, and a shrink parks the dropped
-  // rows in the scratch's spares for the next growth, so once warm this
-  // refill allocates nothing.
-  const PathStore& store = ps.store();
-  resize_keeping_buffers(out.paths, k, scratch.spare_paths);
-  for (std::size_t j = 0; j < k; ++j) {
-    const Commodity& c = out.commodities[j];
-    const auto refs = ps.refs(c.s, c.t);
-    assert((c.amount <= 0.0 || !refs.empty()) &&
-           "path system does not cover the demand support");
-    resize_keeping_buffers(out.paths[j], refs.size(), scratch.spare_path);
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      const auto vertices = store.vertices(refs[i]);
-      out.paths[j][i].assign(vertices.begin(), vertices.end());
-    }
-  }
-
-  // The solve runs on the interned edge ids of the same refs, with zero
-  // hashing.
-  flat_candidates_into(ps, out.commodities, scratch.flat);
-  min_congestion_over_paths_into(g, out.commodities, scratch.flat, options,
+  // The solve runs on the interned edge ids of the installed candidates,
+  // gathered straight into the solution with zero hashing; rounding and
+  // simulation read them there.
+  flat_candidates_into(ps, out.commodities, out.candidates);
+  min_congestion_over_paths_into(g, out.commodities, out.candidates, options,
                                  hooks, scratch.mwu, scratch.result);
 
   const CongestionResult& result = scratch.result;
@@ -98,14 +75,7 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   out.status = result.status;
   out.optimality_gap = result.optimality_gap;
   out.rounds_used = result.rounds_used;
-  out.max_hops = 0;
-  for (std::size_t j = 0; j < out.paths.size(); ++j) {
-    for (std::size_t i = 0; i < out.paths[j].size(); ++i) {
-      if (out.weights[j][i] > 1e-12) {
-        out.max_hops = std::max(out.max_hops, hop_count(out.paths[j][i]));
-      }
-    }
-  }
+  out.max_hops = support_max_hops(out.candidates, out.weights);
 }
 
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
@@ -121,9 +91,9 @@ SemiObliviousSolution route_fractional_exact(const Graph& g,
                                              const PathSystem& ps,
                                              const Demand& d) {
   auto commodities = d.commodities();
-  auto paths = gather_candidates(ps, commodities);
-  auto result = min_congestion_over_paths_exact(g, commodities, paths);
-  return assemble(g, std::move(commodities), std::move(paths),
+  FlatCandidates candidates = flat_candidates(ps, commodities);
+  auto result = min_congestion_over_paths_exact(g, commodities, candidates);
+  return assemble(std::move(commodities), std::move(candidates),
                   std::move(result));
 }
 

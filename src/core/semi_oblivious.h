@@ -17,7 +17,10 @@ namespace sor {
 /// A fractional routing of a demand over a path system.
 struct SemiObliviousSolution {
   std::vector<Commodity> commodities;           ///< demand support, in order
-  std::vector<std::vector<Path>> paths;         ///< candidates per commodity
+  /// The candidates the solve ran over, per commodity: the edge ids the
+  /// path system interned at install. Rounding and packet simulation read
+  /// these same ids.
+  FlatCandidates candidates;
   std::vector<std::vector<double>> weights;     ///< rates per candidate
   std::vector<double> edge_load;
   double congestion = 0.0;     ///< exact cong of the returned weights
@@ -39,19 +42,16 @@ SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
                                        const Demand& d,
                                        const MinCongestionOptions& options = {});
 
-/// Reusable scratch for route_fractional_into: the flat candidate gather,
-/// the MWU solver's working set, and the solver result staging buffer. All
-/// capacity-retaining — repeated routes through one scratch allocate
-/// nothing once warm, also when their commodity and candidate counts vary
-/// (the spare rows keep what a shrinking solution drops).
+/// Reusable scratch for route_fractional_into: the MWU solver's working
+/// set and the solver result staging buffer. All capacity-retaining —
+/// repeated routes through one scratch allocate nothing once warm, also
+/// when their commodity and candidate counts vary (the spare rows keep what
+/// a shrinking solution drops).
 struct RouteScratch {
-  FlatCandidates flat;
   MinCongestionScratch mwu;
   CongestionResult result;
-  // Rows and paths a shrinking SemiObliviousSolution handed back (see
+  // Weight rows a shrinking SemiObliviousSolution handed back (see
   // resize_keeping_buffers).
-  std::vector<std::vector<Path>> spare_paths;
-  std::vector<Path> spare_path;
   std::vector<std::vector<double>> spare_weights;
 };
 

@@ -13,7 +13,8 @@ DeletionProcessResult run_deletion_process(const Graph& g,
   DeletionProcessResult result;
   result.commodities = d.commodities();
   const std::size_t k = result.commodities.size();
-  result.paths.resize(k);
+  // Zero-hashing gather of the interned edge ids.
+  result.flat = flat_candidates(ps, result.commodities);
   result.weights.resize(k);
 
   // Initial weights w0 (Section 5.3): spread d(s,t) uniformly over the
@@ -23,18 +24,15 @@ DeletionProcessResult run_deletion_process(const Graph& g,
     std::size_t i;
   };
   for (std::size_t j = 0; j < k; ++j) {
-    const Commodity& c = result.commodities[j];
-    result.paths[j] = ps.paths(c.s, c.t);
-    const std::size_t count = result.paths[j].size();
+    const std::size_t count = result.flat.num_paths(j);
     assert(count > 0 && "path system must cover the demand");
-    result.weights[j].assign(count, c.amount / static_cast<double>(count));
+    result.weights[j].assign(
+        count, result.commodities[j].amount / static_cast<double>(count));
   }
-  // Zero-hashing gather of the interned edge ids.
-  result.flat = flat_candidates(ps, result.commodities);
   std::vector<std::vector<PathRef>> paths_on_edge(
       static_cast<std::size_t>(g.num_edges()));
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < result.paths[j].size(); ++i) {
+    for (std::size_t i = 0; i < result.flat.num_paths(j); ++i) {
       for (int e : result.flat.edges(j, i)) {
         paths_on_edge[static_cast<std::size_t>(e)].push_back(PathRef{j, i});
       }
@@ -113,7 +111,7 @@ IterativeHalvingResult iterative_halving_route(const Graph& g,
       if (served < quarter_fraction * c.amount || served <= 0.0) continue;
       any = true;
       const double scale = c.amount / served;
-      for (std::size_t i = 0; i < pass.paths[j].size(); ++i) {
+      for (std::size_t i = 0; i < pass.flat.num_paths(j); ++i) {
         const double w = pass.weights[j][i] * scale;
         if (w <= 0.0) continue;
         for (int e : pass.flat.edges(j, i)) {

@@ -22,8 +22,8 @@ namespace sor {
 
 struct DeletionProcessResult {
   /// Per-candidate edge ids, gathered once per call straight from the path
-  /// system's interned PathStore spans.
-  /// flat.edges(j, i) parallels paths[j][i]; downstream consumers (the
+  /// system's interned PathStore spans: flat.edges(j, i) is commodity j's
+  /// candidate i, weighted by weights[j][i]. Downstream consumers (the
   /// iterative-halving reduction, benches) iterate these spans instead of
   /// re-resolving edges per use.
   FlatCandidates flat;
@@ -42,7 +42,6 @@ struct DeletionProcessResult {
   /// candidate is d(s,t)/|P(s,t)| times its multiplicity).
   std::vector<std::vector<double>> weights;
   std::vector<Commodity> commodities;
-  std::vector<std::vector<Path>> paths;
 };
 
 /// One pass of the Lemma 5.6 deletion process at threshold `gamma` (edges

@@ -172,7 +172,10 @@ Graph two_cliques(int n, int bridges) {
 }
 
 Graph lower_bound_gadget(int n, int k) {
-  assert(n >= 1 && k >= 1);
+  // 2n + 2 + k vertices and 2n + 2k edges, both at most 2n + 2k + 2.
+  require(n >= 1 && k >= 1 &&
+              2 * (std::int64_t{n} + k) + 2 <= kMaxIds,
+          "lower_bound_gadget", "n, k >= 1 and 2n + 2k + 2 <= INT_MAX");
   GadgetLayout layout{n, k};
   Graph g(layout.num_vertices());
   for (int i = 0; i < n; ++i) {
@@ -187,7 +190,7 @@ Graph lower_bound_gadget(int n, int k) {
 }
 
 int lower_bound_k(int n, int alpha) {
-  assert(n >= 1 && alpha >= 1);
+  require(n >= 1 && alpha >= 1, "lower_bound_k", "n, alpha >= 1");
   const double value = std::pow(static_cast<double>(n),
                                 1.0 / (2.0 * static_cast<double>(alpha)));
   // Guard against floating point landing just under an integer.
@@ -195,8 +198,16 @@ int lower_bound_k(int n, int alpha) {
 }
 
 Graph lower_bound_family(int n, std::vector<int>* copy_offsets) {
-  assert(n >= 2);
+  require(n >= 2, "lower_bound_family", "n >= 2");
   const int max_alpha = static_cast<int>(std::floor(std::log2(n)));
+  // Copy alpha has 2n + 2 + k vertices and 2n + 2k edges plus the bridge
+  // from the previous copy, both at most 2n + 2k + 2.
+  std::int64_t ids = 0;
+  for (int alpha = 1; alpha <= max_alpha; ++alpha) {
+    ids += 2 * (std::int64_t{n} + lower_bound_k(n, alpha)) + 2;
+  }
+  require(ids <= kMaxIds, "lower_bound_family",
+          "n >= 2 with the copies' 2n + 2k + 2 summing to <= INT_MAX");
   std::vector<std::pair<int, int>> copies;  // (offset, size)
   int total = 0;
   for (int alpha = 1; alpha <= max_alpha; ++alpha) {

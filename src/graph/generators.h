@@ -1,9 +1,10 @@
 // Graph generators: classic parallel-computing topologies, synthetic WAN-like
 // traffic-engineering topologies, and the paper's lower-bound gadgets.
 //
-// hypercube, grid, random_regular and fat_tree take sizes straight from
-// scenario files and the CLI, so they throw std::invalid_argument, in every
-// build type, for arguments outside their stated domain.
+// hypercube, grid, random_regular, fat_tree and the lower-bound gadgets
+// take sizes straight from scenario files and the CLI, so they throw
+// std::invalid_argument, in every build type, for arguments outside their
+// stated domain.
 #pragma once
 
 #include "graph/graph.h"
@@ -40,7 +41,8 @@ Graph two_cliques(int n, int bridges);
 /// with n leaves each, whose centers are joined through k middle vertices.
 /// Vertex layout: [0, n) left leaves, n = left center, n+1 = right center,
 /// [n+2, n+2+k) middle vertices K, [n+2+k, 2n+2+k) right leaves.
-/// 2n + 2 + k vertices, 2n + 2k edges.
+/// 2n + 2 + k vertices, 2n + 2k edges. Requires n, k >= 1 with
+/// 2n + 2k + 2 <= INT_MAX.
 Graph lower_bound_gadget(int n, int k);
 
 /// Vertex-role accessors for lower_bound_gadget.
@@ -58,10 +60,12 @@ struct GadgetLayout {
 /// The paper's full lower-bound family G(n) (Lemma 8.2): one copy of
 /// C(n, floor(n^(1/2a))) for every a in [floor(log2 n)], chained together by
 /// bridge edges. `copy_offsets` (if non-null) receives the vertex offset of
-/// each copy, in order a = 1, 2, ....
+/// each copy, in order a = 1, 2, .... Requires n >= 2 with the copies'
+/// 2n + 2k + 2 summing to at most INT_MAX.
 Graph lower_bound_family(int n, std::vector<int>* copy_offsets = nullptr);
 
 /// k = floor(n^(1/(2*alpha))) as used by the lower-bound construction.
+/// Requires n, alpha >= 1.
 int lower_bound_k(int n, int alpha);
 
 /// Three-level fat-tree (k-ary) as used in data-center topologies:

@@ -55,18 +55,6 @@ FlatAdjacency::FlatAdjacency(const Graph& g) {
       arcs_[static_cast<std::size_t>(offset++)] = Arc{g.edge(e).other(v), e};
     }
   }
-  // Parallel-edge detection (one linear stamp pass): with none, pair->edge
-  // scans can stop at the first match.
-  std::vector<int> last_seen_at(static_cast<std::size_t>(n), -1);
-  for (int v = 0; v < n && !has_parallel_arcs_; ++v) {
-    for (const Arc& arc : arcs(v)) {
-      if (last_seen_at[static_cast<std::size_t>(arc.to)] == v) {
-        has_parallel_arcs_ = true;
-        break;
-      }
-      last_seen_at[static_cast<std::size_t>(arc.to)] = v;
-    }
-  }
 }
 
 const FlatAdjacency& FlatAdjacencyCache::get(const Graph& g) {
@@ -75,47 +63,6 @@ const FlatAdjacency& FlatAdjacencyCache::get(const Graph& g) {
     stamp_ = g.topology_stamp();
   }
   return *adj_;
-}
-
-std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
-                               const Path& path) {
-  std::vector<int> ids;
-  ids.reserve(path.size() < 2 ? 0 : path.size() - 1);
-  append_path_edge_ids(adj, g, path, ids);
-  return ids;
-}
-
-void append_path_edge_ids(const FlatAdjacency& adj, const Graph& g,
-                          const Path& path, std::vector<int>& out) {
-  if (path.size() < 2) return;
-  const bool parallel = adj.has_parallel_arcs();
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const int u = path[i];
-    const int v = path[i + 1];
-    int best = -1;
-    if (!parallel) {
-      // Unique (u, v) edge: the first match is the canonical edge and the
-      // capacity tie-break can never fire — pure int scan, early exit.
-      for (const FlatAdjacency::Arc& arc : adj.arcs(u)) {
-        if (arc.to == v) {
-          best = arc.edge;
-          break;
-        }
-      }
-    } else {
-      double best_cap = 0.0;
-      for (const FlatAdjacency::Arc& arc : adj.arcs(u)) {
-        if (arc.to != v) continue;
-        const double cap = g.edge(arc.edge).capacity;
-        if (best < 0 || cap > best_cap) {
-          best = arc.edge;
-          best_cap = cap;
-        }
-      }
-    }
-    assert(best >= 0 && "non-adjacent consecutive path vertices");
-    out.push_back(best);
-  }
 }
 
 namespace {

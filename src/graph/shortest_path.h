@@ -63,34 +63,10 @@ class FlatAdjacency {
                                      first_[static_cast<std::size_t>(v)])};
   }
 
-  /// True iff some vertex pair carries more than one edge (detected once
-  /// at construction). When false, the first matching arc of a scan IS the
-  /// canonical edge, so pair->edge resolution can skip the capacity
-  /// tie-break entirely (see path_edge_ids below).
-  bool has_parallel_arcs() const { return has_parallel_arcs_; }
-
  private:
   std::vector<std::int64_t> first_;  // n + 1 prefix over arcs_
   std::vector<Arc> arcs_;            // 2m packed arcs
-  bool has_parallel_arcs_ = false;
 };
-
-/// Maps a vertex-sequence path to edge ids by scanning the CSR arc ranges
-/// instead of hashing through Graph::edge_between. Arcs are stored in
-/// incident (= insertion) order, so keeping the first strict capacity
-/// maximum among parallel arcs reproduces edge_between's canonical
-/// max-capacity/smallest-id choice exactly — the returned ids are
-/// bit-identical to path_edge_ids(g, path). `g` must be the graph `adj`
-/// was built from. Used by the packet simulator, whose per-run setup
-/// resolves every packet's hops over one snapshot.
-std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
-                               const Path& path);
-
-/// Same resolution, appended onto `out` instead of a fresh vector: the
-/// packet simulator resolves every packet's hops into ONE flat arena, so
-/// the per-path temporary (and its allocation) disappears entirely.
-void append_path_edge_ids(const FlatAdjacency& adj, const Graph& g,
-                          const Path& path, std::vector<int>& out);
 
 /// Caches one FlatAdjacency across calls: `get(g)` rebuilds the snapshot
 /// only when g's topology stamp differs from the one it was built from, so

@@ -800,8 +800,8 @@ void throw_unless_optimal(const LpSolution& solution, const char* who) {
 
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
-    const std::vector<std::vector<Path>>& candidate_paths) {
-  assert(candidate_paths.size() == commodities.size());
+    const FlatCandidates& candidates) {
+  assert(candidates.num_commodities() == commodities.size());
   const std::size_t k = commodities.size();
 
   // Variables: one weight per (commodity, candidate path), then t (the
@@ -810,7 +810,7 @@ CongestionResult min_congestion_over_paths_exact(
   std::size_t num_path_vars = 0;
   for (std::size_t j = 0; j < k; ++j) {
     var_offset[j] = num_path_vars;
-    num_path_vars += candidate_paths[j].size();
+    num_path_vars += candidates.num_paths(j);
   }
   const std::size_t t_var = num_path_vars;
 
@@ -822,7 +822,7 @@ CongestionResult min_congestion_over_paths_exact(
   for (std::size_t j = 0; j < k; ++j) {
     if (commodities[j].amount <= 0.0) continue;
     std::vector<double> row(num_path_vars + 1, 0.0);
-    for (std::size_t i = 0; i < candidate_paths[j].size(); ++i) {
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
       row[var_offset[j] + i] = 1.0;
     }
     lp.add_constraint(std::move(row), Relation::kEqual, commodities[j].amount);
@@ -832,8 +832,8 @@ CongestionResult min_congestion_over_paths_exact(
   std::vector<std::vector<std::pair<std::size_t, double>>> edge_terms(
       static_cast<std::size_t>(g.num_edges()));
   for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < candidate_paths[j].size(); ++i) {
-      for (int e : path_edge_ids(g, candidate_paths[j][i])) {
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+      for (int e : candidates.edges(j, i)) {
         edge_terms[static_cast<std::size_t>(e)].emplace_back(
             var_offset[j] + i, 1.0);
       }
@@ -854,13 +854,13 @@ CongestionResult min_congestion_over_paths_exact(
   CongestionResult result;
   result.path_weights.assign(k, {});
   for (std::size_t j = 0; j < k; ++j) {
-    result.path_weights[j].assign(candidate_paths[j].size(), 0.0);
-    for (std::size_t i = 0; i < candidate_paths[j].size(); ++i) {
+    result.path_weights[j].assign(candidates.num_paths(j), 0.0);
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
       result.path_weights[j][i] = solution.x[var_offset[j] + i];
     }
   }
   result.congestion = congestion_of_weights(
-      g, commodities, candidate_paths, result.path_weights, &result.edge_load);
+      g, commodities, candidates, result.path_weights, &result.edge_load);
   result.lower_bound = solution.objective;
   return result;
 }

@@ -337,13 +337,14 @@ void min_congestion_by_columns_into(const Graph& g,
                                     ColumnGenerationScratch& scratch,
                                     CongestionResult& out);
 
-/// Exact LP (dense simplex) version of min_congestion_over_paths. Intended
-/// for small instances; returns optimal congestion and weights. Both exact
-/// solvers throw std::runtime_error when the simplex finds no optimal basis
-/// (LpStatus::kNumericalError).
+/// Exact LP (dense simplex) version of min_congestion_over_paths, over the
+/// flat edge-id candidates (one commodity entry per commodity, in order).
+/// Intended for small instances; returns optimal congestion and weights.
+/// Both exact solvers throw std::runtime_error when the simplex finds no
+/// optimal basis (LpStatus::kNumericalError).
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
-    const std::vector<std::vector<Path>>& candidate_paths);
+    const FlatCandidates& candidates);
 
 /// Exact LP (edge-flow formulation) optimum over all paths; small instances
 /// only. Only `congestion` is populated (plus lower_bound == congestion).

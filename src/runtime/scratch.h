@@ -3,7 +3,8 @@
 // One EngineScratch aggregates every reusable working set a single
 // route_one_into call needs — the restricted-MWU route scratch, the
 // optimum's column-generation scratch, the distance-bound Dijkstra state,
-// and the packet-path staging arena. All of it is capacity-retaining (see
+// and the packet staging list (one edge-id span per packet, pointing into
+// the route's integral candidates). All of it is capacity-retaining (see
 // the per-layer scratch structs), and the two Dijkstra users (the distance
 // bound and the optimum's pricer) keep their CSR snapshot of the served
 // graph across calls (FlatAdjacencyCache, rebuilt only when the topology
@@ -13,8 +14,9 @@
 // grown to the largest size the demand mix asks of it: buffers only grow,
 // and the per-commodity rows a smaller demand drops are parked in spare
 // lists for the next larger one (resize_keeping_buffers), so the
-// commodity count may change from route to route. Rounding and the packet
-// simulator still allocate per route.
+// commodity count may change from route to route. Rounding (its trials and
+// the integral solution's copy of the candidates and their vertex paths) and
+// the packet simulator still allocate per route.
 //
 // ScratchPool is the concurrency story: route_batch fans demands out across
 // the engine's thread pool, and scratch contents must never be shared
@@ -29,6 +31,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/semi_oblivious.h"
@@ -37,10 +40,10 @@ namespace sor::runtime {
 
 /// Everything one route_one_into call scratches on, pre-warmed across calls.
 struct EngineScratch {
-  RouteScratch route;            ///< restricted MWU + flat candidate gather
+  RouteScratch route;            ///< restricted MWU
   OptimumScratch optimum;        ///< offline optimum (column generation)
   DistanceBoundScratch distance; ///< distance-duality lower bound + CSR
-  std::vector<Path> packet_paths;  ///< packet-simulation staging
+  std::vector<std::span<const int>> packets;  ///< packet-simulation staging
 };
 
 /// Mutex-guarded free list of EngineScratch instances. acquire() pops a

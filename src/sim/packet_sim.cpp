@@ -4,14 +4,12 @@
 #include <cassert>
 #include <cmath>
 
-#include "graph/shortest_path.h"
-
 namespace sor {
 namespace {
 
 struct PacketState {
   int id = 0;
-  int position = 0;   ///< index into its path's vertex sequence
+  int position = 0;   ///< hops taken so far (index of its next edge)
   int priority = 0;   ///< for kRandomPriority (lower = first)
   int enqueued_at = 0;
 };
@@ -24,35 +22,18 @@ double SimulationResult::makespan_over_cd() const {
 }
 
 SimulationResult simulate_packets(const Graph& g,
-                                  const std::vector<Path>& paths,
+                                  std::span<const std::span<const int>> packets,
                                   SchedulePolicy policy, Rng& rng) {
   SimulationResult result;
-  const std::size_t num_packets = paths.size();
+  const std::size_t num_packets = packets.size();
   result.traces.assign(num_packets, {});
-
-  // Resolve every packet's edge ids exactly once, into one flat arena; the
-  // static accounting below and the per-step hops of the simulation loop
-  // then index it instead of re-hashing through edge_between. Resolution
-  // runs over one FlatAdjacency CSR snapshot — a contiguous arc scan per
-  // hop instead of a hash lookup — with ids (hence makespans) bit-identical
-  // to the edge_between route (see path_edge_ids(FlatAdjacency, ...)).
-  const FlatAdjacency adj(g);
-  std::vector<int> edge_arena;
-  std::vector<std::size_t> first(num_packets + 1, 0);
-  for (std::size_t p = 0; p < num_packets; ++p) {
-    assert(!paths[p].empty());
-    append_path_edge_ids(adj, g, paths[p], edge_arena);
-    first[p + 1] = edge_arena.size();
-  }
 
   // Static congestion/dilation of the input routing.
   std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
   for (std::size_t p = 0; p < num_packets; ++p) {
-    result.traces[p].hops = hop_count(paths[p]);
+    result.traces[p].hops = static_cast<int>(packets[p].size());
     result.dilation = std::max(result.dilation, result.traces[p].hops);
-    for (std::size_t i = first[p]; i < first[p + 1]; ++i) {
-      load[static_cast<std::size_t>(edge_arena[i])] += 1.0;
-    }
+    for (int e : packets[p]) load[static_cast<std::size_t>(e)] += 1.0;
   }
   for (int e = 0; e < g.num_edges(); ++e) {
     result.congestion = std::max(
@@ -72,7 +53,7 @@ SimulationResult simulate_packets(const Graph& g,
     st.id = static_cast<int>(p);
     st.position = 0;
     st.priority = static_cast<int>(rng.uniform_u64(1u << 30));
-    const int e = edge_arena[first[p]];
+    const int e = packets[p].front();
     queue[static_cast<std::size_t>(e)].push_back(st);
     ++remaining;
   }
@@ -129,14 +110,26 @@ SimulationResult simulate_packets(const Graph& g,
         --remaining;
         continue;
       }
-      const int e =
-          edge_arena[first[p] + static_cast<std::size_t>(st.position)];
+      const int e = packets[p][static_cast<std::size_t>(st.position)];
       st.enqueued_at = time;
       queue[static_cast<std::size_t>(e)].push_back(st);
     }
   }
   result.makespan = time;
   return result;
+}
+
+SimulationResult simulate_packets(const Graph& g,
+                                  const std::vector<Path>& paths,
+                                  SchedulePolicy policy, Rng& rng) {
+  std::vector<std::vector<int>> edges;
+  edges.reserve(paths.size());
+  for (const Path& path : paths) {
+    assert(!path.empty());
+    edges.push_back(path_edge_ids(g, path));
+  }
+  const std::vector<std::span<const int>> packets(edges.begin(), edges.end());
+  return simulate_packets(g, packets, policy, rng);
 }
 
 }  // namespace sor

@@ -15,8 +15,14 @@
 //                       classic makespan-friendly heuristic);
 //  * kRandomPriority  — each packet draws a random priority (the [LMR94]
 //                       style schedule underlying the O(C+D) bound).
+//
+// A packet is the edge ids of its path, in travel order: the engine hands
+// over the interned ids its rounding chose (IntegralSolution::candidates),
+// so the simulated loads are the ones the route was solved over. The
+// vertex-path overload is an adapter for callers outside the engine.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -41,11 +47,21 @@ struct SimulationResult {
   double makespan_over_cd() const;
 };
 
-/// Simulates forwarding all packets along their `paths` (one path per
-/// packet; each path a valid simple path). Each time step, every edge
-/// transmits up to max(1, floor(capacity)) packets, chosen by `policy`.
-/// Requires all paths non-empty. Terminates (every packet advances
-/// eventually) and returns the full trace.
+/// Simulates forwarding every packet along its path, given as the edge ids
+/// of a valid simple path in travel order (a packet with no edges is
+/// delivered at step 0). Each time step, every edge transmits up to
+/// max(1, floor(capacity)) packets, chosen by `policy`. Every policy draws
+/// one priority from `rng` per packet with at least one hop, in packet
+/// order. Terminates (every packet advances eventually) and returns the
+/// full trace.
+SimulationResult simulate_packets(const Graph& g,
+                                  std::span<const std::span<const int>> packets,
+                                  SchedulePolicy policy, Rng& rng);
+
+/// Vertex-path adapter (one path per packet; each path a valid, non-empty
+/// simple path): resolves each hop to its canonical edge with
+/// path_edge_ids — the resolution PathSystem interning uses — then runs
+/// the overload above.
 SimulationResult simulate_packets(const Graph& g,
                                   const std::vector<Path>& paths,
                                   SchedulePolicy policy, Rng& rng);

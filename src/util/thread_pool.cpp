@@ -4,6 +4,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <utility>
 
 namespace sor::util {
 
@@ -131,7 +132,12 @@ void ThreadPool::parallel_for(std::size_t n,
     std::unique_lock<std::mutex> lock(state->done_mutex);
     state->done.wait(lock, [&] { return state->pending.load() == 0; });
   }
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the exception out of the shared state: a worker may still hold the
+  // state and release the last reference to it, and must then not be the
+  // thread that destroys the exception the caller is handling.
+  if (state->error) {
+    std::rethrow_exception(std::exchange(state->error, nullptr));
+  }
 }
 
 }  // namespace sor::util

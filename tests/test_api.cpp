@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "core/rounding.h"
 #include "graph/generators.h"
 #include "oblivious/valiant.h"
 
@@ -238,6 +239,83 @@ TEST(SorEngine, RoundingAndPacketSimulation) {
   EXPECT_FALSE(frac_report.integral.has_value());
   EXPECT_FALSE(frac_report.simulation.has_value());
 }
+
+TEST(SorEngine, RoundingAndSimulationChargeTheEdgesTheRouteWasSolvedOver) {
+  // Edges 0 and 1 are parallel unit edges between 0 and 1; the paths are
+  // interned over edge 0, the canonical edge at install. Halving edge 0
+  // makes edge 1 canonical, but the route was solved over edge 0, and the
+  // integral route and the simulation must charge that same edge.
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2, 4.0);
+  SorEngine engine = SorEngine::build(std::move(g), "shortest_path", 1);
+  Demand d;
+  d.set(0, 2, 2.0);
+  engine.install_paths(SamplingSpec::for_demand(d, 2));
+  engine.set_edge_capacity(0, 0.5);
+
+  RouteSpec spec;
+  spec.simulate_packets = true;
+  const RouteReport report = engine.route(d, spec);
+  ASSERT_TRUE(report.integral.has_value());
+  ASSERT_TRUE(report.simulation.has_value());
+  EXPECT_EQ(report.integral->edge_load[0], 2.0);
+  EXPECT_EQ(report.integral->edge_load[1], 0.0);
+  EXPECT_EQ(report.solution.congestion, 4.0);
+  EXPECT_EQ(report.integral->congestion, 4.0);
+  EXPECT_EQ(report.simulation->congestion, 4.0);
+}
+
+class EngineSimulationSweep : public ::testing::TestWithParam<SchedulePolicy> {};
+
+TEST_P(EngineSimulationSweep, EqualsTheLayerByLayerComposition) {
+  // The engine simulates the interned edge ids of the chosen candidates;
+  // rounding, local search and the vertex-path simulator, composed by hand
+  // on a copy of the engine stream, must give the same route bit for bit.
+  SorEngine engine = SorEngine::build(gen::hypercube(4), "valiant", 12);
+  Rng demand_rng(4);
+  const Demand d = gen::random_permutation_demand(16, demand_rng);
+  engine.install_paths(SamplingSpec::for_demand(d, 4));
+  RouteSpec spec;
+  spec.simulate_packets = true;
+  spec.policy = GetParam();
+
+  Rng rng = engine.rng();
+  const RouteReport report = engine.route(d, spec);
+  ASSERT_TRUE(report.integral.has_value());
+  ASSERT_TRUE(report.simulation.has_value());
+
+  const Graph& g = engine.graph();
+  IntegralSolution integral =
+      round_randomized(g, report.solution, rng, spec.rounding_trials);
+  local_search_improve(g, integral);
+  std::vector<Path> packets;
+  for (std::size_t j = 0; j < integral.choices.size(); ++j) {
+    for (int choice : integral.choices[j]) {
+      packets.push_back(integral.paths[j][static_cast<std::size_t>(choice)]);
+    }
+  }
+  const SimulationResult sim = simulate_packets(g, packets, spec.policy, rng);
+
+  EXPECT_EQ(report.integral->choices, integral.choices);
+  EXPECT_EQ(report.integral->congestion, integral.congestion);
+  EXPECT_EQ(report.simulation->makespan, sim.makespan);
+  EXPECT_EQ(report.simulation->congestion, sim.congestion);
+  EXPECT_EQ(report.simulation->dilation, sim.dilation);
+  ASSERT_EQ(report.simulation->traces.size(), sim.traces.size());
+  for (std::size_t p = 0; p < sim.traces.size(); ++p) {
+    EXPECT_EQ(report.simulation->traces[p].delivered_at,
+              sim.traces[p].delivered_at);
+    EXPECT_EQ(report.simulation->traces[p].hops, sim.traces[p].hops);
+    EXPECT_EQ(report.simulation->traces[p].waited, sim.traces[p].waited);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, EngineSimulationSweep,
+                         ::testing::Values(SchedulePolicy::kFifo,
+                                           SchedulePolicy::kFurthestToGo,
+                                           SchedulePolicy::kRandomPriority));
 
 }  // namespace
 }  // namespace sor

@@ -149,11 +149,24 @@ TEST(Generators, RejectArgumentsOutsideTheirDomain) {
   EXPECT_THROW(gen::fat_tree(0), std::invalid_argument);
   EXPECT_THROW(gen::fat_tree(2048), std::invalid_argument);  // 2^32 links
   EXPECT_THROW(gen::fat_tree(2147483646), std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_gadget(0, 1), std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_gadget(4, 0), std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_gadget(1073741824, 1),  // 2^31 + 3 vertices
+               std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_gadget(1, 2147483647),  // 2^32 edges
+               std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_k(0, 1), std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_k(4, 0), std::invalid_argument);
+  EXPECT_THROW(gen::lower_bound_family(1), std::invalid_argument);
+  // Every copy fits, their sum does not.
+  EXPECT_THROW(gen::lower_bound_family(268435456), std::invalid_argument);
   // The domains' edges still build.
   EXPECT_EQ(gen::hypercube(1).num_vertices(), 2);
   EXPECT_EQ(gen::grid(1, 1).num_vertices(), 1);
   EXPECT_EQ(gen::random_regular(8, 3, rng).num_edges(), 12);
   EXPECT_EQ(gen::fat_tree(2).num_vertices(), 5);
+  EXPECT_EQ(gen::lower_bound_gadget(1, 1).num_vertices(), 5);
+  EXPECT_EQ(gen::lower_bound_family(2).num_vertices(), 7);
 }
 
 TEST(Generators, AbileneStructure) {

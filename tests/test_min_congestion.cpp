@@ -66,7 +66,8 @@ TEST(MinCongestion, RespectsCapacities) {
   g.add_edge(2, 3, 1.0);
   const std::vector<Commodity> demand = {{0, 3, 4.0}};
   const std::vector<std::vector<Path>> paths = {{{0, 1, 3}, {0, 2, 3}}};
-  const auto exact = min_congestion_over_paths_exact(g, demand, paths);
+  const auto exact =
+      min_congestion_over_paths_exact(g, demand, flatten_candidates(g, paths));
   EXPECT_NEAR(exact.congestion, 1.0, 1e-6);
   const auto mwu = min_congestion_over_paths(g, demand, paths);
   EXPECT_NEAR(mwu.congestion, 1.0, 0.08);
@@ -79,7 +80,8 @@ TEST(MinCongestion, ExactMatchesHandSolvedInstance) {
   g.add_edge(1, 2, 1.0);
   const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 2, 1.0}};
   const std::vector<std::vector<Path>> paths = {{{0, 1}}, {{0, 1, 2}}};
-  const auto exact = min_congestion_over_paths_exact(g, demand, paths);
+  const auto exact =
+      min_congestion_over_paths_exact(g, demand, flatten_candidates(g, paths));
   EXPECT_NEAR(exact.congestion, 2.0, 1e-6);  // edge (0,1) carries both
 }
 
@@ -200,7 +202,8 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
   }
   if (demand.empty()) return;
 
-  const auto exact = min_congestion_over_paths_exact(g, demand, paths);
+  const auto exact =
+      min_congestion_over_paths_exact(g, demand, flatten_candidates(g, paths));
   MinCongestionOptions options;
   options.rounds = 2000;
   options.target_gap = 1.01;

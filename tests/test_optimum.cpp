@@ -273,7 +273,8 @@ void expect_restricted_brackets(const Graph& g,
   MinCongestionOptions options;
   options.rounds = 400;
   const auto mwu = min_congestion_over_paths(g, commodities, paths, options);
-  const auto exact = min_congestion_over_paths_exact(g, commodities, paths);
+  const auto exact = min_congestion_over_paths_exact(
+      g, commodities, flatten_candidates(g, paths));
   expect_le_rel(mwu.lower_bound, exact.congestion);
   expect_le_rel(exact.congestion, mwu.congestion);
   for (std::size_t j = 0; j < commodities.size(); ++j) {

@@ -5,7 +5,6 @@
 #include "core/rounding.h"
 #include "core/semi_oblivious.h"
 #include "graph/generators.h"
-#include "graph/shortest_path.h"
 #include "oblivious/valiant.h"
 
 namespace sor {
@@ -89,32 +88,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, PacketSimPolicySweep,
                          ::testing::Values(SchedulePolicy::kFifo,
                                            SchedulePolicy::kFurthestToGo,
                                            SchedulePolicy::kRandomPriority));
-
-TEST(PacketSim, FlatEdgeResolutionMatchesHashResolution) {
-  // The simulator resolves hops over a FlatAdjacency snapshot; the ids it
-  // sees must be bit-identical to Graph::edge_between's, including the
-  // canonical (max-capacity, ties smallest id) choice among parallel edges.
-  Rng rng(17);
-  for (int trial = 0; trial < 20; ++trial) {
-    Graph g = gen::erdos_renyi_connected(24, 0.15, rng);
-    // Sprinkle parallel edges with assorted capacities over existing pairs.
-    const int base_edges = g.num_edges();
-    for (int extra = 0; extra < 10; ++extra) {
-      const Edge e = g.edge(static_cast<int>(
-          rng.uniform_u64(static_cast<std::uint64_t>(base_edges))));
-      g.add_edge(e.u, e.v, 0.5 + rng.uniform_double() * 2.0);
-    }
-    const FlatAdjacency adj(g);
-    const ShortestPathSampler sampler(g);
-    for (int p = 0; p < 25; ++p) {
-      const int s = rng.uniform_int(0, g.num_vertices() - 1);
-      int t = rng.uniform_int(0, g.num_vertices() - 1);
-      if (s == t) t = (t + 1) % g.num_vertices();
-      const Path path = sampler.sample(s, t, rng);
-      EXPECT_EQ(path_edge_ids(adj, g, path), path_edge_ids(g, path));
-    }
-  }
-}
 
 TEST(PacketSim, ParallelEdgesChargeTheCanonicalEdge) {
   // Two parallel (0,1) edges; the canonical one has capacity 3, so five

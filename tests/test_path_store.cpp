@@ -184,7 +184,7 @@ TEST(PathSystemFlat, FlatAndLegacyRoutingBitIdentical) {
     const auto fast = route_fractional(g, ps, d);
     const CongestionResult slow =
         min_congestion_over_paths(g, commodities, candidates);
-    EXPECT_EQ(fast.paths, candidates);
+    EXPECT_EQ(fast.candidates, flatten_candidates(g, candidates));
     EXPECT_EQ(fast.congestion, slow.congestion);
     EXPECT_EQ(fast.lower_bound, slow.lower_bound);
     EXPECT_EQ(fast.edge_load, slow.edge_load);

@@ -80,7 +80,7 @@ TEST_P(FuzzSweep, RoutingConservesDemand) {
     for (std::size_t i = 0; i < solution.weights[j].size(); ++i) {
       sum += solution.weights[j][i];
       expected_load += solution.weights[j][i] *
-                       hop_count(solution.paths[j][i]);
+                       static_cast<double>(solution.candidates.edges(j, i).size());
     }
     EXPECT_NEAR(sum, solution.commodities[j].amount, 1e-7);
   }

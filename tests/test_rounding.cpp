@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <utility>
 
+#include "api/sor_engine.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "oblivious/valiant.h"
@@ -71,6 +75,69 @@ TEST_P(RoundingLemmaSweep, SatisfiesLemma63Bound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundingLemmaSweep, ::testing::Range(0, 10));
+
+class RoundingMultigraphSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(RoundingMultigraphSweep, RoundsAndSimulatesTheInternedEdges) {
+  // Random multigraphs with parallel edges and integer capacities 2-4. After
+  // install, the canonical edge of every parallel pair drops to capacity 1,
+  // so Graph::edge_between now names another edge of the pair than the one
+  // the paths were interned over. Rounding and simulation still charge the
+  // interned edges, and the Lemma 6.3 bound holds (every capacity >= 1).
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 131 + 11);
+  const int n = 12;
+  const Graph base = gen::erdos_renyi_connected(n, 0.3, rng);
+  Graph g(n);
+  const auto capacity = [&] {
+    return static_cast<double>(rng.uniform_int(2, 4));
+  };
+  for (const Edge& e : base.edges()) g.add_edge(e.u, e.v, capacity());
+  for (int extra = 0; extra < base.num_edges() / 2; ++extra) {
+    const Edge& e = base.edge(rng.uniform_int(0, base.num_edges() - 1));
+    g.add_edge(e.u, e.v, capacity());
+  }
+  SorEngine engine = SorEngine::build(std::move(g), "shortest_path",
+                                      static_cast<std::uint64_t>(GetParam()));
+  const Demand d = gen::random_pairs_demand(n, 8, rng);
+  engine.install_paths(SamplingSpec::for_demand(d, 3));
+
+  std::map<std::pair<int, int>, int> multiplicity;
+  for (const Edge& e : engine.graph().edges()) {
+    ++multiplicity[{std::min(e.u, e.v), std::max(e.u, e.v)}];
+  }
+  for (const auto& [pair, count] : multiplicity) {
+    if (count < 2) continue;
+    const int canonical = engine.graph().edge_between(pair.first, pair.second);
+    engine.set_edge_capacity(canonical, 1.0);
+    ASSERT_NE(engine.graph().edge_between(pair.first, pair.second), canonical);
+  }
+
+  RouteSpec spec;
+  spec.simulate_packets = true;
+  spec.compute_optimum = false;
+  const RouteReport report = engine.route(d, spec);
+  ASSERT_TRUE(report.integral.has_value());
+  ASSERT_TRUE(report.simulation.has_value());
+  const Graph& routed = engine.graph();
+  const IntegralSolution& integral = *report.integral;
+
+  EXPECT_LE(integral.congestion,
+            2.0 * report.solution.congestion +
+                3.0 * std::log(static_cast<double>(routed.num_edges())));
+  std::vector<double> load(static_cast<std::size_t>(routed.num_edges()), 0.0);
+  for (std::size_t j = 0; j < integral.choices.size(); ++j) {
+    for (int choice : integral.choices[j]) {
+      for (int e : report.solution.candidates.edges(
+               j, static_cast<std::size_t>(choice))) {
+        load[static_cast<std::size_t>(e)] += 1.0;
+      }
+    }
+  }
+  EXPECT_EQ(integral.edge_load, load);
+  EXPECT_EQ(report.simulation->congestion, integral.congestion);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoundingMultigraphSweep, ::testing::Range(0, 8));
 
 TEST(Rounding, ExtraTrialsDoNotCopyTheCandidateSet) {
   if (!runtime::counting_compiled()) {
@@ -169,7 +236,7 @@ TEST(Rounding, LocalSearchFindsObviousImprovement) {
   g.add_edge(2, 3);
   IntegralSolution solution;
   solution.commodities = {{0, 3, 2.0}};
-  solution.paths = {{{0, 1, 3}, {0, 2, 3}}};
+  solution.candidates = flatten_candidates(g, {{{0, 1, 3}, {0, 2, 3}}});
   solution.choices = {{0, 0}};
   integral_congestion(g, solution);
   EXPECT_DOUBLE_EQ(solution.congestion, 2.0);

@@ -139,7 +139,7 @@ TEST(Runtime, RouteIntoMatchesRouteBitForBit) {
   EXPECT_EQ(a.optimum->upper, b.optimum->upper);
   EXPECT_EQ(a.solution.edge_load, b.solution.edge_load);
   EXPECT_EQ(a.solution.weights, b.solution.weights);
-  EXPECT_EQ(a.solution.paths, b.solution.paths);
+  EXPECT_EQ(a.solution.candidates, b.solution.candidates);
   EXPECT_EQ(a.solution.max_hops, b.solution.max_hops);
 }
 

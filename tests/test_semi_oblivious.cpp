@@ -174,6 +174,29 @@ TEST(SemiOblivious, MaxHopsTracksUsedPathsOnly) {
   EXPECT_EQ(exact.max_hops, 1);
 }
 
+TEST(SemiOblivious, ExactAndMwuChargeTheInternedParallelEdge) {
+  // The path is interned over edge 0, the canonical (0,1) edge at install.
+  // Halving edge 0 makes edge 1 canonical; both solves still charge edge 0,
+  // the edge their candidates name.
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2, 4.0);
+  PathSystem ps(g);
+  ps.add_path(0, 2, {0, 1, 2});
+  g.set_capacity(0, 0.5);
+  Demand d;
+  d.set(0, 2, 2.0);
+  const auto exact = route_fractional_exact(g, ps, d);
+  const auto mwu = route_fractional(g, ps, d);
+  EXPECT_EQ(exact.candidates, mwu.candidates);
+  for (const auto* solution : {&exact, &mwu}) {
+    EXPECT_NEAR(solution->congestion, 4.0, 1e-9);
+    EXPECT_NEAR(solution->edge_load[0], 2.0, 1e-9);
+    EXPECT_EQ(solution->edge_load[1], 0.0);
+  }
+}
+
 class SemiObliviousExactVsMwuSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SemiObliviousExactVsMwuSweep, AgreeOnRandomInstances) {
