@@ -99,7 +99,7 @@ void BM_MwuRestrictedSolve(benchmark::State& state) {
   spec.mwu.rounds = 200;
   spec.mwu.target_gap = 1.0;  // force full rounds for stable timing
   spec.compute_optimum = false;
-  spec.compute_lower_bound = false;  // time the MWU solve alone
+  spec.compute_lower_bound = false;  // time the restricted solve alone
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.route(d, spec).congestion);
   }

@@ -6,9 +6,10 @@
 //     the congestion feedback, leaving i.i.d. FRT trees). Claim: both more
 //     trees and reweighting matter; the defaults (12 trees, eta = 6) sit
 //     past the knee.
-// (b) MWU min-congestion solver. Ablate the round budget and report the
-//     certified optimality gap (congestion / dual lower bound). Claim: a
-//     few hundred rounds reach a few percent, justifying the default.
+// (b) The restricted min-congestion solver. Ablate the round budget and
+//     report the certified optimality gap (congestion / dual lower
+//     bound). Claim: a few hundred rounds reach a few percent, justifying
+//     the default.
 #include "bench_common.h"
 
 namespace {
@@ -65,7 +66,7 @@ void racke_ablation() {
 }
 
 void mwu_ablation(Rng& rng) {
-  std::printf("-- (b) MWU solver: rounds -> certified gap (cong / dual lb) --\n");
+  std::printf("-- (b) restricted solver: rounds -> certified gap (cong / dual lb) --\n");
   const Graph g = gen::hypercube(6);
   const auto valiant = BackendRegistry::instance().make(g, "valiant", rng);
   const Demand d = gen::random_permutation_demand(g.num_vertices(), rng);
@@ -93,7 +94,7 @@ void mwu_ablation(Rng& rng) {
 int main() {
   bench::banner("M2: design-choice ablations",
                 "(a) Racke = reweighted FRT trees: trees x eta; "
-                "(b) MWU round budget vs certified optimality gap");
+                "(b) restricted-solve round budget vs certified optimality gap");
   Rng rng(81);
   racke_ablation();
   mwu_ablation(rng);

@@ -97,7 +97,7 @@ void sweep_route_batch(Table& table, const std::string& instance_name,
   RouteSpec spec;
   spec.compute_optimum = false;
   spec.compute_lower_bound = false;
-  spec.mwu.target_gap = 1.0;  // fixed MWU rounds -> stable per-demand cost
+  spec.mwu.target_gap = 1.0;  // fixed rounds -> stable per-demand cost
 
   // The determinism reference: a plain serial route() loop, which
   // route_batch must reproduce bit-for-bit at every thread count (the

@@ -2,16 +2,17 @@
 //
 // Measures the staged pipeline's single-thread throughput on the m1
 // substrates: build (backend construction), install (path sampling +
-// interning), route (MWU rate selection over the frozen PathSystem), and
-// route_batch. For the route stage — the per-demand serving loop and the
-// target of the PathStore change — the harness ALSO runs a verbatim copy
-// of the pre-change representation (vertex-sequence candidates, hash-based
-// edge resolution per call, nested vector-of-vector edge ids, a serial
-// total sum over all m edges) on the same inputs, reports new-vs-legacy
-// speedup, and checks the outputs agree within bench_common.h's
-// within_contract: the library's segmented total sum changes only that
-// sum's association, so both runs certify the same LP. A row with
-// identical=no is a bug, not a measurement.
+// interning), route (rate selection over the frozen PathSystem), and
+// route_batch. For the route stage — the per-demand serving loop — the
+// harness ALSO runs a verbatim copy of an earlier solver on the same
+// inputs: the pre-PathStore representation (vertex-sequence candidates,
+// hash-based edge resolution per call, nested vector-of-vector edge ids,
+// a serial total sum over all m edges) driving the multiplicative-weights
+// loop the library ran before Frank–Wolfe, at its 800 rounds. The row
+// reports new-vs-legacy speedup and checks bench_common.h's
+// within_contract: cross-valid certificates, and the library's congestion
+// no worse than 1.02 times the replica's. A row with identical=no is a
+// bug, not a measurement.
 //
 //   bench_m4_hot_path [--quick] [--json PATH]
 #include <cassert>
@@ -35,12 +36,12 @@ double ms_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Pre-change reference implementation (the PR 2 era representation), kept
-// verbatim as the "before" of the before/after measurement: candidates are
-// vertex-sequence Paths, edge ids are re-resolved through the hash map on
-// every solve, and the MWU inner loop iterates a nested
-// vector<vector<vector<int>>>. Do not "optimize" this — its point is to be
-// what the library used to do.
+// Pre-change reference implementation (the PR 2 era representation and
+// the multiplicative-weights solver of that era), kept verbatim as the
+// "before" of the before/after measurement: candidates are vertex-sequence
+// Paths, edge ids are re-resolved through the hash map on every solve, and
+// the MWU inner loop iterates a nested vector<vector<vector<int>>>. Do not
+// "optimize" this — its point is to be what the library used to do.
 // ---------------------------------------------------------------------------
 namespace legacy {
 
@@ -309,15 +310,17 @@ void bench_instance(Table& table, const std::string& name, Graph graph,
     }
   }
 
-  // Contract agreement with the pre-change solver (within_contract):
-  // congestion and dual bound within the band, certificates cross-valid.
+  // Contract agreement with the 800-round legacy solver (within_contract):
+  // certificates cross-valid, congestion no worse than 1.02x the replica's.
+  MinCongestionOptions legacy_options = spec.mwu;
+  legacy_options.rounds = 800;
   double legacy_ms = 0.0;
   bool identical = true;
   for (int r = 0; r < reps; ++r) {
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const auto start = Clock::now();
       const CongestionResult result = legacy::route_fractional(
-          engine.graph(), ps, demands[i], spec.mwu);
+          engine.graph(), ps, demands[i], legacy_options);
       legacy_ms += ms_since(start);
       if (r == 0) {
         identical = identical &&
@@ -355,9 +358,10 @@ int main(int argc, char** argv) {
   banner("M4 — flat-memory hot path",
          "PathStore substrate: interned vertex+edge-id spans through the "
          "whole pipeline. The route stage is measured against a verbatim "
-         "copy of the pre-change representation (hash-per-hop resolution, "
-         "nested vectors, serial total sum); outputs must agree within the "
-         "certificate contract, speedup is the point.");
+         "copy of the pre-change representation and solver (hash-per-hop "
+         "resolution, nested vectors, 800 multiplicative-weights rounds); "
+         "certificates must cross-validate and the congestion must stay "
+         "within 1.02x the replica's, speedup is the point.");
 
   Table table = stage_table();
 

@@ -4,9 +4,9 @@
 // support, diurnal volumes — the regime warm starts are built for), one
 // routing cold every epoch, one carrying RouteSpec::warm_start state
 // across epochs, with a capacity edit mid-trace exercising the seed's
-// in-place rescale. Canonical stage rows (tools/bench_gate.py):
+// survival. Canonical stage rows (tools/bench_gate.py):
 //
-//   warm_rounds    the headline: speedup = total cold restricted-MWU
+//   warm_rounds    the headline: speedup = total cold restricted-solve
 //                  rounds / total warm rounds — the rounds-saved ratio.
 //                  Deterministic for a fixed seed (round counts are part
 //                  of the bit-exact solver contract), so the baseline
@@ -17,7 +17,7 @@
 //                  engine's rerun of the sequence matches the first cold
 //                  run bit for bit — the warm subsystem being linked in
 //                  and exercised in-process leaves cold routes untouched.
-//   warm_cert      per-epoch cross-validation: each run's MWU dual lower
+//   warm_cert      per-epoch cross-validation: each run's dual lower
 //                  bound must lower-bound the OTHER run's exact
 //                  congestion (warm starts move the starting iterate,
 //                  never the certificate discipline).
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv);
   banner("M9 — cross-epoch warm starts",
          "Breathing-volume trace served cold vs warm-started: speedup is "
-         "the total-MWU-rounds ratio cold/warm (exact for a fixed seed; "
+         "the total restricted-solve rounds ratio cold/warm (exact for a fixed seed; "
          "identical=yes additionally requires ratio > 1 and a bit-identical "
          "warm rerun), warm_identity pins the cold path bit-identical with "
          "the warm subsystem exercised in-process, warm_cert pins "

@@ -8,6 +8,17 @@
 // competitive ratio over an ensemble of random permutation demands, and
 // print the curve. Expected shape: steep drop from alpha = 1, flattening
 // near alpha ~ log n.
+//
+// Canonical JsonSink rows (--json PATH), gated by tools/bench_gate.py:
+//   phase "thm25_shape"  one row per (topology, alpha); identical=yes iff
+//                        the mean ratio is <= 1.02 times the previous
+//                        alpha's (the curve does not rise) and, at
+//                        alpha = 16, <= the alpha = 1 mean divided by 3
+//                        (it falls steeply). ms_per_op times the alpha's
+//                        routes; speedup carries the alpha = 1 mean over
+//                        this alpha's.
+// The whole run takes about two seconds, so --quick changes nothing.
+#include <chrono>
 #include <set>
 
 #include "bench_common.h"
@@ -17,7 +28,9 @@ namespace {
 
 using namespace sor;
 
-void run_instance(bench::Instance& inst, Rng& rng) {
+using Clock = std::chrono::steady_clock;
+
+void run_instance(bench::Instance& inst, Rng& rng, Table& rows) {
   std::printf("-- %s: %d vertices, %d edges --\n", inst.name.c_str(),
               inst.graph().num_vertices(), inst.graph().num_edges());
   const int n = inst.graph().num_vertices();
@@ -43,7 +56,10 @@ void run_instance(bench::Instance& inst, Rng& rng) {
   }
 
   Table table({"alpha", "mean ratio", "max ratio", "sparsity"});
+  double first_mean = 0.0;
+  double previous_mean = 0.0;
   for (int alpha : {1, 2, 3, 4, 6, 8, 12, 16}) {
+    const auto start = Clock::now();
     // One frozen path system per alpha, reused across the whole ensemble.
     const PathSystem& ps =
         inst.engine.install_paths({.alpha = alpha, .pairs = pairs});
@@ -64,6 +80,16 @@ void run_instance(bench::Instance& inst, Rng& rng) {
         .cell(s.mean, 2)
         .cell(s.max, 2)
         .cell(ps.sparsity());
+    if (alpha == 1) first_mean = s.mean;
+    const bool holds = (alpha == 1 || s.mean <= 1.02 * previous_mean) &&
+                       (alpha != 16 || s.mean <= first_mean / 3.0);
+    previous_mean = s.mean;
+    const double ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+    bench::stage_row(rows, "thm25_shape",
+                     inst.name + ",alpha=" + std::to_string(alpha), 1, ms,
+                     num_demands, first_mean / s.mean, holds ? "yes" : "no");
   }
   table.print();
   std::printf("\n");
@@ -97,23 +123,27 @@ void run_adversarial(Rng& rng) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonSink sink(args.json_path);
   bench::banner("T1: sparsity vs competitiveness (Theorems 2.3 & 2.5)",
                 "competitive ratio of alpha-samples drops steeply with "
                 "alpha and flattens near alpha ~ log n");
   Rng rng(11);
+  Table rows = bench::stage_table();
   {
     auto inst = bench::make_hypercube(7);
-    run_instance(inst, rng);
+    run_instance(inst, rng, rows);
   }
   {
     auto inst = bench::make_expander(128, 4, rng);
-    run_instance(inst, rng);
+    run_instance(inst, rng, rows);
   }
   {
     auto inst = bench::make_torus(12, rng);
-    run_instance(inst, rng);
+    run_instance(inst, rng, rows);
   }
   run_adversarial(rng);
-  return 0;
+  sink.add("t1_sparsity_tradeoff", rows);
+  return sink.flush() ? 0 : 1;
 }

@@ -63,7 +63,7 @@ struct Options {
   bool aggregate = false;   // coalesce duplicate demands pre-solve
   std::string demands_file; // stream the batch from a demand-stream file
   bool integral = false;
-  bool warm_start = false;  // carry MWU state across serial routes/epochs
+  bool warm_start = false;  // carry solver state across serial routes/epochs
   bool mem_stats = false;  // print the service-memory gauges after the run
   std::string dot_path;
   // Scenario mode (either one set => run the scenario engine instead).
@@ -76,7 +76,7 @@ struct Options {
   // Observability sinks (see docs/observability.md).
   std::string trace_json;       // Chrome trace_event JSON of the whole run
   std::string metrics_out;      // Prometheus-style metrics exposition
-  std::string convergence_out;  // per-round MWU convergence CSV (serial)
+  std::string convergence_out;  // per-round solver convergence CSV (serial)
   // Robustness knobs (see README "Robustness & anytime solves").
   std::string fault_plan;    // installed as the process-global FaultPlan
   std::string solve_budget;  // SolveBudget spec for every solve
@@ -120,7 +120,7 @@ void usage() {
       "groups and keeps only aggregate results (memory stays flat in the\n"
       "stream length), bit-identical to the plain batch for every thread\n"
       "count (see api/sor_engine.h).\n"
-      "--warm-start carries MWU solver state across serial routes (and\n"
+      "--warm-start carries solver state across serial routes (and\n"
       "across scenario epochs): later solves resume from the previous\n"
       "epoch's adversary weights and typically early-exit in fewer rounds\n"
       "(see docs/warm-start.md). Serial only — incompatible with --batch\n"
@@ -146,7 +146,7 @@ void usage() {
       "fires) into a Chrome trace_event JSON loadable in chrome://tracing\n"
       "or Perfetto. --metrics-out FILE writes the engine's service counters\n"
       "and gauges as Prometheus text exposition. --convergence-out FILE\n"
-      "writes the serial route's per-round MWU telemetry (congestion, dual\n"
+      "writes the serial route's per-round solver telemetry (congestion, dual\n"
       "bound, certified gap, touched edges) as CSV — serial one-shot mode\n"
       "only (--batch 1, no --demands-file).\n"
       "\n"

@@ -60,29 +60,37 @@ bool is_near_integral(const Demand& d) {
   return true;
 }
 
-/// The captured epoch's integral choices per CURRENT commodity, by a merge
-/// walk of the two (s, t)-sorted supports: a captured pair takes its
-/// choices verbatim, any other pair gets an empty list (round_randomized's
-/// argmax fallback). Verbatim is exact because `st.choices` is non-empty
-/// only while no reinstall ran since the capture, so every index still
-/// names the same installed candidate of its pair.
-void build_rounding_seed(const Demand& demand, const warm::WarmStartState& st,
-                         std::vector<std::vector<int>>& out) {
+/// A per-pair capture (`rows`, aligned with `captured`) laid out per
+/// CURRENT commodity, by a merge walk of the two (s, t)-sorted supports: a
+/// captured pair takes its row verbatim, any other pair an empty row (an
+/// unseeded commodity for the restricted solve, round_randomized's argmax
+/// fallback for rounding). Verbatim is exact because the per-pair captures
+/// are non-empty only while no reinstall ran since the capture, so every
+/// index still names the same installed candidate of its pair. Returns
+/// whether any row is non-empty (none is after a reinstall cleared
+/// `rows`).
+template <class Row>
+bool per_pair_seed(const Demand& demand, std::span<const DemandEntry> captured,
+                   const std::vector<Row>& rows, std::vector<Row>& out) {
   out.clear();
+  if (rows.size() != captured.size()) return false;  // cleared by a reinstall
   out.reserve(demand.entries().size());
+  bool any = false;
   std::size_t i = 0;
   for (const auto& [pair, value] : demand.entries()) {
-    while (i < st.demand.size() &&
-           std::make_pair(st.demand[i].s, st.demand[i].t) < pair) {
+    while (i < captured.size() &&
+           std::make_pair(captured[i].s, captured[i].t) < pair) {
       ++i;
     }
-    if (i < st.demand.size() && st.demand[i].s == pair.first &&
-        st.demand[i].t == pair.second) {
-      out.push_back(st.choices[i]);
+    if (i < captured.size() && captured[i].s == pair.first &&
+        captured[i].t == pair.second) {
+      out.push_back(rows[i]);
+      any = any || !rows[i].empty();
     } else {
       out.emplace_back();
     }
   }
+  return any;
 }
 
 }  // namespace
@@ -166,21 +174,11 @@ void SorEngine::set_edge_capacity(int e, double capacity) {
   }
   obs::service_counters().capacity_edits.fetch_add(1,
                                                    std::memory_order_relaxed);
-  const double old_cap = graph_->edge(e).capacity;
   graph_->set_capacity(e, capacity);
-  // Warm-start delta update (docs/warm-start.md): the captured log-weights
-  // accumulated eta * load/cap increments, so a capacity change rescales
-  // the edge's future congestion pressure by old/new — apply the same
-  // factor to the stored seed. The REPLAY snapshot goes (its congestion is
-  // stale) while the rescaled seed stays live.
+  // Warm starts (docs/warm-start.md): the REPLAY snapshot goes (its
+  // congestion is stale), while the per-pair flow seed stays live — a flow
+  // is still a flow under the new capacity.
   warm_replay_.reset();
-  if (warm_state_ && warm_state_->valid && old_cap > 0.0) {
-    const double ratio = old_cap / capacity;
-    const auto idx = static_cast<std::size_t>(e);
-    if (idx < warm_state_->restricted_log_x.size()) {
-      warm_state_->restricted_log_x[idx] *= ratio;
-    }
-  }
 }
 
 void SorEngine::rebuild_backend() {
@@ -257,10 +255,12 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
     }
   }
   // Every requested pair was resampled into fresh slabs, so the captured
-  // integral choices and the replay snapshot no longer describe the
-  // installed candidates. The edge-level warm seed never referenced paths
-  // and stays.
-  if (warm_state_) warm_state_->choices.clear();
+  // per-pair weights and integral choices and the replay snapshot no
+  // longer describe the installed candidates.
+  if (warm_state_) {
+    warm_state_->weights.clear();
+    warm_state_->choices.clear();
+  }
   warm_replay_.reset();
   return *paths_;
 }
@@ -285,7 +285,7 @@ obs::MetricsRegistry SorEngine::metrics() const {
   reg.counter("sor_routes_served_total", c.routes_served.load(memory_order_relaxed),
               "route/route_into calls served (process-wide)");
   reg.counter("sor_mwu_rounds_total", c.mwu_rounds.load(memory_order_relaxed),
-              "restricted-MWU rounds paid across all routes");
+              "restricted-solve rounds paid across all routes");
   reg.counter("sor_batches_total", c.batches.load(memory_order_relaxed),
               "route_batch calls");
   reg.counter("sor_batch_demands_total",
@@ -308,7 +308,7 @@ obs::MetricsRegistry SorEngine::metrics() const {
               "bit-identical instances served from the replay snapshot");
   reg.counter("sor_warm_rounds_saved_total",
               c.warm_rounds_saved.load(memory_order_relaxed),
-              "MWU rounds warm starts saved vs the cold reference");
+              "restricted-solve rounds warm starts saved vs the cold reference");
   reg.counter("sor_scenario_epochs_total",
               c.scenario_epochs.load(memory_order_relaxed),
               "scenario epochs served");
@@ -403,7 +403,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
                                         RouteReport& out) {
   if (!warm_state_) warm_state_ = std::make_unique<warm::WarmStartState>();
   warm::WarmStartState& st = *warm_state_;
-  const auto m = static_cast<std::size_t>(graph_->num_edges());
 
   // Routes that draw randomness (rounding, simulation) cannot be replayed:
   // skipping their rng draws would shift the engine stream relative to a
@@ -428,34 +427,26 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
     out.warm.hit = true;
     out.warm.replayed = true;
     out.warm.rounds_saved = st.cold_rounds;
-    out.warm.scale = 1.0;
     return out;
   }
 
   // ---- seed decision ----------------------------------------------------
+  // Every pair the capture shares with this demand starts from its captured
+  // weights (the solver scales them to the new amount); the others enter
+  // cold.
   warm::RouteWarmHooks hooks;
-  MwuWarmStart restricted_seed;
+  std::vector<std::vector<double>> restricted_seed;
   std::vector<std::vector<int>> rounding_seed;
-  double scale = 0.0;
-  bool hit = false;
-  if (st.valid && st.restricted_log_x.size() == m) {
-    scale = warm::support_overlap_scale(st.demand, demand);
-    if (scale > 0.0) {
-      hit = true;
-      restricted_seed.log_x = st.restricted_log_x;
-      restricted_seed.scale = scale;
-      hooks.restricted.warm = &restricted_seed;
-      if ((spec.round_integral || spec.simulate_packets) &&
-          !st.choices.empty()) {
-        build_rounding_seed(demand, st, rounding_seed);
-        hooks.rounding_seed = &rounding_seed;
-      }
+  const bool hit =
+      st.valid && per_pair_seed(demand, st.demand, st.weights, restricted_seed);
+  if (hit) {
+    hooks.restricted.warm = &restricted_seed;
+    if ((spec.round_integral || spec.simulate_packets) &&
+        !st.choices.empty()) {
+      per_pair_seed(demand, st.demand, st.choices, rounding_seed);
+      hooks.rounding_seed = &rounding_seed;
     }
   }
-  // The capture writes after the solver reads its seed (the seed is copied
-  // into solver scratch at init), so capturing into the vector the seed
-  // aliases is safe.
-  hooks.restricted.capture_log_x = &st.restricted_log_x;
 
   {
     const obs::TraceSpan span(hit ? "seed" : "cold", "warm");
@@ -476,6 +467,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   st.valid = true;
   demand.entries_into(st.demand);
   if (!hit) st.cold_rounds = out.solution.rounds_used;
+  st.weights = out.solution.weights;
   if (out.integral) {
     st.choices = out.integral->choices;
   } else {
@@ -491,7 +483,6 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
   out.warm = WarmInfo{};
   out.warm.enabled = true;
   out.warm.hit = hit;
-  out.warm.scale = scale;
   out.warm.rounds_saved =
       hit ? std::max(0, st.cold_rounds - out.solution.rounds_used) : 0;
   return out;

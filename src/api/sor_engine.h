@@ -138,27 +138,29 @@ struct RouteSpec {
   bool simulate_packets = false;
   SchedulePolicy policy = SchedulePolicy::kRandomPriority;
   /// Opt-in cross-epoch warm starts (default OFF; docs/warm-start.md is the
-  /// contract). When on, the engine captures each route's MWU endpoint
-  /// (adversary log-weights, integral choices) and seeds the
-  /// NEXT route from it: a bit-identical instance replays the stored
-  /// report outright; a nearby instance resumes both MWU solvers from the
-  /// damped prior iterate and seeds rounding from the prior integral
-  /// solution. Warm and cold certificates of one instance stay cross-valid —
-  /// warm starts only move the starting iterate, never the certificate
-  /// discipline. With warm_start off, routing is bit-identical to a build
-  /// without this field (RouteReport.warm is the only delta, and it is
-  /// all-zero). Serial route()/route_into() only; route_batch rejects it.
-  /// Exposed as `sor_cli --warm-start`.
+  /// contract). When on, the engine captures each route's restricted
+  /// weights and integral choices per pair and seeds the NEXT route from
+  /// them: a bit-identical instance replays the stored report outright; a
+  /// nearby instance starts the restricted solve from the previous flow of
+  /// every pair it shares (scaled to the new amounts) and seeds rounding
+  /// from the prior integral solution. Warm and cold certificates of one
+  /// instance stay cross-valid — warm starts only move the starting
+  /// iterate, never the certificate discipline. With warm_start off,
+  /// routing is bit-identical to a build without this field
+  /// (RouteReport.warm is the only delta, and it is all-zero). Serial
+  /// route()/route_into() only; route_batch rejects it. Exposed as
+  /// `sor_cli --warm-start`.
   bool warm_start = false;
   /// Opt-in per-round convergence telemetry (default OFF; see
   /// obs/convergence.h and docs/observability.md). When on, the restricted
-  /// MWU solve appends one ConvergenceRecord per round into
-  /// RouteReport.convergence — congestion of the averaged iterate, dual
-  /// certificate, running lower bound, certified gap, touched-edge count.
-  /// Observation only: results are bit-identical with the flag on or off
-  /// (bench_m10's identity row pins this); recording costs one extra O(m)
-  /// scan per round plus one bounded vector (capacity retained across
-  /// route_into reuse). Exposed as `sor_cli --convergence-out`.
+  /// solve appends one ConvergenceRecord per round into
+  /// RouteReport.convergence — the current iterate's congestion, the dual
+  /// certificate, the running lower bound, the certified gap and the best
+  /// response's edge count. Observation only: results are bit-identical
+  /// with the flag on or off (bench_m10's identity row pins this);
+  /// recording costs one bounded vector (capacity retained across
+  /// route_into reuse) and no extra scan. Exposed as
+  /// `sor_cli --convergence-out`.
   bool record_convergence = false;
 
   friend bool operator==(const RouteSpec&, const RouteSpec&) = default;
@@ -182,13 +184,10 @@ struct WarmInfo {
   bool enabled = false;   ///< RouteSpec::warm_start was on
   bool hit = false;       ///< a previous epoch's captured state seeded this solve
   bool replayed = false;  ///< bit-identical instance: stored report returned
-  /// max(0, cold_rounds - rounds_used): restricted-MWU rounds this solve
-  /// saved vs the most recent unseeded solve of the sequence. replayed
-  /// routes report the full cold_rounds.
+  /// max(0, cold_rounds - rounds_used): restricted-solve rounds this
+  /// solve saved vs the most recent unseeded solve of the sequence.
+  /// replayed routes report the full cold_rounds.
   int rounds_saved = 0;
-  /// Damping applied to the seeded log-weights (the demand volume-overlap
-  /// factor; 1 = identical demand, 0 = disjoint support / no seed).
-  double scale = 0.0;
 };
 
 /// Everything route() learned about one revealed demand.
@@ -211,8 +210,8 @@ struct RouteReport {
   /// Packet-level makespan of the integral routing (iff simulate_packets).
   std::optional<SimulationResult> simulation;
 
-  /// Why the restricted MWU solve stopped (mirrors solution.status) and
-  /// its certified gap vs the MWU dual bound:
+  /// Why the restricted solve stopped (mirrors solution.status) and
+  /// its certified gap vs its dual bound:
   ///   solution.lower_bound <= cong_R(P, d)
   ///                        <= congestion = solution.lower_bound * (1+gap).
   SolveStatus solve_status = SolveStatus::kCompleted;
@@ -230,7 +229,7 @@ struct RouteReport {
   /// Warm-start outcome (all-zero unless RouteSpec::warm_start).
   WarmInfo warm;
 
-  /// Per-round restricted-MWU convergence trajectory (empty unless
+  /// Per-round restricted-solve convergence trajectory (empty unless
   /// RouteSpec::record_convergence; dump with
   /// obs::write_convergence_csv/json or `sor_cli --convergence-out`).
   std::vector<obs::ConvergenceRecord> convergence;
@@ -451,7 +450,7 @@ class SorEngine {
 
   /// Metrics snapshot for exposition (sor_cli --metrics-out renders it in
   /// Prometheus text format; include obs/metrics.h to use the result).
-  /// Folds the process-wide obs::service_counters() — routes served, MWU
+  /// Folds the process-wide obs::service_counters() — routes served, restricted
   /// rounds, warm hits, degraded epochs, fault fires, the route-latency
   /// histogram — with this engine's memory gauges (PathStore arena,
   /// installed pairs, RSS) and the per-thread allocation counters.
@@ -480,7 +479,7 @@ class SorEngine {
   /// `scratch`, the report refilled in place. `rng` is the stream rounding
   /// and simulation draw from (the engine stream for route_into(), a
   /// seed-split stream for route_batch()). `hooks` (warm starts only; see
-  /// warm/warm_state.h) carries the MWU seed/capture and the rounding
+  /// warm/warm_state.h) carries the per-pair flow seed and the rounding
   /// seed — null on every cold route, and a null-hook call is
   /// bit-identical to a build without the parameter.
   void route_one_into(const Demand& demand, const RouteSpec& spec, Rng& rng,
@@ -543,8 +542,8 @@ class SorEngine {
   /// Stored report of the captured route, returned verbatim when the next
   /// warm route is the bit-identical instance (same demand and spec).
   /// set_edge_capacity, install_paths and rebuild_backend drop it (the
-  /// stored report is stale), while the edge-level log-weight seed
-  /// survives the first two (rescaled in place on capacity edits).
+  /// stored report is stale), while the per-pair flow seed survives a
+  /// capacity edit (install_paths and rebuild_backend clear it).
   std::unique_ptr<RouteReport> warm_replay_;
   /// The spec the replay snapshot was captured under.
   RouteSpec warm_spec_;

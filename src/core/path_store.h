@@ -1,6 +1,6 @@
 // Flat-memory path substrate: an arena that interns each candidate path
 // once — contiguous vertex ids AND precomputed canonical edge ids — so that
-// every hot loop downstream (MWU reweighting, congestion accounting,
+// every hot loop downstream (the restricted solve, congestion accounting,
 // rounding, packet simulation) iterates `span<const int>` with zero hashing.
 // Edge resolution through Graph::edge_between happens exactly once, at
 // insertion: from there on the interned ids are the path, also after a
@@ -85,7 +85,7 @@ class PathStore {
 
 /// Flat, path-major arena of candidate edge ids for a commodity list:
 /// commodity j's candidate i occupies one contiguous span. This is the
-/// representation the MWU inner loop, rounding, local search, congestion
+/// representation the restricted solve, rounding, local search, congestion
 /// accounting and packet simulation iterate — built once per solve, with
 /// zero hashing when the source is a PathSystem (flat_candidates gathers
 /// its interned spans) and one hash per hop when it is a list of vertex

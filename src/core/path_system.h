@@ -10,7 +10,7 @@
 // construction and interns every path into a flat PathStore, vertices and
 // precomputed edge ids together; an ordered (s, t) -> [PathRef] index
 // names each pair's candidates in insertion order. The hot consumers read
-// the interned edge ids with zero hashing: route_fractional's MWU loop and
+// the interned edge ids with zero hashing: route_fractional's round loop and
 // the deletion process gather them per solve (flat_candidates), and
 // rounding, local search and the engine's packet simulation read that
 // gather from the solution. paths(s, t) materializes vertex sequences for

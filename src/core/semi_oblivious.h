@@ -27,22 +27,22 @@ struct SemiObliviousSolution {
   double lower_bound = 0.0;    ///< dual bound on cong_R(P, d)
   int max_hops = 0;            ///< dilation of the support of the routing
   /// Anytime-solve surface (see SolveBudget in lp/min_congestion.h): why
-  /// the MWU solve stopped and the certified gap vs its own dual bound.
+  /// the restricted solve stopped and the certified gap vs its own dual bound.
   SolveStatus status = SolveStatus::kCompleted;
   double optimality_gap = 0.0;
-  /// MWU rounds the solve consumed (the warm-start rounds-saved currency;
+  /// Rounds the solve consumed (the warm-start rounds-saved currency;
   /// 0 for the exact-LP path, which has no round structure).
   int rounds_used = 0;
 };
 
-/// Routes `d` over `ps` with the MWU engine. `ps` must be bound to `g` (its
+/// Routes `d` over `ps` with the restricted Frank–Wolfe solve. `ps` must be bound to `g` (its
 /// interned edge ids index g's edges), and every support pair of `d` must
 /// have at least one candidate path in `ps`.
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
                                        const Demand& d,
                                        const MinCongestionOptions& options = {});
 
-/// Reusable scratch for route_fractional_into: the MWU solver's working
+/// Reusable scratch for route_fractional_into: the restricted solver's working
 /// set and the solver result staging buffer. All capacity-retaining —
 /// repeated routes through one scratch allocate nothing once warm, also
 /// when their commodity and candidate counts vary (the spare rows keep what
@@ -58,7 +58,7 @@ struct RouteScratch {
 /// Scratch-threaded route: refills `out`'s (nested) buffers in place with
 /// exactly what route_fractional would return — bit-identical fields, and
 /// route_fractional is a thin wrapper over this — while every intermediate
-/// lives in `scratch`. `hooks` reach the restricted MWU solve.
+/// lives in `scratch`. `hooks` reach the restricted solve.
 void route_fractional_into(const Graph& g, const PathSystem& ps,
                            const Demand& d,
                            const MinCongestionOptions& options,
@@ -96,7 +96,7 @@ OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
 /// Cheap distance-duality lower bound on opt_{G,R}(d) (no iteration):
 /// opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e w_e with w_e = 1/cap_e.
 /// On unit capacities this is (sum_j d_j * hopdist(s_j,t_j)) / m. Used by
-/// the large-scale benches where the MWU optimum would dominate runtime.
+/// the large-scale benches where the optimum would dominate runtime.
 /// One CSR Dijkstra per distinct demand source, stopped once that source's
 /// last target is settled; the distances, and so the bound, are bit-identical
 /// to full sweeps.

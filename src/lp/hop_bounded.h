@@ -5,7 +5,7 @@
 //
 // The pricer is a layered Bellman-Ford DP: dist[k][v] = the cheapest walk
 // from the source to v using <= k edges. Column generation over the
-// restricted MWU solve (min_congestion_by_columns_into) then optimizes
+// restricted solve (min_congestion_by_columns_into) then optimizes
 // congestion over the h-hop path polytope, as the offline optimum does
 // over all paths with a Dijkstra pricer.
 #pragma once

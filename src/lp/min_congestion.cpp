@@ -143,27 +143,27 @@ constexpr std::size_t kLanes = 8;
 
 // The restricted solve: commodity j may only use its candidate paths. This
 // is THE hot loop of the serving path (one solve per revealed demand), so
-// its per-round normalization and lengths cost O(candidate footprint), not
-// O(m):
+// its per-round work costs O(candidate footprint), not O(m):
 //
 //  * duplicate candidates are deduplicated up front: sampling is with
 //    replacement, and a duplicate's length always EQUALS its first
 //    occurrence, so the strict `<` argmin can never select it — dropping
-//    it from the scan changes nothing (its weight was always 0); a
-//    zero-demand commodity routes nothing and scans no candidate at all;
-//  * lengths are computed only for edges that appear on SOME distinct
-//    candidate, the only edges the path sums ever read;
-//  * the normalizing total is a segmented sum: the (m - |active|) untouched
-//    edges fold into one (count * shared value) product and the active
-//    mass sums in four interleaved lanes (the association documented on
-//    min_congestion_over_paths);
+//    it from the scan changes nothing (its weight stays 0); a zero-demand
+//    commodity routes nothing and scans no candidate at all;
+//  * the flow, the softmax numerators and the lengths are kept only for
+//    the footprint (the edges on SOME distinct candidate): every other
+//    edge has flow 0, and the path sums never read it;
+//  * the normalizing total is a segmented sum: the (m - |footprint|)
+//    other edges fold into one (count * shared value) product (the
+//    association documented on min_congestion_over_paths);
 //  * every distinct candidate of the solve is summed in ONE pass over lane
 //    blocks (see prepare_candidates), then each commodity takes its argmin
 //    over its own sums in dedup order.
 
-/// Per-solve setup of the candidate side of `sc`: the distinct candidates,
-/// their lane blocks, the path sums, the choice counts and the candidate
-/// edge set. sc.cap must already hold one capacity per edge.
+/// Per-solve setup of the candidate side of `sc`: the distinct candidates
+/// (and which of them each candidate copies), their lane blocks, the path
+/// sums and the footprint in increasing edge id. sc.cap must already hold
+/// one capacity per edge.
 void prepare_candidates(const std::vector<Commodity>& commodities,
                         const FlatCandidates& candidates,
                         MinCongestionScratch& sc) {
@@ -171,10 +171,13 @@ void prepare_candidates(const std::vector<Commodity>& commodities,
   const std::size_t m = sc.cap.size();
   // distinct: each positive-demand commodity's first-occurrence
   // candidates, commodity-major; commodity_first: prefix over distinct
-  // per commodity; original_index: candidate index of each distinct path.
+  // per commodity; original_index: candidate index of each distinct path;
+  // distinct_of: the distinct path of every candidate, commodity-major
+  // over all candidates (-1 for a zero-demand commodity's).
   auto& distinct = sc.distinct;
   distinct.clear();
   sc.original_index.clear();
+  sc.distinct_of.clear();
   sc.commodity_first.assign(1, 0);
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = commodities[j];
@@ -188,22 +191,26 @@ void prepare_candidates(const std::vector<Commodity>& commodities,
       const std::size_t first = distinct.size();
       for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
         const auto path = candidates.edges(j, i);
-        const bool repeat = std::any_of(
+        const auto copy = std::find_if(
             distinct.begin() + static_cast<std::ptrdiff_t>(first),
             distinct.end(), [&](std::span<const int> other) {
               return std::equal(path.begin(), path.end(), other.begin(),
                                 other.end());
             });
-        if (repeat) continue;
+        sc.distinct_of.push_back(
+            static_cast<std::int32_t>(copy - distinct.begin()));
+        if (copy != distinct.end()) continue;
         distinct.push_back(path);
         sc.original_index.push_back(static_cast<std::int32_t>(i));
       }
+    } else {
+      sc.distinct_of.insert(sc.distinct_of.end(), candidates.num_paths(j), -1);
     }
     sc.commodity_first.push_back(static_cast<std::int64_t>(distinct.size()));
   }
   const std::size_t num_distinct = distinct.size();
-  sc.counts.assign(num_distinct, 0);
-  sc.chosen_edges.assign(k, std::span<const int>{});
+  sc.chosen.assign(k, -1);
+  sc.chosen_len.assign(k, 0.0);
 
   // Lane blocks. A stable counting sort by hop count orders the distinct
   // paths into by_hops, which is padded to whole blocks of kLanes with
@@ -246,56 +253,26 @@ void prepare_candidates(const std::vector<Commodity>& commodities,
   sc.path_len.assign(num_distinct + 1, 0.0);
   sc.lengths.assign(m + 1, 0.0);  // lengths[m]: the padding edge's +0.0
 
-  // The distinct candidate edge set: the only edges whose lengths the
-  // path sums will ever read.
-  sc.cand_edges.clear();
+  // The footprint in increasing edge id, so that every sum over it runs in
+  // the order of a serial sum over all m edges.
   sc.in_cand.assign(m, 0);
   for (const auto path : distinct) {
-    for (int e : path) {
-      if (!sc.in_cand[static_cast<std::size_t>(e)]) {
-        sc.in_cand[static_cast<std::size_t>(e)] = 1;
-        sc.cand_edges.push_back(e);
-      }
-    }
+    for (int e : path) sc.in_cand[static_cast<std::size_t>(e)] = 1;
+  }
+  sc.cand_edges.clear();
+  for (std::size_t e = 0; e < m; ++e) {
+    if (sc.in_cand[e]) sc.cand_edges.push_back(static_cast<int>(e));
   }
 }
 
-/// The router's best response to the adversary's weights: lengths from
-/// sc.expv and `untouched_value` (the shared weight of every inactive
-/// edge), then per commodity its shortest distinct candidate — written to
-/// sc.chosen_edges[j] and sc.chosen_len[j], and counted in sc.counts.
-void best_response(std::size_t k, double untouched_value,
-                   MinCongestionScratch& sc) {
-  const auto& active = sc.active;
-  const auto& expv = sc.expv;
-  auto& lengths = sc.lengths;
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t a = 0;
-  for (; a + 4 <= active.size(); a += 4) {
-    l0 += expv[static_cast<std::size_t>(active[a])];
-    l1 += expv[static_cast<std::size_t>(active[a + 1])];
-    l2 += expv[static_cast<std::size_t>(active[a + 2])];
-    l3 += expv[static_cast<std::size_t>(active[a + 3])];
-  }
-  for (; a < active.size(); ++a) {
-    l0 += expv[static_cast<std::size_t>(active[a])];
-  }
-  const double total =
-      static_cast<double>(sc.cap.size() - active.size()) * untouched_value +
-      ((l0 + l1) + (l2 + l3));
-  for (int e : sc.cand_edges) {
-    const double value = sc.is_active[static_cast<std::size_t>(e)]
-                             ? expv[static_cast<std::size_t>(e)]
-                             : untouched_value;
-    const double xe = value / total;
-    lengths[static_cast<std::size_t>(e)] =
-        xe / sc.cap[static_cast<std::size_t>(e)];
-  }
-
+/// The router's best response to sc.lengths: per commodity its shortest
+/// distinct candidate, written to sc.chosen[j] and sc.chosen_len[j].
+void best_response(std::size_t k, MinCongestionScratch& sc) {
   // Every distinct path's length, kLanes paths at a time: each lane is
   // its own left-to-right addition chain from +0.0, so every sum is
   // bit-identical to a serial evaluation; the lanes only break the
   // latency dependence BETWEEN paths.
+  const double* lengths = sc.lengths.data();
   const int* lane_edges = sc.lane_edges.data();
   const std::int32_t* owner = sc.by_hops.data();
   for (std::size_t b = 0; b + 1 < sc.block_first.size();
@@ -328,11 +305,58 @@ void best_response(std::size_t k, double untouched_value,
         best_d = d;
       }
     }
-    sc.chosen_edges[j] = sc.distinct[best_d];
+    sc.chosen[j] = static_cast<std::int32_t>(best_d);
     sc.chosen_len[j] = best;
-    ++sc.counts[best_d];
   }
 }
+
+/// Folds each usable row of `seed` (see MwuHooks::warm) into sc.weight,
+/// scaled to its commodity's amount, and marks the commodity in sc.seeded;
+/// sc.load gets the seeded flow.
+void apply_seed(const std::vector<Commodity>& commodities,
+                const FlatCandidates& candidates,
+                const std::vector<std::vector<double>>& seed,
+                MinCongestionScratch& sc) {
+  std::size_t first_candidate = 0;  // commodity j's offset in distinct_of
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    const std::size_t num_paths = candidates.num_paths(j);
+    const std::vector<double>& row = seed[j];
+    const std::size_t first = first_candidate;
+    first_candidate += num_paths;
+    if (commodities[j].amount <= 0.0 || row.size() != num_paths) continue;
+    double sum = 0.0;
+    bool usable = true;
+    for (double w : row) {
+      usable = usable && std::isfinite(w) && w >= 0.0;
+      sum += w;
+    }
+    if (!usable || !(sum > 0.0) || !std::isfinite(sum)) continue;
+    for (std::size_t i = 0; i < num_paths; ++i) {
+      sc.weight[static_cast<std::size_t>(sc.distinct_of[first + i])] += row[i];
+    }
+    const double scale = commodities[j].amount / sum;
+    const std::size_t begin = static_cast<std::size_t>(sc.commodity_first[j]);
+    const std::size_t end =
+        static_cast<std::size_t>(sc.commodity_first[j + 1]);
+    for (std::size_t d = begin; d < end; ++d) {
+      sc.weight[d] *= scale;
+      for (int e : sc.distinct[d]) {
+        sc.load[static_cast<std::size_t>(e)] += sc.weight[d];
+      }
+    }
+    sc.seeded[j] = 1;
+  }
+}
+
+/// Milliseconds on the wall clock, the deadline's default time source.
+class SteadyClock final : public SolveClock {
+ public:
+  double now_ms() override {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+};
 
 }  // namespace
 
@@ -340,44 +364,29 @@ void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
                                    std::size_t max_hops) {
   distinct.reserve(paths);
   original_index.reserve(paths);
+  distinct_of.reserve(paths);
   hop_first.reserve(max_hops + 2);
   by_hops.reserve(paths + kLanes);
   // Blocks are hop-sorted, so their padding adds at most kLanes * max_hops.
   lane_edges.reserve(edges + kLanes * max_hops);
   block_first.reserve(paths / kLanes + 2);
   path_len.reserve(paths + 1);
-  counts.reserve(paths);
-  budget_counts.reserve(paths);
+  weight.reserve(paths);
+  budget_weight.reserve(paths);
 }
 
-// ---- the MWU loop ----------------------------------------------------------
-// The restricted solve plays one Freund–Schapire game: each round the
-// adversary's edge weights x_e ∝ exp(log_x[e]) set lengths x_e / cap_e, the
-// router best-responds with one path per commodity, and log_x grows by
-// eta * (round load / cap) / width on the edges it used.
-//
-// Every shortcut below is BIT-IDENTICAL to the textbook loop (pinned by
-// tests/test_restricted_reference.cpp); the one departure is the segmented
-// total in best_response, documented above:
-//  * the adversary max_log is maintained incrementally (log_x only grows,
-//    and only on edges of chosen paths);
-//  * exp(log_x[e] - max_log) is cached in expv for active edges (log_x ever
-//    raised or seeded) and recomputed only for edges whose log_x changed
-//    while max_log is unchanged (exp is deterministic, so a reused value is
-//    the value the reference recomputes); every other edge still has
-//    log_x == +0.0 and takes the one shared value exp(0.0 - max_log), so a
-//    max_log change costs |active| + 1 exps instead of m;
-//  * round loads are aggregated sparsely over the touched-edge set: for an
-//    untouched edge every reference update is `+= 0.0` or a max against
-//    0.0, which leaves IEEE doubles bit-unchanged;
-//  * each touched edge's round_load / cap is divided once and read by both
-//    the width and the log_x step (the reference divides twice; the same
-//    IEEE operation gives the same quotient);
-//  * the early-exit check walks the active edges only and short-circuits
-//    on the first violating one (the reference computes a max over all m
-//    edges and compares once): any other edge never carried load, so its
-//    cumulative load is +0.0 and its ratio +0.0 never exceeds the bar
-//    best_lower * gap > 0 — the boolean is the same.
+// ---- the Frank–Wolfe loop --------------------------------------------------
+// The iteration is documented on min_congestion_over_paths (the flat
+// overload). Against the textbook loop over all m edges
+// (tests/test_restricted_reference.cpp) every shortcut below is
+// bit-identical, except the segmented total documented there:
+//  * an edge off the footprint has F = B = 0, so its terms of G, kappa,
+//    the flow step and U are +0.0 (or a max against 0.0), which leave IEEE
+//    doubles bit-unchanged; the footprint is walked in increasing edge id,
+//    the order of the textbook's serial sums;
+//  * B is aggregated sparsely over the edges the best response loads;
+//  * a step with sigma == 0 is skipped: F + 0 * (B - F) and w * (1 - 0)
+//    are F and w.
 void min_congestion_over_paths_into(const Graph& g,
                                     const std::vector<Commodity>& commodities,
                                     const FlatCandidates& candidates,
@@ -407,64 +416,50 @@ void min_congestion_over_paths_into(const Graph& g,
     cap[e] = g.edge(static_cast<int>(e)).capacity;
   }
   prepare_candidates(commodities, candidates, sc);
+  const std::size_t num_distinct = sc.distinct.size();
 
-  // ---- MWU state (scratch-backed; assign/clear keep capacity) ------------
-  auto& log_x = sc.log_x;
+  // ---- Frank–Wolfe state (scratch-backed; assign/clear keep capacity) ----
+  auto& load = sc.load;
+  auto& response = sc.response;
   auto& expv = sc.expv;
-  auto& cumulative_load = sc.cumulative_load;
-  auto& round_load = sc.round_load;
-  auto& chosen_len = sc.chosen_len;
+  auto& lengths = sc.lengths;
   auto& touched = sc.touched;
-  auto& active = sc.active;
-  auto& dirty = sc.dirty;
-  auto& is_active = sc.is_active;
-  auto& is_dirty = sc.is_dirty;
-  log_x.assign(m, 0.0);
-  expv.assign(m, 0.0);  // cached exp(log_x[e] - max_log), active edges only
-  cumulative_load.assign(m, 0.0);
-  round_load.assign(m, 0.0);
-  chosen_len.assign(k, 0.0);
-  touched.clear();  // edges with round_load != 0 this round
-  active.clear();   // edges with log_x != 0 (ever touched)
-  dirty.clear();    // active edges whose cached exp is stale
-  is_active.assign(m, 0);
-  is_dirty.assign(m, 0);
-  touched.reserve(m);
-  double max_log = 0.0;  // max over all-zero log_x
-  double cached_max_log = std::numeric_limits<double>::quiet_NaN();
-
-  // ---- warm start (opt-in; see MwuWarmStart) -----------------------------
-  // Seeding only replaces the adversary's starting log-weights; the NaN
-  // cached_max_log above already forces the round-0 exp refresh to walk the
-  // seeded active set. A null/mismatched/zero-scaled seed leaves every
-  // vector exactly as the cold solve built it.
-  if (hooks.warm != nullptr && hooks.warm->scale > 0.0 &&
-      hooks.warm->log_x.size() == m) {
-    const double scale = hooks.warm->scale;
-    for (std::size_t e = 0; e < m; ++e) {
-      const double seeded = hooks.warm->log_x[e] * scale;
-      if (seeded > 0.0 && std::isfinite(seeded)) {
-        log_x[e] = seeded;
-        is_active[e] = 1;
-        active.push_back(static_cast<int>(e));
-        max_log = std::max(max_log, seeded);
-      }
-    }
+  auto& weight = sc.weight;
+  const auto& footprint = sc.cand_edges;
+  load.assign(m, 0.0);
+  response.assign(m, 0.0);
+  expv.assign(m, 0.0);
+  weight.assign(num_distinct, 0.0);
+  sc.seeded.assign(k, 0);
+  touched.clear();
+  touched.reserve(footprint.size());
+  if (hooks.warm != nullptr && hooks.warm->size() == k) {
+    apply_seed(commodities, candidates, *hooks.warm, sc);
   }
+  // A seeded solve starts from a previous solve's iterate, so its target
+  // exit may fire from the first round; min_rounds holds cold solves.
+  const bool seeded = std::ranges::find(sc.seeded, 1) != sc.seeded.end();
+  const int min_rounds = seeded ? 1 : options.min_rounds;
 
-  const double eta =
-      std::sqrt(std::log(static_cast<double>(m) + 2.0) /
-                static_cast<double>(std::max(options.rounds, 1)));
-  double untouched_value = 1.0;  // exp(0.0 - max_log)
-  double width_norm = 0.0;
+  const double log_m = std::log(static_cast<double>(m) + 2.0);
+  const double eps_floor = std::max(0.01, log_m / 700.0);
+  const double others = static_cast<double>(m - footprint.size());
+  double eps = 1.0;
+  double congestion = 0.0;  // U of the current iterate
+  for (int e : footprint) {
+    const auto i = static_cast<std::size_t>(e);
+    congestion = std::max(congestion, load[i] / cap[i]);
+  }
+  // The last round's softmax normalization, kept for the length capture.
+  double shared = 1.0;
+  double total = static_cast<double>(m);
   double best_lower = 0.0;
 
   // ---- anytime budget ----------------------------------------------------
   // A round budget truncates the SAME trajectory the unbudgeted solve
-  // walks (eta above still derives from options.rounds), so budgeted runs
-  // are seed-exact prefixes of full runs. With the budget disabled every
-  // branch below is off and the arithmetic is bit-identical to a build
-  // without it; the wall clock is only consulted when a deadline is set.
+  // walks (nothing derives from options.rounds), so budgeted runs are
+  // seed-exact prefixes of full runs. With the budget disabled every
+  // branch below is off; the clock is only read when a deadline is set.
   const SolveBudget& budget = options.budget;
   const int round_cap =
       (budget.max_rounds > 0 && budget.max_rounds < options.rounds)
@@ -473,137 +468,121 @@ void min_congestion_over_paths_into(const Graph& g,
   const double gap_mult =
       budget.target_gap > 0.0 ? budget.target_gap : options.target_gap;
   const bool track_best = budget.max_rounds > 0 || budget.deadline_ms > 0.0;
-  const auto budget_start = budget.deadline_ms > 0.0
-                                ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
+  SteadyClock steady;
+  SolveClock& clock = hooks.clock != nullptr ? *hooks.clock : steady;
+  const double budget_start = budget.deadline_ms > 0.0 ? clock.now_ms() : 0.0;
   double best_seen = std::numeric_limits<double>::infinity();
   int best_round = 0;
   bool target_hit = false;
   bool deadline_hit = false;
 
   int round = 0;
-  for (round = 0; round < round_cap; ++round) {
-    // Refresh the exp cache: stale active edges only while max_log holds,
-    // every active edge plus the shared untouched value when it moved.
-    if (max_log == cached_max_log) {
-      for (int e : dirty) {
-        expv[static_cast<std::size_t>(e)] =
-            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-        is_dirty[static_cast<std::size_t>(e)] = 0;
-      }
-    } else {
-      untouched_value = std::exp(0.0 - max_log);
-      for (int e : active) {
-        expv[static_cast<std::size_t>(e)] =
-            std::exp(log_x[static_cast<std::size_t>(e)] - max_log);
-      }
-      for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
-      cached_max_log = max_log;
+  while (round < round_cap) {
+    // Lengths: the gradient of Phi at the current flow. With no flow yet
+    // (a cold round 0) every x_e is exp(0) = 1.
+    const double beta = congestion > 0.0 ? log_m / (eps * congestion) : 0.0;
+    shared = std::exp(-beta * congestion);
+    double footprint_sum = 0.0;
+    for (int e : footprint) {
+      const auto i = static_cast<std::size_t>(e);
+      expv[i] = std::exp(beta * (load[i] / cap[i] - congestion));
+      footprint_sum += expv[i];
     }
-    dirty.clear();
+    total = others * shared + footprint_sum;
+    for (int e : footprint) {
+      const auto i = static_cast<std::size_t>(e);
+      lengths[i] = expv[i] / total / cap[i];
+    }
 
-    best_response(k, untouched_value, sc);
+    best_response(k, sc);
 
-    // Dual certificate: opt >= sum_j d_j * dist(s_j,t_j) / sum_e x_e, and
-    // sum_e x_e == 1 after normalization.
+    // Dual certificate: opt >= sum_j d_j * dist(s_j,t_j) / sum_e cap_e * len_e
+    // and sum_e cap_e * len_e == sum_e x_e / total == 1.
     double dual = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
-      dual += commodities[j].amount * chosen_len[j];
+      dual += commodities[j].amount * sc.chosen_len[j];
     }
     best_lower = std::max(best_lower, dual);
 
-    // Aggregate this round's pure-profile loads, sparsely: only edges of
-    // chosen paths are nonzero.
+    // The best response's flow B, sparsely: only edges of chosen paths.
     for (std::size_t j = 0; j < k; ++j) {
-      for (int e : sc.chosen_edges[j]) {
-        if (round_load[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
-        round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
-      }
-    }
-    // Each touched round_load becomes round_load / cap here: the one
-    // quotient both the width and the log_x step read.
-    double width = 0.0;
-    for (int e : touched) {
-      double& load = round_load[static_cast<std::size_t>(e)];
-      cumulative_load[static_cast<std::size_t>(e)] += load;
-      load /= cap[static_cast<std::size_t>(e)];
-      width = std::max(width, load);
-    }
-    width_norm = std::max(width_norm, width);
-    if (width_norm > 0.0) {
-      for (int e : touched) {
-        log_x[static_cast<std::size_t>(e)] +=
-            eta * round_load[static_cast<std::size_t>(e)] / width_norm;
-        max_log = std::max(max_log, log_x[static_cast<std::size_t>(e)]);
-        if (!is_dirty[static_cast<std::size_t>(e)]) {
-          is_dirty[static_cast<std::size_t>(e)] = 1;
-          dirty.push_back(e);
-        }
-        if (!is_active[static_cast<std::size_t>(e)]) {
-          is_active[static_cast<std::size_t>(e)] = 1;
-          active.push_back(e);
-        }
+      if (sc.chosen[j] < 0) continue;
+      for (int e : sc.distinct[static_cast<std::size_t>(sc.chosen[j])]) {
+        if (response[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
+        response[static_cast<std::size_t>(e)] += commodities[j].amount;
       }
     }
 
-    // The sink and the budget read the same averaged congestion; both are
-    // observation (nothing the round loop reads back), and neither scan
-    // runs unless one of them is on.
-    if (hooks.sink != nullptr || track_best) {
-      double cur = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        cur = std::max(cur, cumulative_load[e] /
-                                (static_cast<double>(round + 1) * cap[e]));
+    if (round == 0) {
+      // Entry: every unseeded commodity routes whole on its response.
+      for (std::size_t j = 0; j < k; ++j) {
+        if (sc.chosen[j] < 0 || sc.seeded[j]) continue;
+        const auto d = static_cast<std::size_t>(sc.chosen[j]);
+        weight[d] += commodities[j].amount;
+        for (int e : sc.distinct[d]) {
+          load[static_cast<std::size_t>(e)] += commodities[j].amount;
+        }
       }
-      if (hooks.sink != nullptr) {
-        hooks.sink->record({round + 1, cur, dual, best_lower,
-                            certified_gap(cur, best_lower),
-                            static_cast<int>(touched.size())});
+    } else {
+      // The Frank–Wolfe gap, the quadratic model's curvature, the step.
+      double fw_gap = 0.0;
+      double curvature = 0.0;
+      for (int e : footprint) {
+        const auto i = static_cast<std::size_t>(e);
+        fw_gap += lengths[i] * (load[i] - response[i]);
+        const double q = (response[i] - load[i]) / cap[i];
+        curvature += expv[i] / total * (q * q);
       }
-      // Track the best averaged iterate so a budget stop can rewind to it;
-      // the choice counts are the iterate.
-      if (track_best && cur < best_seen) {
-        best_seen = cur;
-        best_round = round + 1;
-        sc.budget_counts = sc.counts;
+      const double sigma =
+          fw_gap > 0.0 ? std::min(1.0, fw_gap / (beta * curvature)) : 0.0;
+      if (fw_gap <= 0.1 * eps * congestion) {
+        eps = std::max(eps * 0.5, eps_floor);
+      }
+      if (sigma > 0.0) {
+        for (int e : footprint) {
+          const auto i = static_cast<std::size_t>(e);
+          load[i] += sigma * (response[i] - load[i]);
+        }
+        const double keep = 1.0 - sigma;
+        for (double& w : weight) w *= keep;
+        for (std::size_t j = 0; j < k; ++j) {
+          if (sc.chosen[j] < 0) continue;
+          weight[static_cast<std::size_t>(sc.chosen[j])] +=
+              sigma * commodities[j].amount;
+        }
       }
     }
-    for (int e : touched) round_load[static_cast<std::size_t>(e)] = 0.0;
+    for (int e : touched) response[static_cast<std::size_t>(e)] = 0.0;
+    const int response_edges = static_cast<int>(touched.size());
     touched.clear();
 
-    if (round + 1 >= options.min_rounds && best_lower > 0.0) {
-      // Exit iff max_e cumulative/(rounds * cap) <= lower * gap, i.e. iff
-      // no edge violates; only active edges can, and the scan stops at the
-      // first that does.
-      const double bar = best_lower * gap_mult;
-      bool exit_now = true;
-      for (int e : active) {
-        if (cumulative_load[static_cast<std::size_t>(e)] /
-                (static_cast<double>(round + 1) *
-                 cap[static_cast<std::size_t>(e)]) >
-            bar) {
-          exit_now = false;
-          break;
-        }
-      }
-      if (exit_now) {
-        ++round;
-        target_hit = true;
-        break;
-      }
+    congestion = 0.0;
+    for (int e : footprint) {
+      const auto i = static_cast<std::size_t>(e);
+      congestion = std::max(congestion, load[i] / cap[i]);
     }
+    ++round;
 
-    if (budget.deadline_ms > 0.0 &&
-        (round + 1) % kDeadlineCheckRounds == 0) {
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - budget_start)
-              .count();
-      if (elapsed_ms >= budget.deadline_ms) {
-        ++round;
-        deadline_hit = true;
-        break;
-      }
+    // Observation and stops read the iterate this round left.
+    if (hooks.sink != nullptr) {
+      hooks.sink->record({round, congestion, dual, best_lower,
+                          certified_gap(congestion, best_lower),
+                          response_edges});
+    }
+    if (track_best && congestion < best_seen) {
+      best_seen = congestion;
+      best_round = round;
+      sc.budget_weight.assign(weight.begin(), weight.end());
+    }
+    if (round >= min_rounds && best_lower > 0.0 &&
+        congestion <= best_lower * gap_mult) {
+      target_hit = true;
+      break;
+    }
+    if (budget.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
+        clock.now_ms() - budget_start >= budget.deadline_ms) {
+      deadline_hit = true;
+      break;
     }
   }
 
@@ -612,31 +591,28 @@ void min_congestion_over_paths_into(const Graph& g,
     status = SolveStatus::kTargetReached;
   } else if (deadline_hit) {
     status = SolveStatus::kBudgetDeadline;
-  } else if (round_cap < options.rounds && round >= round_cap) {
+  } else if (round_cap < options.rounds) {
     status = SolveStatus::kBudgetRounds;
   }
   if ((status == SolveStatus::kBudgetRounds ||
        status == SolveStatus::kBudgetDeadline) &&
       best_round > 0 && best_round < round) {
-    // Rewind to the best prefix iterate seen. The dual bound is a max over
-    // rounds and independent of the returned iterate, so best_lower still
+    // Rewind to the best iterate seen. The dual bound is a max over rounds
+    // and independent of the returned iterate, so best_lower still
     // certifies the rewound result.
-    round = best_round;
-    sc.counts = sc.budget_counts;
+    weight.assign(sc.budget_weight.begin(), sc.budget_weight.end());
   }
 
-  // Choice counts become fractional weights over the ORIGINAL candidate
-  // indexing (duplicates keep their reset weight: 0); the returned loads
-  // and congestion are those of exactly these weights.
-  const int total_rounds = std::max(round, 1);
+  // The weights over the ORIGINAL candidate indexing (duplicates keep their
+  // reset weight: 0); the returned loads and congestion are those of
+  // exactly these weights.
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t begin = static_cast<std::size_t>(sc.commodity_first[j]);
     const std::size_t end =
         static_cast<std::size_t>(sc.commodity_first[j + 1]);
     for (std::size_t d = begin; d < end; ++d) {
       out.path_weights[j][static_cast<std::size_t>(sc.original_index[d])] =
-          commodities[j].amount * static_cast<double>(sc.counts[d]) /
-          static_cast<double>(total_rounds);
+          weight[d];
     }
   }
   out.congestion = congestion_of_weights(g, commodities, candidates,
@@ -646,10 +622,13 @@ void min_congestion_over_paths_into(const Graph& g,
   out.status = status;
   out.optimality_gap = certified_gap(out.congestion, out.lower_bound);
 
-  // Capture half of the warm-start cycle: hand the final adversary state to
-  // the caller (capacity-retaining assign; results above are unaffected).
-  if (hooks.capture_log_x != nullptr) {
-    hooks.capture_log_x->assign(log_x.begin(), log_x.end());
+  if (hooks.capture_lengths != nullptr) {
+    auto& captured = *hooks.capture_lengths;
+    captured.resize(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      captured[e] =
+          (round > 0 && sc.in_cand[e] ? expv[e] : shared) / total / cap[e];
+    }
   }
 }
 
@@ -678,7 +657,7 @@ namespace {
 
 // Column generation's two constants: the master solves' round cap and the
 // iteration cap (min_congestion_by_columns_into).
-constexpr int kMasterRounds = 100;
+constexpr int kMasterRounds = 50;
 constexpr int kMaxIterations = 16;
 
 /// Rebuilds sc.columns with each commodity's priced path appended when it
@@ -746,41 +725,36 @@ void min_congestion_by_columns_into(const Graph& g,
   const double gap = options.budget.target_gap > 0.0
                          ? options.budget.target_gap
                          : options.target_gap;
-  // The first master solve runs cold: its seed is empty, and a seed whose
-  // size is not m is ignored. Each later one starts from the log-weights
-  // the previous one captured into the same vector (the seed is read
-  // before the capture writes).
-  sc.log_x.clear();
+  // The first master solve runs cold. Each later one, and the final solve,
+  // starts from the weights of the one before, padded with 0 for the
+  // columns appended since (columns are only appended, so every old index
+  // still names its path).
+  MwuHooks hooks{.warm = nullptr, .capture_lengths = &lengths};
   const int iterations = commodities.empty() || m == 0 ? 0 : kMaxIterations;
   for (int iteration = 0; iteration < iterations; ++iteration) {
-    const MwuWarmStart seed{sc.log_x, 1.0};
-    min_congestion_over_paths_into(
-        g, commodities, sc.columns, master,
-        MwuHooks{.warm = &seed, .capture_log_x = &sc.log_x}, sc.mwu, out);
+    min_congestion_over_paths_into(g, commodities, sc.columns, master, hooks,
+                                   sc.mwu, out);
     for (auto& row : out.path_weights) row.reserve(1 + kMaxIterations);
 
-    // Lengths x_e / cap_e, x the softmax of the log-weights.
-    double max_log = 0.0;
-    for (double v : sc.log_x) max_log = std::max(max_log, v);
-    double total = 0.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      lengths[e] = std::exp(sc.log_x[e] - max_log);
-      total += lengths[e];
-    }
+    // Price under the solve's final lengths.
     double denominator = 0.0;
     for (std::size_t e = 0; e < m; ++e) {
-      const double cap = g.edge(static_cast<int>(e)).capacity;
-      lengths[e] = lengths[e] / total / cap;
-      denominator += cap * lengths[e];
+      denominator += g.edge(static_cast<int>(e)).capacity * lengths[e];
     }
     sc.priced.clear();
     const double numerator = pricer.price(lengths, sc.priced);
     if (denominator > 0.0) lower = std::max(lower, numerator / denominator);
-    if (!append_new_columns(sc) || out.congestion <= lower * gap) break;
+    const bool added = append_new_columns(sc);
+    std::swap(sc.weights, out.path_weights);
+    for (std::size_t j = 0; j < k; ++j) {
+      sc.weights[j].resize(sc.columns.num_paths(j), 0.0);
+    }
+    hooks.warm = &sc.weights;
+    if (!added || out.congestion <= lower * gap) break;
   }
 
-  min_congestion_over_paths_into(g, commodities, sc.columns, options, {},
-                                 sc.mwu, out);
+  min_congestion_over_paths_into(g, commodities, sc.columns, options,
+                                 MwuHooks{.warm = hooks.warm}, sc.mwu, out);
   out.lower_bound = lower;
   out.optimality_gap = certified_gap(out.congestion, lower);
 }

@@ -2,11 +2,14 @@
 //
 // One engine, the restricted solve: route each commodity over an explicit
 // candidate-path set (Stage 4 of the semi-oblivious pipeline, Definition
-// 5.1's cong_R(P, d)). It is solved by multiplicative weights
-// (Freund–Schapire) on the zero-sum game "router picks a path per
-// commodity, adversary picks an edge", with the router best-responding to
-// exponential edge weights. The returned congestion is the *exact*
-// congestion of the averaged routing (a valid upper bound); `lower_bound`
+// 5.1's cong_R(P, d)). It runs Frank–Wolfe on the exponential potential
+//     Phi(F) = (1/beta) * log sum_e exp(beta * F_e / cap_e)
+// of the router's flow F (Shahrokhi–Matula 1990, Grigoriadis–Khachiyan
+// 1996): each round the lengths are the gradient of Phi (softmax weights
+// x_e / total, divided by cap_e), every commodity best-responds with its
+// shortest candidate, and the flow steps toward that response by a
+// quadratic-model step size. The returned congestion is the *exact*
+// congestion of the returned weights (a valid upper bound); `lower_bound`
 // is an LP-duality certificate
 //     opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e * w_e
 // so `congestion / lower_bound` bounds the solver's suboptimality.
@@ -18,7 +21,7 @@
 // the pricer that finds each commodity's cheapest admissible path.
 //
 // Exact reference solvers (dense simplex) are provided for small instances
-// and used by the tests to validate the MWU engine.
+// and used by the tests to validate the iterative engine.
 #pragma once
 
 #include <cstdint>
@@ -45,22 +48,24 @@ struct Commodity {
   double amount = 0.0;
 };
 
-/// Anytime-solve budget. MWU is an anytime algorithm — every round carries
-/// an LP dual certificate — so a budgeted solve stops early and returns the
-/// best-congestion averaged iterate seen so far, together with the dual
-/// lower bound and a certified optimality gap.
+/// Anytime-solve budget. Every round of the restricted solve carries an LP
+/// dual certificate, so a budgeted solve stops early and returns the
+/// best-congestion iterate seen so far, together with the dual lower bound
+/// and a certified optimality gap.
 ///
 /// Determinism contract:
 ///  * max_rounds truncates the SAME trajectory an unbudgeted solve walks
-///    (the learning rate is still derived from options.rounds), so a
-///    round-budgeted solve is seed-exact deterministic and is a prefix of
-///    the full solve.
+///    (no step size or smoothing parameter is derived from
+///    options.rounds), so a round-budgeted solve is seed-exact
+///    deterministic and is a prefix of the full solve.
 ///  * target_gap overrides options.target_gap for the early-exit check —
 ///    also deterministic.
-///  * deadline_ms consults the wall clock every kDeadlineCheckRounds
-///    rounds; which checkpoint trips is machine-dependent, so
-///    deadline-stopped results are documented as non-deterministic and
-///    excluded from identity gates. The clock is never consulted when
+///  * deadline_ms reads the solve's clock (MwuHooks::clock; the wall clock
+///    when it is null) every kDeadlineCheckRounds rounds. With the wall
+///    clock, which checkpoint trips is machine-dependent, so such results
+///    are excluded from identity gates; an injected clock makes them
+///    exact, and a deadline that trips at round r returns bit for bit what
+///    max_rounds = r returns. The clock is never read when
 ///    deadline_ms == 0.
 /// With all three fields at 0 the solve is bit-identical to a build
 /// without this struct.
@@ -72,7 +77,7 @@ struct Commodity {
 /// stop.
 struct SolveBudget {
   int max_rounds = 0;        ///< 0 = no cap; else stop after this many rounds
-  double deadline_ms = 0.0;  ///< 0 = no deadline; wall-clock milliseconds
+  double deadline_ms = 0.0;  ///< 0 = no deadline; clock milliseconds
   double target_gap = 0.0;   ///< 0 = keep options.target_gap; else must be >= 1
   bool enabled() const {
     return max_rounds > 0 || deadline_ms > 0.0 || target_gap > 0.0;
@@ -98,28 +103,23 @@ const char* to_string(SolveStatus status);
 /// deadline is set).
 inline constexpr int kDeadlineCheckRounds = 16;
 
-/// Warm-start seed for an MWU solve: the adversary's final log-weights from
-/// a previous solve of a nearby instance, optionally damped by `scale`.
-///
-/// Contract (docs/warm-start.md):
-///  * Seeding only changes the solver's STARTING iterate. The returned
-///    congestion is still the exact congestion of the routing actually
-///    averaged, and the dual bound is still a valid lower bound on opt, so
-///    warm and cold results of the same instance cross-validate:
-///    lower_warm <= congestion_cold and lower_cold <= congestion_warm.
-///  * `log_x` must have one entry per edge of the solved graph and every
-///    entry must be finite and >= 0 (MWU log-weights only grow from 0).
-///    A size mismatch is ignored (the solve runs cold).
-///  * `scale` in [0, 1] damps the seed; 0 reproduces the cold solve
-///    bit-identically.
-struct MwuWarmStart {
-  std::span<const double> log_x;
-  double scale = 1.0;
+/// The time source of a deadline budget: milliseconds since any fixed
+/// origin (the solve only differences two readings). Time is passed in,
+/// never queried: a solve reads the clock its hooks name, so a test can
+/// trip a deadline at a chosen checkpoint.
+class SolveClock {
+ public:
+  virtual double now_ms() = 0;
+
+ protected:
+  ~SolveClock() = default;
 };
 
 struct MinCongestionOptions {
-  int rounds = 800;          ///< MWU iterations
+  int rounds = 200;          ///< Frank–Wolfe rounds (best responses)
   double target_gap = 1.02;  ///< stop early once upper/lower <= target_gap
+  /// The earliest round a cold solve may stop at the target gap; a seeded
+  /// solve (MwuHooks::warm) may stop from round 1.
   int min_rounds = 50;
   SolveBudget budget;        ///< anytime budget; default = disabled
   friend bool operator==(const MinCongestionOptions&,
@@ -131,23 +131,38 @@ struct MinCongestionOptions {
 /// without sharing a seed, a capture target or a sink between them.
 /// All-null (the default) is a plain cold solve.
 struct MwuHooks {
-  /// Optional warm-start seed (see MwuWarmStart). Null = cold solve; the
-  /// cold path is bit-identical to a build without this field.
-  const MwuWarmStart* warm = nullptr;
-  /// When non-null, the solver's final per-edge adversary log-weights are
-  /// assigned into this vector (capacity retained) just before returning —
-  /// the capture half of the warm-start cycle. Null = no capture; results
-  /// are unaffected either way.
-  std::vector<double>* capture_log_x = nullptr;
+  /// Optional warm seed (docs/warm-start.md): one row per commodity, in
+  /// commodity order, holding that commodity's weights over its candidates
+  /// (candidate indices, like CongestionResult::path_weights). A row whose
+  /// size is not the commodity's candidate count, or with a negative or
+  /// non-finite entry, or summing to 0, leaves that commodity unseeded; a
+  /// seed whose row count is not the commodity count is ignored. A seeded
+  /// row only gives the split: it is scaled to the commodity's amount
+  /// (weights times d_j / row sum, copies of one path added first), so the
+  /// previous epoch's weights seed a changed amount. Unseeded commodities
+  /// enter with their round-0 best response under the seeded flow's
+  /// lengths. A solve with at least one seeded commodity may take the
+  /// target exit from round 1 (options.min_rounds holds cold solves).
+  /// Seeding only changes the STARTING iterate: the returned
+  /// congestion is still exact for the returned weights and the dual bound
+  /// still a valid lower bound, so warm and cold results of one instance
+  /// cross-validate. Null = cold solve.
+  const std::vector<std::vector<double>>* warm = nullptr;
+  /// When non-null, assigned (capacity retained) the lengths of the last
+  /// round, one per edge: l_e = x_e / total / cap_e, so sum_e cap_e * l_e
+  /// is 1 up to rounding. Column generation prices under them. Untouched
+  /// when the solve has no commodity or no edge. Results are unaffected.
+  std::vector<double>* capture_lengths = nullptr;
   /// Opt-in per-round convergence telemetry (see obs/convergence.h): when
-  /// non-null, each round appends one ConvergenceRecord — congestion of
-  /// the averaged iterate, dual certificate, running lower bound,
-  /// certified gap, touched-edge count — after that round's load
-  /// aggregation. Observation only: a solve with a sink attached is
-  /// bit-identical to one without (the extra per-round congestion scan
-  /// reads solver state, never writes it). Null (default) = no recording
-  /// and no extra work.
+  /// non-null, each round appends one ConvergenceRecord — the current
+  /// iterate's congestion, the round's dual certificate, the running lower
+  /// bound, the certified gap and the best response's edge count. The
+  /// solver computes all of them anyway, so a solve with a sink attached is
+  /// bit-identical to one without and does no extra scan. Null (default) =
+  /// no recording.
   obs::ConvergenceSink* sink = nullptr;
+  /// The deadline budget's time source; null = std::chrono::steady_clock.
+  SolveClock* clock = nullptr;
 };
 
 struct CongestionResult {
@@ -190,7 +205,7 @@ void resize_keeping_buffers(std::vector<T>& v, std::size_t n,
   v.resize(n);
 }
 
-/// Reusable scratch for the restricted MWU solve below. Every vector a solve
+/// Reusable scratch for the restricted solve below. Every vector a solve
 /// needs lives here and is reset with clear()/assign() (capacity retained),
 /// so a warm scratch makes repeated solves allocation-free once its buffers
 /// have grown to the largest solve they serve — the steady-state serving
@@ -199,38 +214,37 @@ void resize_keeping_buffers(std::vector<T>& v, std::size_t n,
 /// scratch (pinned by tests/test_runtime.cpp).
 struct MinCongestionScratch {
   // Candidate side: the distinct candidates (spans into the solve's
-  // FlatCandidates), their lane blocks, per-round path sums and choice
-  // counts (see prepare_candidates in min_congestion.cpp).
+  // FlatCandidates), their lane blocks, per-round path sums, each
+  // commodity's chosen path and the footprint (see prepare_candidates in
+  // min_congestion.cpp).
   std::vector<std::span<const int>> distinct;
   std::vector<std::int64_t> commodity_first;  // prefix over `distinct`
   std::vector<std::int32_t> original_index;   // candidate index per path
+  std::vector<std::int32_t> distinct_of;      // distinct path per candidate
   std::vector<std::size_t> hop_first;         // counting-sort buckets
   std::vector<std::int32_t> by_hops;          // lane -> distinct path
   std::vector<int> lane_edges;                // transposed 8-path blocks
   std::vector<std::int64_t> block_first;      // prefix over lane_edges
   std::vector<double> path_len;               // this round's path sums
-  std::vector<int> counts;
-  std::vector<int> cand_edges;
+  std::vector<std::int32_t> chosen;           // best response per commodity
+  std::vector<double> chosen_len;
+  std::vector<int> cand_edges;                // the footprint, by edge id
   std::vector<char> in_cand;
-  std::vector<std::span<const int>> chosen_edges;
   // Weight rows a shrinking CongestionResult::path_weights handed back.
   std::vector<std::vector<double>> spare_weights;
-  // MWU state (the round loop of min_congestion_over_paths_into).
+  // Frank–Wolfe state (the round loop of min_congestion_over_paths_into),
+  // per edge unless noted.
   std::vector<double> cap;
-  std::vector<double> log_x;
-  std::vector<double> expv;
+  std::vector<double> load;      // the iterate's flow F
+  std::vector<double> response;  // the best response's flow B
+  std::vector<double> expv;      // softmax numerators x, footprint only
   std::vector<double> lengths;
-  std::vector<double> cumulative_load;
-  std::vector<double> round_load;
-  std::vector<double> chosen_len;
-  std::vector<int> touched;
-  // Anytime-budget best-iterate snapshot of the choice counts (only
-  // touched when a round cap / deadline budget is active).
-  std::vector<int> budget_counts;
-  std::vector<int> active;
-  std::vector<int> dirty;
-  std::vector<char> is_active;
-  std::vector<char> is_dirty;
+  std::vector<int> touched;      // edges B loads
+  std::vector<double> weight;    // per distinct path
+  std::vector<char> seeded;      // per commodity
+  // Anytime-budget best-iterate snapshot of `weight` (only touched when a
+  // round cap / deadline budget is active).
+  std::vector<double> budget_weight;
 
   /// Sizes the per-candidate buffers for solves of up to `paths` distinct
   /// candidates with `edges` edges in all, none longer than `max_hops`, so
@@ -253,18 +267,39 @@ CongestionResult min_congestion_over_paths(
 /// `candidates` must hold one commodity entry per commodity, in order;
 /// every commodity with amount > 0 needs >= 1 candidate. Produces results
 /// bit-identical to the vertex-sequence overload on the same candidates.
-/// Each round's cost is proportional to the candidate footprint, not to m:
-/// the normalizing total sum_e x_e is a segmented sum (the untouched edges'
-/// shared weight times their count, plus the touched edges' weights in four
-/// lanes), and the early-exit check scans only edges that ever carried load
-/// or a warm seed. Only the total's association differs from a serial sum
-/// over all m edges; every per-edge value is exact, and the returned
-/// congestion and dual bound remain exact certificates of the LP.
-/// The path sums run in one pass over all of the solve's distinct
+///
+/// The iteration (pinned bit for bit against a textbook loop over all m
+/// edges by tests/test_restricted_reference.cpp):
+///  * state: a weight per distinct candidate (each commodity's weights sum
+///    to d_j) and the flow F they induce. Round 0 routes every unseeded
+///    commodity whole on its best response under the seeded flow's lengths
+///    (lengths 1/(m * cap_e) when nothing is seeded).
+///  * every later round: U = max_e F_e / cap_e, beta = ln(m+2) / (eps * U),
+///    x_e = exp(beta * (F_e / cap_e - U)), lengths x_e / total / cap_e,
+///    the best response B under them, the dual sum_j d_j * min_len_j (its
+///    running max is the lower bound), the Frank–Wolfe gap
+///    G = sum_e len_e * (F_e - B_e), the curvature
+///    kappa = beta * sum_e (x_e / total) * ((B_e - F_e) / cap_e)^2, and the
+///    step sigma = min(1, G / kappa), 0 when G <= 0: F += sigma * (B - F),
+///    every weight scales by 1 - sigma and each chosen path gains
+///    sigma * d_j.
+///  * eps starts at 1 and halves whenever G <= 0.1 * eps * U, down to
+///    max(0.01, ln(m+2) / 700), which keeps every exp a positive normal
+///    double.
+///  * The target exit, the sink and the budgets read the congestion of the
+///    iterate each round leaves; a round or deadline budget rewinds to the
+///    weights of the best iterate. rounds_used counts the rounds run.
+/// Each round's cost is proportional to the candidate footprint (the edges
+/// of the distinct candidates), not to m: every other edge has F = 0 and
+/// shares one exp value, and the normalizing total is the segmented sum
+///     (m - |footprint|) * exp(-beta * U) + sum over the footprint,
+/// the latter serial in increasing edge id. Only that association differs
+/// from a serial sum over all m edges; every per-edge value is exact, and
+/// the returned congestion and dual bound remain exact certificates of the
+/// LP. The path sums run in one pass over all of the solve's distinct
 /// candidates, eight paths per block (sorted by hop count, short lanes
 /// padded with a +0.0-length edge); every sum is still a serial
-/// left-to-right chain from +0.0, so the lanes change no bit (pinned
-/// against a textbook loop by tests/test_restricted_reference.cpp).
+/// left-to-right chain from +0.0, so the lanes change no bit.
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,
@@ -306,8 +341,10 @@ struct ColumnGenerationScratch {
   FlatCandidates columns;  // every commodity's columns so far
   FlatCandidates next;     // the columns rebuilt with this round's new ones
   FlatCandidates priced;   // this round's priced paths
-  std::vector<double> lengths;
-  std::vector<double> log_x;  // the last master solve's log-weights
+  std::vector<double> lengths;  // the last master solve's final lengths
+  // The last master solve's weights, padded with 0 to the columns: the
+  // next solve's warm seed.
+  std::vector<std::vector<double>> weights;
   MinCongestionScratch mwu;
 };
 
@@ -316,15 +353,16 @@ struct ColumnGenerationScratch {
 ///  1. price under lengths 1/cap_e; each commodity's path is its first
 ///     column, and the bound is sum_j d_j * dist / m (the distance bound);
 ///  2. at most 16 iterations of: a restricted solve over the columns
-///     (`options` with rounds capped at 100, warm-seeded with the previous
-///     iteration's log-weights), lengths x_e / cap_e from the softmax x of
-///     its log-weights, a pricing round whose bound
+///     (`options` with rounds capped at 50, warm-seeded with the previous
+///     iteration's weights, its new columns at weight 0), a pricing round
+///     under that solve's final lengths whose bound
 ///     sum_j d_j * dist / sum_e cap_e * len_e replaces a lower one, and
 ///     each commodity's priced path appended when it is not yet a column.
-///     They stop early when no
-///     column is new or the solve's congestion is within the target gap
-///     (budget.target_gap, else options.target_gap) of the bound;
-///  3. a cold restricted solve over all columns with `options` unchanged.
+///     They stop early when no column is new or the solve's congestion is
+///     within the target gap (budget.target_gap, else options.target_gap)
+///     of the bound;
+///  3. a restricted solve over all columns with `options` unchanged,
+///     warm-seeded with the last iteration's weights.
 /// `out` is that final solve over the columns (its path_weights index the
 /// scratch's columns), except that lower_bound is the pricing bound, valid
 /// against every admissible routing, and optimality_gap certifies against

@@ -1,22 +1,24 @@
-// Solver convergence telemetry — the per-round trajectory of an MWU solve.
+// Solver convergence telemetry — the per-round trajectory of the
+// restricted solve.
 //
-// The paper's multiplicative-weights analysis bounds exactly the quantity
-// this records: the congestion of the averaged iterate closing on the dual
-// lower bound round by round. Both MWU solvers (restricted and free, see
-// lp/min_congestion.h) accept an opt-in ConvergenceSink through
-// MwuHooks::sink; when attached, each round appends one ConvergenceRecord
-// AFTER the round's load aggregation, before the early-exit checks.
-// SorEngine attaches one to the restricted solve only: a route records
-// one record per restricted round (up to max_records).
+// The restricted Frank–Wolfe solve (lp/min_congestion.h) is an anytime
+// algorithm: every round leaves an iterate with an exact congestion and
+// carries a dual lower bound, and this records the two closing on each
+// other round by round. The solve accepts an opt-in ConvergenceSink
+// through MwuHooks::sink; when attached, each round appends one
+// ConvergenceRecord after its step, before the early-exit checks.
+// SorEngine attaches one to the route's restricted solve only (never to
+// the optimum's master solves): a route records one record per round (up
+// to max_records).
 //
-// Contract (same discipline as the warm/capture pointers on MwuHooks):
-//  * sink == nullptr (the default) is free: the solvers never read the
-//    clock, never allocate, and produce bit-identical outputs to a build
-//    without the field.
+// Contract (same discipline as the other pointers on MwuHooks):
+//  * sink == nullptr (the default) is free: the solvers never allocate
+//    for it and produce bit-identical outputs to a build without the
+//    field.
 //  * A non-null sink OBSERVES only — it never feeds back into solver
 //    state, so results with and without a sink are bit-identical too
-//    (bench_m10's identity row pins this). Recording costs one extra
-//    O(m) congestion scan per round.
+//    (bench_m10's identity row pins this). Every recorded value is one
+//    the round computes anyway, so recording adds no scan.
 //  * Recording is allocation-bounded: the sink refuses records beyond
 //    max_records (counting the overflow) instead of growing without
 //    bound, and the backing vector's capacity is retained across reuse —
@@ -31,16 +33,16 @@
 
 namespace sor::obs {
 
-/// One MWU round, recorded after that round's loads were folded in.
+/// One round of the restricted solve, recorded after its step.
 struct ConvergenceRecord {
   int round = 0;           ///< 1-based round number
-  double congestion = 0.0; ///< max_e cumulative_load_e / (round * cap_e)
+  double congestion = 0.0; ///< the iterate's max_e F_e / cap_e after the step
   double dual = 0.0;       ///< this round's dual certificate value
   double best_lower = 0.0; ///< running max dual — the certified lower bound
   /// Certified suboptimality at this round: congestion / best_lower - 1
   /// (+inf while no positive dual bound has been collected).
   double gap = 0.0;
-  int touched_edges = 0;   ///< edges carrying nonzero load this round
+  int touched_edges = 0;   ///< edges the round's best response loads
 
   friend bool operator==(const ConvergenceRecord&,
                          const ConvergenceRecord&) = default;

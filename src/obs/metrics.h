@@ -71,7 +71,7 @@ class LatencyHistogram {
 /// bench harnesses that measure deltas.
 struct ServiceCounters {
   std::atomic<std::uint64_t> routes_served{0};    ///< route/route_into calls
-  std::atomic<std::uint64_t> mwu_rounds{0};       ///< restricted-MWU rounds paid
+  std::atomic<std::uint64_t> mwu_rounds{0};       ///< restricted-solve rounds paid
   std::atomic<std::uint64_t> batches{0};          ///< route_batch calls
   std::atomic<std::uint64_t> batch_demands{0};    ///< demands pulled across batches
   std::atomic<std::uint64_t> batch_failed{0};     ///< demands skipped (on_error)
@@ -80,7 +80,7 @@ struct ServiceCounters {
   std::atomic<std::uint64_t> capacity_edits{0};   ///< set_edge_capacity calls
   std::atomic<std::uint64_t> warm_hits{0};        ///< warm routes seeded by a capture
   std::atomic<std::uint64_t> warm_replays{0};     ///< bit-identical replays served
-  std::atomic<std::uint64_t> warm_rounds_saved{0};///< MWU rounds warm starts saved
+  std::atomic<std::uint64_t> warm_rounds_saved{0};///< restricted rounds warm starts saved
   std::atomic<std::uint64_t> scenario_epochs{0};  ///< scenario epochs served
   std::atomic<std::uint64_t> degraded_epochs{0};  ///< epochs served degraded
   std::atomic<std::uint64_t> scenario_reinstalls{0}; ///< epochs that reinstalled

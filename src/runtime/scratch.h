@@ -1,7 +1,7 @@
 // Engine-owned scratch for the steady-state serving loop.
 //
 // One EngineScratch aggregates every reusable working set a single
-// route_one_into call needs — the restricted-MWU route scratch, the
+// route_one_into call needs — the restricted route scratch, the
 // optimum's column-generation scratch, the distance-bound Dijkstra state,
 // and the packet staging list (one edge-id span per packet, pointing into
 // the route's integral candidates). All of it is capacity-retaining (see
@@ -40,7 +40,7 @@ namespace sor::runtime {
 
 /// Everything one route_one_into call scratches on, pre-warmed across calls.
 struct EngineScratch {
-  RouteScratch route;            ///< restricted MWU
+  RouteScratch route;            ///< restricted solve
   OptimumScratch optimum;        ///< offline optimum (column generation)
   DistanceBoundScratch distance; ///< distance-duality lower bound + CSR
   std::vector<std::span<const int>> packets;  ///< packet-simulation staging

@@ -3,7 +3,7 @@
 // BatchAggregator groups a stream of demands by their EXACT entry content
 // (pairs and values, compared bitwise): demands with identical entry lists
 // coalesce into one group carrying a multiplicity. Grouping is keyed on
-// the whole content — never on the support alone — because the MWU solver
+// the whole content — never on the support alone — because the restricted solver
 // is not scale-equivariant in the demand value, so coalescing different
 // values into a summed commodity would change results. With exact-content
 // groups, solving the representative ONCE reproduces every member's

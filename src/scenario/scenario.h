@@ -96,7 +96,7 @@ struct ScenarioSpec {
   /// demand", the closest match to the paper's install-before-reveal
   /// barrier.
   int install_horizon = 0;
-  /// Cap on MWU rounds per route (0 = library default).
+  /// Cap on restricted-solve rounds per route (0 = library default).
   int mwu_rounds = 0;
   /// Solve the per-epoch offline optimum for the competitive ratio
   /// (expensive; the bench turns it off).
@@ -113,9 +113,10 @@ struct ScenarioSpec {
   /// Anytime budget forwarded to every epoch route (RouteSpec::mwu.budget);
   /// disabled by default — epoch solves run to their round cap.
   SolveBudget budget;
-  /// Forwarded to every epoch route (RouteSpec::warm_start): carry MWU
-  /// log-weights / columns across epochs (docs/warm-start.md). Off keeps
-  /// the historical cold-per-epoch serving loop bit-identically.
+  /// Forwarded to every epoch route (RouteSpec::warm_start): carry each
+  /// pair's restricted flow and integral choices across epochs
+  /// (docs/warm-start.md). Off keeps the historical cold-per-epoch
+  /// serving loop bit-identically.
   bool warm_start = false;
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
@@ -226,7 +227,7 @@ struct EpochReport {
   /// Certified anytime gap of the epoch's route (RouteReport::
   /// optimality_gap); 0 when the solve ran to completion.
   double optimality_gap = 0.0;
-  /// MWU rounds the epoch's restricted solve actually ran
+  /// Rounds the epoch's restricted solve actually ran
   /// (RouteReport::solution.rounds_used; 0 for degraded epochs).
   int mwu_rounds = 0;
   /// Warm-start accounting (zeros unless ScenarioSpec::warm_start):

@@ -1,32 +1,6 @@
 #include "warm/warm_state.h"
 
-#include <algorithm>
-
 namespace sor::warm {
-
-double support_overlap_scale(std::span<const DemandEntry> prev,
-                             const Demand& cur) {
-  double prev_total = 0.0;
-  for (const DemandEntry& e : prev) prev_total += e.value;
-  double cur_total = 0.0;
-  double overlap = 0.0;
-  // Merged walk of the two (s, t)-sorted supports.
-  std::size_t i = 0;
-  for (const auto& [pair, value] : cur.entries()) {
-    cur_total += value;
-    while (i < prev.size() &&
-           std::make_pair(prev[i].s, prev[i].t) < pair) {
-      ++i;
-    }
-    if (i < prev.size() && prev[i].s == pair.first &&
-        prev[i].t == pair.second) {
-      overlap += std::min(prev[i].value, value);
-    }
-  }
-  const double denom = std::max(prev_total, cur_total);
-  if (!(denom > 0.0)) return 0.0;
-  return std::clamp(overlap / denom, 0.0, 1.0);
-}
 
 bool demand_matches(std::span<const DemandEntry> prev, const Demand& cur) {
   if (prev.size() != cur.entries().size()) return false;

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -307,19 +309,19 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
 }
 
 /// Checks the early-exit rule against a sink's trajectory: the solve must
-/// stop at exactly the first round >= min_rounds whose record has
-/// congestion <= best_lower * gap, or run all rounds when none does. The
-/// sink's congestion is its own max over all m edges, independent of the
-/// solver's stop scan. Returns whether the target was reached.
+/// stop at exactly the first round >= min_rounds (1 for a seeded solve)
+/// whose record has congestion <= best_lower * gap, or run all rounds when
+/// none does. Returns whether the target was reached.
 bool expect_stop_rule(const CongestionResult& r,
                       const std::vector<obs::ConvergenceRecord>& records,
-                      const MinCongestionOptions& options) {
+                      const MinCongestionOptions& options, bool seeded) {
   const double gap = options.budget.target_gap > 0.0
                          ? options.budget.target_gap
                          : options.target_gap;
+  const int min_rounds = seeded ? 1 : options.min_rounds;
   int first_met = 0;
   for (const obs::ConvergenceRecord& rec : records) {
-    if (rec.round >= options.min_rounds && rec.best_lower > 0.0 &&
+    if (rec.round >= min_rounds && rec.best_lower > 0.0 &&
         rec.congestion <= rec.best_lower * gap) {
       first_met = rec.round;
       break;
@@ -350,15 +352,17 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   expect_certificate(early);
   EXPECT_LE(early.congestion, early.lower_bound * 10.0 + 1e-9);
 
-  // The stop round across bars and min_rounds: cold, and warm-seeded on
-  // every edge (so the active set starts with edges no candidate uses,
-  // which keep zero load).
+  // The stop round across bars and min_rounds: cold, and warm-seeded with
+  // an uneven split over every commodity's candidates (edges no candidate
+  // uses keep zero load).
   const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
-  std::vector<double> seed(static_cast<std::size_t>(inst.g.num_edges()));
-  for (std::size_t e = 0; e < seed.size(); ++e) {
-    seed[e] = 0.2 + 0.1 * static_cast<double>(e % 3);
+  std::vector<std::vector<double>> warm;
+  for (std::size_t j = 0; j < inst.commodities.size(); ++j) {
+    warm.emplace_back();
+    for (std::size_t i = 0; i < flat.num_paths(j); ++i) {
+      warm.back().push_back(0.2 + 0.1 * static_cast<double>((i + j) % 3));
+    }
   }
-  const MwuWarmStart warm{seed, 1.0};
   MinCongestionScratch scratch;
   CongestionResult r;
   std::vector<obs::ConvergenceRecord> records;
@@ -382,9 +386,9 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
           EXPECT_TRUE(std::count(r.edge_load.begin(), r.edge_load.end(),
                                  0.0) > 0);
         }
-        if (expect_stop_rule(r, records, o)) {
+        if (expect_stop_rule(r, records, o, seeded)) {
           ++reached;
-          if (r.rounds_used > min_rounds) ++reached_late;
+          if (r.rounds_used > (seeded ? 1 : min_rounds)) ++reached_late;
         }
       }
     }
@@ -405,6 +409,56 @@ TEST(AnytimeSolve, DeadlineBudgetStopsAtACheckpoint) {
   // stop lands on the first checkpoint.
   EXPECT_LE(r.rounds_used, kDeadlineCheckRounds);
   expect_certificate(r);
+}
+
+/// Reads 0 at the solve's start and at every checkpoint before the
+/// `trip`-th, and past any deadline from then on.
+class CheckpointClock final : public SolveClock {
+ public:
+  explicit CheckpointClock(int trip) : trip_(trip) {}
+  double now_ms() override { return reads_++ < trip_ ? 0.0 : 1e9; }
+
+ private:
+  int trip_;
+  int reads_ = 0;
+};
+
+TEST(AnytimeSolve, InjectedClockDeadlineIsTheRoundBudgetPrefix) {
+  // Time is passed in: a deadline that trips at the k-th checkpoint stops
+  // after 16 * k rounds and returns, bit for bit, what a 16 * k round
+  // budget returns (both truncate one trajectory and rewind alike).
+  RestrictedInstance inst;
+  const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
+  MinCongestionScratch scratch;
+  for (const int k : {1, 3, 5}) {
+    SCOPED_TRACE(testing::Message() << "checkpoint " << k);
+    MinCongestionOptions timed;
+    timed.min_rounds = 1000;  // no target exit before the budgets
+    timed.budget.deadline_ms = 1.0;
+    CheckpointClock clock(k);
+    MwuHooks hooks;
+    hooks.clock = &clock;
+    CongestionResult by_clock;
+    min_congestion_over_paths_into(inst.g, inst.commodities, flat, timed,
+                                   hooks, scratch, by_clock);
+    EXPECT_EQ(by_clock.status, SolveStatus::kBudgetDeadline);
+    EXPECT_EQ(by_clock.rounds_used, kDeadlineCheckRounds * k);
+
+    MinCongestionOptions capped;
+    capped.min_rounds = 1000;
+    capped.budget.max_rounds = kDeadlineCheckRounds * k;
+    CongestionResult by_rounds;
+    min_congestion_over_paths_into(inst.g, inst.commodities, flat, capped,
+                                   {}, scratch, by_rounds);
+    EXPECT_EQ(by_rounds.status, SolveStatus::kBudgetRounds);
+    EXPECT_EQ(by_rounds.rounds_used, by_clock.rounds_used);
+    EXPECT_EQ(by_rounds.path_weights, by_clock.path_weights);
+    EXPECT_EQ(by_rounds.edge_load, by_clock.edge_load);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(by_rounds.congestion),
+              std::bit_cast<std::uint64_t>(by_clock.congestion));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(by_rounds.lower_bound),
+              std::bit_cast<std::uint64_t>(by_clock.lower_bound));
+  }
 }
 
 TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {

@@ -8,9 +8,11 @@
 //    a full sweep, and walks its parent edges back to the source;
 //  * the columns are one vector of edge-id paths per commodity, and each
 //    master solve gets a freshly built FlatCandidates;
-//  * the iteration bound, the master round cap, the warm seed at scale 1,
-//    the softmax lengths, the duality bound and both stop rules follow the
-//    documented contract (min_congestion_by_columns_into).
+//  * the iteration bound, the master round cap, the warm seed (the
+//    previous master's weights, 0 on new columns), the pricing lengths
+//    (the master's captured final lengths), the duality bound and both
+//    stop rules follow the documented contract
+//    (min_congestion_by_columns_into).
 // Upper and lower bound, status, rounds and every edge load must match to
 // the bit, through a scratch another demand has already shaped.
 //
@@ -18,7 +20,7 @@
 // simplex): each solver's dual lower bound and congestion must bracket
 // the optimum of the LP it approximates — the offline optimum, the h-hop
 // optimum at h = n (the same loop with the hop DP pricer, whose optimum is
-// then the offline one) and the restricted MWU solve. The optimum's lower
+// then the offline one) and the restricted solve. The optimum's lower
 // bound also never falls below the distance bound it starts from.
 #include <gtest/gtest.h>
 
@@ -30,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/sor_engine.h"
 #include "core/semi_oblivious.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -121,30 +124,22 @@ Reference reference_optimum(const Graph& g, const Demand& d,
   };
 
   MinCongestionOptions master = options;
-  master.rounds = std::min(options.rounds, 100);
+  master.rounds = std::min(options.rounds, 50);
   const double gap = options.budget.target_gap > 0.0
                          ? options.budget.target_gap
                          : options.target_gap;
-  std::vector<double> log_x;
+  std::vector<std::vector<double>> seed;
   for (int iteration = 0; iteration < 16; ++iteration) {
-    const MwuWarmStart seed{log_x, 1.0};
-    std::vector<double> captured;
     MwuHooks hooks;
     if (iteration > 0) hooks.warm = &seed;
-    hooks.capture_log_x = &captured;
+    hooks.capture_lengths = &lengths;
     MinCongestionScratch scratch;
     CongestionResult result;
     min_congestion_over_paths_into(g, cs, flat(), master, hooks, scratch,
                                    result);
-    log_x = captured;
-    const double max_log = *std::max_element(log_x.begin(), log_x.end());
-    double total = 0.0;
-    for (std::size_t e = 0; e < m; ++e) total += std::exp(log_x[e] - max_log);
     double denominator = 0.0;
     for (std::size_t e = 0; e < m; ++e) {
-      const double cap = g.edge(static_cast<int>(e)).capacity;
-      lengths[e] = std::exp(log_x[e] - max_log) / total / cap;
-      denominator += cap * lengths[e];
+      denominator += g.edge(static_cast<int>(e)).capacity * lengths[e];
     }
     const double numerator = reference_price(g, cs, lengths, priced);
     lower = std::max(lower, numerator / denominator);
@@ -156,9 +151,19 @@ Reference reference_optimum(const Graph& g, const Demand& d,
         added = true;
       }
     }
+    seed = result.path_weights;
+    for (std::size_t j = 0; j < cs.size(); ++j) {
+      seed[j].resize(columns[j].size(), 0.0);
+    }
     if (!added || result.congestion <= lower * gap) break;
   }
-  ref.final_solve = min_congestion_over_paths(g, cs, flat(), options);
+  {
+    MwuHooks hooks;
+    hooks.warm = &seed;
+    MinCongestionScratch scratch;
+    min_congestion_over_paths_into(g, cs, flat(), options, hooks, scratch,
+                                   ref.final_solve);
+  }
   ref.opt.lower = std::max(lower, d.size() / g.total_capacity());
   ref.opt.upper = std::max(ref.final_solve.congestion, ref.opt.lower);
   ref.opt.status = ref.final_solve.status;
@@ -365,6 +370,73 @@ TEST_P(CapacitatedSandwichSweep, EverySolverBracketsExactOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CapacitatedSandwichSweep,
                          ::testing::Range(0, 10));
+
+// The certificates through the engine at 1 and 4 threads: route_batch over
+// a capacitated multigraph with the optimum on. Every deterministic field
+// of every report must match across thread counts bit for bit, and both
+// the optimum's and the restricted route's certificates bracket their
+// exact LPs.
+class CertificateThreadSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(CertificateThreadSweep, BatchCertificatesMatchAcrossThreadsAndBracket) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 4099 + 7);
+  const int n = 8 + 2 * (GetParam() % 2);
+  const Graph g = random_multigraph(n, 0.4, rng);
+  std::vector<Demand> demands;
+  for (int i = 0; i < 4; ++i) demands.push_back(random_demand(n, 4, rng));
+  RouteSpec spec;
+  spec.compute_optimum = true;
+
+  std::vector<RouteReport> by_threads[2];
+  for (const int slot : {0, 1}) {
+    SorEngine engine = SorEngine::build(g, "shortest_path", 5,
+                                        slot == 0 ? 1 : 4);
+    engine.install_paths(SamplingSpec::for_demands(demands, 3));
+    by_threads[slot] = engine.route_batch(demands, spec).reports;
+  }
+  ASSERT_EQ(by_threads[0].size(), demands.size());
+  ASSERT_EQ(by_threads[1].size(), demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "demand " << i);
+    const RouteReport& a = by_threads[0][i];
+    const RouteReport& b = by_threads[1][i];
+    EXPECT_EQ(bits(a.congestion), bits(b.congestion));
+    EXPECT_EQ(bits(a.solution.lower_bound), bits(b.solution.lower_bound));
+    EXPECT_EQ(a.solution.rounds_used, b.solution.rounds_used);
+    EXPECT_EQ(a.solution.weights, b.solution.weights);
+    EXPECT_EQ(a.solution.edge_load, b.solution.edge_load);
+    ASSERT_TRUE(a.optimum.has_value());
+    ASSERT_TRUE(b.optimum.has_value());
+    EXPECT_EQ(bits(a.optimum->lower), bits(b.optimum->lower));
+    EXPECT_EQ(bits(a.optimum->upper), bits(b.optimum->upper));
+    EXPECT_EQ(bits(a.opt_lower_bound), bits(b.opt_lower_bound));
+    EXPECT_EQ(bits(a.competitive_ratio), bits(b.competitive_ratio));
+
+    const std::vector<Commodity> commodities = demands[i].commodities();
+    const double exact_opt = min_congestion_free_exact(g, commodities);
+    expect_le_rel(a.optimum->lower, exact_opt);
+    expect_le_rel(exact_opt, a.optimum->upper);
+    const CongestionResult exact_route = min_congestion_over_paths_exact(
+        g, a.solution.commodities, a.solution.candidates);
+    expect_le_rel(a.solution.lower_bound, exact_route.congestion);
+    expect_le_rel(exact_route.congestion, a.congestion);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CertificateThreadSweep, ::testing::Range(0, 6));
+
+// Hypercube bit-reversal, where the optimum's upper bound used to stay
+// loose (1.121 and 1.371 times the lower bound of 1 at d = 6 and d = 8)
+// while the restricted solve behind it converged like 1/sqrt(rounds).
+TEST(OptimumBracket, HypercubeBitReversalIsTight) {
+  for (const auto& [dim, bound] : {std::pair{6, 1.06}, std::pair{8, 1.20}}) {
+    SCOPED_TRACE(testing::Message() << "d " << dim);
+    const OptimalCongestion opt = optimal_congestion(
+        gen::hypercube(dim), gen::bit_reversal_demand(dim));
+    EXPECT_GT(opt.lower, 0.0);
+    EXPECT_LE(opt.upper / opt.lower, bound);
+  }
+}
 
 }  // namespace
 }  // namespace sor

@@ -1,21 +1,21 @@
-// Pins the restricted MWU solver (min_congestion_over_paths_into) bit for
-// bit to a self-contained reference loop written the textbook way:
-//  * every edge's exp(log_x - max_log) is recomputed each round, and
-//    max_log is a fresh max over all edges;
-//  * the normalizing total is the documented segmented sum: the untouched
-//    edges' count times their shared value, plus the active edges' values
-//    in four lanes over activation order (the tail folds into lane 0);
-//  * lengths are (x / total) / cap;
+// Pins the restricted Frank–Wolfe solver (min_congestion_over_paths_into)
+// bit for bit to a self-contained reference loop written the textbook way:
+//  * the flow, the best response's flow, the softmax, the lengths, the
+//    Frank–Wolfe gap, the curvature, the step and the congestion all run
+//    over all m edges, in edge order;
+//  * the normalizing total is the documented segmented sum: the count of
+//    edges on no candidate times their shared value exp(-beta * U), plus a
+//    serial sum over the other edges in increasing edge id;
 //  * each first-occurrence-deduplicated candidate is summed left to right
 //    from +0.0 and the argmin is strict `<` in candidate order;
-//  * round loads, cumulative loads, the width and the log_x step run over
-//    all m edges, and newly loaded edges join the active list in
-//    first-touch order;
-//  * eta, the width normalizer, the early exit, the round budget's
-//    best-iterate rewind and the returned weights and loads follow the
+//  * a warm seed row is folded onto first occurrences and scaled to the
+//    amount, unseeded commodities enter on their round-0 best response
+//    and a seeded solve may exit from round 1; eps, the step, the early
+//    exit, the round budget's best-iterate rewind, a deadline on an
+//    injected clock and the returned weights and loads follow the
 //    solver's documented contract.
-// Weights, edge loads, congestion, lower bound, rounds and status must
-// match to the bit on seeded random instances.
+// Weights, edge loads, congestion, lower bound, rounds, status and the
+// captured lengths must match to the bit on seeded random instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,59 +97,103 @@ double certified_gap(double congestion, double lower_bound) {
   return std::max(0.0, congestion / lower_bound - 1.0);
 }
 
-CongestionResult reference_solve(const Instance& inst,
-                                 const MinCongestionOptions& options,
-                                 const MwuWarmStart* warm) {
+struct Reference {
+  CongestionResult result;
+  std::vector<double> lengths;  // the last round's, one per edge
+};
+
+// A clock that reads 0 until its `trip`-th reading after the first, then
+// reads past any deadline: the first reading is the solve's start.
+class TripClock final : public SolveClock {
+ public:
+  explicit TripClock(int trip) : trip_(trip) {}
+  double now_ms() override { return reads_++ < trip_ ? 0.0 : 1e9; }
+
+ private:
+  int trip_;
+  int reads_ = 0;
+};
+
+Reference reference_solve(const Instance& inst,
+                          const MinCongestionOptions& options,
+                          const std::vector<std::vector<double>>* warm,
+                          SolveClock* clock) {
   const Graph& g = inst.g;
   const auto& commodities = inst.commodities;
   const FlatCandidates& cands = inst.candidates;
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
-  CongestionResult out;
+  Reference ref;
+  CongestionResult& out = ref.result;
   out.path_weights.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     out.path_weights[j].assign(cands.num_paths(j), 0.0);
   }
   out.edge_load.assign(m, 0.0);
-  if (k == 0 || m == 0) return out;
+  if (k == 0 || m == 0) return ref;
   std::vector<double> cap(m);
   for (std::size_t e = 0; e < m; ++e) {
     cap[e] = g.edge(static_cast<int>(e)).capacity;
   }
 
   // First occurrences only: a repeated candidate always ties its first
-  // copy, so the strict argmin never picks it.
+  // copy, so the strict argmin never picks it. first_of[j][i] is the
+  // first occurrence of candidate i.
   std::vector<std::vector<std::size_t>> distinct(k);
+  std::vector<std::vector<std::size_t>> first_of(k);
+  std::vector<char> on_candidate(m, 0);
   for (std::size_t j = 0; j < k; ++j) {
     for (std::size_t i = 0; i < cands.num_paths(j); ++i) {
       const auto edges = cands.edges(j, i);
-      bool repeat = false;
+      std::size_t first = i;
       for (std::size_t d : distinct[j]) {
         const auto other = cands.edges(j, d);
-        repeat = repeat || std::equal(edges.begin(), edges.end(),
-                                      other.begin(), other.end());
+        if (first == i && std::equal(edges.begin(), edges.end(),
+                                     other.begin(), other.end())) {
+          first = d;
+        }
       }
-      if (!repeat) distinct[j].push_back(i);
-    }
-  }
-
-  std::vector<double> log_x(m, 0.0);
-  std::vector<int> active;
-  std::vector<char> is_active(m, 0);
-  if (warm != nullptr && warm->scale > 0.0 && warm->log_x.size() == m) {
-    for (std::size_t e = 0; e < m; ++e) {
-      const double seeded = warm->log_x[e] * warm->scale;
-      if (seeded > 0.0 && std::isfinite(seeded)) {
-        log_x[e] = seeded;
-        is_active[e] = 1;
-        active.push_back(static_cast<int>(e));
+      first_of[j].push_back(first);
+      if (first == i) distinct[j].push_back(i);
+      if (commodities[j].amount > 0.0) {
+        for (int e : edges) on_candidate[static_cast<std::size_t>(e)] = 1;
       }
     }
   }
+  const double others = static_cast<double>(
+      std::count(on_candidate.begin(), on_candidate.end(), 0));
 
-  const double eta =
-      std::sqrt(std::log(static_cast<double>(m) + 2.0) /
-                static_cast<double>(std::max(options.rounds, 1)));
+  // Weights over candidate indices (copies stay 0) and the flow.
+  std::vector<std::vector<double>> w(k);
+  std::vector<char> seeded(k, 0);
+  std::vector<double> flow(m, 0.0);
+  for (std::size_t j = 0; j < k; ++j) w[j].assign(cands.num_paths(j), 0.0);
+  if (warm != nullptr && warm->size() == k) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::vector<double>& row = (*warm)[j];
+      if (commodities[j].amount <= 0.0 || row.size() != cands.num_paths(j)) {
+        continue;
+      }
+      double sum = 0.0;
+      bool usable = true;
+      for (double v : row) {
+        usable = usable && std::isfinite(v) && v >= 0.0;
+        sum += v;
+      }
+      if (!usable || !(sum > 0.0) || !std::isfinite(sum)) continue;
+      for (std::size_t i = 0; i < row.size(); ++i) w[j][first_of[j][i]] += row[i];
+      for (std::size_t i : distinct[j]) {
+        w[j][i] *= commodities[j].amount / sum;
+        for (int e : cands.edges(j, i)) {
+          flow[static_cast<std::size_t>(e)] += w[j][i];
+        }
+      }
+      seeded[j] = 1;
+    }
+  }
+
+  const double log_m = std::log(static_cast<double>(m) + 2.0);
+  const double eps_floor = std::max(0.01, log_m / 700.0);
   const SolveBudget& budget = options.budget;
   const int round_cap =
       (budget.max_rounds > 0 && budget.max_rounds < options.rounds)
@@ -157,50 +201,46 @@ CongestionResult reference_solve(const Instance& inst,
           : options.rounds;
   const double gap_mult =
       budget.target_gap > 0.0 ? budget.target_gap : options.target_gap;
-  const bool track_best = budget.max_rounds > 0;
+  const bool track_best = budget.max_rounds > 0 || budget.deadline_ms > 0.0;
+  const double start = budget.deadline_ms > 0.0 ? clock->now_ms() : 0.0;
 
-  std::vector<std::vector<int>> counts(k);
-  for (std::size_t j = 0; j < k; ++j) counts[j].assign(cands.num_paths(j), 0);
-  std::vector<std::vector<int>> best_counts = counts;
-  std::vector<double> cumulative(m, 0.0);
-  double width_norm = 0.0;
-  double best_lower = 0.0;
-  double best_seen = std::numeric_limits<double>::infinity();
-  int best_round = 0;
-  bool target_hit = false;
-
-  const auto max_ratio = [&](int rounds) {
+  const auto max_ratio = [&] {
     double worst = 0.0;
     for (std::size_t e = 0; e < m; ++e) {
-      worst = std::max(worst,
-                       cumulative[e] / (static_cast<double>(rounds) * cap[e]));
+      worst = std::max(worst, flow[e] / cap[e]);
     }
     return worst;
   };
+  double eps = 1.0;
+  double u = max_ratio();
+  double best_lower = 0.0;
+  double best_seen = std::numeric_limits<double>::infinity();
+  int best_round = 0;
+  std::vector<std::vector<double>> best_w = w;
+  bool target_hit = false;
+  bool deadline_hit = false;
+  std::vector<double> x(m, 0.0);
+  std::vector<double> length(m, 0.0);
 
   int round = 0;
-  for (round = 0; round < round_cap; ++round) {
-    double max_log = 0.0;
-    for (std::size_t e = 0; e < m; ++e) max_log = std::max(max_log, log_x[e]);
-    std::vector<double> x(m);
-    for (std::size_t e = 0; e < m; ++e) x[e] = std::exp(log_x[e] - max_log);
-    double lane[4] = {0.0, 0.0, 0.0, 0.0};
-    const std::size_t full = active.size() - active.size() % 4;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      lane[a < full ? a % 4 : 0] += x[static_cast<std::size_t>(active[a])];
+  while (round < round_cap) {
+    const double beta = u > 0.0 ? log_m / (eps * u) : 0.0;
+    const double shared = std::exp(-beta * u);
+    double on_sum = 0.0;
+    for (std::size_t e = 0; e < m; ++e) {
+      x[e] = on_candidate[e] ? std::exp(beta * (flow[e] / cap[e] - u))
+                             : shared;
+      if (on_candidate[e]) on_sum += x[e];
     }
-    const double total =
-        static_cast<double>(m - active.size()) * std::exp(0.0 - max_log) +
-        ((lane[0] + lane[1]) + (lane[2] + lane[3]));
-    std::vector<double> length(m);
-    for (std::size_t e = 0; e < m; ++e) length[e] = (x[e] / total) / cap[e];
+    const double total = others * shared + on_sum;
+    for (std::size_t e = 0; e < m; ++e) length[e] = x[e] / total / cap[e];
 
     // Best response per commodity and the round's dual certificate.
     std::vector<int> chosen(k, -1);
     double dual = 0.0;
     for (std::size_t j = 0; j < k; ++j) {
       double chosen_len = 0.0;
-      if (commodities[j].amount > 0.0 && !distinct[j].empty()) {
+      if (commodities[j].amount > 0.0) {
         double best = std::numeric_limits<double>::infinity();
         std::size_t best_i = distinct[j].front();
         for (std::size_t i : distinct[j]) {
@@ -215,53 +255,66 @@ CongestionResult reference_solve(const Instance& inst,
         }
         chosen[j] = static_cast<int>(best_i);
         chosen_len = best;
-        ++counts[j][best_i];
       }
       dual += commodities[j].amount * chosen_len;
     }
     best_lower = std::max(best_lower, dual);
-
-    std::vector<double> round_load(m, 0.0);
-    std::vector<int> first_touch;
+    std::vector<double> response(m, 0.0);
     for (std::size_t j = 0; j < k; ++j) {
       if (chosen[j] < 0) continue;
       for (int e : cands.edges(j, static_cast<std::size_t>(chosen[j]))) {
-        if (round_load[static_cast<std::size_t>(e)] == 0.0) {
-          first_touch.push_back(e);
-        }
-        round_load[static_cast<std::size_t>(e)] += commodities[j].amount;
-      }
-    }
-    double width = 0.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      cumulative[e] += round_load[e];
-      width = std::max(width, round_load[e] / cap[e]);
-    }
-    width_norm = std::max(width_norm, width);
-    if (width_norm > 0.0) {
-      for (std::size_t e = 0; e < m; ++e) {
-        log_x[e] += eta * (round_load[e] / cap[e]) / width_norm;
-      }
-      for (int e : first_touch) {
-        if (!is_active[static_cast<std::size_t>(e)]) {
-          is_active[static_cast<std::size_t>(e)] = 1;
-          active.push_back(e);
-        }
+        response[static_cast<std::size_t>(e)] += commodities[j].amount;
       }
     }
 
-    if (track_best) {
-      const double cur = max_ratio(round + 1);
-      if (cur < best_seen) {
-        best_seen = cur;
-        best_round = round + 1;
-        best_counts = counts;
+    if (round == 0) {
+      for (std::size_t j = 0; j < k; ++j) {
+        if (chosen[j] < 0 || seeded[j]) continue;
+        w[j][static_cast<std::size_t>(chosen[j])] += commodities[j].amount;
+        for (int e : cands.edges(j, static_cast<std::size_t>(chosen[j]))) {
+          flow[static_cast<std::size_t>(e)] += commodities[j].amount;
+        }
+      }
+    } else {
+      double fw_gap = 0.0;
+      double curvature = 0.0;
+      for (std::size_t e = 0; e < m; ++e) {
+        fw_gap += length[e] * (flow[e] - response[e]);
+        const double q = (response[e] - flow[e]) / cap[e];
+        curvature += x[e] / total * (q * q);
+      }
+      const double sigma =
+          fw_gap > 0.0 ? std::min(1.0, fw_gap / (beta * curvature)) : 0.0;
+      if (fw_gap <= 0.1 * eps * u) eps = std::max(eps * 0.5, eps_floor);
+      for (std::size_t e = 0; e < m; ++e) {
+        flow[e] += sigma * (response[e] - flow[e]);
+      }
+      for (std::size_t j = 0; j < k; ++j) {
+        for (double& v : w[j]) v *= 1.0 - sigma;
+        if (chosen[j] >= 0) {
+          w[j][static_cast<std::size_t>(chosen[j])] +=
+              sigma * commodities[j].amount;
+        }
       }
     }
-    if (round + 1 >= options.min_rounds && best_lower > 0.0 &&
-        max_ratio(round + 1) <= best_lower * gap_mult) {
-      ++round;
+    u = max_ratio();
+    ++round;
+    ref.lengths = length;
+
+    if (track_best && u < best_seen) {
+      best_seen = u;
+      best_round = round;
+      best_w = w;
+    }
+    const bool any_seeded = std::count(seeded.begin(), seeded.end(), 1) > 0;
+    if (round >= (any_seeded ? 1 : options.min_rounds) && best_lower > 0.0 &&
+        u <= best_lower * gap_mult) {
       target_hit = true;
+      break;
+    }
+    if (budget.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
+        clock->now_ms() - start >= budget.deadline_ms) {
+      deadline_hit = true;
       break;
     }
   }
@@ -269,30 +322,24 @@ CongestionResult reference_solve(const Instance& inst,
   SolveStatus status = SolveStatus::kCompleted;
   if (target_hit) {
     status = SolveStatus::kTargetReached;
-  } else if (round_cap < options.rounds && round >= round_cap) {
+  } else if (deadline_hit) {
+    status = SolveStatus::kBudgetDeadline;
+  } else if (round_cap < options.rounds) {
     status = SolveStatus::kBudgetRounds;
   }
-  if (status == SolveStatus::kBudgetRounds && best_round > 0 &&
-      best_round < round) {
-    round = best_round;
-    counts = best_counts;
+  if ((status == SolveStatus::kBudgetRounds ||
+       status == SolveStatus::kBudgetDeadline) &&
+      best_round > 0 && best_round < round) {
+    w = best_w;
   }
 
-  const int total_rounds = std::max(round, 1);
-  for (std::size_t j = 0; j < k; ++j) {
-    if (commodities[j].amount <= 0.0) continue;
-    for (std::size_t i : distinct[j]) {
-      out.path_weights[j][i] = commodities[j].amount *
-                               static_cast<double>(counts[j][i]) /
-                               static_cast<double>(total_rounds);
-    }
-  }
+  out.path_weights = w;
   for (std::size_t j = 0; j < k; ++j) {
     for (std::size_t i = 0; i < cands.num_paths(j); ++i) {
-      const double w = out.path_weights[j][i];
-      if (w <= 0.0) continue;
+      const double v = out.path_weights[j][i];
+      if (v <= 0.0) continue;
       for (int e : cands.edges(j, i)) {
-        out.edge_load[static_cast<std::size_t>(e)] += w;
+        out.edge_load[static_cast<std::size_t>(e)] += v;
       }
     }
   }
@@ -303,7 +350,7 @@ CongestionResult reference_solve(const Instance& inst,
   out.rounds_used = round;
   out.status = status;
   out.optimality_gap = certified_gap(out.congestion, out.lower_bound);
-  return out;
+  return ref;
 }
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
@@ -329,12 +376,19 @@ void expect_bitwise_equal(const CongestionResult& solver,
   }
 }
 
+void expect_lengths_equal(const std::vector<double>& solver,
+                          const std::vector<double>& ref) {
+  ASSERT_EQ(solver.size(), ref.size());
+  for (std::size_t e = 0; e < ref.size(); ++e) {
+    EXPECT_EQ(bits(solver[e]), bits(ref[e])) << "length of edge " << e;
+  }
+}
+
 class RestrictedReferenceSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RestrictedReferenceSweep, SolverMatchesReferenceBitForBit) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const Instance inst = random_instance(seed);
-  const std::size_t m = static_cast<std::size_t>(inst.g.num_edges());
 
   // One scratch serves every solve below, after a different instance has
   // already shaped it, so leftover state from earlier solves must not leak.
@@ -351,30 +405,53 @@ TEST_P(RestrictedReferenceSweep, SolverMatchesReferenceBitForBit) {
   early.target_gap = 1.25;
   MinCongestionOptions capped = cold;
   capped.budget.max_rounds = 41;
+  MinCongestionOptions deadline = cold;
+  deadline.budget.deadline_ms = 5.0;
 
-  std::vector<double> seed_log_x(m, 0.0);
+  // A seed over every candidate: random splits, some rows all zero or of
+  // the wrong length (those commodities enter cold), copies seeded too.
   Rng rng(seed + 77);
-  for (double& v : seed_log_x) {
-    if (rng.bernoulli(0.4)) v = rng.uniform_double(0.0, 3.0);
+  std::vector<std::vector<double>> seed_weights;
+  for (std::size_t j = 0; j < inst.commodities.size(); ++j) {
+    std::vector<double> row(inst.candidates.num_paths(j), 0.0);
+    if (rng.bernoulli(0.15)) row.push_back(1.0);
+    if (!rng.bernoulli(0.2)) {
+      for (double& v : row) {
+        if (rng.bernoulli(0.6)) v = rng.uniform_double(0.0, 3.0);
+      }
+    }
+    seed_weights.push_back(std::move(row));
   }
-  const MwuWarmStart warm{seed_log_x, 0.7};
 
   struct Case {
     const char* name;
     const MinCongestionOptions* options;
-    const MwuWarmStart* warm;
+    const std::vector<std::vector<double>>* warm;
+    int trip;  // the deadline clock's tripping checkpoint, 0 = no clock
   };
-  for (const Case& c : {Case{"cold", &cold, nullptr},
-                        Case{"early exit", &early, nullptr},
-                        Case{"round budget", &capped, nullptr},
-                        Case{"warm seed", &cold, &warm},
-                        Case{"warm seed, round budget", &capped, &warm}}) {
+  for (const Case& c : {Case{"cold", &cold, nullptr, 0},
+                        Case{"early exit", &early, nullptr, 0},
+                        Case{"round budget", &capped, nullptr, 0},
+                        Case{"deadline, second checkpoint", &deadline,
+                             nullptr, 2},
+                        Case{"warm seed", &cold, &seed_weights, 0},
+                        Case{"warm seed, early exit", &early, &seed_weights, 0},
+                        Case{"warm seed, round budget", &capped,
+                             &seed_weights, 0}}) {
     SCOPED_TRACE(c.name);
+    TripClock solver_clock(c.trip);
+    TripClock reference_clock(c.trip);
+    std::vector<double> lengths;
     MwuHooks hooks;
     hooks.warm = c.warm;
+    hooks.capture_lengths = &lengths;
+    if (c.trip > 0) hooks.clock = &solver_clock;
     min_congestion_over_paths_into(inst.g, inst.commodities, inst.candidates,
                                    *c.options, hooks, scratch, out);
-    expect_bitwise_equal(out, reference_solve(inst, *c.options, c.warm));
+    const Reference ref = reference_solve(inst, *c.options, c.warm,
+                                          &reference_clock);
+    expect_bitwise_equal(out, ref.result);
+    expect_lengths_equal(lengths, ref.lengths);
   }
 }
 

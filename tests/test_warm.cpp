@@ -117,10 +117,9 @@ TEST(WarmStart, FirstWarmRouteIsColdEquivalentAndCaptures) {
   EXPECT_TRUE(a.warm_state()->valid);
   EXPECT_EQ(a.warm_state()->cold_rounds, cold.solution.rounds_used);
   // A fractional-only capture still records one (empty) choice list per
-  // commodity.
+  // commodity, and every commodity's weights: the route's own.
   EXPECT_EQ(a.warm_state()->choices.size(), d.entries().size());
-  EXPECT_EQ(a.warm_state()->restricted_log_x.size(),
-            static_cast<std::size_t>(a.graph().num_edges()));
+  EXPECT_EQ(a.warm_state()->weights, cold.solution.weights);
 }
 
 TEST(WarmStart, IdenticalInstanceReplaysBitIdentically) {
@@ -172,7 +171,6 @@ TEST(WarmStart, SpecChangeDisablesReplayButStillSeeds) {
     const RouteReport second = engine.route(d, changed);
     EXPECT_FALSE(second.warm.replayed);
     EXPECT_TRUE(second.warm.hit);
-    EXPECT_DOUBLE_EQ(second.warm.scale, 1.0);
   }
 }
 
@@ -193,8 +191,13 @@ TEST(WarmStart, SeededSolveUnderChurnHasCrossValidCertificates) {
 
   EXPECT_TRUE(warm.warm.hit);
   EXPECT_FALSE(warm.warm.replayed);
-  EXPECT_GT(warm.warm.scale, 0.0);
-  EXPECT_LE(warm.warm.scale, 1.0);
+  // The seed scales every pair's captured split to its new amount.
+  for (std::size_t j = 0; j < warm.solution.weights.size(); ++j) {
+    double sum = 0.0;
+    for (double w : warm.solution.weights[j]) sum += w;
+    EXPECT_NEAR(sum, warm.solution.commodities[j].amount,
+                1e-9 * warm.solution.commodities[j].amount);
+  }
 
   // Both runs are exact certificates of the SAME restricted LP: each
   // congestion is the exact congestion of its returned weights, and each
@@ -251,7 +254,7 @@ TEST(WarmStart, RebuildBackendInvalidatesCapture) {
   EXPECT_TRUE(engine.warm_state()->valid);
 }
 
-TEST(WarmStart, CapacityEditDisablesReplayKeepsRescaledSeed) {
+TEST(WarmStart, CapacityEditDisablesReplayKeepsFlowSeed) {
   const Demand d = breathing_demand(1.0);
   SorEngine engine = make_engine();
   engine.install_paths(SamplingSpec::for_demand(d, 3));
@@ -262,7 +265,7 @@ TEST(WarmStart, CapacityEditDisablesReplayKeepsRescaledSeed) {
   engine.set_edge_capacity(0, 2.0 * engine.graph().edge(0).capacity);
   const RouteReport warm = engine.route(d, spec);
   EXPECT_FALSE(warm.warm.replayed);  // stored report is stale
-  EXPECT_TRUE(warm.warm.hit);        // edge-level seed survives, rescaled
+  EXPECT_TRUE(warm.warm.hit);        // a flow stays a flow: the seed stays
 
   SorEngine cold_engine = make_engine();
   cold_engine.install_paths(SamplingSpec::for_demand(d, 3));
@@ -273,7 +276,7 @@ TEST(WarmStart, CapacityEditDisablesReplayKeepsRescaledSeed) {
   EXPECT_LE(cold.solution.lower_bound, warm.congestion * (1.0 + tol));
 }
 
-TEST(WarmStart, ReinstallEmptiesPoolButEdgeSeedSurvives) {
+TEST(WarmStart, ReinstallClearsPerPairSeedsSoNextRouteIsAMiss) {
   const Demand d = breathing_demand(1.0);
   SorEngine engine = make_engine();
   engine.install_paths(SamplingSpec::for_demand(d, 3));
@@ -281,17 +284,23 @@ TEST(WarmStart, ReinstallEmptiesPoolButEdgeSeedSurvives) {
   spec.warm_start = true;
   engine.route(d, spec);
   ASSERT_FALSE(engine.warm_state()->choices.empty());
+  ASSERT_FALSE(engine.warm_state()->weights.empty());
 
-  // Full reinstall: every pair is resampled, so the captured choices no
-  // longer index the installed candidates and go — but the edge-level
-  // log-weight seed is path-churn-insensitive.
+  // Full reinstall: every pair is resampled, so the captured weights and
+  // choices no longer index the installed candidates and both go.
   engine.install_paths(SamplingSpec::for_demand(d, 3));
   EXPECT_TRUE(engine.warm_state()->choices.empty());
+  EXPECT_TRUE(engine.warm_state()->weights.empty());
   EXPECT_TRUE(engine.warm_state()->valid);
 
+  // The next warm route solves cold, becomes the new cold reference and
+  // captures again.
   const RouteReport warm = engine.route(d, spec);
   EXPECT_FALSE(warm.warm.replayed);  // the reinstall dropped the snapshot
-  EXPECT_TRUE(warm.warm.hit);
+  EXPECT_FALSE(warm.warm.hit);
+  EXPECT_EQ(warm.warm.rounds_saved, 0);
+  EXPECT_EQ(engine.warm_state()->cold_rounds, warm.solution.rounds_used);
+  EXPECT_EQ(engine.warm_state()->weights, warm.solution.weights);
 }
 
 TEST(WarmStart, RoundingSeededFromPreviousIntegralSolution) {
@@ -342,13 +351,14 @@ std::vector<std::vector<int>> expected_seed(const Demand& d,
 
 /// Routes `d` warm with rounding, then replays its rounding from a copy of
 /// the engine stream taken before the route, seeded with `seed`: the
-/// integral choices must match.
+/// integral choices must match. A null `seed` is a miss (a reinstall
+/// cleared the per-pair captures), any other a hit.
 void expect_rounding_seeded_with(SorEngine& engine, const Demand& d,
                                  const RouteSpec& spec,
                                  const std::vector<std::vector<int>>* seed) {
   Rng stream = engine.rng();  // rounding is the route's first draw
   const RouteReport r = engine.route(d, spec);
-  ASSERT_TRUE(r.warm.hit);
+  ASSERT_EQ(r.warm.hit, seed != nullptr);
   ASSERT_TRUE(r.integral.has_value());
   IntegralSolution replay = round_randomized(engine.graph(), r.solution,
                                              stream, spec.rounding_trials,
@@ -423,33 +433,6 @@ TEST(WarmStart, RouteBatchRejectsWarmStart) {
   spec.warm_start = true;
   const std::vector<Demand> demands{d, d};
   EXPECT_THROW(engine.route_batch(demands, spec), std::invalid_argument);
-}
-
-TEST(WarmStart, SupportOverlapScaleIsTheDocumentedFormula) {
-  Demand prev_demand;
-  prev_demand.set(0, 1, 2.0);
-  prev_demand.set(2, 3, 2.0);
-  std::vector<DemandEntry> prev;
-  prev_demand.entries_into(prev);
-
-  Demand same;
-  same.set(0, 1, 2.0);
-  same.set(2, 3, 2.0);
-  EXPECT_DOUBLE_EQ(warm::support_overlap_scale(prev, same), 1.0);
-
-  Demand half;
-  half.set(0, 1, 1.0);
-  half.set(2, 3, 1.0);
-  EXPECT_DOUBLE_EQ(warm::support_overlap_scale(prev, half), 0.5);
-
-  Demand disjoint;
-  disjoint.set(4, 5, 2.0);
-  disjoint.set(6, 7, 2.0);
-  EXPECT_DOUBLE_EQ(warm::support_overlap_scale(prev, disjoint), 0.0);
-
-  const Demand empty;
-  EXPECT_DOUBLE_EQ(warm::support_overlap_scale(prev, empty), 0.0);
-  EXPECT_DOUBLE_EQ(warm::support_overlap_scale({}, same), 0.0);
 }
 
 // ---- scenario + io plumbing -------------------------------------------

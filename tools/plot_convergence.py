@@ -2,7 +2,7 @@
 """Render a solver convergence CSV as a per-round terminal table.
 
 Input is the CSV `sor_cli --convergence-out FILE` (or
-`obs::write_convergence_csv`) emits — one row per MWU round with the
+`obs::write_convergence_csv`) emits — one row per solver round with the
 schema declared in src/obs/convergence.h:
 
     round,congestion,dual,best_lower,gap,touched_edges
@@ -30,7 +30,7 @@ FIELDS = ("round", "congestion", "dual", "best_lower", "gap",
 BAR_WIDTH = 28
 
 # Log-scale bar bounds: gaps above GAP_HI fill the bar, below GAP_LO
-# empty it. Chosen to make typical MWU decay (1e0 -> 1e-3) visible.
+# empty it. Chosen to make typical solver decay (1e0 -> 1e-3) visible.
 GAP_HI = 10.0
 GAP_LO = 1e-4
 
