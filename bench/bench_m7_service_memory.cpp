@@ -11,10 +11,11 @@
 //                      arenas + buffer-reusing route_into make this
 //                      EXACTLY 0 — identical = yes iff it is 0, and the
 //                      CI gate (bench_gate.py --mem-zero) fails on
-//                      anything else. Emitted for the stable-support
-//                      instance only; a reinstall-per-epoch service
-//                      legitimately allocates while path sets change
-//                      shape.
+//                      anything else. Emitted for the two stable-support
+//                      instances (the second also runs the certificate
+//                      and applies link events); a reinstall-per-epoch
+//                      service legitimately allocates while path sets
+//                      change shape.
 //   mem_arena_peak     peak PathStore arena occupancy (ints) over run 2.
 //                      Deterministic for a fixed seed (sampling is
 //                      seeded), so the baseline gate pins it EXACTLY
@@ -59,9 +60,22 @@ struct MemOutcome {
 
 MemOutcome run_instance(const ScenarioSpec& spec, const ScenarioTrace& trace) {
   SorEngine engine = scenario::build_scenario_engine(spec);
+  std::vector<double> capacities;
+  for (int e = 0; e < engine.graph().num_edges(); ++e) {
+    capacities.push_back(engine.graph().edge(e).capacity);
+  }
   // Run 1 warms every arena: scratch pool, route_into buffers, the
   // PathStore interning arena (incl. its reinstall high-water mark).
   scenario::run_scenario(engine, spec, trace);
+  // Run 2 must replay run 1, so the capacities go back to where run 1
+  // started: an outage still open at the last epoch never recovers, and
+  // run_scenario restores events against the capacities it starts from.
+  for (int e = 0; e < engine.graph().num_edges(); ++e) {
+    const double capacity = capacities[static_cast<std::size_t>(e)];
+    if (engine.graph().edge(e).capacity != capacity) {
+      engine.set_edge_capacity(e, capacity);
+    }
+  }
 
   const std::size_t rss_before = runtime::rss_bytes();
   const ScenarioReport report = scenario::run_scenario(engine, spec, trace);
@@ -157,6 +171,30 @@ int main(int argc, char** argv) {
         "diurnal_gravity:total=48,amplitude=0.5,period=12,max_pairs=32");
     spec.reinstall = *scenario::ReinstallPolicy::parse("never");
     bench_instance(table, "torus-churn/never", spec,
+                   /*emit_zero_alloc_row=*/true);
+  }
+
+  {
+    // The certificate under link churn: stable support and install-once
+    // again, but with the ratio measured (so every route also runs the
+    // distance bound and the optimum) and with capacity edits between
+    // epochs. Each edit changes the distance bound's memo key, so the
+    // first route after it recomputes every pair into the memo's kept
+    // capacity; that route must stay allocation-free too.
+    ScenarioSpec spec;
+    spec.name = "links";
+    spec.topology = "torus";
+    spec.size = 5;
+    spec.backend = "racke:num_trees=4";
+    spec.seed = 13;
+    spec.epochs = epochs;
+    spec.mwu_rounds = 60;
+    spec.measure_ratio = true;
+    spec.churn.rate = 0.3;
+    spec.model = *scenario::TrafficModelSpec::parse(
+        "diurnal_gravity:total=32,amplitude=0.5,period=8,max_pairs=24");
+    spec.reinstall = *scenario::ReinstallPolicy::parse("never");
+    bench_instance(table, "torus-links/never", spec,
                    /*emit_zero_alloc_row=*/true);
   }
 

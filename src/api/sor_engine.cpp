@@ -539,8 +539,10 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
 
   double lb = 0.0;
   if (spec.compute_lower_bound) {
-    const StageScope stage("lower_bound", out.times.lower_bound_ms);
+    StageScope stage("lower_bound", out.times.lower_bound_ms);
     lb = distance_lower_bound(*graph_, demand, scratch.distance);
+    stage.set_arg("dijkstra_runs", static_cast<std::uint64_t>(
+                                       scratch.distance.dijkstra_runs));
     if (graph_->total_capacity() > 0.0) {
       lb = std::max(lb, demand.size() / graph_->total_capacity());
     }

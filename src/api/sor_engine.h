@@ -124,10 +124,13 @@ struct RouteSpec {
   MinCongestionOptions mwu;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
   bool compute_optimum = true;
-  /// Compute the cheap distance-duality lower bound (one CSR Dijkstra per
-  /// distinct demand source, stopped at that source's last target; see
-  /// distance_lower_bound). Turn off together with compute_optimum when
-  /// the caller supplies its own denominator (hot benchmark loops).
+  /// Compute the cheap distance-duality lower bound (see
+  /// distance_lower_bound). The leased scratch remembers pair distances,
+  /// so it costs one CSR Dijkstra, stopped at the last new target, per
+  /// distinct demand source with a pair not seen since the last capacity
+  /// edit; a route over seen pairs only looks them up. Turn off together
+  /// with compute_optimum when the caller supplies its own denominator
+  /// (hot benchmark loops).
   bool compute_lower_bound = true;
   /// Lemma 6.3 randomized rounding to one path per unit (requires a
   /// near-integral demand; skipped otherwise).

@@ -1,7 +1,9 @@
 #include "core/semi_oblivious.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -111,7 +113,7 @@ namespace {
 template <class Visit>
 double sum_source_runs(const Graph& g, std::span<const Commodity> commodities,
                        const std::vector<double>& lengths,
-                       DistanceBoundScratch& sc, std::span<int> parent_edge,
+                       SourceRunScratch& sc, std::span<int> parent_edge,
                        Visit&& visit) {
   const FlatAdjacency& adj = sc.adj.get(g);
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
@@ -223,20 +225,109 @@ double competitive_ratio(const SemiObliviousSolution& solution,
   return solution.congestion / opt.value();
 }
 
+namespace {
+
+// No pair has this key: s and t are non-negative ints.
+constexpr std::uint64_t kNoPair = ~std::uint64_t{0};
+
+std::uint64_t pair_key(const Commodity& c) {
+  return static_cast<std::uint64_t>(c.s) << 32 |
+         static_cast<std::uint32_t>(c.t);
+}
+
+// The slot linear probing starts from: a multiplicative hash of the key.
+std::size_t home(std::uint64_t key, std::size_t mask) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+         mask;
+}
+
+std::size_t place(std::vector<PairDistance>& slots, const PairDistance& entry) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = home(entry.key, mask);
+  while (slots[i].key != kNoPair) i = (i + 1) & mask;
+  slots[i] = entry;
+  return i;
+}
+
+const PairDistance* find(const DistanceBoundScratch& sc, std::uint64_t key) {
+  if (sc.slots.empty()) return nullptr;
+  const std::size_t mask = sc.slots.size() - 1;
+  for (std::size_t i = home(key, mask);; i = (i + 1) & mask) {
+    if (sc.slots[i].key == key) return &sc.slots[i];
+    if (sc.slots[i].key == kNoPair) return nullptr;
+  }
+}
+
+// Adds a pair the memo lacks; the table doubles before it passes 3/4 full,
+// so once it has held as many pairs, adding them allocates nothing.
+void remember(DistanceBoundScratch& sc, const PairDistance& entry) {
+  if (4 * (sc.filled.size() + 1) > 3 * sc.slots.size()) {
+    std::vector<PairDistance> grown(
+        std::max<std::size_t>(64, 2 * sc.slots.size()),
+        PairDistance{kNoPair, 0.0});
+    for (std::size_t& i : sc.filled) i = place(grown, sc.slots[i]);
+    sc.slots.swap(grown);
+  }
+  sc.filled.push_back(0);  // before placing: a throw leaves no stray slot
+  sc.filled.back() = place(sc.slots, entry);
+}
+
+}  // namespace
+
 double distance_lower_bound(const Graph& g, const Demand& d,
                             DistanceBoundScratch& scratch) {
+  scratch.dijkstra_runs = 0;
   if (d.empty()) return 0.0;
+  // The lengths are recomputed on every call; with the topology stamp they
+  // key the memo, so any bitwise change since the last call empties it.
   auto& lengths = scratch.lengths;
+  bool same_key = scratch.stamp == g.topology_stamp();
   lengths.resize(static_cast<std::size_t>(g.num_edges()));
   double denominator = 0.0;
   for (int e = 0; e < g.num_edges(); ++e) {
-    lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
+    const double length = 1.0 / g.edge(e).capacity;
+    double& last = lengths[static_cast<std::size_t>(e)];
+    same_key = same_key && std::bit_cast<std::uint64_t>(length) ==
+                               std::bit_cast<std::uint64_t>(last);
+    last = length;
     denominator += 1.0;  // cap_e * w_e with w_e = 1/cap_e
   }
+  if (!same_key) {
+    for (std::size_t i : scratch.filled) scratch.slots[i].key = kNoPair;
+    scratch.filled.clear();
+    scratch.stamp = g.topology_stamp();
+  }
+
+  // Look every pair up, summing in commodity order while all of them hit;
+  // the pairs the memo lacks stay (s, t)-sorted like the commodities.
   d.commodities_into(scratch.commodities);
-  return sum_source_runs(g, scratch.commodities, lengths, scratch, {},
-                         [](std::size_t) {}) /
-         denominator;
+  scratch.misses.clear();
+  double numerator = 0.0;
+  for (const Commodity& c : scratch.commodities) {
+    if (const PairDistance* hit = find(scratch, pair_key(c))) {
+      numerator += c.amount * hit->dist;
+    } else {
+      if (scratch.misses.empty() || scratch.misses.back().s != c.s) {
+        ++scratch.dijkstra_runs;
+      }
+      scratch.misses.push_back(c);
+    }
+  }
+  if (scratch.misses.empty()) return numerator / denominator;
+
+  // One early-exit Dijkstra per source with an unseen pair, flagging only
+  // the unseen targets; then the sum again, every pair now remembered.
+  sum_source_runs(g, scratch.misses, lengths, scratch.runs, {},
+                  [&](std::size_t j) {
+                    const Commodity& c = scratch.misses[j];
+                    const std::size_t t = static_cast<std::size_t>(c.t);
+                    remember(scratch, {pair_key(c), scratch.runs.dist[t]});
+                  });
+  numerator = 0.0;
+  for (const Commodity& c : scratch.commodities) {
+    numerator += c.amount * find(scratch, pair_key(c))->dist;
+  }
+  return numerator / denominator;
 }
 
 double distance_lower_bound(const Graph& g, const Demand& d) {

@@ -4,6 +4,7 @@
 // against the offline optimum.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/demand.h"
@@ -102,32 +103,72 @@ OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
 /// to full sweeps.
 double distance_lower_bound(const Graph& g, const Demand& d);
 
-/// Reusable scratch for distance_lower_bound: the demand's commodities, the
-/// lengths, one Dijkstra row, the target mask, the heap, and the CSR
-/// snapshot of the graph (kept across calls on the same topology, see
-/// FlatAdjacencyCache).
-struct DistanceBoundScratch {
-  std::vector<Commodity> commodities;
-  std::vector<double> lengths;
+/// The per-run Dijkstra state of the source-run loop the distance bound and
+/// the optimum's pricer share: one Dijkstra row, the target mask, the heap,
+/// and the CSR snapshot of the graph (kept across calls on the same
+/// topology, see FlatAdjacencyCache).
+struct SourceRunScratch {
   std::vector<double> dist;
   std::vector<char> is_target;
   DijkstraScratch dijkstra;
   FlatAdjacencyCache adj;
 };
 
-/// Scratch-threaded distance bound; identical result to the overload above.
+/// One slot of DistanceBoundScratch's memo: the pair (s, t) as the key
+/// s << 32 | t, and dist_{1/cap}(s, t).
+struct PairDistance {
+  std::uint64_t key = 0;
+  double dist = 0.0;
+};
+
+/// Reusable scratch for distance_lower_bound, with a memo of pair distances
+/// under the lengths 1/cap_e. The bound depends only on the pairs and the
+/// capacities, not on the amounts, so a call looks each commodity up and
+/// runs one early-exit Dijkstra per distinct source that has a pair the
+/// memo lacks, flagging only those targets.
+///
+/// Key: the graph's topology stamp plus `lengths`, bitwise. Every call
+/// recomputes the lengths (O(m)) and compares them with the previous
+/// call's; on any difference it empties the memo, keeping its capacity.
+/// Bit-identity: an early-exit distance equals a full sweep's whatever
+/// other targets its run flagged (dijkstra_into_targets), and the bound
+/// sums d_j * dist in commodity order as before, so a memoized bound equals
+/// the recomputed one bit for bit.
+/// Storage: an open-addressing table with linear probing, so looking a
+/// pair up or adding one costs O(1) however many pairs it holds.
+/// Size: the distinct pairs seen since the last key change, at most
+/// n(n-1); through the engine these are installed pairs. Each takes
+/// 16 B in a table between 3/8 and 3/4 full, plus its 8 B slot index.
+/// Capacity-retaining: emptying the table clears only the slots it
+/// filled, so once warm a call allocates nothing, the first one after a
+/// capacity edit included.
+struct DistanceBoundScratch {
+  std::vector<Commodity> commodities;
+  std::vector<double> lengths;   ///< the last call's 1/cap_e
+  std::uint64_t stamp = 0;       ///< the last call's topology stamp (0: none)
+  std::vector<PairDistance> slots;   ///< the memo; a power-of-two size
+  std::vector<std::size_t> filled;   ///< indices of the filled slots
+  std::vector<Commodity> misses;     ///< this call's pairs not in the memo
+  int dijkstra_runs = 0;         ///< Dijkstras the last call ran
+  SourceRunScratch runs;
+};
+
+/// Scratch-threaded distance bound; identical result to the overload above,
+/// whatever the memo holds. Runs one early-exit Dijkstra per distinct
+/// source with a pair not seen since the last key change (none when every
+/// pair is remembered) and leaves that count in scratch.dijkstra_runs.
 double distance_lower_bound(const Graph& g, const Demand& d,
                             DistanceBoundScratch& scratch);
 
 /// Reusable scratch for the optimum: the demand's commodities, the column
-/// generation state, the Dijkstra pricer's state (its shortest-path tree
-/// and walk-back buffer beside the distance bound's Dijkstra state), and
-/// the final solve's result. Capacity-retaining: once warm, an optimum
-/// allocates nothing.
+/// generation state, the Dijkstra pricer's state (its per-run Dijkstra
+/// state, shortest-path tree and walk-back buffer; its lengths change on
+/// every pricing round, so it keeps no memo), and the final solve's result.
+/// Capacity-retaining: once warm, an optimum allocates nothing.
 struct OptimumScratch {
   std::vector<Commodity> commodities;
   ColumnGenerationScratch columns;
-  DistanceBoundScratch pricing;
+  SourceRunScratch pricing;
   std::vector<int> parent_edge;
   std::vector<int> walk;
   CongestionResult result;

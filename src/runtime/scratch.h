@@ -2,15 +2,20 @@
 //
 // One EngineScratch aggregates every reusable working set a single
 // route_one_into call needs — the restricted route scratch, the
-// optimum's column-generation scratch, the distance-bound Dijkstra state,
-// and the packet staging list (one edge-id span per packet, pointing into
-// the route's integral candidates). All of it is capacity-retaining (see
-// the per-layer scratch structs), and the two Dijkstra users (the distance
-// bound and the optimum's pricer) keep their CSR snapshot of the served
-// graph across calls (FlatAdjacencyCache, rebuilt only when the topology
-// stamp changes), so a warm EngineScratch makes fractional routes and
-// their certificates allocation-free — the measured contract
-// bench_m7_service_memory gates. "Warm" means every buffer has
+// optimum's column-generation scratch, the distance bound's Dijkstra state
+// and memo, and the packet staging list (one edge-id span per packet,
+// pointing into the route's integral candidates). All of it is
+// capacity-retaining (see the per-layer scratch structs), and the two
+// Dijkstra users (the distance bound and the optimum's pricer) keep their
+// CSR snapshot of the served graph across calls (FlatAdjacencyCache,
+// rebuilt only when the topology stamp changes), so a warm EngineScratch
+// makes fractional routes and their certificates allocation-free, also
+// right after a capacity edit — the measured contract
+// bench_m7_service_memory gates. One scratch also carries a memo across
+// calls: the distance bound remembers the pair distances it computed,
+// keyed on the topology stamp and the bitwise lengths 1/cap_e (see
+// DistanceBoundScratch), so a route over pairs the scratch has seen runs
+// no Dijkstra. "Warm" means every buffer has
 // grown to the largest size the demand mix asks of it: buffers only grow,
 // and the per-commodity rows a smaller demand drops are parked in spare
 // lists for the next larger one (resize_keeping_buffers), so the
@@ -24,7 +29,8 @@
 // mutex-guarded free list (RAII; returned on lease destruction). WHICH scratch a call
 // gets is scheduling-dependent, but scratch contents never influence
 // results — every consumer resets its buffers with assign()/clear() before
-// reading them — so the nondeterministic borrowing is invisible in outputs
+// reading them, and a remembered distance equals the recomputed one bit
+// for bit — so the nondeterministic borrowing is invisible in outputs
 // (route_batch's bit-identity across thread counts is pinned by
 // tests/test_route_batch.cpp and re-checked by tests/test_runtime.cpp).
 #pragma once
@@ -42,7 +48,7 @@ namespace sor::runtime {
 struct EngineScratch {
   RouteScratch route;            ///< restricted solve
   OptimumScratch optimum;        ///< offline optimum (column generation)
-  DistanceBoundScratch distance; ///< distance-duality lower bound + CSR
+  DistanceBoundScratch distance; ///< distance bound: memo, Dijkstra, CSR
   std::vector<std::span<const int>> packets;  ///< packet-simulation staging
 };
 

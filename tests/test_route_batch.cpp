@@ -121,6 +121,54 @@ TEST(RouteBatch, RoundingAndSimulationAreThreadCountInvariant) {
   }
 }
 
+TEST(RouteBatch, DistanceMemoMatchesFreshSerialRoutes) {
+  // Each leased scratch remembers the pair distances of the demands it
+  // routed. Whichever scratch a demand lands on, across repeated batches
+  // and capacity edits, its distance bound (with the optimum off, the
+  // report's opt_lower_bound) equals a fresh serial engine's bit for bit.
+  const int dim = 4;
+  const auto demands = permutation_batch(1 << dim, 8, 29);
+  const std::pair<int, double> edits[] = {{1, 0.5}, {7, 2.0}, {20, 0.25}};
+  RouteSpec spec;
+  spec.compute_optimum = false;
+  auto make_engine = [&](int threads) {
+    SorEngine engine =
+        SorEngine::build(gen::hypercube(dim), "valiant", 19, threads);
+    engine.install_paths(SamplingSpec::for_demands(demands, 3));
+    return engine;
+  };
+  auto serial_reports = [&](bool edited) {
+    SorEngine serial = make_engine(1);
+    if (edited) {
+      for (const auto& [e, capacity] : edits) {
+        serial.set_edge_capacity(e, capacity);
+      }
+    }
+    std::vector<RouteReport> reports;
+    for (const Demand& d : demands) reports.push_back(serial.route(d, spec));
+    return reports;
+  };
+  auto expect_same = [](const BatchReport& batch,
+                        const std::vector<RouteReport>& serial) {
+    ASSERT_EQ(batch.reports.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(batch.reports[i].opt_lower_bound, serial[i].opt_lower_bound);
+      EXPECT_EQ(batch.reports[i].competitive_ratio,
+                serial[i].competitive_ratio);
+    }
+  };
+
+  SorEngine engine = make_engine(4);
+  const std::vector<RouteReport> before = serial_reports(false);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass);
+    expect_same(engine.route_batch(demands, spec), before);
+  }
+  for (const auto& [e, capacity] : edits) engine.set_edge_capacity(e, capacity);
+  expect_same(engine.route_batch(demands, spec), serial_reports(true));
+}
+
 TEST(RouteBatch, CutSamplingIsThreadCountInvariant) {
   const auto demands = permutation_batch(16, 3, 5);
   SamplingSpec sampling = SamplingSpec::for_demands(demands, 2);

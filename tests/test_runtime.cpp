@@ -163,6 +163,29 @@ TEST(Runtime, WarmRouteIntoIsAllocationFree) {
   engine.route_into(d2, {}, report);
   engine.route_into(d2, {}, report);
   EXPECT_EQ(report.mem.allocs, 0u);
+
+  // A capacity edit changes the distance bound's key: the next route
+  // recomputes every pair into the memo's kept capacity, the one after it
+  // looks every pair up. With the optimum off, opt_lower_bound is that
+  // bound, so it must equal a fresh engine's bit for bit. The edit
+  // shortens edge 0, which moves d2's bound (halving its capacity would
+  // leave every d2 distance as it was, and a stale memo unnoticed).
+  RouteSpec bound_only;
+  bound_only.compute_optimum = false;
+  engine.route_into(d2, bound_only, report);
+  const double unedited = report.opt_lower_bound;
+  SorEngine fresh = small_engine();
+  fresh.install_paths(SamplingSpec::for_demands({&d2, 1}, 4));
+  fresh.set_edge_capacity(0, 2.0);
+  const RouteReport expected = fresh.route(d2, bound_only);
+  ASSERT_NE(expected.opt_lower_bound, unedited);
+  engine.set_edge_capacity(0, 2.0);
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    engine.route_into(d2, bound_only, report);
+    EXPECT_EQ(report.mem.allocs, 0u);
+    EXPECT_EQ(report.opt_lower_bound, expected.opt_lower_bound);
+  }
 }
 
 TEST(Runtime, AlternatingCommodityCountsStayAllocationFree) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "oblivious/shortest_path_routing.h"
@@ -10,14 +14,50 @@
 namespace sor {
 namespace {
 
+/// The distance bound summed in entries() order over one full reference
+/// dijkstra() per source.
+double reference_distance_bound(const Graph& g, const Demand& d) {
+  std::vector<double> lengths(static_cast<std::size_t>(g.num_edges()));
+  double denominator = 0.0;
+  for (int e = 0; e < g.num_edges(); ++e) {
+    lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
+    denominator += 1.0;
+  }
+  double numerator = 0.0;
+  int source = -1;
+  std::vector<double> dist;
+  for (const auto& [pair, value] : d.entries()) {
+    if (pair.first != source) {
+      source = pair.first;
+      dist = dijkstra(g, source, lengths);
+    }
+    numerator += value * dist[static_cast<std::size_t>(pair.second)];
+  }
+  return numerator / denominator;
+}
+
+/// Distinct sources of `d` with a pair that `seen` lacks.
+int sources_with_unseen_pairs(const Demand& d, const Demand& seen) {
+  std::set<int> sources;
+  for (const auto& [pair, value] : d.entries()) {
+    if (seen.at(pair.first, pair.second) == 0.0) sources.insert(pair.first);
+  }
+  return static_cast<int>(sources.size());
+}
+
 TEST(SemiOblivious, DistanceBoundMatchesPerSourceDijkstraReference) {
-  // The early-exit CSR bound equals, bit for bit, the bound summed in
-  // entries() order over one full reference dijkstra() per source: random
+  // The early-exit CSR bound equals the reference bit for bit: random
   // capacities, sources with several targets, targets shared between
-  // sources, and one scratch reused across graphs and demands.
+  // sources, and one scratch reused across graphs and demands. The
+  // scratch's memo of pair distances must not change a bit either: a
+  // repeated demand runs no Dijkstra, an overlapping one runs one per
+  // source with an unseen pair, and a capacity edit (or its undoing)
+  // recomputes every source.
   Rng rng(41);
   DistanceBoundScratch scratch;
+  const Demand none;
   for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
     Graph g = gen::erdos_renyi_connected(40, 0.12, rng);
     for (int e = 0; e < g.num_edges(); ++e) {
       g.set_capacity(e, 0.5 + 4.0 * rng.uniform_double());
@@ -38,26 +78,50 @@ TEST(SemiOblivious, DistanceBoundMatchesPerSourceDijkstraReference) {
         if (t != s) d.set(s, t, 1.0 + static_cast<double>(k));
       }
     }
-
-    std::vector<double> lengths(static_cast<std::size_t>(g.num_edges()));
-    double denominator = 0.0;
-    for (int e = 0; e < g.num_edges(); ++e) {
-      lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
-      denominator += 1.0;
-    }
-    double numerator = 0.0;
-    int source = -1;
-    std::vector<double> dist;
-    for (const auto& [pair, value] : d.entries()) {
-      if (pair.first != source) {
-        source = pair.first;
-        dist = dijkstra(g, source, lengths);
-      }
-      numerator += value * dist[static_cast<std::size_t>(pair.second)];
-    }
-    const double expected = numerator / denominator;
+    const double expected = reference_distance_bound(g, d);
     EXPECT_EQ(distance_lower_bound(g, d), expected);
     EXPECT_EQ(distance_lower_bound(g, d, scratch), expected);
+    EXPECT_EQ(scratch.dijkstra_runs, sources_with_unseen_pairs(d, none));
+    EXPECT_EQ(distance_lower_bound(g, d, scratch), expected);
+    EXPECT_EQ(scratch.dijkstra_runs, 0);
+
+    // Every other pair of d at new amounts, plus new targets for some of
+    // its sources and pairs from fresh sources.
+    Demand overlap;
+    bool keep = true;
+    for (const auto& [pair, value] : d.entries()) {
+      if (keep) overlap.set(pair.first, pair.second, 2.0 * value);
+      keep = !keep;
+    }
+    for (int i = 0; i < 6; ++i) {
+      const int s = i % 2 == 0 ? d.entries().begin()->first.first
+                               : rng.uniform_int(0, n - 1);
+      const int t = rng.uniform_int(0, n - 1);
+      if (t != s) overlap.set(s, t, 0.25 + rng.uniform_double());
+    }
+    const int unseen = sources_with_unseen_pairs(overlap, d);
+    ASSERT_GT(unseen, 0);
+    EXPECT_EQ(distance_lower_bound(g, overlap, scratch),
+              reference_distance_bound(g, overlap));
+    EXPECT_EQ(scratch.dijkstra_runs, unseen);
+
+    // A capacity edit changes the memo's key, and so does its undoing.
+    const int all_sources = sources_with_unseen_pairs(overlap, none);
+    std::vector<std::pair<int, double>> edited;
+    for (int i = 0; i < 3; ++i) {
+      const int e = rng.uniform_int(0, g.num_edges() - 1);
+      edited.emplace_back(e, g.edge(e).capacity);
+      g.set_capacity(e, 0.25 * g.edge(e).capacity);
+    }
+    EXPECT_EQ(distance_lower_bound(g, overlap, scratch),
+              reference_distance_bound(g, overlap));
+    EXPECT_EQ(scratch.dijkstra_runs, all_sources);
+    for (auto it = edited.rbegin(); it != edited.rend(); ++it) {
+      g.set_capacity(it->first, it->second);
+    }
+    EXPECT_EQ(distance_lower_bound(g, overlap, scratch),
+              reference_distance_bound(g, overlap));
+    EXPECT_EQ(scratch.dijkstra_runs, all_sources);
   }
 }
 
