@@ -527,8 +527,14 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
     StageScope stage("route", out.times.route_ms);
     route_fractional_into(*graph_, ps, demand, spec.mwu, scratch.route,
                           out.solution, restricted_hooks);
-    stage.set_arg("rounds", static_cast<std::uint64_t>(std::max(
-                                out.solution.rounds_used, 0)));
+    // The solve's work: every round evaluates one exp per footprint edge
+    // plus the shared one, and reads every lane-block entry once.
+    const auto rounds =
+        static_cast<std::uint64_t>(std::max(out.solution.rounds_used, 0));
+    const MinCongestionScratch& solve = scratch.route.mwu;
+    stage.set_arg("rounds", rounds);
+    stage.set_arg("exp_evals", rounds * (solve.cand_edges.size() + 1));
+    stage.set_arg("lane_reads", rounds * solve.lane_edges.size());
   }
   out.congestion = out.solution.congestion;
   out.solve_status = out.solution.status;

@@ -162,7 +162,8 @@ struct RouteSpec {
   /// response's edge count. Observation only: results are bit-identical
   /// with the flag on or off (bench_m10's identity row pins this);
   /// recording costs one bounded vector (capacity retained across
-  /// route_into reuse) and no extra scan. Exposed as
+  /// route_into reuse) and one pass over the footprint per round for the
+  /// edge count. Exposed as
   /// `sor_cli --convergence-out`.
   bool record_convergence = false;
 

@@ -384,9 +384,17 @@ void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
 //    the flow step and U are +0.0 (or a max against 0.0), which leave IEEE
 //    doubles bit-unchanged; the footprint is walked in increasing edge id,
 //    the order of the textbook's serial sums;
-//  * B is aggregated sparsely over the edges the best response loads;
+//  * B is summed densely, each chosen path adding its amount in commodity
+//    order as the textbook does, and reset to 0 over the footprint by the
+//    pass that last reads it: the step, or a pass of its own in a round
+//    that takes none (the entry round, sigma == 0);
+//  * each quotient is computed once and stored: x_e / total in expv (the
+//    lengths and the curvature read it, since x / total / cap and
+//    x / total * q parse as (x / total) / cap and (x / total) * q), and
+//    F_e / cap_e in ratio, written with the congestion max by the pass
+//    that moves F and read by the next round's exps;
 //  * a step with sigma == 0 is skipped: F + 0 * (B - F) and w * (1 - 0)
-//    are F and w.
+//    are F and w, so U and ratio stay current.
 void min_congestion_over_paths_into(const Graph& g,
                                     const std::vector<Commodity>& commodities,
                                     const FlatCandidates& candidates,
@@ -423,16 +431,15 @@ void min_congestion_over_paths_into(const Graph& g,
   auto& response = sc.response;
   auto& expv = sc.expv;
   auto& lengths = sc.lengths;
-  auto& touched = sc.touched;
+  auto& ratio = sc.ratio;
   auto& weight = sc.weight;
   const auto& footprint = sc.cand_edges;
   load.assign(m, 0.0);
   response.assign(m, 0.0);
   expv.assign(m, 0.0);
+  ratio.assign(m, 0.0);
   weight.assign(num_distinct, 0.0);
   sc.seeded.assign(k, 0);
-  touched.clear();
-  touched.reserve(footprint.size());
   if (hooks.warm != nullptr && hooks.warm->size() == k) {
     apply_seed(commodities, candidates, *hooks.warm, sc);
   }
@@ -448,7 +455,8 @@ void min_congestion_over_paths_into(const Graph& g,
   double congestion = 0.0;  // U of the current iterate
   for (int e : footprint) {
     const auto i = static_cast<std::size_t>(e);
-    congestion = std::max(congestion, load[i] / cap[i]);
+    ratio[i] = load[i] / cap[i];
+    congestion = std::max(congestion, ratio[i]);
   }
   // The last round's softmax normalization, kept for the length capture.
   double shared = 1.0;
@@ -485,13 +493,14 @@ void min_congestion_over_paths_into(const Graph& g,
     double footprint_sum = 0.0;
     for (int e : footprint) {
       const auto i = static_cast<std::size_t>(e);
-      expv[i] = std::exp(beta * (load[i] / cap[i] - congestion));
+      expv[i] = std::exp(beta * (ratio[i] - congestion));
       footprint_sum += expv[i];
     }
     total = others * shared + footprint_sum;
     for (int e : footprint) {
       const auto i = static_cast<std::size_t>(e);
-      lengths[i] = expv[i] / total / cap[i];
+      expv[i] /= total;
+      lengths[i] = expv[i] / cap[i];
     }
 
     best_response(k, sc);
@@ -504,12 +513,18 @@ void min_congestion_over_paths_into(const Graph& g,
     }
     best_lower = std::max(best_lower, dual);
 
-    // The best response's flow B, sparsely: only edges of chosen paths.
+    // The best response's flow B: each chosen path adds its amount.
     for (std::size_t j = 0; j < k; ++j) {
       if (sc.chosen[j] < 0) continue;
+      const double amount = commodities[j].amount;
       for (int e : sc.distinct[static_cast<std::size_t>(sc.chosen[j])]) {
-        if (response[static_cast<std::size_t>(e)] == 0.0) touched.push_back(e);
-        response[static_cast<std::size_t>(e)] += commodities[j].amount;
+        response[static_cast<std::size_t>(e)] += amount;
+      }
+    }
+    int response_edges = 0;  // amounts are > 0, so B_e != 0 iff B loads e
+    if (hooks.sink != nullptr) {
+      for (int e : footprint) {
+        response_edges += response[static_cast<std::size_t>(e)] != 0.0;
       }
     }
 
@@ -523,6 +538,13 @@ void min_congestion_over_paths_into(const Graph& g,
           load[static_cast<std::size_t>(e)] += commodities[j].amount;
         }
       }
+      congestion = 0.0;
+      for (int e : footprint) {
+        const auto i = static_cast<std::size_t>(e);
+        response[i] = 0.0;
+        ratio[i] = load[i] / cap[i];
+        congestion = std::max(congestion, ratio[i]);
+      }
     } else {
       // The Frank–Wolfe gap, the quadratic model's curvature, the step.
       double fw_gap = 0.0;
@@ -531,7 +553,7 @@ void min_congestion_over_paths_into(const Graph& g,
         const auto i = static_cast<std::size_t>(e);
         fw_gap += lengths[i] * (load[i] - response[i]);
         const double q = (response[i] - load[i]) / cap[i];
-        curvature += expv[i] / total * (q * q);
+        curvature += expv[i] * (q * q);
       }
       const double sigma =
           fw_gap > 0.0 ? std::min(1.0, fw_gap / (beta * curvature)) : 0.0;
@@ -539,9 +561,13 @@ void min_congestion_over_paths_into(const Graph& g,
         eps = std::max(eps * 0.5, eps_floor);
       }
       if (sigma > 0.0) {
+        congestion = 0.0;
         for (int e : footprint) {
           const auto i = static_cast<std::size_t>(e);
           load[i] += sigma * (response[i] - load[i]);
+          response[i] = 0.0;
+          ratio[i] = load[i] / cap[i];
+          congestion = std::max(congestion, ratio[i]);
         }
         const double keep = 1.0 - sigma;
         for (double& w : weight) w *= keep;
@@ -550,16 +576,10 @@ void min_congestion_over_paths_into(const Graph& g,
           weight[static_cast<std::size_t>(sc.chosen[j])] +=
               sigma * commodities[j].amount;
         }
+      } else {
+        // F did not move, so U and ratio are still current.
+        for (int e : footprint) response[static_cast<std::size_t>(e)] = 0.0;
       }
-    }
-    for (int e : touched) response[static_cast<std::size_t>(e)] = 0.0;
-    const int response_edges = static_cast<int>(touched.size());
-    touched.clear();
-
-    congestion = 0.0;
-    for (int e : footprint) {
-      const auto i = static_cast<std::size_t>(e);
-      congestion = std::max(congestion, load[i] / cap[i]);
     }
     ++round;
 
@@ -626,8 +646,8 @@ void min_congestion_over_paths_into(const Graph& g,
     auto& captured = *hooks.capture_lengths;
     captured.resize(m);
     for (std::size_t e = 0; e < m; ++e) {
-      captured[e] =
-          (round > 0 && sc.in_cand[e] ? expv[e] : shared) / total / cap[e];
+      captured[e] = round > 0 && sc.in_cand[e] ? lengths[e]
+                                               : shared / total / cap[e];
     }
   }
 }

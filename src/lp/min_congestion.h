@@ -157,8 +157,9 @@ struct MwuHooks {
   /// non-null, each round appends one ConvergenceRecord — the current
   /// iterate's congestion, the round's dual certificate, the running lower
   /// bound, the certified gap and the best response's edge count. The
-  /// solver computes all of them anyway, so a solve with a sink attached is
-  /// bit-identical to one without and does no extra scan. Null (default) =
+  /// solver computes all but the edge count anyway; that count takes one
+  /// more pass over the footprint per round, only with a sink attached. A
+  /// solve with a sink is bit-identical to one without. Null (default) =
   /// no recording.
   obs::ConvergenceSink* sink = nullptr;
   /// The deadline budget's time source; null = std::chrono::steady_clock.
@@ -233,13 +234,13 @@ struct MinCongestionScratch {
   // Weight rows a shrinking CongestionResult::path_weights handed back.
   std::vector<std::vector<double>> spare_weights;
   // Frank–Wolfe state (the round loop of min_congestion_over_paths_into),
-  // per edge unless noted.
+  // per edge unless noted; the rounds write footprint entries only.
   std::vector<double> cap;
   std::vector<double> load;      // the iterate's flow F
-  std::vector<double> response;  // the best response's flow B
-  std::vector<double> expv;      // softmax numerators x, footprint only
-  std::vector<double> lengths;
-  std::vector<int> touched;      // edges B loads
+  std::vector<double> response;  // the best response's flow B, 0 between rounds
+  std::vector<double> expv;      // x_e, divided by total in the lengths pass
+  std::vector<double> ratio;     // F_e / cap_e of the current iterate
+  std::vector<double> lengths;   // x / total / cap, plus the padding edge m
   std::vector<double> weight;    // per distinct path
   std::vector<char> seeded;      // per commodity
   // Anytime-budget best-iterate snapshot of `weight` (only touched when a
@@ -296,10 +297,14 @@ CongestionResult min_congestion_over_paths(
 /// the latter serial in increasing edge id. Only that association differs
 /// from a serial sum over all m edges; every per-edge value is exact, and
 /// the returned congestion and dual bound remain exact certificates of the
-/// LP. The path sums run in one pass over all of the solve's distinct
-/// candidates, eight paths per block (sorted by hop count, short lanes
-/// padded with a +0.0-length edge); every sum is still a serial
-/// left-to-right chain from +0.0, so the lanes change no bit.
+/// LP. A round makes four passes over the footprint (the exps; the
+/// lengths; G and kappa; the step, which also resets B, stores each
+/// F_e / cap_e for the next round's exps and takes U), one pass over the
+/// lane blocks and one scatter of B along the chosen paths; each per-edge
+/// quotient is computed once. The path sums run in one pass over all of
+/// the solve's distinct candidates, eight paths per block (sorted by hop
+/// count, short lanes padded with a +0.0-length edge); every sum is still
+/// a serial left-to-right chain from +0.0, so the lanes change no bit.
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,

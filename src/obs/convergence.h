@@ -17,8 +17,9 @@
 //    field.
 //  * A non-null sink OBSERVES only — it never feeds back into solver
 //    state, so results with and without a sink are bit-identical too
-//    (bench_m10's identity row pins this). Every recorded value is one
-//    the round computes anyway, so recording adds no scan.
+//    (bench_m10's identity row pins this). Every recorded value but
+//    touched_edges is one the round computes anyway; that count takes one
+//    pass over the footprint per round, only while a sink is attached.
 //  * Recording is allocation-bounded: the sink refuses records beyond
 //    max_records (counting the overflow) instead of growing without
 //    bound, and the backing vector's capacity is retained across reuse —

@@ -40,10 +40,11 @@ std::uint64_t TraceRecorder::us_since_epoch(
           .count());
 }
 
-void TraceRecorder::record_span(const char* name, const char* cat,
-                                std::chrono::steady_clock::time_point start,
-                                std::chrono::steady_clock::time_point end,
-                                const char* arg_name, std::uint64_t arg) {
+void TraceRecorder::record_span(
+    const char* name, const char* cat,
+    std::chrono::steady_clock::time_point start,
+    std::chrono::steady_clock::time_point end,
+    const std::array<TraceArg, kMaxTraceArgs>& args) {
   if (!enabled()) return;
   const std::uint32_t tid = trace_thread_id();
   std::lock_guard<std::mutex> lock(mu_);
@@ -59,8 +60,7 @@ void TraceRecorder::record_span(const char* name, const char* cat,
   ev.dur_us = end_us > ev.start_us ? end_us - ev.start_us : 0;
   ev.tid = tid;
   ev.instant = false;
-  ev.arg_name = arg_name;
-  ev.arg = arg;
+  ev.args = args;
 }
 
 void TraceRecorder::record_instant(const char* name, const char* cat,
@@ -80,8 +80,7 @@ void TraceRecorder::record_instant(const char* name, const char* cat,
   ev.dur_us = 0;
   ev.tid = tid;
   ev.instant = true;
-  ev.arg_name = arg_name;
-  ev.arg = arg;
+  ev.args[0] = {arg_name, arg};
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
@@ -143,10 +142,15 @@ void TraceRecorder::write_chrome_json(std::ostream& out) const {
     if (!ev.instant) out << ",\"dur\":" << ev.dur_us;
     if (ev.instant) out << ",\"s\":\"t\"";  // instant scope: thread
     out << ",\"pid\":1,\"tid\":" << ev.tid;
-    if (ev.arg_name != nullptr) {
+    if (ev.args[0].name != nullptr) {
       out << ",\"args\":{";
-      write_json_string(out, ev.arg_name);
-      out << ":" << ev.arg << "}";
+      for (std::size_t a = 0; a < kMaxTraceArgs && ev.args[a].name != nullptr;
+           ++a) {
+        if (a > 0) out << ",";
+        write_json_string(out, ev.args[a].name);
+        out << ":" << ev.args[a].value;
+      }
+      out << "}";
     }
     out << "}";
   }

@@ -27,6 +27,7 @@
 //   fault.<site_name> at every fault-injection fire.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -36,8 +37,19 @@
 
 namespace sor::obs {
 
-/// One completed span or instant event. POD: name/cat/arg_name point at
-/// string literals, times are integer microseconds since enable().
+/// One named integer payload of an event (rendered under "args"); the slot
+/// is unused when name is null.
+struct TraceArg {
+  const char* name = nullptr;
+  std::uint64_t value = 0;
+};
+
+/// The most payloads one event carries (engine.route's three).
+inline constexpr std::size_t kMaxTraceArgs = 3;
+
+/// One completed span or instant event. POD: name/cat and the payload
+/// names point at string literals, times are integer microseconds since
+/// enable().
 struct TraceEvent {
   const char* name = nullptr;
   const char* cat = nullptr;
@@ -45,10 +57,8 @@ struct TraceEvent {
   std::uint64_t dur_us = 0;    ///< span duration (0 for instant events)
   std::uint32_t tid = 0;       ///< small sequential per-thread id
   bool instant = false;        ///< true = trace_event ph:"i", false = ph:"X"
-  /// Optional integer payload (rendered under "args"); unused when
-  /// arg_name is null.
-  const char* arg_name = nullptr;
-  std::uint64_t arg = 0;
+  /// Optional payloads, the used slots first, in the order they were set.
+  std::array<TraceArg, kMaxTraceArgs> args{};
 };
 
 /// The process-wide recorder behind obs::tracer(). Thread-safe: spans from
@@ -71,7 +81,7 @@ class TraceRecorder {
   void record_span(const char* name, const char* cat,
                    std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::time_point end,
-                   const char* arg_name = nullptr, std::uint64_t arg = 0);
+                   const std::array<TraceArg, kMaxTraceArgs>& args = {});
   /// Records a zero-duration instant event (fault fires).
   void record_instant(const char* name, const char* cat,
                       const char* arg_name = nullptr, std::uint64_t arg = 0);
@@ -121,32 +131,35 @@ class TraceSpan {
     if (tracer().enabled()) {
       name_ = name;
       cat_ = cat;
-      arg_name_ = arg_name;
-      arg_ = arg;
+      args_[0] = {arg_name, arg};
       start_ = std::chrono::steady_clock::now();
     }
   }
   ~TraceSpan() {
     if (name_ != nullptr) {
       tracer().record_span(name_, cat_, start_,
-                           std::chrono::steady_clock::now(), arg_name_, arg_);
+                           std::chrono::steady_clock::now(), args_);
     }
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches/overwrites the integer payload after construction (e.g. a
-  /// count only known at scope exit). No-op when tracing was off at entry.
+  /// Attaches an integer payload after construction (e.g. a count only
+  /// known at scope exit) in the next free slot; past kMaxTraceArgs it is
+  /// dropped. No-op when tracing was off at entry.
   void set_arg(const char* arg_name, std::uint64_t arg) {
-    arg_name_ = arg_name;
-    arg_ = arg;
+    for (TraceArg& slot : args_) {
+      if (slot.name == nullptr) {
+        slot = {arg_name, arg};
+        return;
+      }
+    }
   }
 
  private:
   const char* name_ = nullptr;  ///< null = tracing was off at construction
   const char* cat_ = nullptr;
-  const char* arg_name_ = nullptr;
-  std::uint64_t arg_ = 0;
+  std::array<TraceArg, kMaxTraceArgs> args_{};
   std::chrono::steady_clock::time_point start_{};
 };
 

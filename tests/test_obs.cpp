@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "api/sor_engine.h"
+#include "core/path_system.h"
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -89,8 +92,8 @@ TEST(TraceRecorder, RecordsSpansAndInstantsWhenEnabled) {
   EXPECT_STREQ(events[0].name, "outer");
   EXPECT_STREQ(events[0].cat, "test");
   EXPECT_FALSE(events[0].instant);
-  EXPECT_STREQ(events[0].arg_name, "items");
-  EXPECT_EQ(events[0].arg, 3u);
+  EXPECT_STREQ(events[0].args[0].name, "items");
+  EXPECT_EQ(events[0].args[0].value, 3u);
   EXPECT_STREQ(events[1].name, "tick");
   EXPECT_TRUE(events[1].instant);
   EXPECT_EQ(events[1].dur_us, 0u);
@@ -105,8 +108,34 @@ TEST(TraceRecorder, SetArgAttachesPayloadAtScopeExit) {
   }
   const auto events = obs::tracer().events();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].arg_name, "count");
-  EXPECT_EQ(events[0].arg, 42u);
+  EXPECT_STREQ(events[0].args[0].name, "count");
+  EXPECT_EQ(events[0].args[0].value, 42u);
+  EXPECT_EQ(events[0].args[1].name, nullptr);
+}
+
+TEST(TraceRecorder, SetArgFillsSlotsInOrder) {
+  TracerGuard guard;
+  obs::tracer().enable(8);
+  {
+    obs::TraceSpan span("work", "test", "first", 10);
+    span.set_arg("second", 2);
+    span.set_arg("third", 3);
+    span.set_arg("fourth", 4);  // past kMaxTraceArgs: dropped
+  }
+  const auto events = obs::tracer().events();
+  ASSERT_EQ(events.size(), 1u);
+  const auto& args = events[0].args;
+  ASSERT_EQ(args.size(), 3u);
+  EXPECT_STREQ(args[0].name, "first");
+  EXPECT_EQ(args[0].value, 10u);
+  EXPECT_STREQ(args[1].name, "second");
+  EXPECT_EQ(args[1].value, 2u);
+  EXPECT_STREQ(args[2].name, "third");
+  EXPECT_EQ(args[2].value, 3u);
+  std::ostringstream out;
+  obs::tracer().write_chrome_json(out);
+  EXPECT_NE(out.str().find("\"args\":{\"first\":10,\"second\":2,\"third\":3}"),
+            std::string::npos);
 }
 
 TEST(TraceRecorder, RingDropsNewestWhenFullAndCounts) {
@@ -184,6 +213,58 @@ TEST(TraceRecorder, DistanceLowerBoundIsOneEngineSpan) {
   const RouteReport off = engine.route(d, spec);
   EXPECT_EQ(lower_bound_spans(), 0);
   EXPECT_EQ(off.times.lower_bound_ms, 0.0);
+}
+
+TEST(TraceRecorder, RouteSpanCarriesTheSolveWork) {
+  TracerGuard guard;
+  const Demand d = small_demand();
+  SorEngine engine = make_engine();
+  engine.install_paths(SamplingSpec::for_demand(d, 3));
+  RouteSpec spec;
+  spec.compute_optimum = false;
+  obs::tracer().enable(64);
+  const RouteReport report = engine.route(d, spec);
+  obs::tracer().disable();
+  const obs::TraceEvent* route = nullptr;
+  const std::vector<obs::TraceEvent> events = obs::tracer().events();
+  for (const obs::TraceEvent& ev : events) {
+    if (std::string(ev.cat) == "engine" && std::string(ev.name) == "route") {
+      route = &ev;
+    }
+  }
+  ASSERT_NE(route, nullptr);
+
+  // The same solve straight through a scratch: each round evaluates one exp
+  // per footprint edge plus the shared one and reads every lane entry.
+  const std::vector<Commodity> commodities = d.commodities();
+  const FlatCandidates candidates =
+      flat_candidates(engine.paths(), commodities);
+  MinCongestionScratch scratch;
+  CongestionResult direct;
+  min_congestion_over_paths_into(engine.graph(), commodities, candidates,
+                                 spec.mwu, {}, scratch, direct);
+  ASSERT_EQ(direct.rounds_used, report.solution.rounds_used);
+  const auto rounds = static_cast<std::uint64_t>(direct.rounds_used);
+  ASSERT_GT(rounds, 0u);
+  std::vector<char> on_candidate(
+      static_cast<std::size_t>(engine.graph().num_edges()), 0);
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    for (std::size_t i = 0; i < candidates.num_paths(j); ++i) {
+      for (int e : candidates.edges(j, i)) {
+        on_candidate[static_cast<std::size_t>(e)] = 1;
+      }
+    }
+  }
+  const auto footprint = static_cast<std::size_t>(
+      std::count(on_candidate.begin(), on_candidate.end(), 1));
+  EXPECT_EQ(scratch.cand_edges.size(), footprint);
+
+  EXPECT_STREQ(route->args[0].name, "rounds");
+  EXPECT_EQ(route->args[0].value, rounds);
+  EXPECT_STREQ(route->args[1].name, "exp_evals");
+  EXPECT_EQ(route->args[1].value, rounds * (footprint + 1));
+  EXPECT_STREQ(route->args[2].name, "lane_reads");
+  EXPECT_EQ(route->args[2].value, rounds * scratch.lane_edges.size());
 }
 
 TEST(TraceRecorder, BatchWorkersRecordOneRouteSpanPerDemand) {

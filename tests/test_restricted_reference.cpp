@@ -13,9 +13,15 @@
 //    and a seeded solve may exit from round 1; eps, the step, the early
 //    exit, the round budget's best-iterate rewind, a deadline on an
 //    injected clock and the returned weights and loads follow the
-//    solver's documented contract.
-// Weights, edge loads, congestion, lower bound, rounds, status and the
-// captured lengths must match to the bit on seeded random instances.
+//    solver's documented contract;
+//  * every round leaves one convergence record: the round, the congestion,
+//    the dual, the running lower bound, the certified gap and the count of
+//    edges the best response loads.
+// Weights, edge loads, congestion, lower bound, rounds, status, the
+// captured lengths and, with a sink attached, every record must match to
+// the bit on seeded random instances, and on instances where all
+// commodities, or all but the first, have one distinct candidate: rounds
+// with a Frank–Wolfe gap of 0, which take no step, are common there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "lp/min_congestion.h"
+#include "obs/convergence.h"
 #include "util/rng.h"
 
 namespace sor {
@@ -42,8 +49,11 @@ struct Instance {
 // hence argmin ties) are common. Commodity j goes from s to s + h (mod n)
 // with h in [1, 30]; its candidates take a random parallel edge per hop
 // clockwise, or the whole counter-clockwise arc, or repeat an earlier
-// candidate. Some commodities have one candidate, some a zero amount.
-Instance random_instance(std::uint64_t seed) {
+// candidate. Some commodities have one candidate, some a zero amount. From
+// commodity `repeat_from` on, every candidate after a commodity's first
+// repeats it, so those commodities have one distinct candidate each.
+Instance random_instance(std::uint64_t seed,
+                         int repeat_from = std::numeric_limits<int>::max()) {
   Rng rng(seed * 7919 + 3);
   const int n = 32;
   Instance inst{Graph(n), {}, {}};
@@ -71,7 +81,9 @@ Instance random_instance(std::uint64_t seed) {
     std::vector<std::vector<int>> paths;
     for (int i = 0; i < num_paths; ++i) {
       std::vector<int> edges;
-      if (!paths.empty() && rng.bernoulli(0.2)) {
+      if (j >= repeat_from && !paths.empty()) {
+        edges = paths.front();
+      } else if (!paths.empty() && rng.bernoulli(0.2)) {
         edges = paths[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(paths.size()) - 1))];
       } else if (n - h <= 30 && rng.bernoulli(0.2)) {
@@ -100,6 +112,7 @@ double certified_gap(double congestion, double lower_bound) {
 struct Reference {
   CongestionResult result;
   std::vector<double> lengths;  // the last round's, one per edge
+  std::vector<obs::ConvergenceRecord> records;  // one per round
 };
 
 // A clock that reads 0 until its `trip`-th reading after the first, then
@@ -300,6 +313,11 @@ Reference reference_solve(const Instance& inst,
     u = max_ratio();
     ++round;
     ref.lengths = length;
+    const auto loaded = std::count_if(response.begin(), response.end(),
+                                      [](double b) { return b > 0.0; });
+    ref.records.push_back({round, u, dual, best_lower,
+                           certified_gap(u, best_lower),
+                           static_cast<int>(loaded)});
 
     if (track_best && u < best_seen) {
       best_seen = u;
@@ -384,20 +402,25 @@ void expect_lengths_equal(const std::vector<double>& solver,
   }
 }
 
-class RestrictedReferenceSweep : public ::testing::TestWithParam<int> {};
+void expect_records_equal(const std::vector<obs::ConvergenceRecord>& solver,
+                          const std::vector<obs::ConvergenceRecord>& ref) {
+  ASSERT_EQ(solver.size(), ref.size());
+  for (std::size_t r = 0; r < ref.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "record " << r);
+    EXPECT_EQ(solver[r].round, ref[r].round);
+    EXPECT_EQ(bits(solver[r].congestion), bits(ref[r].congestion));
+    EXPECT_EQ(bits(solver[r].dual), bits(ref[r].dual));
+    EXPECT_EQ(bits(solver[r].best_lower), bits(ref[r].best_lower));
+    EXPECT_EQ(bits(solver[r].gap), bits(ref[r].gap));
+    EXPECT_EQ(solver[r].touched_edges, ref[r].touched_edges);
+  }
+}
 
-TEST_P(RestrictedReferenceSweep, SolverMatchesReferenceBitForBit) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
-  const Instance inst = random_instance(seed);
-
-  // One scratch serves every solve below, after a different instance has
-  // already shaped it, so leftover state from earlier solves must not leak.
-  MinCongestionScratch scratch;
-  CongestionResult out;
-  const Instance decoy = random_instance(seed + 1000);
-  min_congestion_over_paths_into(decoy.g, decoy.commodities, decoy.candidates,
-                                 {}, {}, scratch, out);
-
+// Solves `inst` through `scratch` in every case below, without and with a
+// sink, and compares each solve with the reference.
+void expect_matches_reference(const Instance& inst, std::uint64_t seed,
+                              MinCongestionScratch& scratch,
+                              CongestionResult& out) {
   MinCongestionOptions cold;
   cold.rounds = 300;
   cold.min_rounds = 30;
@@ -439,19 +462,58 @@ TEST_P(RestrictedReferenceSweep, SolverMatchesReferenceBitForBit) {
                         Case{"warm seed, round budget", &capped,
                              &seed_weights, 0}}) {
     SCOPED_TRACE(c.name);
-    TripClock solver_clock(c.trip);
     TripClock reference_clock(c.trip);
-    std::vector<double> lengths;
-    MwuHooks hooks;
-    hooks.warm = c.warm;
-    hooks.capture_lengths = &lengths;
-    if (c.trip > 0) hooks.clock = &solver_clock;
-    min_congestion_over_paths_into(inst.g, inst.commodities, inst.candidates,
-                                   *c.options, hooks, scratch, out);
     const Reference ref = reference_solve(inst, *c.options, c.warm,
                                           &reference_clock);
-    expect_bitwise_equal(out, ref.result);
-    expect_lengths_equal(lengths, ref.lengths);
+    // Without a sink, then with one: attaching it changes no result.
+    for (const bool with_sink : {false, true}) {
+      SCOPED_TRACE(with_sink ? "sink attached" : "no sink");
+      TripClock solver_clock(c.trip);
+      std::vector<double> lengths;
+      std::vector<obs::ConvergenceRecord> records;
+      obs::ConvergenceSink sink(records);
+      MwuHooks hooks;
+      hooks.warm = c.warm;
+      hooks.capture_lengths = &lengths;
+      if (c.trip > 0) hooks.clock = &solver_clock;
+      if (with_sink) hooks.sink = &sink;
+      min_congestion_over_paths_into(inst.g, inst.commodities,
+                                     inst.candidates, *c.options, hooks,
+                                     scratch, out);
+      expect_bitwise_equal(out, ref.result);
+      expect_lengths_equal(lengths, ref.lengths);
+      if (with_sink) expect_records_equal(records, ref.records);
+    }
+  }
+}
+
+class RestrictedReferenceSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(RestrictedReferenceSweep, SolverMatchesReferenceBitForBit) {
+  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+
+  // One scratch serves every solve below, after a different instance has
+  // already shaped it, so leftover state from earlier solves must not leak.
+  MinCongestionScratch scratch;
+  CongestionResult out;
+  const Instance decoy = random_instance(seed + 1000);
+  min_congestion_over_paths_into(decoy.g, decoy.commodities, decoy.candidates,
+                                 {}, {}, scratch, out);
+  {
+    SCOPED_TRACE("random candidates");
+    expect_matches_reference(random_instance(seed), seed, scratch, out);
+  }
+  {
+    // The best response is the flow itself from round 1, so every later
+    // round has a Frank–Wolfe gap of 0 and takes no step (sigma == 0).
+    SCOPED_TRACE("one distinct candidate per commodity");
+    expect_matches_reference(random_instance(seed, 0), seed, scratch, out);
+  }
+  {
+    // The same but for the first commodity: a stepless round can precede a
+    // step, whose gap a B left over from that round would change.
+    SCOPED_TRACE("one distinct candidate per commodity but the first");
+    expect_matches_reference(random_instance(seed, 1), seed, scratch, out);
   }
 }
 
