@@ -94,32 +94,20 @@ class JsonSink {
 //   phase        stage name ("route", "construct", "anytime_gap", ...)
 //   instance     topology/backend/batch description
 //   threads      pool width the row ran with (1 for single-thread stages)
-//   ms_per_op    wall-clock per operation
+//   ms_per_op    wall-clock per operation (a value row — bench_m7's memory,
+//                bench_m4's route_work — carries its value here, ops = 1)
 //   ops_per_sec  1000 / ms_per_op (0 when unmeasurable)
-//   speedup      vs the row's IN-RUN control (legacy replica / 1-thread
-//                sweep point) — machine-independent, this is what the gate
-//                bounds; "-" when the row has no control
-//   identical    "yes"/"no" output-equality vs the control ("-" when not
-//                applicable; for bench_m4's route rows: within_contract
-//                below). The gate fails on any "no".
+//   speedup      a seed-exact factor or a ratio against the row's IN-RUN
+//                control (e.g. the 1-thread sweep point) — machine-
+//                independent, this is what the gate bounds; "-" when the
+//                row has none
+//   identical    "yes"/"no": the row's check — output equality vs the
+//                control, or the claim or contract its bench documents
+//                ("-" when the row has none). The gate fails on any "no".
 
 inline Table stage_table() {
   return Table({"phase", "instance", "threads", "ms_per_op", "ops_per_sec",
                 "speedup", "identical"});
-}
-
-/// The route contract between the restricted Frank–Wolfe solve and bench_m4's
-/// legacy replica of the pre-Frank–Wolfe solver (multiplicative weights,
-/// 800 rounds): both are exact certificates of the same LP, so each run's
-/// dual lower bound must sit below the other run's congestion
-/// (cross-validity), and the fresh congestion must be no worse than
-/// 1.02 times the replica's. `A` and `B` are any results with `congestion`
-/// and `lower_bound` fields.
-template <typename A, typename B>
-bool within_contract(const A& fresh, const B& reference) {
-  return fresh.congestion <= 1.02 * reference.congestion &&
-         fresh.lower_bound <= reference.congestion * (1.0 + 1e-9) + 1e-12 &&
-         reference.lower_bound <= fresh.congestion * (1.0 + 1e-9) + 1e-12;
 }
 
 /// Appends one canonical stage row. `total_ms` over `ops` operations;

@@ -5,7 +5,7 @@ Parses every artifact format the benches emit into the one canonical row
 schema declared in bench/bench_common.h (phase, instance, threads,
 ms_per_op, ops_per_sec, speedup, identical):
 
-  * JsonSink arrays (BENCH_m3/m4/m5/t*.json) are already canonical;
+  * JsonSink arrays (BENCH_m3/m4/m6-m10/f1/t*.json) are already canonical;
   * google-benchmark output (BENCH_m1.json) is normalized: each benchmark
     entry becomes one row with phase = name up to the first '/', instance =
     full name, ms_per_op = real_time in ms.
@@ -18,33 +18,31 @@ Checks, in order:
      nothing), and every such row says identical=yes — a required phase
      whose output comparison was skipped ("-") fails, not just one that
      failed;
-  3. identity: no row anywhere may say identical=no — bit-identity (or,
-     for bench_m4's route rows, bench_common.h's within_contract) is a
-     correctness gate, never a tolerance;
-  4. memory (bench_m7 rows, where ms_per_op carries a VALUE, ops = 1):
-     --mem-zero PHASE requires >= 1 row whose value is exactly 0 with
-     identical=yes (an unmeasured contract — identical="-" from a build
-     without SOR_ALLOC_STATS — fails, not passes); --mem-flat
-     PHASE[:TOL[:SLACK]] requires, against --baseline, that every fresh
-     row of that phase has a baseline counterpart and vice versa (two-way,
-     same rename/drop discipline as the speedup gate) and that
-     fresh_value <= baseline_value * TOL + SLACK. TOL defaults to 1.0
-     (exact: arena peaks are deterministic per seed), SLACK to 0 (pass
-     e.g. 1.10:2.0 for the machine-dependent RSS row: 10% + 2 MB);
+  3. identity: no row anywhere may say identical=no — a row's identity
+     check (bit-identity, or the claim or contract its bench documents)
+     is a correctness gate, never a tolerance;
+  4. value rows (ms_per_op carries a VALUE, ops = 1: bench_m7's memory
+     rows, bench_m4's route_work counts): --mem-zero PHASE requires >= 1
+     row whose value is exactly 0 with identical=yes (an unmeasured
+     contract — identical="-" from a build without SOR_ALLOC_STATS —
+     fails, not passes); --mem-flat PHASE[:TOL[:SLACK]] requires, against
+     --baseline, that every fresh row of that phase has a baseline
+     counterpart and vice versa (two-way, same rename/drop discipline as
+     the speedup gate) and that fresh_value <= baseline_value * TOL +
+     SLACK. TOL defaults to 1.0 and SLACK to 0: exact, for values that
+     are deterministic per seed (arena peaks, work counts); pass e.g.
+     1.10:2.0 for the machine-dependent RSS row (10% + 2 MB);
   5. regression (only with --baseline): every gated row (numeric speedup)
      must match between fresh and baseline BOTH ways — a baseline row
      with no fresh counterpart (renamed/dropped phase or instance would
      otherwise silently lose its gate) and a fresh gated row with no
      baseline counterpart (new instance: refresh the baseline in the same
      PR) are both failures — and for every matched key the fresh speedup
-     must be >= baseline_speedup / tolerance. The speedup column is
-     measured against an IN-RUN control (the verbatim legacy replica
-     compiled into the bench, or the 1-thread sweep point), so the ratio
-     transfers across machines where absolute ms would not; a
-     fresh/baseline ratio drop beyond the band IS a route-time regression
-     relative to the fixed workload. Default tolerance 1.25 = the ">25%
-     regression fails" contract. Absolute ms_per_op drifts are reported
-     as warnings only.
+     must be >= baseline_speedup / tolerance. The speedup column is a
+     seed-exact factor or a ratio against an IN-RUN control, so it
+     transfers across machines where absolute ms would not. Default
+     tolerance 1.25 = the ">25% regression fails" contract. Absolute
+     ms_per_op drifts are reported as warnings only.
 
 Refreshing a baseline intentionally (e.g. after a deliberate algorithm
 change): re-run the bench with --quick --json and copy the artifact over
@@ -133,9 +131,9 @@ def main():
                         help="memory phase whose every row must carry the "
                              "value 0 with identical=yes (repeatable)")
     parser.add_argument("--mem-flat", action="append", default=[],
-                        help="PHASE[:TOL[:SLACK]]: memory phase gated "
-                             "against --baseline as value <= "
-                             "baseline * TOL + SLACK (repeatable)")
+                        help="PHASE[:TOL[:SLACK]]: value-row phase (memory "
+                             "or work) gated against --baseline as value "
+                             "<= baseline * TOL + SLACK (repeatable)")
     args = parser.parse_args()
 
     mem_flat = []
@@ -230,7 +228,7 @@ def main():
                 floor = base_speedup / args.tolerance
                 if fresh_speedup < floor:
                     failures.append(
-                        f"route-time regression: {key(r)} speedup "
+                        f"speedup regression: {key(r)} speedup "
                         f"{fresh_speedup:.2f} < {floor:.2f} "
                         f"(baseline {base_speedup:.2f} / tolerance "
                         f"{args.tolerance})")
@@ -247,37 +245,38 @@ def main():
             if not fresh_rows:
                 failures.append(f"no '{phase}' rows in {args.fresh}")
             # Two-way matching, same rename/drop discipline as the speedup
-            # gate: a memory row vanishing on either side un-gates it.
+            # gate: a value row vanishing on either side un-gates it.
             for b in baseline:
                 if b["phase"] == phase and key(b) not in fresh_keys:
                     failures.append(
-                        f"baseline memory row has no fresh counterpart "
+                        f"baseline value row has no fresh counterpart "
                         f"(renamed or dropped?): {key(b)}")
             for r in fresh_rows:
                 b = base_by_key.get(key(r))
                 if b is None:
                     failures.append(
-                        f"fresh memory row missing from baseline (new "
+                        f"fresh value row missing from baseline (new "
                         f"instance? refresh bench/baselines/ in this PR): "
                         f"{key(r)}")
                     continue
                 fresh_v, base_v = numeric(r["ms_per_op"]), numeric(
                     b["ms_per_op"])
                 if fresh_v is None or base_v is None:
-                    failures.append(f"non-numeric memory value: {key(r)}")
+                    failures.append(f"non-numeric value: {key(r)}")
                     continue
                 mem_compared += 1
                 ceiling = base_v * tol + slack
                 if fresh_v > ceiling:
                     failures.append(
-                        f"memory growth: {key(r)} value {fresh_v:.3f} > "
-                        f"{ceiling:.3f} (baseline {base_v:.3f} * {tol} "
-                        f"+ {slack})")
+                        f"value above its ceiling: {key(r)} value "
+                        f"{fresh_v:.3f} > {ceiling:.3f} (baseline "
+                        f"{base_v:.3f} * {tol} + {slack})")
         if mem_compared:
-            print(f"{mem_compared} memory rows gated against baseline")
+            print(f"{mem_compared} value rows gated against baseline")
         if compared == 0 and mem_compared == 0:
             failures.append(
-                f"baseline {args.baseline} shares no gated (speedup) rows "
+                f"baseline {args.baseline} shares no gated (speedup or "
+                f"value) rows "
                 f"with {args.fresh} — stale baseline?")
         elif compared:
             print(f"{compared} speedup rows gated against baseline "
