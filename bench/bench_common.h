@@ -94,9 +94,9 @@ class JsonSink {
 //   phase        stage name ("route", "construct", "anytime_gap", ...)
 //   instance     topology/backend/batch description
 //   threads      pool width the row ran with (1 for single-thread stages)
-//   ms_per_op    wall-clock per operation (a value row — bench_m7's memory,
-//                bench_m4's route_work — carries its value here, ops = 1)
-//   ops_per_sec  1000 / ms_per_op (0 when unmeasurable)
+//   ms_per_op    wall-clock per operation (a value row — see value_row —
+//                carries its value here)
+//   ops_per_sec  1000 / ms_per_op (0 when unmeasurable; "-" on a value row)
 //   speedup      a seed-exact factor or a ratio against the row's IN-RUN
 //                control (e.g. the 1-thread sweep point) — machine-
 //                independent, this is what the gate bounds; "-" when the
@@ -131,6 +131,22 @@ inline void stage_row(Table& table, const std::string& phase,
     r.cell("-");
   }
   r.cell(identical.empty() ? "-" : identical);
+}
+
+/// Appends one value row: `value` (a count or a size, not a time) goes in
+/// ms_per_op, and ops_per_sec and speedup render as "-", because a value
+/// has no throughput. The gate reads values with --mem-zero / --mem-flat.
+inline void value_row(Table& table, const std::string& phase,
+                      const std::string& instance, double value,
+                      const std::string& identical) {
+  table.row()
+      .cell(phase)
+      .cell(instance)
+      .cell(1)
+      .cell(value, 3)
+      .cell("-")
+      .cell("-")
+      .cell(identical.empty() ? "-" : identical);
 }
 
 /// A named test topology plus a matching oblivious substrate, both owned by
@@ -172,18 +188,13 @@ struct RatioSummary {
   double max_ratio = 0.0;
 };
 
-/// Lower bound on opt: distance duality (cheap) optionally sharpened by a
-/// short optimum run for small instances.
+/// Lower bound on opt: distance duality (cheap) optionally sharpened by the
+/// optimum's certificate for small instances.
 inline double opt_lower_bound(const Graph& g, const Demand& d,
-                              bool run_mwu) {
+                              bool run_optimum) {
   double lb = distance_lower_bound(g, d);
   lb = std::max(lb, d.size() / g.total_capacity());
-  if (run_mwu) {
-    MinCongestionOptions options;
-    options.rounds = 200;
-    options.min_rounds = 30;
-    lb = std::max(lb, optimal_congestion(g, d, options).lower);
-  }
+  if (run_optimum) lb = std::max(lb, optimal_congestion(g, d).lower);
   return lb;
 }
 

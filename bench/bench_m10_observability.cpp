@@ -190,8 +190,8 @@ void bench_instance(Table& table, const std::string& name,
   // when the build cannot measure (no SOR_ALLOC_STATS interposer).
   const std::uint64_t allocs = steady_allocs(w);
   const bool counting = runtime::counting_compiled();
-  sor::bench::stage_row(table, "obs_off_alloc", name, 1,
-                        static_cast<double>(allocs), 1, 0.0,
+  sor::bench::value_row(table, "obs_off_alloc", name,
+                        static_cast<double>(allocs),
                         counting ? (allocs == 0 ? "yes" : "no") : "-");
 }
 

@@ -9,7 +9,7 @@
 //   route_work   one row per counter of the engine.route span — rounds,
 //                exp_evals and lane_reads — summed over one route per
 //                demand on a freshly built engine (instance
-//                "<instance>/<counter>"; ops = 1, the count in
+//                "<instance>/<counter>"; a value row, the count in
 //                ms_per_op). The counts are taken on a fresh engine
 //                because each timed install samples new paths, so counts
 //                taken on the timing engine would depend on the rep
@@ -156,8 +156,8 @@ void bench_instance(Table& table, const std::string& name, Graph graph,
       {"exp_evals", work.exp_evals},
       {"lane_reads", work.lane_reads}};
   for (const auto& [counter, value] : counters) {
-    sor::bench::stage_row(table, "route_work", name + "/" + counter, 1,
-                          static_cast<double>(value), 1, 0.0, same);
+    sor::bench::value_row(table, "route_work", name + "/" + counter,
+                          static_cast<double>(value), same);
   }
 
   // ---- route_batch (single-thread serving loop through the facade) --------

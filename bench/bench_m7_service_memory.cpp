@@ -3,8 +3,8 @@
 //
 // Drives SorEngine twice across a churn trace (run 1 warms every arena;
 // run 2 is the measured steady state) and reports, per instance, memory
-// rows in the canonical stage schema with ops = 1 and ms_per_op = the
-// measured VALUE (not a time):
+// value rows (bench_common.h's value_row: ms_per_op = the measured VALUE,
+// not a time; no throughput):
 //
 //   mem_steady_allocs  max heap allocations inside any steady-state route
 //                      call (run 2, epochs >= 1). The engine-owned scratch
@@ -124,15 +124,13 @@ void bench_instance(sor::Table& table, const std::string& name,
   if (emit_zero_alloc_row) {
     const std::string zero_ok =
         counting ? (out.steady_allocs == 0 ? "yes" : "no") : "-";
-    sor::bench::stage_row(table, "mem_steady_allocs", name, 1,
-                          static_cast<double>(out.steady_allocs), 1, 0.0,
-                          zero_ok);
+    sor::bench::value_row(table, "mem_steady_allocs", name,
+                          static_cast<double>(out.steady_allocs), zero_ok);
   }
-  sor::bench::stage_row(table, "mem_arena_peak", name, 1,
-                        static_cast<double>(out.arena_peak), 1, 0.0,
+  sor::bench::value_row(table, "mem_arena_peak", name,
+                        static_cast<double>(out.arena_peak),
                         out.arena_flat ? "yes" : "no");
-  sor::bench::stage_row(table, "mem_rss_growth", name, 1, out.rss_growth_mb,
-                        1, 0.0, "");
+  sor::bench::value_row(table, "mem_rss_growth", name, out.rss_growth_mb, "");
 }
 
 }  // namespace
@@ -145,7 +143,7 @@ int main(int argc, char** argv) {
          "allocations (mem_steady_allocs, exact), flat PathStore arena "
          "under reinstall churn (mem_arena_peak, deterministic "
          "per seed), flat process RSS (mem_rss_growth, MB). Rows carry the "
-         "measured value in ms_per_op with ops = 1.");
+         "measured value in ms_per_op.");
   if (!sor::runtime::counting_compiled()) {
     std::printf(
         "warning: built without SOR_ALLOC_STATS — allocation counts are "

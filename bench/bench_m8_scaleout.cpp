@@ -20,7 +20,7 @@
 //                   api/sor_engine.h. The CI gate requires
 //                   identical=yes on EVERY row of this phase.
 //   scaleout_mem    RSS growth in MB across a measured re-run after a
-//                   warm-up run (m7 discipline, ops = 1): aggregate-only
+//                   warm-up run (an m7-style value row): aggregate-only
 //                   mode must hold memory flat in the stream length.
 //                   Machine-dependent, so the gate allows slack
 //                   (--mem-flat scaleout_mem:1.25:8.0).
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
             : 0.0;
     std::printf("  measured re-run: rss growth %.2f MB, identical=%s\n",
                 growth_mb, batches_identical(reference, rerun) ? "yes" : "no");
-    stage_row(table, "scaleout_mem", base, 1, growth_mb, 1, 0.0,
+    value_row(table, "scaleout_mem", base, growth_mb,
               batches_identical(reference, rerun) ? "yes" : "no");
   }
 

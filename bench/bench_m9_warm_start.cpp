@@ -13,6 +13,11 @@
 //                  pins it exactly; identical = the ratio is > 1 (warm
 //                  genuinely saved rounds) AND a fresh warm engine's
 //                  rerun of the whole sequence is bit-identical.
+//   warm_work      the two totals behind that ratio, as value rows
+//                  (instance "<instance>/cold_rounds" and
+//                  "<instance>/warm_rounds", the total in ms_per_op),
+//                  gated exactly so that a moved total shows which side
+//                  moved; identical = that side's two passes agree.
 //   warm_identity  cold==warm-disabled bit-identity: a fresh cold
 //                  engine's rerun of the sequence matches the first cold
 //                  run bit for bit — the warm subsystem being linked in
@@ -117,14 +122,22 @@ void bench_instance(Table& table, const std::string& name,
                                              static_cast<double>(warm.rounds)
                                        : 0.0;
   const bool warm_deterministic = passes_identical(warm, warm2);
+  const bool cold_deterministic = passes_identical(cold, cold2);
   sor::bench::stage_row(table, "warm_rounds", name, 1, warm.route_ms, epochs,
                         ratio,
                         (ratio > 1.0 && warm_deterministic) ? "yes" : "no");
 
+  // warm_work: the round totals behind the ratio, exact for a fixed seed.
+  sor::bench::value_row(table, "warm_work", name + "/cold_rounds",
+                        static_cast<double>(cold.rounds),
+                        cold_deterministic ? "yes" : "no");
+  sor::bench::value_row(table, "warm_work", name + "/warm_rounds",
+                        static_cast<double>(warm.rounds),
+                        warm_deterministic ? "yes" : "no");
+
   // warm_identity: the cold path is untouched by the warm subsystem.
   sor::bench::stage_row(table, "warm_identity", name, 1, cold.route_ms,
-                        epochs, 0.0,
-                        passes_identical(cold, cold2) ? "yes" : "no");
+                        epochs, 0.0, cold_deterministic ? "yes" : "no");
 
   // warm_cert: cross-valid LP certificates, every epoch, both directions.
   bool certs_ok = true;
@@ -174,7 +187,8 @@ int main(int argc, char** argv) {
          "Breathing-volume trace served cold vs warm-started: speedup is "
          "the total restricted-solve rounds ratio cold/warm (exact for a fixed seed; "
          "identical=yes additionally requires ratio > 1 and a bit-identical "
-         "warm rerun), warm_identity pins the cold path bit-identical with "
+         "warm rerun), warm_work carries the cold and warm round totals, "
+         "warm_identity pins the cold path bit-identical with "
          "the warm subsystem exercised in-process, warm_cert pins "
          "cross-valid LP certificates every epoch, warm_replay pins "
          "verbatim replay of a bit-identical instance.");

@@ -839,7 +839,8 @@ int main(int argc, char** argv) {
   std::printf("fractional congestion: %.4f\n", report.congestion);
   if (route_spec.mwu.budget.enabled()) {
     std::printf("solve status: %s, certified optimality gap <= %.4f\n",
-                sor::to_string(report.solve_status), report.optimality_gap);
+                sor::to_string(report.solution.status),
+                report.solution.optimality_gap);
   }
   std::printf("offline optimum in [%.4f, %.4f] -> ratio <= %.2f\n",
               report.optimum->lower, report.optimum->upper,

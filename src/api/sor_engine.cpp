@@ -537,8 +537,6 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
     stage.set_arg("lane_reads", rounds * solve.lane_edges.size());
   }
   out.congestion = out.solution.congestion;
-  out.solve_status = out.solution.status;
-  out.optimality_gap = out.solution.optimality_gap;
   counters.mwu_rounds.fetch_add(
       static_cast<std::uint64_t>(std::max(out.solution.rounds_used, 0)),
       std::memory_order_relaxed);

@@ -214,13 +214,6 @@ struct RouteReport {
   /// Packet-level makespan of the integral routing (iff simulate_packets).
   std::optional<SimulationResult> simulation;
 
-  /// Why the restricted solve stopped (mirrors solution.status) and
-  /// its certified gap vs its dual bound:
-  ///   solution.lower_bound <= cong_R(P, d)
-  ///                        <= congestion = solution.lower_bound * (1+gap).
-  SolveStatus solve_status = SolveStatus::kCompleted;
-  double optimality_gap = 0.0;
-
   StageTimes times;
 
   /// Heap-allocation delta of this route call's stages 3..5, measured on

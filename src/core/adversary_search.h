@@ -22,8 +22,7 @@ namespace sor {
 struct AdversarySearchOptions {
   int iterations = 60;       ///< local moves attempted
   int pool = 4;              ///< random restarts
-  MinCongestionOptions routing_options{.rounds = 250, .target_gap = 1.03,
-                                       .min_rounds = 30};
+  MinCongestionOptions routing_options{.rounds = 250, .target_gap = 1.03};
 };
 
 struct AdversarySearchResult {

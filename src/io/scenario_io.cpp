@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -38,11 +39,16 @@ std::optional<LinkChurnSpec> parse_churn(const std::string& text) {
   }
   LinkChurnSpec churn;
   for (const auto& [key, value] : flat.params) {
+    if (!std::isfinite(value)) return std::nullopt;  // "nan", "inf"
     if (key == "rate") {
       churn.rate = value;
     } else if (key == "down_factor") {
       churn.down_factor = value;
     } else if (key == "mean_outage") {
+      // Range-check before the cast: a double past int's range has no int.
+      if (value < 1.0 || value > std::numeric_limits<int>::max()) {
+        return std::nullopt;
+      }
       churn.mean_outage = static_cast<int>(value);
     } else {
       return std::nullopt;

@@ -120,7 +120,9 @@ std::optional<PathSystem> read_path_system(std::istream& in, const Graph& g) {
     // The vertex loop must have stopped at end-of-line, not at a token
     // that fails to parse as a vertex.
     if (!ls.eof()) return std::nullopt;
-    if (!is_valid_path(g, p, s, t)) return std::nullopt;
+    // A path system routes distinct pairs; "v v v" is a valid path but no
+    // pair.
+    if (s == t || !is_valid_path(g, p, s, t)) return std::nullopt;
     ps.add_path(s, t, std::move(p));
   }
   return ps;

@@ -31,7 +31,7 @@ std::optional<Demand> read_demand(std::istream& in);
 void write_path_system(std::ostream& out, const PathSystem& ps);
 
 /// Parses the path-system format (validating each path against `g`);
-/// returns nullopt on malformed input or invalid paths.
+/// returns nullopt on malformed input, invalid paths or a pair with s == t.
 std::optional<PathSystem> read_path_system(std::istream& in, const Graph& g);
 
 /// Graph text format: first line "n m", then m lines "u v capacity".

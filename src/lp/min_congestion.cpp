@@ -443,10 +443,6 @@ void min_congestion_over_paths_into(const Graph& g,
   if (hooks.warm != nullptr && hooks.warm->size() == k) {
     apply_seed(commodities, candidates, *hooks.warm, sc);
   }
-  // A seeded solve starts from a previous solve's iterate, so its target
-  // exit may fire from the first round; min_rounds holds cold solves.
-  const bool seeded = std::ranges::find(sc.seeded, 1) != sc.seeded.end();
-  const int min_rounds = seeded ? 1 : options.min_rounds;
 
   const double log_m = std::log(static_cast<double>(m) + 2.0);
   const double eps_floor = std::max(0.01, log_m / 700.0);
@@ -594,8 +590,7 @@ void min_congestion_over_paths_into(const Graph& g,
       best_round = round;
       sc.budget_weight.assign(weight.begin(), weight.end());
     }
-    if (round >= min_rounds && best_lower > 0.0 &&
-        congestion <= best_lower * gap_mult) {
+    if (best_lower > 0.0 && congestion <= best_lower * gap_mult) {
       target_hit = true;
       break;
     }
@@ -729,15 +724,18 @@ void min_congestion_by_columns_into(const Graph& g,
   // each master solve, which sizes them): a commodity ends with at most
   // 1 + kMaxIterations columns, and a column seldom runs past twice the
   // length of the first, shortest ones (a headroom, not a bound: past it
-  // the edge buffers still grow).
+  // the edge buffers still grow). A pricing round's paths are shortest
+  // under positive lengths, so simple: k * (n - 1) edges bound them, and
+  // that bound is reserved up to the columns' own reservation.
   const std::size_t k = commodities.size();
   const std::size_t max_columns = k * (1 + kMaxIterations);
   const std::size_t first_edges = sc.columns.total_edges();
   const std::size_t max_edges = 2 * (1 + kMaxIterations) * first_edges;
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  const std::size_t priced_edges = k * (n > 0 ? n - 1 : 0);
   sc.columns.reserve(max_columns, max_edges, k);
   sc.next.reserve(max_columns, max_edges, k);
-  sc.priced.reserve(k, 2 * first_edges, k);
+  sc.priced.reserve(k, std::min(priced_edges, max_edges), k);
   sc.mwu.reserve(max_columns, max_edges, n);
 
   MinCongestionOptions master = options;

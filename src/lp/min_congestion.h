@@ -116,12 +116,12 @@ class SolveClock {
 };
 
 struct MinCongestionOptions {
-  int rounds = 200;          ///< Frank–Wolfe rounds (best responses)
-  double target_gap = 1.02;  ///< stop early once upper/lower <= target_gap
-  /// The earliest round a cold solve may stop at the target gap; a seeded
-  /// solve (MwuHooks::warm) may stop from round 1.
-  int min_rounds = 50;
-  SolveBudget budget;        ///< anytime budget; default = disabled
+  int rounds = 200;  ///< Frank–Wolfe rounds (best responses)
+  /// Stop at the first round whose congestion is within this factor of the
+  /// dual bound (upper/lower <= target_gap). A value below 1 is never met,
+  /// so the solve runs every round.
+  double target_gap = 1.02;
+  SolveBudget budget;  ///< anytime budget; default = disabled
   friend bool operator==(const MinCongestionOptions&,
                          const MinCongestionOptions&) = default;
 };
@@ -141,9 +141,7 @@ struct MwuHooks {
   /// (weights times d_j / row sum, copies of one path added first), so the
   /// previous epoch's weights seed a changed amount. Unseeded commodities
   /// enter with their round-0 best response under the seeded flow's
-  /// lengths. A solve with at least one seeded commodity may take the
-  /// target exit from round 1 (options.min_rounds holds cold solves).
-  /// Seeding only changes the STARTING iterate: the returned
+  /// lengths. Seeding only changes the STARTING iterate: the returned
   /// congestion is still exact for the returned weights and the dual bound
   /// still a valid lower bound, so warm and cold results of one instance
   /// cross-validate. Null = cold solve.

@@ -406,7 +406,7 @@ ScenarioReport run_scenario(SorEngine& engine, const ScenarioSpec& spec,
           engine.route_into(routable, route_spec, route_report);
           row.congestion = route_report.congestion;
           row.ratio = route_report.competitive_ratio;
-          row.optimality_gap = route_report.optimality_gap;
+          row.optimality_gap = route_report.solution.optimality_gap;
           row.route_ms = route_report.times.route_ms;
           row.optimum_ms = route_report.times.optimum_ms;
           row.route_allocs = route_report.mem.allocs;

@@ -308,21 +308,19 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
   EXPECT_EQ(sa.result.edge_load, sb.result.edge_load);
 }
 
-/// Checks the early-exit rule against a sink's trajectory: the solve must
-/// stop at exactly the first round >= min_rounds (1 for a seeded solve)
-/// whose record has congestion <= best_lower * gap, or run all rounds when
-/// none does. Returns whether the target was reached.
+/// Checks the early-exit rule against a sink's trajectory: the solve, cold
+/// or seeded, must stop at exactly the first round whose record has
+/// congestion <= best_lower * gap, or run all rounds when none does.
+/// Returns whether the target was reached.
 bool expect_stop_rule(const CongestionResult& r,
                       const std::vector<obs::ConvergenceRecord>& records,
-                      const MinCongestionOptions& options, bool seeded) {
+                      const MinCongestionOptions& options) {
   const double gap = options.budget.target_gap > 0.0
                          ? options.budget.target_gap
                          : options.target_gap;
-  const int min_rounds = seeded ? 1 : options.min_rounds;
   int first_met = 0;
   for (const obs::ConvergenceRecord& rec : records) {
-    if (rec.round >= min_rounds && rec.best_lower > 0.0 &&
-        rec.congestion <= rec.best_lower * gap) {
+    if (rec.best_lower > 0.0 && rec.congestion <= rec.best_lower * gap) {
       first_met = rec.round;
       break;
     }
@@ -352,9 +350,9 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   expect_certificate(early);
   EXPECT_LE(early.congestion, early.lower_bound * 10.0 + 1e-9);
 
-  // The stop round across bars and min_rounds: cold, and warm-seeded with
-  // an uneven split over every commodity's candidates (edges no candidate
-  // uses keep zero load).
+  // The stop round across bars: cold, and warm-seeded with an uneven split
+  // over every commodity's candidates (edges no candidate uses keep zero
+  // load). Both may stop from round 1.
   const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
   std::vector<std::vector<double>> warm;
   for (std::size_t j = 0; j < inst.commodities.size(); ++j) {
@@ -367,39 +365,43 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   CongestionResult r;
   std::vector<obs::ConvergenceRecord> records;
   int reached = 0;
-  int reached_late = 0;  // stops past the first round the rule could fire
+  int reached_late = 0;  // stops past round 1
+  int cold_stop = 0;     // the earliest round a cold solve stopped at
   for (const double gap : {10.0, 1.5, 1.2, 1.05}) {
-    for (const int min_rounds : {1, 50}) {
-      SCOPED_TRACE(testing::Message() << "gap " << gap << " min_rounds "
-                                      << min_rounds);
-      MinCongestionOptions o;
-      o.budget.target_gap = gap;
-      o.min_rounds = min_rounds;
-      for (const bool seeded : {false, true}) {
-        obs::ConvergenceSink sink(records);
-        MwuHooks hooks;
-        hooks.sink = &sink;
-        if (seeded) hooks.warm = &warm;
-        min_congestion_over_paths_into(inst.g, inst.commodities, flat, o,
-                                       hooks, scratch, r);
-        if (seeded) {
-          EXPECT_TRUE(std::count(r.edge_load.begin(), r.edge_load.end(),
-                                 0.0) > 0);
-        }
-        if (expect_stop_rule(r, records, o, seeded)) {
-          ++reached;
-          if (r.rounds_used > (seeded ? 1 : min_rounds)) ++reached_late;
+    SCOPED_TRACE(testing::Message() << "gap " << gap);
+    MinCongestionOptions o;
+    o.budget.target_gap = gap;
+    for (const bool seeded : {false, true}) {
+      obs::ConvergenceSink sink(records);
+      MwuHooks hooks;
+      hooks.sink = &sink;
+      if (seeded) hooks.warm = &warm;
+      min_congestion_over_paths_into(inst.g, inst.commodities, flat, o, hooks,
+                                     scratch, r);
+      if (seeded) {
+        EXPECT_TRUE(std::count(r.edge_load.begin(), r.edge_load.end(), 0.0) >
+                    0);
+      }
+      if (expect_stop_rule(r, records, o)) {
+        ++reached;
+        if (r.rounds_used > 1) ++reached_late;
+        if (!seeded && (cold_stop == 0 || r.rounds_used < cold_stop)) {
+          cold_stop = r.rounds_used;
         }
       }
     }
   }
   EXPECT_GE(reached, 6);
   EXPECT_GE(reached_late, 1);
+  // Cold solves certify early on this instance, and stop there.
+  EXPECT_GT(cold_stop, 0);
+  EXPECT_LT(cold_stop, 50);
 }
 
 TEST(AnytimeSolve, DeadlineBudgetStopsAtACheckpoint) {
   RestrictedInstance inst;
   MinCongestionOptions options;
+  options.target_gap = 0.0;  // never met, so only the deadline stops it
   options.budget.deadline_ms = 1e-9;  // elapses before the first checkpoint
   const CongestionResult r =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
@@ -433,7 +435,7 @@ TEST(AnytimeSolve, InjectedClockDeadlineIsTheRoundBudgetPrefix) {
   for (const int k : {1, 3, 5}) {
     SCOPED_TRACE(testing::Message() << "checkpoint " << k);
     MinCongestionOptions timed;
-    timed.min_rounds = 1000;  // no target exit before the budgets
+    timed.target_gap = 0.0;  // never met: no target exit before the budgets
     timed.budget.deadline_ms = 1.0;
     CheckpointClock clock(k);
     MwuHooks hooks;
@@ -445,7 +447,7 @@ TEST(AnytimeSolve, InjectedClockDeadlineIsTheRoundBudgetPrefix) {
     EXPECT_EQ(by_clock.rounds_used, kDeadlineCheckRounds * k);
 
     MinCongestionOptions capped;
-    capped.min_rounds = 1000;
+    capped.target_gap = 0.0;
     capped.budget.max_rounds = kDeadlineCheckRounds * k;
     CongestionResult by_rounds;
     min_congestion_over_paths_into(inst.g, inst.commodities, flat, capped,
@@ -476,8 +478,8 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   const RouteReport base = base_engine.route(d);
   // No budget: the solve ran to its own convergence criterion (full rounds
   // or the default early-exit bar) — never a budget status.
-  EXPECT_TRUE(base.solve_status == SolveStatus::kCompleted ||
-              base.solve_status == SolveStatus::kTargetReached);
+  EXPECT_TRUE(base.solution.status == SolveStatus::kCompleted ||
+              base.solution.status == SolveStatus::kTargetReached);
 
   // A non-triggering budget is bit-identical to no budget at all.
   SorEngine idle_engine = build();
@@ -488,7 +490,7 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   EXPECT_EQ(base.congestion, idle.congestion);
   EXPECT_EQ(base.solution.edge_load, idle.solution.edge_load);
   EXPECT_EQ(base.solution.lower_bound, idle.solution.lower_bound);
-  EXPECT_EQ(idle.solve_status, base.solve_status);
+  EXPECT_EQ(idle.solution.status, base.solution.status);
 
   // A binding budget reports its status and a valid certified gap.
   SorEngine tight_engine = build();
@@ -496,8 +498,8 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   RouteSpec tight_spec;
   tight_spec.mwu.budget.max_rounds = 4;
   const RouteReport tight = tight_engine.route(d, tight_spec);
-  EXPECT_EQ(tight.solve_status, SolveStatus::kBudgetRounds);
-  EXPECT_GE(tight.optimality_gap, 0.0);
+  EXPECT_EQ(tight.solution.status, SolveStatus::kBudgetRounds);
+  EXPECT_GE(tight.solution.optimality_gap, 0.0);
   EXPECT_GE(tight.congestion, base.congestion - 1e-12);
   EXPECT_LE(tight.solution.lower_bound,
             tight.congestion + 1e-12);

@@ -206,7 +206,6 @@ TEST_P(FreePathFlatSweep, BitIdenticalToReferenceLoop) {
   const Demand d = random_demand(g.num_vertices(), 8, rng);
   MinCongestionOptions options;
   options.rounds = 300;
-  options.min_rounds = 30;
   expect_matches_reference(g, d, options);
   // A tighter target gap stops the iterations and the final solve at
   // different points.

@@ -3,8 +3,15 @@
 // regardless of the draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
+#include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/demand.h"
 #include "core/path_system.h"
@@ -12,8 +19,11 @@
 #include "graph/generators.h"
 #include "graph/maxflow.h"
 #include "graph/shortest_path.h"
+#include "io/demand_stream.h"
+#include "io/scenario_io.h"
 #include "io/serialization.h"
 #include "oblivious/shortest_path_routing.h"
+#include "scenario/scenario.h"
 
 namespace sor {
 namespace {
@@ -143,7 +153,225 @@ TEST_P(FuzzSweep, ShortestPathSamplerAlwaysTight) {
   }
 }
 
+// ---- reader mutation fuzzing ----------------------------------------------
+// Every src/io reader gets a serialized valid instance and a few hundred
+// seeded mutations of it: a byte flip, a deleted or duplicated span, a
+// truncation, or a number replaced by nan, inf, -1 or 1e400. A read must
+// return (nullopt or a value) or throw the exception type its header
+// documents; any other exception, an assert or a sanitizer report is a
+// reader bug.
+
+/// The [begin, end) spans of the numbers in `text`: maximal runs of digits
+/// and dots that hold a digit.
+std::vector<std::pair<std::size_t, std::size_t>> number_spans(
+    const std::string& text) {
+  const auto numeric = [](char c) {
+    return (c >= '0' && c <= '9') || c == '.';
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t i = 0; i < text.size();) {
+    if (!numeric(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    bool digit = false;
+    for (; end < text.size() && numeric(text[end]); ++end) {
+      digit = digit || text[end] != '.';
+    }
+    if (digit) spans.emplace_back(i, end);
+    i = end;
+  }
+  return spans;
+}
+
+/// One seeded mutation of a nonempty `text`.
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string out = text;
+  const auto pos = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<int>(out.size()) - 1));
+  const std::size_t len = std::min(
+      static_cast<std::size_t>(rng.uniform_int(1, 8)), out.size() - pos);
+  switch (rng.uniform_int(0, 4)) {
+    case 0:  // byte flip
+      out[pos] = static_cast<char>(out[pos] ^ rng.uniform_int(1, 255));
+      break;
+    case 1:  // deletion
+      out.erase(pos, len);
+      break;
+    case 2:  // duplication
+      out.insert(pos, out.substr(pos, len));
+      break;
+    case 3:  // truncation
+      out.resize(pos);
+      break;
+    default: {  // a number replaced
+      static const char* const kNumbers[] = {"nan", "inf", "-1", "1e400"};
+      const auto spans = number_spans(out);
+      if (spans.empty()) break;
+      const auto [begin, end] = spans[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(spans.size()) - 1))];
+      out.replace(begin, end - begin, kNumbers[rng.uniform_int(0, 3)]);
+    }
+  }
+  return out;
+}
+
+/// One reader under test: a serialized valid instance and a read of any
+/// text, which returns whether it produced a value and may throw
+/// std::invalid_argument iff its header says so.
+struct Reader {
+  const char* name;
+  std::string valid;
+  std::function<bool(std::istream&)> read;
+  bool throws_invalid_argument = false;
+};
+
+/// Reads `text`; true iff the read produced a value.
+bool expect_read_survives(const Reader& reader, const std::string& text) {
+  std::istringstream in(text);
+  try {
+    return reader.read(in);
+  } catch (const std::invalid_argument& e) {
+    if (!reader.throws_invalid_argument) {
+      ADD_FAILURE() << reader.name << " threw " << e.what() << " on:\n"
+                    << text;
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << reader.name << " threw " << e.what() << " on:\n"
+                  << text;
+  }
+  return false;
+}
+
+/// A small graph with parallel edges and capacities drawn from (0.5, 4).
+Graph capacitated_graph(Rng& rng) {
+  const Graph base = gen::erdos_renyi_connected(9, 0.4, rng);
+  Graph g(base.num_vertices());
+  for (const Edge& e : base.edges()) {
+    g.add_edge(e.u, e.v, rng.uniform_double(0.5, 4.0));
+    if (rng.bernoulli(0.2)) g.add_edge(e.u, e.v, rng.uniform_double(0.5, 4.0));
+  }
+  return g;
+}
+
+/// Up to `pairs` random pairs of n vertices, amounts drawn from (0.1, 3).
+Demand random_amounts_demand(int n, int pairs, Rng& rng) {
+  Demand d;
+  for (int i = 0; i < pairs; ++i) {
+    const int s = rng.uniform_int(0, n - 1);
+    const int t = rng.uniform_int(0, n - 1);
+    if (s != t) d.set(s, t, rng.uniform_double(0.1, 3.0));
+  }
+  return d;
+}
+
+std::vector<Reader> readers(const Graph& g, Rng& rng) {
+  const int n = g.num_vertices();
+  std::ostringstream graph_text;
+  io::write_graph(graph_text, g);
+
+  std::ostringstream demand_text;
+  io::write_demand(demand_text, random_amounts_demand(n, 6, rng));
+
+  RandomShortestPathRouting routing(g);
+  const Demand pairs = random_amounts_demand(n, 4, rng);
+  std::ostringstream paths_text;
+  io::write_path_system(
+      paths_text, sample_path_system(routing, 2, support_pairs(pairs), rng));
+
+  scenario::ScenarioSpec spec = *scenario::scenario_preset("failover");
+  spec.budget = *SolveBudget::parse("max_rounds=40,deadline_ms=2.5,gap=1.05");
+  spec.warm_start = true;
+  spec.events.push_back({.epoch = 3, .kind = scenario::LinkEvent::Kind::kScale,
+                         .u = 2, .v = 3, .factor = 0.5});
+  std::ostringstream scenario_text;
+  io::write_scenario(scenario_text, spec);
+
+  scenario::ScenarioTrace trace;
+  for (int e = 0; e < 3; ++e) {
+    trace.demands.push_back(random_amounts_demand(n, 4, rng));
+  }
+  trace.events = {{.epoch = 1, .u = 0, .v = 1},
+                  {.epoch = 2, .kind = scenario::LinkEvent::Kind::kScale,
+                   .u = 2, .v = 3, .factor = 0.25}};
+  std::ostringstream trace_text;
+  io::write_trace(trace_text, trace);
+
+  std::ostringstream stream_text;
+  stream_text << "# demand stream\n";
+  for (int line = 0; line < 4; ++line) {
+    const Demand d = random_amounts_demand(n, 3, rng);
+    for (const auto& [pair, value] : d.entries()) {
+      stream_text << pair.first << ' ' << pair.second << ' ' << value << "  ";
+    }
+    stream_text << "\n";
+  }
+
+  return {
+      {"read_graph", graph_text.str(),
+       [](std::istream& in) { return io::read_graph(in).has_value(); }},
+      {"read_demand", demand_text.str(),
+       [](std::istream& in) { return io::read_demand(in).has_value(); }},
+      {"read_path_system", paths_text.str(),
+       [&g](std::istream& in) {
+         return io::read_path_system(in, g).has_value();
+       }},
+      {"read_scenario", scenario_text.str(),
+       [](std::istream& in) { return io::read_scenario(in).has_value(); }},
+      {"read_trace", trace_text.str(),
+       [n](std::istream& in) { return io::read_trace(in, n).has_value(); }},
+      {"DemandTextSource", stream_text.str(),
+       [](std::istream& in) {
+         io::DemandTextSource source(in);
+         std::span<const DemandEntry> demand;
+         while (source.next(demand)) {
+         }
+         return true;
+       },
+       /*throws_invalid_argument=*/true},
+  };
+}
+
+TEST_P(FuzzSweep, ReadersSurviveMutatedInput) {
+  const Graph g = capacitated_graph(rng_);
+  for (const Reader& reader : readers(g, rng_)) {
+    SCOPED_TRACE(reader.name);
+    EXPECT_TRUE(expect_read_survives(reader, reader.valid));
+    for (int trial = 0; trial < 300; ++trial) {
+      expect_read_survives(reader, mutate(reader.valid, rng_));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 10));
+
+// Inputs that once crashed a reader. The sweep above found the first: a
+// churn knob of "inf" was cast to int (undefined behavior, reported by
+// UBSan); "nan" knobs passed the range checks.
+TEST(ReaderRegressions, NonFiniteOrOutOfRangeChurnIsRejected) {
+  for (const char* churn :
+       {"rate=0.5,down_factor=0.05,mean_outage=inf", "mean_outage=nan",
+        "mean_outage=1e300", "rate=nan", "down_factor=inf"}) {
+    SCOPED_TRACE(churn);
+    std::istringstream in(std::string("scenario v1\nchurn ") + churn + "\n");
+    EXPECT_FALSE(io::read_scenario(in).has_value());
+  }
+  std::istringstream in("scenario v1\nchurn mean_outage=2.5\n");
+  const auto spec = io::read_scenario(in);
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->churn.mean_outage, 2);
+}
+
+// A written case: "3 3 3" is a valid path of no pair, and PathSystem's
+// add_path asserts s != t, so a Debug build aborted on it.
+TEST(ReaderRegressions, PathSystemSelfPairIsRejected) {
+  const Graph g = gen::hypercube(2);
+  std::istringstream valid("0 1 0 1\n");
+  EXPECT_TRUE(io::read_path_system(valid, g).has_value());
+  std::istringstream self_pair("0 1 0 1\n3 3 3\n");
+  EXPECT_FALSE(io::read_path_system(self_pair, g).has_value());
+}
 
 }  // namespace
 }  // namespace sor

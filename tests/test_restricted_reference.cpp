@@ -9,9 +9,10 @@
 //  * each first-occurrence-deduplicated candidate is summed left to right
 //    from +0.0 and the argmin is strict `<` in candidate order;
 //  * a warm seed row is folded onto first occurrences and scaled to the
-//    amount, unseeded commodities enter on their round-0 best response
-//    and a seeded solve may exit from round 1; eps, the step, the early
-//    exit, the round budget's best-iterate rewind, a deadline on an
+//    amount and unseeded commodities enter on their round-0 best
+//    response; the early exit fires at the first round whose congestion
+//    is within the target gap of the running lower bound, cold or seeded;
+//    eps, the step, the round budget's best-iterate rewind, a deadline on an
 //    injected clock and the returned weights and loads follow the
 //    solver's documented contract;
 //  * every round leaves one convergence record: the round, the congestion,
@@ -324,9 +325,7 @@ Reference reference_solve(const Instance& inst,
       best_round = round;
       best_w = w;
     }
-    const bool any_seeded = std::count(seeded.begin(), seeded.end(), 1) > 0;
-    if (round >= (any_seeded ? 1 : options.min_rounds) && best_lower > 0.0 &&
-        u <= best_lower * gap_mult) {
+    if (best_lower > 0.0 && u <= best_lower * gap_mult) {
       target_hit = true;
       break;
     }
@@ -423,7 +422,6 @@ void expect_matches_reference(const Instance& inst, std::uint64_t seed,
                               CongestionResult& out) {
   MinCongestionOptions cold;
   cold.rounds = 300;
-  cold.min_rounds = 30;
   MinCongestionOptions early = cold;
   early.target_gap = 1.25;
   MinCongestionOptions capped = cold;

@@ -144,7 +144,6 @@ TEST(WarmStart, SpecChangeDisablesReplayButStillSeeds) {
   const std::pair<const char*, void (*)(RouteSpec&)> changes[] = {
       {"mwu.rounds", [](RouteSpec& s) { s.mwu.rounds = 700; }},
       {"mwu.target_gap", [](RouteSpec& s) { s.mwu.target_gap = 1.05; }},
-      {"mwu.min_rounds", [](RouteSpec& s) { s.mwu.min_rounds = 60; }},
       {"mwu.budget.max_rounds",
        [](RouteSpec& s) { s.mwu.budget.max_rounds = 1 << 20; }},
       {"compute_optimum", [](RouteSpec& s) { s.compute_optimum = false; }},

@@ -15,23 +15,25 @@ Checks, in order:
   1. schema: every row parses into the canonical field set;
   2. presence: each --require-phase PHASE has >= 1 row, every such row
      has nonzero ops_per_sec (guards against a bench silently measuring
-     nothing), and every such row says identical=yes — a required phase
-     whose output comparison was skipped ("-") fails, not just one that
-     failed;
+     nothing; a value row's "-" has no throughput to check), and every
+     such row says identical=yes — a required phase whose output
+     comparison was skipped ("-") fails, not just one that failed;
   3. identity: no row anywhere may say identical=no — a row's identity
      check (bit-identity, or the claim or contract its bench documents)
      is a correctness gate, never a tolerance;
-  4. value rows (ms_per_op carries a VALUE, ops = 1: bench_m7's memory
-     rows, bench_m4's route_work counts): --mem-zero PHASE requires >= 1
-     row whose value is exactly 0 with identical=yes (an unmeasured
-     contract — identical="-" from a build without SOR_ALLOC_STATS —
-     fails, not passes); --mem-flat PHASE[:TOL[:SLACK]] requires, against
-     --baseline, that every fresh row of that phase has a baseline
-     counterpart and vice versa (two-way, same rename/drop discipline as
-     the speedup gate) and that fresh_value <= baseline_value * TOL +
-     SLACK. TOL defaults to 1.0 and SLACK to 0: exact, for values that
-     are deterministic per seed (arena peaks, work counts); pass e.g.
-     1.10:2.0 for the machine-dependent RSS row (10% + 2 MB);
+  4. value rows (bench_common.h's value_row: ms_per_op carries a VALUE
+     and ops_per_sec is "-"; bench_m7's memory rows, bench_m4's
+     route_work and bench_m9's warm_work counts): --mem-zero PHASE
+     requires >= 1 row whose value is exactly 0 with identical=yes (an
+     unmeasured contract — identical="-" from a build without
+     SOR_ALLOC_STATS — fails, not passes); --mem-flat PHASE[:TOL[:SLACK]]
+     requires, against --baseline, that every fresh row of that phase has
+     a baseline counterpart and vice versa (two-way, same rename/drop
+     discipline as the speedup gate) and that fresh_value <=
+     baseline_value * TOL + SLACK. TOL defaults to 1.0 and SLACK to 0:
+     exact, for values that are deterministic per seed (arena peaks, work
+     counts); pass e.g. 1.10:2.0 for the machine-dependent RSS row (10% +
+     2 MB);
   5. regression (only with --baseline): every gated row (numeric speedup)
      must match between fresh and baseline BOTH ways — a baseline row
      with no fresh counterpart (renamed/dropped phase or instance would
@@ -123,7 +125,8 @@ def main():
                         help="committed baseline JSON to gate against")
     parser.add_argument("--require-phase", action="append", default=[],
                         help="phase that must be present with nonzero "
-                             "throughput (repeatable)")
+                             "throughput (value rows: '-') and "
+                             "identical=yes (repeatable)")
     parser.add_argument("--tolerance", type=float, default=1.25,
                         help="allowed fresh-vs-baseline speedup shrink "
                              "factor (1.25 = fail on >25%% regression)")
@@ -168,7 +171,8 @@ def main():
             failures.append(f"no '{phase}' rows in {args.fresh}")
             continue
         for r in rows:
-            if not (numeric(r["ops_per_sec"]) or 0) > 0:
+            throughput = r["ops_per_sec"]  # "-" on a value row: none to check
+            if throughput != "-" and not (numeric(throughput) or 0) > 0:
                 failures.append(f"zero throughput: {key(r)}")
             if r.get("identical") != "yes":
                 failures.append(

@@ -23,9 +23,20 @@ def row(phase, instance, value=1.0, speedup="-", identical="-"):
             "speedup": speedup, "identical": identical}
 
 
+def value_row(phase, instance, value, identical="yes"):
+    """A row as bench_common.h's value_row writes it: no throughput."""
+    return dict(row(phase, instance, value, identical=identical),
+                ops_per_sec="-")
+
+
 def work_rows(lane_reads=795200.0):
-    return [row("route_work", "g/rounds", 800.0, identical="yes"),
-            row("route_work", "g/lane_reads", lane_reads, identical="yes")]
+    return [value_row("route_work", "g/rounds", 800.0),
+            value_row("route_work", "g/lane_reads", lane_reads)]
+
+
+def warm_work_rows(cold=44.0, warm=35.0):
+    return [value_row("warm_work", "g/cold_rounds", cold),
+            value_row("warm_work", "g/warm_rounds", warm)]
 
 
 class BenchGateTest(unittest.TestCase):
@@ -64,6 +75,31 @@ class BenchGateTest(unittest.TestCase):
     def test_value_row_missing_from_baseline_fails(self):
         self.assertEqual(self.gate(work_rows(), work_rows()[:1],
                                    "--mem-flat", "route_work:1.0"), 1)
+
+    def test_round_total_raised_by_one_fails(self):
+        flags = ("--mem-flat", "warm_work:1.0")
+        self.assertEqual(self.gate(warm_work_rows(), warm_work_rows(),
+                                   *flags), 0)
+        self.assertEqual(self.gate(warm_work_rows(cold=45.0),
+                                   warm_work_rows(), *flags), 1)
+        self.assertEqual(self.gate(warm_work_rows(warm=36.0),
+                                   warm_work_rows(), *flags), 1)
+
+    def test_required_value_rows_skip_the_throughput_check(self):
+        self.assertEqual(self.gate(work_rows(), None,
+                                   "--require-phase", "route_work"), 0)
+        # Presence and the identity check are still required.
+        self.assertEqual(self.gate(work_rows(), None,
+                                   "--require-phase", "warm_work"), 1)
+        unchecked = [value_row("route_work", "g/rounds", 800.0,
+                               identical="-")]
+        self.assertEqual(self.gate(unchecked, None,
+                                   "--require-phase", "route_work"), 1)
+
+    def test_required_timed_row_with_zero_throughput_fails(self):
+        self.assertEqual(self.gate([row("route_batch", "g", 0.0,
+                                        identical="yes")],
+                                   None, "--require-phase", "route_batch"), 1)
 
     def test_any_identical_no_row_fails(self):
         fresh = [row("route", "g"), row("build", "g", identical="no")]
