@@ -1,8 +1,12 @@
 // Experiment M3 — parallel scaling of the shared-nothing concurrency layer.
 //
-// Two hot paths, each swept over 1/2/4/8 worker threads:
-//   construct    Räcke tree-distribution build (per-wave FRT trees built
+// Three hot paths, each swept over 1/2/4/8 worker threads:
+//   construct    Räcke tree-distribution build (each wave's all-pairs
+//                table fanned out by rows, then its FRT trees built
 //                concurrently from seed-split streams) on an expander
+//   install      Stages 1-2 of a fresh engine per thread count: the
+//                all-pairs alpha-sample over a Räcke build on a torus,
+//                checked by the installed system's fingerprint
 //   route_batch  many revealed permutation demands routed concurrently
 //                over one frozen PathSystem (expander + hypercube)
 //
@@ -81,6 +85,32 @@ void sweep_racke_construction(Table& table, bool quick) {
   }
 }
 
+void sweep_install(Table& table, bool quick) {
+  const int side = quick ? 8 : 12;
+  const std::string instance = "torus(" + std::to_string(side) + "x" +
+                               std::to_string(side) + "),racke,all_pairs";
+  std::uint64_t serial_fingerprint = 0;
+  double serial_ms = 0.0;
+  for (int threads : kThreadSweep) {
+    // A fresh engine per sweep point, same seed: the install draws from
+    // the engine stream, so only equal builds can install equal systems.
+    SorEngine engine =
+        SorEngine::build(gen::grid(side, side, /*wrap=*/true),
+                         "racke:num_trees=8", 1234, threads);
+    const auto start = Clock::now();
+    const std::uint64_t installed =
+        fingerprint(engine.install_paths(SamplingSpec{}));
+    const double elapsed = ms_since(start);
+    if (threads == 1) {
+      serial_fingerprint = installed;
+      serial_ms = elapsed;
+    }
+    sor::bench::stage_row(table, "install", instance, threads, elapsed, 1,
+                          elapsed > 0.0 ? serial_ms / elapsed : 0.0,
+                          installed == serial_fingerprint ? "yes" : "no");
+  }
+}
+
 void sweep_route_batch(Table& table, const std::string& instance_name,
                        SorEngine& engine, bool quick) {
   const int n = engine.graph().num_vertices();
@@ -132,12 +162,13 @@ int main(int argc, char** argv) {
   using namespace sor::bench;
   const BenchArgs args = BenchArgs::parse(argc, argv);
   banner("M3 — parallel scaling",
-         "ThreadPool fan-out of racke construction and route_batch: "
+         "ThreadPool fan-out of racke construction, install and route_batch: "
          "wall-clock falls with threads while outputs stay bit-identical "
          "to the 1-thread run (seed-split determinism).");
 
   Table table = stage_table();
   sweep_racke_construction(table, args.quick);
+  sweep_install(table, args.quick);
 
   {
     const int n = args.quick ? 64 : 128;

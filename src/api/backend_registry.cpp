@@ -53,6 +53,13 @@ BackendSpec BackendSpec::parse(const std::string& text) {
                                   " has a non-numeric value \"" + value +
                                   "\" in \"" + text + "\"");
     }
+    // std::stod reads "nan" and "inf" too. No knob of a backend, traffic
+    // model or churn spec (all parsed here) means anything non-finite.
+    if (!std::isfinite(parsed)) {
+      throw std::invalid_argument("backend spec param " + key +
+                                  " has a non-finite value \"" + value +
+                                  "\" in \"" + text + "\"");
+    }
     spec.params[key] = parsed;
   }
   return spec;

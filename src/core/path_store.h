@@ -51,6 +51,11 @@ class PathStore {
   /// without re-resolving edges; returns the re-based ref.
   PathRef adopt(const PathStore& other, PathRef ref);
 
+  /// Makes room for `ints` more arena ints in at most one allocation (a
+  /// path of h hops takes 2h + 1); no-op when the capacity already holds
+  /// them.
+  void reserve(std::size_t ints) { data_.reserve(data_.size() + ints); }
+
   /// Drops every path but keeps the arena's capacity, so a reinstall that
   /// interns no more than the last one reallocates nothing. Every ref into
   /// the store is dead afterwards.

@@ -126,6 +126,18 @@ void sample_pairs_into(const ObliviousRouting& routing,
   } else {
     for (std::size_t i = 0; i < pairs.size(); ++i) sample_one(i);
   }
+  // One arena allocation at the sampled total: the install never holds a
+  // grown arena's old and new buffers on top of every sampled path. The
+  // draws are freed together, after the last intern. Freeing each pair's
+  // draws as soon as they were interned saved no peak memory on perfbench's
+  // dense-batch and slowed its epochs by about 5%: the pair index's nodes
+  // then fill the holes between the remaining draws, and serving allocates
+  // into the scattered holes they leave.
+  std::size_t arena_ints = 0;
+  for (const std::vector<Path>& draws_of_pair : sampled) {
+    for (const Path& path : draws_of_pair) arena_ints += 2 * path.size() - 1;
+  }
+  ps.reserve_arena(arena_ints);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     for (const Path& path : sampled[i]) {
       ps.add_path(pairs[i].first, pairs[i].second, path);
@@ -150,6 +162,27 @@ PathSystem sample_path_system(const ObliviousRouting& routing, int alpha,
   PathSystem ps(routing.graph());
   sample_path_system_into(routing, alpha, pairs, rng, pool, ps);
   return ps;
+}
+
+std::uint64_t fingerprint(const PathSystem& ps) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<std::uint64_t>(value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const PathStore& store = ps.store();
+  for (const auto& [pair, refs] : ps.entries()) {
+    mix(pair.first);
+    mix(pair.second);
+    for (PathRef ref : refs) {
+      mix(ref.offset);
+      for (int v : store.vertices(ref)) mix(v);
+      for (int e : store.edge_ids(ref)) mix(e);
+    }
+  }
+  return hash;
 }
 
 std::vector<std::pair<int, int>> all_ordered_pairs(int n) {

@@ -17,6 +17,7 @@
 // boundary callers (io, robustness, the lower-bound adversary, tests).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <span>
 #include <utility>
@@ -79,6 +80,10 @@ class PathSystem {
   /// The interning arena every ref below points into.
   const PathStore& store() const { return store_; }
 
+  /// Makes room for `ints` more arena ints at once (see PathStore::reserve):
+  /// the samplers reserve their whole draw before interning it.
+  void reserve_arena(std::size_t ints) { store_.reserve(ints); }
+
   /// Interned refs for a pair, in insertion order. Empty for a miss.
   std::span<const PathRef> refs(int s, int t) const;
 
@@ -107,6 +112,12 @@ FlatCandidates flat_candidates(const PathSystem& ps,
 void flat_candidates_into(const PathSystem& ps,
                           const std::vector<Commodity>& commodities,
                           FlatCandidates& out);
+
+/// FNV-1a hash of everything a system has installed: per pair, in pair
+/// order, s and t, then each candidate's arena offset, vertex ids and edge
+/// ids. Equal fingerprints mean the same paths in the same arena slabs, the
+/// identity the samplers promise across thread counts and seeds replayed.
+std::uint64_t fingerprint(const PathSystem& ps);
 
 /// All n*(n-1) ordered vertex pairs, lexicographic.
 std::vector<std::pair<int, int>> all_ordered_pairs(int n);

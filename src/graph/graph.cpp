@@ -1,9 +1,11 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace sor {
 
@@ -17,9 +19,18 @@ std::uint64_t Graph::next_topology_stamp() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::int64_t Graph::pair_key(int u, int v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::int64_t>(u) << 32) | static_cast<std::uint32_t>(v);
+std::size_t Graph::find_pair_slot(int u, int v) const {
+  const std::size_t mask = pair_slots_.size() - 1;
+  const std::uint64_t key =
+      (std::uint64_t{static_cast<std::uint32_t>(u)} << 32) |
+      static_cast<std::uint32_t>(v);
+  const std::uint64_t h = key * 0x9E3779B97F4A7C15ull;  // Fibonacci hashing
+  std::size_t at = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+  while (pair_slots_[at].u >= 0 &&
+         (pair_slots_[at].u != u || pair_slots_[at].v != v)) {
+    at = (at + 1) & mask;
+  }
+  return at;
 }
 
 int Graph::add_edge(int u, int v, double capacity) {
@@ -31,10 +42,23 @@ int Graph::add_edge(int u, int v, double capacity) {
   edges_.push_back(Edge{u, v, capacity});
   incident_[static_cast<std::size_t>(u)].push_back(id);
   incident_[static_cast<std::size_t>(v)].push_back(id);
-  auto [it, inserted] = canonical_edge_.try_emplace(pair_key(u, v), id);
-  if (!inserted && edges_[static_cast<std::size_t>(it->second)].capacity <
-                       capacity) {
-    it->second = id;
+  if (2 * (num_pairs_ + 1) > pair_slots_.size()) {
+    // Keep the load at most 1/2: double and re-insert every pair.
+    const std::size_t size = std::max<std::size_t>(16, 2 * pair_slots_.size());
+    const std::vector<PairSlot> previous =
+        std::exchange(pair_slots_, std::vector<PairSlot>(size));
+    for (const PairSlot& slot : previous) {
+      if (slot.u >= 0) pair_slots_[find_pair_slot(slot.u, slot.v)] = slot;
+    }
+  }
+  const int lo = std::min(u, v);
+  const int hi = std::max(u, v);
+  PairSlot& slot = pair_slots_[find_pair_slot(lo, hi)];
+  if (slot.u < 0) {
+    slot = PairSlot{lo, hi, id};
+    ++num_pairs_;
+  } else if (edges_[static_cast<std::size_t>(slot.edge)].capacity < capacity) {
+    slot.edge = id;
   }
   topology_stamp_ = next_topology_stamp();
   return id;
@@ -66,12 +90,16 @@ void Graph::set_capacity(int e, double capacity) {
       best_cap = cand.capacity;
     }
   }
-  canonical_edge_[pair_key(edge.u, edge.v)] = best;
+  pair_slots_[find_pair_slot(std::min(edge.u, edge.v),
+                             std::max(edge.u, edge.v))]
+      .edge = best;
 }
 
 int Graph::edge_between(int u, int v) const {
-  auto it = canonical_edge_.find(pair_key(u, v));
-  return it == canonical_edge_.end() ? -1 : it->second;
+  if (pair_slots_.empty()) return -1;
+  if (u > v) std::swap(u, v);
+  const PairSlot& slot = pair_slots_[find_pair_slot(u, v)];
+  return slot.u < 0 ? -1 : slot.edge;
 }
 
 bool Graph::is_connected() const {
@@ -140,32 +168,35 @@ std::vector<int> path_edge_ids(const Graph& g, const Path& path) {
 }
 
 Path simplify_walk(const Path& walk) {
-  Path out;
-  if (walk.empty()) return out;
-  std::unordered_map<int, std::size_t> position;
-  out.reserve(walk.size());
-  for (int v : walk) {
-    auto it = position.find(v);
-    if (it != position.end()) {
-      // Cut the loop: drop everything after the first occurrence of v.
-      for (std::size_t i = it->second + 1; i < out.size(); ++i) {
-        position.erase(out[i]);
-      }
-      out.resize(it->second + 1);
-    } else {
-      position.emplace(v, out.size());
-      out.push_back(v);
-    }
-  }
-  return out;
+  thread_local WalkSimplifier simplifier;
+  simplifier.clear();
+  for (int v : walk) simplifier.step(v);
+  return simplifier.path();
 }
 
-Path concatenate_walks(const Path& first, const Path& second) {
-  assert(!first.empty() && !second.empty());
-  assert(first.back() == second.front());
-  Path out = first;
-  out.insert(out.end(), second.begin() + 1, second.end());
-  return out;
+void WalkSimplifier::clear() {
+  for (int v : path_) position_[static_cast<std::size_t>(v)] = -1;
+  path_.clear();
+}
+
+void WalkSimplifier::step(int v) {
+  assert(v >= 0);
+  const std::size_t sv = static_cast<std::size_t>(v);
+  if (sv >= position_.size()) position_.resize(sv + 1, -1);
+  const int at = position_[sv];
+  if (at >= 0) {
+    // Cut the loop: drop everything after v's first occurrence.
+    for (std::size_t i = static_cast<std::size_t>(at) + 1; i < path_.size();
+         ++i) {
+      position_[static_cast<std::size_t>(path_[i])] = -1;
+    }
+    path_.resize(static_cast<std::size_t>(at) + 1);
+  } else {
+    // Position after the append, so a throwing push_back leaves the two
+    // consistent and clear() still restores every entry it set.
+    path_.push_back(v);
+    position_[sv] = static_cast<int>(path_.size()) - 1;
+  }
 }
 
 }  // namespace sor

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sor {
@@ -35,8 +34,11 @@ using Path = std::vector<int>;
 /// [0, num_edges()) referring into `edges()`. The incidence lists make
 /// traversal O(degree); `edge_between` resolves a vertex pair to a canonical
 /// (maximum-capacity) edge id, which is how vertex-sequence paths are charged
-/// to edges. `topology_stamp` names the incidence structure in O(1), the key
-/// under which derived structures (CSR snapshots) are cached.
+/// to edges. It reads one flat open-addressing table (linear probing, load
+/// at most 1/2), not a node-based hash map: an install resolves every hop
+/// of every sampled path through it. `topology_stamp` names the incidence
+/// structure in O(1), the key under which derived structures (CSR
+/// snapshots) are cached.
 class Graph {
  public:
   Graph() = default;
@@ -91,14 +93,25 @@ class Graph {
   double boundary_capacity(const std::vector<char>& in_set) const;
 
  private:
-  static std::int64_t pair_key(int u, int v);
+  /// One slot of the canonical-edge table: an endpoint pair (u < v) and
+  /// its canonical edge id. u == -1 marks an empty slot.
+  struct PairSlot {
+    int u = -1;
+    int v = -1;
+    int edge = -1;
+  };
+
   static std::uint64_t next_topology_stamp();
+  /// Index of pair (u, v)'s slot (u < v), or of the empty slot that ends
+  /// its probe sequence. Requires a non-empty table.
+  std::size_t find_pair_slot(int u, int v) const;
 
   int n_ = 0;
   std::uint64_t topology_stamp_ = next_topology_stamp();
   std::vector<Edge> edges_;
   std::vector<std::vector<int>> incident_;
-  std::unordered_map<std::int64_t, int> canonical_edge_;
+  std::vector<PairSlot> pair_slots_;  ///< power-of-two size, or empty
+  std::size_t num_pairs_ = 0;         ///< occupied slots
 };
 
 /// True iff `path` is a well-formed simple path in `g` from `s` to `t`:
@@ -120,7 +133,23 @@ std::vector<int> path_edge_ids(const Graph& g, const Path& path);
 /// adjacent; the output is then a valid simple path.
 Path simplify_walk(const Path& walk);
 
-/// Concatenates two walks where `first.back() == second.front()`.
-Path concatenate_walks(const Path& first, const Path& second);
+/// simplify_walk fed one vertex at a time, so a walk can be simplified
+/// while it is generated instead of materialized first: step(v) appends v,
+/// or cuts the path back to v when v is already on it. The vertex-position
+/// array survives clear(), so a reused simplifier allocates nothing once it
+/// has seen the largest vertex id and the longest path.
+class WalkSimplifier {
+ public:
+  /// Forgets the path in O(its length), keeping every capacity.
+  void clear();
+  /// Requires v >= 0.
+  void step(int v);
+  /// The simple path so far; its last vertex is the last one stepped.
+  const Path& path() const { return path_; }
+
+ private:
+  Path path_;
+  std::vector<int> position_;  ///< vertex -> index in path_, or -1
+};
 
 }  // namespace sor

@@ -39,7 +39,6 @@ std::optional<LinkChurnSpec> parse_churn(const std::string& text) {
   }
   LinkChurnSpec churn;
   for (const auto& [key, value] : flat.params) {
-    if (!std::isfinite(value)) return std::nullopt;  // "nan", "inf"
     if (key == "rate") {
       churn.rate = value;
     } else if (key == "down_factor") {
@@ -257,8 +256,9 @@ std::optional<ScenarioTrace> read_trace(std::istream& in, int num_vertices) {
     return std::nullopt;
   }
 
+  // One demand per "epoch" line read, never `epochs` up front: the header
+  // is a claim about the file, not a size it has shown.
   ScenarioTrace trace;
-  trace.demands.assign(static_cast<std::size_t>(epochs), Demand{});
   int current = -1;  // no "epoch" header seen yet
   while (next_content_line(in, line)) {
     std::istringstream ls(line);
@@ -277,6 +277,7 @@ std::optional<ScenarioTrace> read_trace(std::istream& in, int num_vertices) {
         return std::nullopt;  // epochs must appear in order 0..epochs-1
       }
       current = index;
+      trace.demands.emplace_back();
     } else {
       // A demand triple for the current epoch.
       std::istringstream triple(line);
@@ -289,7 +290,7 @@ std::optional<ScenarioTrace> read_trace(std::istream& in, int num_vertices) {
           !std::isfinite(value)) {
         return std::nullopt;
       }
-      trace.demands[static_cast<std::size_t>(current)].set(s, t, value);
+      trace.demands.back().set(s, t, value);
     }
   }
   if (current != epochs - 1) return std::nullopt;  // missing epoch sections

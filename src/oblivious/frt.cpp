@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
-#include <span>
+#include <sstream>
+#include <stdexcept>
 
 #include "graph/shortest_path.h"
+#include "util/thread_pool.h"
 
 namespace sor {
 namespace {
@@ -27,45 +28,72 @@ Path reconstruct(const Graph& g, int src, int dst,
   return reversed;
 }
 
+/// Per-thread scratch of FrtTree::route: the walk's loop cutter and the
+/// tree nodes the t side climbed through.
+struct RouteScratch {
+  WalkSimplifier walk;
+  std::vector<int> climbed;
+};
+
 }  // namespace
 
-FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
-                 Rng& rng)
-    : g_(&g) {
-  const int n = g.num_vertices();
-  assert(n >= 1);
+FrtTable::FrtTable(const Graph& g, const std::vector<double>& edge_length,
+                   util::ThreadPool* pool)
+    : n_(static_cast<std::size_t>(g.num_vertices())),
+      dist_(n_ * n_),
+      parent_(n_ * n_) {
   assert(static_cast<int>(edge_length.size()) == g.num_edges());
-  const std::size_t sn = static_cast<std::size_t>(n);
-
-  // All-pairs shortest distances + parent pointers w.r.t. edge_length, in
-  // flat n*n row-major buffers (one contiguous slab instead of n separate
-  // heap rows): dist[u*n + v]. The per-tree constructor dominates racke
-  // build time, so every row is one full sweep of the CSR kernel over a
-  // snapshot built once per tree, written straight into the row.
-  std::vector<double> dist(sn * sn);
-  std::vector<int> parent(sn * sn);
-  const FlatAdjacency adj(g);
-  DijkstraScratch scratch;
-  double diameter = 0.0;
-  double min_positive = std::numeric_limits<double>::infinity();
-  for (int v = 0; v < n; ++v) {
-    const std::size_t row = static_cast<std::size_t>(v) * sn;
-    dijkstra_into_targets(adj, v, edge_length,
-                          std::span<double>(dist.data() + row, sn),
-                          std::span<int>(parent.data() + row, sn), scratch);
-    for (int w = 0; w < n; ++w) {
-      const double d = dist[row + static_cast<std::size_t>(w)];
-      assert(d != std::numeric_limits<double>::infinity() &&
-             "FRT requires a connected graph");
-      diameter = std::max(diameter, d);
-      if (d > 0.0) min_positive = std::min(min_positive, d);
+  if (n_ == 0) throw std::invalid_argument("FRT needs at least one vertex");
+  // The Dijkstra kernel's precondition; infinite lengths are allowed (such
+  // an edge is never used) as long as every distance below stays finite.
+  for (double length : edge_length) {
+    if (!(length >= 0.0)) {
+      throw std::invalid_argument("FRT: an edge length is NaN or negative");
     }
   }
-  if (diameter <= 0.0) diameter = 1.0;
-  if (!std::isfinite(min_positive)) min_positive = 1.0;
-  auto dist_at = [&](int u, int v) {
-    return dist[static_cast<std::size_t>(u) * sn + static_cast<std::size_t>(v)];
+  // Every row is one full sweep of the CSR kernel, written straight into
+  // the row. Rows go out in contiguous blocks, one heap scratch per block.
+  const FlatAdjacency adj(g);
+  const std::size_t blocks =
+      pool ? std::min(n_, static_cast<std::size_t>(4 * pool->num_threads()))
+           : 1;
+  const auto sweep_block = [&](std::size_t b) {
+    DijkstraScratch scratch;
+    for (std::size_t v = b * n_ / blocks; v < (b + 1) * n_ / blocks; ++v) {
+      dijkstra_into_targets(adj, static_cast<int>(v), edge_length,
+                            std::span<double>(dist_.data() + v * n_, n_),
+                            std::span<int>(parent_.data() + v * n_, n_),
+                            scratch);
+    }
   };
+  if (pool) {
+    pool->parallel_for(blocks, sweep_block);
+  } else {
+    sweep_block(0);
+  }
+
+  constexpr double kMaxDistance = std::numeric_limits<double>::max() / 2;
+  double diameter = 0.0;
+  for (std::size_t u = 0; u < n_; ++u) {
+    for (std::size_t v = 0; v < n_; ++v) {
+      const double d = dist_[u * n_ + v];
+      if (!(d <= kMaxDistance) || (u != v && !(d > 0.0))) {
+        std::ostringstream msg;
+        msg << "FRT: vertices " << u << " and " << v << " are at distance "
+            << d << "; the tree needs a connected graph whose distances "
+            << "are positive and finite (edge lengths > 0, no overflow)";
+        throw std::invalid_argument(msg.str());
+      }
+      diameter = std::max(diameter, d);
+    }
+  }
+  if (diameter > 0.0) diameter_ = diameter;
+}
+
+FrtTree::FrtTree(const Graph& g, const FrtTable& table, Rng& rng) {
+  const int n = table.num_vertices();
+  assert(n == g.num_vertices());
+  const double diameter = table.diameter();
 
   // Random permutation and scale parameter beta in [1, 2).
   const std::vector<int> pi = rng.permutation(n);
@@ -107,7 +135,7 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
         for (std::size_t i = 0; i < cluster.size(); ++i) {
           if (assigned[i]) continue;
           const int v = cluster[i];
-          if (dist_at(u, v) <= radius) {
+          if (table.dist(u, v) <= radius) {
             assigned[i] = 1;
             --remaining;
             child_members.push_back(v);
@@ -125,12 +153,8 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
             nodes_[static_cast<std::size_t>(node_id)].center;
         const int u_center = child.center;
         if (u_center != parent_center) {
-          child.path_to_parent = reconstruct(
-              g, parent_center, u_center,
-              std::span<const int>(
-                  parent.data() +
-                      static_cast<std::size_t>(parent_center) * sn,
-                  sn));
+          child.path_to_parent = reconstruct(g, parent_center, u_center,
+                                             table.parent_row(parent_center));
           std::reverse(child.path_to_parent.begin(),
                        child.path_to_parent.end());
         }
@@ -141,9 +165,10 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
       assert(remaining == 0 && "every vertex is within radius of itself");
     }
     frontier.swap(next_frontier);
-    // Safety: radii below the minimum positive distance force singletons,
-    // so the loop terminates in O(log(diameter / min_positive)) levels.
-    assert(depth < 200);
+    // A radius below the smallest distance between distinct vertices
+    // forces singletons. The table keeps every such distance in
+    // (0, DBL_MAX / 2], so that takes at most ~2100 halvings.
+    assert(depth <= 2100);
   }
 
   for (int v = 0; v < n; ++v) {
@@ -182,42 +207,48 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
 
 Path FrtTree::route(int s, int t) const {
   assert(s != t);
+  thread_local RouteScratch scratch;
+  WalkSimplifier& walk = scratch.walk;
+  walk.clear();
+
+  // Climb to equal depth, then in lockstep to the LCA. The s side's
+  // embedded paths (child -> parent) are walked as they are climbed; the
+  // t side's are walked parent -> child afterwards, LCA first.
   int a = leaf_of(s);
   int b = leaf_of(t);
-  // Climb to equal depth, then in lockstep to the LCA, collecting the
-  // embedded paths: up-walk from s (paths in child->parent direction) and
-  // up-walk from t (to be reversed).
-  Path up_from_s = {s};
-  Path up_from_t = {t};
-  auto climb = [&](int& node, Path& walk) {
-    const FrtNode& nd = nodes_[static_cast<std::size_t>(node)];
+  std::vector<int>& climbed = scratch.climbed;
+  climbed.clear();
+  walk.step(s);
+  const auto climb_s = [&] {
+    const FrtNode& nd = nodes_[static_cast<std::size_t>(a)];
     assert(nd.parent >= 0);
-    if (!nd.path_to_parent.empty()) {
-      assert(nd.path_to_parent.front() == walk.back());
-      walk.insert(walk.end(), nd.path_to_parent.begin() + 1,
-                  nd.path_to_parent.end());
+    assert(nd.path_to_parent.empty() ||
+           nd.path_to_parent.front() == walk.path().back());
+    for (std::size_t i = 1; i < nd.path_to_parent.size(); ++i) {
+      walk.step(nd.path_to_parent[i]);
     }
-    node = nd.parent;
+    a = nd.parent;
   };
-  while (nodes_[static_cast<std::size_t>(a)].depth >
-         nodes_[static_cast<std::size_t>(b)].depth) {
-    climb(a, up_from_s);
-  }
-  while (nodes_[static_cast<std::size_t>(b)].depth >
-         nodes_[static_cast<std::size_t>(a)].depth) {
-    climb(b, up_from_t);
-  }
+  const auto climb_t = [&] {
+    climbed.push_back(b);
+    b = nodes_[static_cast<std::size_t>(b)].parent;
+  };
+  const auto depth = [&](int node) {
+    return nodes_[static_cast<std::size_t>(node)].depth;
+  };
+  while (depth(a) > depth(b)) climb_s();
+  while (depth(b) > depth(a)) climb_t();
   while (a != b) {
-    climb(a, up_from_s);
-    climb(b, up_from_t);
+    climb_s();
+    climb_t();
   }
-  std::reverse(up_from_t.begin(), up_from_t.end());
-  // up_from_s ends at the LCA center; up_from_t starts there.
-  assert(up_from_s.back() == up_from_t.front());
-  Path walk = concatenate_walks(up_from_s, up_from_t);
-  Path simple = simplify_walk(walk);
-  assert(simple.front() == s && simple.back() == t);
-  return simple;
+  for (auto it = climbed.rbegin(); it != climbed.rend(); ++it) {
+    const Path& p = nodes_[static_cast<std::size_t>(*it)].path_to_parent;
+    assert(p.empty() || p.back() == walk.path().back());
+    for (std::size_t i = p.size(); i > 1; --i) walk.step(p[i - 2]);
+  }
+  assert(walk.path().front() == s && walk.path().back() == t);
+  return walk.path();
 }
 
 void FrtTree::accumulate_embedding_load(const Graph& g,
@@ -225,9 +256,10 @@ void FrtTree::accumulate_embedding_load(const Graph& g,
   assert(static_cast<int>(load.size()) == g.num_edges());
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
     const FrtNode& nd = nodes_[id];
-    if (nd.parent < 0 || nd.path_to_parent.empty()) continue;
-    for (int e : path_edge_ids(g, nd.path_to_parent)) {
-      load[static_cast<std::size_t>(e)] += cluster_boundary_[id];
+    const Path& p = nd.path_to_parent;
+    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+      load[static_cast<std::size_t>(g.edge_between(p[i], p[i + 1]))] +=
+          cluster_boundary_[id];
     }
   }
 }

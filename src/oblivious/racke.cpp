@@ -17,7 +17,6 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
     : g_(&g) {
   assert(options.num_trees >= 1);
   assert(options.wave >= 1);
-  assert(g.is_connected());
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   std::vector<double> load(m, 0.0);
   std::vector<double> lengths(m, 0.0);
@@ -34,12 +33,16 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
       const double rel = max_rel > 0.0 ? (load[e] / cap) / max_rel : 0.0;
       lengths[e] = std::exp(options.eta * rel) / cap;
     }
-    // One seed-split stream per tree of the wave, then an independent
-    // build per tree: the wave's output is invariant to thread count.
+    // The wave's trees share one length vector, hence one all-pairs table
+    // (its rows fan out over the pool; it throws unless every distance is
+    // positive and finite). Then one seed-split stream per tree and an
+    // independent partition + embedding per tree: the wave's output is
+    // invariant to thread count.
+    const FrtTable table(g, lengths, pool);
     std::vector<Rng> streams = rng.split(static_cast<std::size_t>(count));
     std::vector<std::optional<FrtTree>> wave(static_cast<std::size_t>(count));
     const auto build_tree = [&](std::size_t i) {
-      wave[i].emplace(g, lengths, streams[i]);
+      wave[i].emplace(g, table, streams[i]);
     };
     if (pool) {
       pool->parallel_for(wave.size(), build_tree);
@@ -92,9 +95,9 @@ void register_racke_backends(BackendRegistry& registry) {
       {"single random FRT tree embedding (racke with num_trees = 1)",
        {},
        [](const Graph& g, const BackendSpec&, Rng& rng,
-          util::ThreadPool*) -> std::unique_ptr<ObliviousRouting> {
+          util::ThreadPool* pool) -> std::unique_ptr<ObliviousRouting> {
          return std::make_unique<RackeRouting>(
-             g, RackeOptions{.num_trees = 1, .eta = 0.0}, rng);
+             g, RackeOptions{.num_trees = 1, .eta = 0.0}, rng, pool);
        }});
 }
 

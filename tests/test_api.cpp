@@ -42,6 +42,11 @@ TEST(BackendSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(BackendSpec::parse(":a=1"), std::invalid_argument);
   EXPECT_THROW(BackendSpec::parse("racke:num_trees"), std::invalid_argument);
   EXPECT_THROW(BackendSpec::parse("racke:eta=abc"), std::invalid_argument);
+  // std::stod accepts these spellings; the parser must not.
+  for (const char* spec : {"racke:eta=nan", "racke:eta=inf", "racke:eta=-inf",
+                           "racke:eta=NaN", "racke:eta=infinity"}) {
+    EXPECT_THROW(BackendSpec::parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(BackendRegistry, RoundTripsEveryRegisteredName) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -162,6 +164,90 @@ TEST(Frt, EmbeddedPathsMatchReferenceDijkstra) {
       EXPECT_EQ(node.path_to_parent, expected);
     }
   }
+}
+
+/// The walk FrtTree::route cuts the loops of, as a textbook builds it:
+/// climb both leaves to the LCA collecting each side's embedded paths, then
+/// concatenate the s side with the reversed t side.
+Path reference_walk(const FrtTree& tree, int s, int t) {
+  const auto node = [&](int id) -> const FrtNode& {
+    return tree.nodes()[static_cast<std::size_t>(id)];
+  };
+  Path up_from_s = {s};
+  Path up_from_t = {t};
+  const auto climb = [&](int& id, Path& walk) {
+    const Path& p = node(id).path_to_parent;
+    if (!p.empty()) walk.insert(walk.end(), p.begin() + 1, p.end());
+    id = node(id).parent;
+  };
+  int a = tree.leaf_of(s);
+  int b = tree.leaf_of(t);
+  while (node(a).depth > node(b).depth) climb(a, up_from_s);
+  while (node(b).depth > node(a).depth) climb(b, up_from_t);
+  while (a != b) {
+    climb(a, up_from_s);
+    climb(b, up_from_t);
+  }
+  Path walk = up_from_s;
+  walk.insert(walk.end(), up_from_t.rbegin() + 1, up_from_t.rend());
+  return walk;
+}
+
+TEST(Frt, RouteMatchesWalkReference) {
+  // Every ordered pair of several seeded trees — some sharing one table —
+  // under unit and random lengths, on a torus, a random graph and a
+  // multigraph; random lengths make the concatenated walks loop often.
+  Rng rng(29);
+  Graph multigraph = gen::grid(5, 5);
+  multigraph.add_edge(0, 1, 3.0);
+  multigraph.add_edge(12, 13, 0.5);
+  const Graph graphs[] = {gen::grid(6, 6, /*wrap=*/true),
+                          gen::erdos_renyi_connected(30, 0.15, rng),
+                          multigraph};
+  int looping = 0;
+  for (const Graph& g : graphs) {
+    for (int trial = 0; trial < 2; ++trial) {
+      std::vector<double> lengths = unit_lengths(g);
+      if (trial == 1) {
+        for (double& l : lengths) l = 0.1 + rng.uniform_double();
+      }
+      const FrtTable table(g, lengths);
+      for (int draw = 0; draw < 3; ++draw) {
+        const FrtTree tree(g, table, rng);
+        for (int s = 0; s < g.num_vertices(); ++s) {
+          for (int t = 0; t < g.num_vertices(); ++t) {
+            if (s == t) continue;
+            const Path walk = reference_walk(tree, s, t);
+            const Path expected = simplify_walk(walk);
+            ASSERT_EQ(tree.route(s, t), expected) << s << " -> " << t;
+            looping += walk.size() != expected.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(looping, 1000);
+}
+
+TEST(Frt, TableRejectsUnseparableMetrics) {
+  // FRT's radii halve until every cluster is a singleton; a distance that
+  // is infinite, NaN, zero between distinct vertices or too large to scale
+  // would stop that. The table refuses all of them in every build type.
+  Rng rng(8);
+  Graph split(4);
+  split.add_edge(0, 1);
+  split.add_edge(2, 3);
+  EXPECT_THROW(FrtTree(split, unit_lengths(split), rng),
+               std::invalid_argument);
+  const Graph g = gen::grid(3, 3);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 0.0,
+                     std::numeric_limits<double>::max()}) {
+    std::vector<double> lengths = unit_lengths(g);
+    for (double& l : lengths) l = bad;
+    EXPECT_THROW(FrtTable(g, lengths), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(FrtTable(Graph(1), {}));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <set>
 
+#include "util/rng.h"
+
 namespace sor {
 namespace {
 
@@ -140,9 +142,61 @@ TEST(Graph, SimplifyWalkReusableAfterCut) {
   EXPECT_EQ(unique.size(), result.size());
 }
 
-TEST(Graph, ConcatenateWalks) {
-  EXPECT_EQ(concatenate_walks({0, 1, 2}, {2, 3}), (Path{0, 1, 2, 3}));
-  EXPECT_EQ(concatenate_walks({4}, {4, 5}), (Path{4, 5}));
+/// edge_between by brute force: among the edges joining u and v, the one
+/// of largest capacity, ties to the smallest id; -1 when there is none.
+int reference_edge_between(const Graph& g, int u, int v) {
+  int best = -1;
+  for (int e = 0; e < g.num_edges(); ++e) {
+    const Edge& edge = g.edge(e);
+    const bool joins = (edge.u == u && edge.v == v) ||
+                       (edge.u == v && edge.v == u);
+    if (joins && (best < 0 || edge.capacity > g.edge(best).capacity)) {
+      best = e;
+    }
+  }
+  return best;
+}
+
+void expect_canonical_edges(const Graph& g) {
+  for (int u = -1; u <= g.num_vertices(); ++u) {
+    for (int v = -1; v <= g.num_vertices(); ++v) {
+      ASSERT_EQ(g.edge_between(u, v), reference_edge_between(g, u, v))
+          << "pair (" << u << ", " << v << ")";
+    }
+  }
+}
+
+TEST(Graph, CanonicalEdgeMatchesReference) {
+  // Random multigraphs dense in parallel edges and capacity ties, checked
+  // on every pair (out-of-range ids included) as edges arrive, after
+  // capacity edits, and on copies edited apart from their original.
+  Rng rng(29);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    const int n = rng.uniform_int(2, 40);
+    const int m = rng.uniform_int(1, 4 * n);
+    const auto capacity = [&rng] {
+      return static_cast<double>(rng.uniform_int(1, 4));
+    };
+    Graph g(n);
+    for (int i = 0; i < m; ++i) {
+      const int u = rng.uniform_int(0, n - 1);
+      int v = rng.uniform_int(0, n - 2);
+      if (v >= u) ++v;
+      g.add_edge(u, v, capacity());
+      if (i % 7 == 0) expect_canonical_edges(g);
+    }
+    expect_canonical_edges(g);
+    Graph copy = g;
+    for (int i = 0; i < m; ++i) {
+      g.set_capacity(rng.uniform_int(0, m - 1), capacity());
+    }
+    expect_canonical_edges(g);
+    expect_canonical_edges(copy);
+    copy.add_edge(0, n - 1, 9.0);
+    expect_canonical_edges(copy);
+    expect_canonical_edges(g);
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "io/scenario_io.h"
 #include "io/serialization.h"
 #include "oblivious/shortest_path_routing.h"
+#include "runtime/alloc_stats.h"
 #include "scenario/scenario.h"
 
 namespace sor {
@@ -54,6 +55,18 @@ TEST_P(FuzzSweep, SimplifyWalkInvariants) {
     for (int v : simple) {
       EXPECT_NE(std::find(walk.begin(), walk.end(), v), walk.end());
     }
+    // And it is exactly the textbook cut: a repeated vertex truncates the
+    // path back to its first occurrence.
+    Path textbook;
+    for (int v : walk) {
+      const auto seen_at = std::find(textbook.begin(), textbook.end(), v);
+      if (seen_at == textbook.end()) {
+        textbook.push_back(v);
+      } else {
+        textbook.erase(seen_at + 1, textbook.end());
+      }
+    }
+    EXPECT_EQ(simple, textbook);
   }
 }
 
@@ -361,6 +374,36 @@ TEST(ReaderRegressions, NonFiniteOrOutOfRangeChurnIsRejected) {
   const auto spec = io::read_scenario(in);
   ASSERT_TRUE(spec.has_value());
   EXPECT_EQ(spec->churn.mean_outage, 2);
+}
+
+// Written cases: std::stod reads "nan" and "inf", and BackendSpec::parse
+// kept them, so this scenario loaded and served 12 empty epochs, and
+// racke:eta=inf reached the tree build. The one check in the spec parser
+// covers backends, traffic models and churn.
+TEST(ReaderRegressions, NonFiniteSpecValuesAreRejected) {
+  for (const char* line :
+       {"model diurnal_gravity:total=nan,amplitude=0.6,period=6",
+        "model diurnal_gravity:total=32,amplitude=inf,period=6",
+        "backend racke:eta=inf", "backend racke:eta=-inf"}) {
+    SCOPED_TRACE(line);
+    std::istringstream in(std::string("scenario v1\n") + line + "\n");
+    EXPECT_FALSE(io::read_scenario(in).has_value());
+  }
+  std::istringstream in(
+      "scenario v1\nmodel diurnal_gravity:total=16,amplitude=0.6,period=6\n"
+      "backend racke:eta=4\n");
+  EXPECT_TRUE(io::read_scenario(in).has_value());
+}
+
+// A written case: read_trace assigned the header's `epochs` count of empty
+// demands before reading any, so these 25 bytes peaked at 186 MB.
+TEST(ReaderRegressions, TraceHeaderCountIsNotPreallocated) {
+  std::istringstream in("trace v1\nepochs 4000000");
+  const runtime::AllocProbe probe;
+  EXPECT_FALSE(io::read_trace(in, 0).has_value());
+  if (runtime::counting_compiled()) {
+    EXPECT_LT(probe.delta().alloc_bytes, std::uint64_t{1} << 20);
+  }
 }
 
 // A written case: "3 3 3" is a valid path of no pair, and PathSystem's

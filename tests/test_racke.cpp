@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "api/sor_engine.h"
 #include "core/demand.h"
 #include "core/semi_oblivious.h"
 #include "graph/generators.h"
@@ -79,6 +82,33 @@ TEST(Racke, IterationBalancesLoad) {
   // unweighted tree (allow slack for randomness).
   EXPECT_LE(many.max_relative_embedding_load(),
             one.max_relative_embedding_load() * 1.5 + 1e-9);
+}
+
+TEST(Racke, DisconnectedGraphThrows) {
+  // Two disjoint triangles: half the distances are infinite, so FRT's
+  // halving radii never split the root. A Release build spun forever here.
+  Graph g(6);
+  for (int base : {0, 3}) {
+    g.add_edge(base, base + 1);
+    g.add_edge(base + 1, base + 2);
+    g.add_edge(base + 2, base);
+  }
+  for (const char* backend : {"racke", "frt"}) {
+    EXPECT_THROW(SorEngine::build(g, backend), std::invalid_argument)
+        << backend;
+  }
+}
+
+TEST(Racke, OverflowingEtaThrows) {
+  // The second wave's lengths exp(eta * rel) / cap overflow to infinity
+  // (or, for -1e308, underflow to zero) on every loaded edge; the first
+  // wave still builds. nan and inf stop earlier, at the spec parser.
+  for (const char* backend : {"racke:eta=1e308", "racke:eta=-1e308",
+                              "racke:eta=nan", "racke:eta=inf"}) {
+    EXPECT_THROW(SorEngine::build(gen::grid(4, 4, /*wrap=*/true), backend),
+                 std::invalid_argument)
+        << backend;
+  }
 }
 
 }  // namespace
