@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     spec.backend = "racke:num_trees=4";
     spec.seed = 29;
     spec.epochs = epochs;
-    spec.mwu_rounds = 60;
+    spec.solve.rounds = 60;
     spec.measure_ratio = false;
     spec.model = *scenario::TrafficModelSpec::parse(
         "diurnal_gravity:total=48,amplitude=0.5,period=12,max_pairs=32");
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     spec.backend = "racke:num_trees=4";
     spec.seed = 13;
     spec.epochs = epochs;
-    spec.mwu_rounds = 60;
+    spec.solve.rounds = 60;
     spec.measure_ratio = true;
     spec.churn.rate = 0.3;
     spec.model = *scenario::TrafficModelSpec::parse(
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
     spec.seed = 31;
     spec.epochs = epochs;
     spec.install_horizon = 1;
-    spec.mwu_rounds = 60;
+    spec.solve.rounds = 60;
     spec.measure_ratio = false;
     spec.model = *scenario::TrafficModelSpec::parse("permutation_storm");
     spec.reinstall = *scenario::ReinstallPolicy::parse("every_k:1");

@@ -79,7 +79,7 @@ struct Options {
   std::string convergence_out;  // per-round solver convergence CSV (serial)
   // Robustness knobs (see README "Robustness & anytime solves").
   std::string fault_plan;    // installed as the process-global FaultPlan
-  std::string solve_budget;  // SolveBudget spec for every solve
+  std::string solve_budget;  // MinCongestionOptions keys for every solve
   std::string on_error;      // batch mode: "fail" | "skip"
   std::string degrade_override;  // scenario mode: DegradePolicy name
 };
@@ -121,8 +121,9 @@ void usage() {
       "stream length), bit-identical to the plain batch for every thread\n"
       "count (see api/sor_engine.h).\n"
       "--warm-start carries solver state across serial routes (and\n"
-      "across scenario epochs): later solves resume from the previous\n"
-      "epoch's adversary weights and typically early-exit in fewer rounds\n"
+      "across scenario epochs): each pair the previous route shared starts\n"
+      "from its previous flow split, so solves typically early-exit in\n"
+      "fewer rounds\n"
       "(see docs/warm-start.md). Serial only — incompatible with --batch\n"
       "and --demands-file. Off by default (cold per-route solves,\n"
       "bit-identical to builds without the warm subsystem).\n"
@@ -154,9 +155,11 @@ void usage() {
       "plan, e.g. \"seed=7;worker_throw@3;stream_read%%100\" (sites:\n"
       "stream_read, stream_bitflip, edge_capacity, scratch_alloc,\n"
       "worker_throw, io_truncate, install; triggers @K-th, %%every-K,\n"
-      "~probability; also via env SOR_FAULT_PLAN). --solve-budget bounds\n"
-      "every solve, e.g. \"max_rounds=64,deadline_ms=50,gap=1.1\" — the\n"
-      "solver returns its best iterate with a certified optimality gap.\n"
+      "~probability; also via env SOR_FAULT_PLAN). --solve-budget sets\n"
+      "every solve's limits, any of\n"
+      "\"rounds=64,target_gap=1.1,deadline_ms=50\" (in scenario mode onto\n"
+      "the spec's solve line); whichever stops a solve, it returns that\n"
+      "round's iterate with a certified gap.\n"
       "--on-error skip turns batch failures into per-demand error records\n"
       "(surviving loads unchanged); --degrade picks the scenario engine's\n"
       "failure response.\n");
@@ -418,6 +421,22 @@ Topology make_topology(const Options& opt, sor::Rng& rng) {
   throw std::invalid_argument("unknown topology " + opt.topology);
 }
 
+/// Applies --solve-budget's keys onto `solve`; false, with the error
+/// printed, when they do not parse.
+bool apply_solve_budget(const Options& opt, sor::MinCongestionOptions& solve) {
+  if (opt.solve_budget.empty()) return true;
+  const auto parsed = sor::MinCongestionOptions::parse(opt.solve_budget, solve);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "error: bad --solve-budget %s (keys rounds=N>=1, "
+                 "target_gap=G>=0, deadline_ms=D>=0)\n",
+                 opt.solve_budget.c_str());
+    return false;
+  }
+  solve = *parsed;
+  return true;
+}
+
 /// Scenario mode: load/preset a spec, materialize the trace, drive the
 /// engine across it, print the per-epoch service log.
 int run_scenario_mode(const Options& opt) {
@@ -483,15 +502,7 @@ int run_scenario_mode(const Options& opt) {
     }
     spec.reinstall = *policy;
   }
-  if (!opt.solve_budget.empty()) {
-    const auto budget = sor::SolveBudget::parse(opt.solve_budget);
-    if (!budget) {
-      std::fprintf(stderr, "error: bad --solve-budget %s\n",
-                   opt.solve_budget.c_str());
-      return 1;
-    }
-    spec.budget = *budget;
-  }
+  if (!apply_solve_budget(opt, spec.solve)) return 1;
   if (!opt.degrade_override.empty()) {
     const auto policy = scn::parse_degrade_policy(opt.degrade_override);
     if (!policy) {
@@ -573,7 +584,7 @@ int run_scenario_mode(const Options& opt) {
       rounds += row.mwu_rounds;
       saved += row.rounds_saved;
     }
-    std::printf("warm starts: %d/%zu epochs seeded, %lld MWU rounds run, "
+    std::printf("warm starts: %d/%zu epochs seeded, %lld solve rounds run, "
                 "%lld saved vs cold\n",
                 warm_hits, report.epochs.size(), rounds, saved);
   }
@@ -649,16 +660,8 @@ int main(int argc, char** argv) {
   }
   sor::Rng rng(opt.seed);
   try {
-  sor::SolveBudget budget;
-  if (!opt.solve_budget.empty()) {
-    const auto parsed = sor::SolveBudget::parse(opt.solve_budget);
-    if (!parsed) {
-      std::fprintf(stderr, "error: bad --solve-budget %s\n",
-                   opt.solve_budget.c_str());
-      return 1;
-    }
-    budget = *parsed;
-  }
+  sor::MinCongestionOptions solve;
+  if (!apply_solve_budget(opt, solve)) return 1;
   sor::SorEngine engine = [&] {
     Topology topo = make_topology(opt, rng);
     const std::string spec =
@@ -705,7 +708,7 @@ int main(int argc, char** argv) {
 
     sor::RouteSpec route_spec;
     route_spec.round_integral = opt.integral;
-    route_spec.mwu.budget = budget;
+    route_spec.mwu = solve;
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
@@ -767,7 +770,7 @@ int main(int argc, char** argv) {
 
   sor::RouteSpec route_spec;
   route_spec.round_integral = opt.integral;
-  route_spec.mwu.budget = budget;
+  route_spec.mwu = solve;
   route_spec.warm_start = opt.warm_start;
   route_spec.record_convergence = !opt.convergence_out.empty();
 
@@ -837,11 +840,10 @@ int main(int argc, char** argv) {
                 report.convergence.size(), opt.convergence_out.c_str());
   }
   std::printf("fractional congestion: %.4f\n", report.congestion);
-  if (route_spec.mwu.budget.enabled()) {
-    std::printf("solve status: %s, certified optimality gap <= %.4f\n",
-                sor::to_string(report.solution.status),
-                report.solution.optimality_gap);
-  }
+  std::printf("solve status: %s after %d rounds, certified optimality gap "
+              "<= %.4f\n",
+              sor::to_string(report.solution.status),
+              report.solution.rounds_used, report.solution.optimality_gap);
   std::printf("offline optimum in [%.4f, %.4f] -> ratio <= %.2f\n",
               report.optimum->lower, report.optimum->upper,
               report.competitive_ratio);

@@ -118,9 +118,8 @@ struct SamplingSpec {
 /// that compare equal route a demand identically.
 struct RouteSpec {
   /// Options of the restricted route and of the optimum's master solves
-  /// (see min_congestion_by_columns_into); `mwu.budget` is the
-  /// anytime-solve budget (see SolveBudget), exposed as
-  /// `sor_cli --solve-budget`.
+  /// (see min_congestion_by_columns_into): the round cap, gap bar and
+  /// deadline, exposed as `sor_cli --solve-budget`.
   MinCongestionOptions mwu;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
   bool compute_optimum = true;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/path_store.h"
 
@@ -71,7 +73,10 @@ IntegralSolution round_randomized(const Graph& g,
                                   const SemiObliviousSolution& fractional,
                                   Rng& rng, int trials,
                                   const std::vector<std::vector<int>>* seed_choices) {
-  assert(trials >= 1);
+  if (trials < 1) {
+    throw std::invalid_argument("round_randomized: trials must be >= 1, got " +
+                                std::to_string(trials));
+  }
   // Trials carry only choices, loads and congestion; the winner gets the
   // candidate set once, on return.
   IntegralSolution best;

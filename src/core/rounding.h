@@ -44,7 +44,8 @@ inline constexpr double kIntegralTolerance = 1e-6;
 
 /// Lemma 6.3 randomized rounding: each demand unit independently picks a
 /// candidate proportional to the fractional weights; the best of `trials`
-/// independent roundings is returned. Requires an integral demand (amounts
+/// independent roundings is returned (std::invalid_argument when
+/// trials < 1, in every build type). Requires an integral demand (amounts
 /// are rounded to nearest integers; each must lie within
 /// kIntegralTolerance of one).
 ///

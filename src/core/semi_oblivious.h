@@ -27,8 +27,8 @@ struct SemiObliviousSolution {
   double congestion = 0.0;     ///< exact cong of the returned weights
   double lower_bound = 0.0;    ///< dual bound on cong_R(P, d)
   int max_hops = 0;            ///< dilation of the support of the routing
-  /// Anytime-solve surface (see SolveBudget in lp/min_congestion.h): why
-  /// the restricted solve stopped and the certified gap vs its own dual bound.
+  /// Why the restricted solve stopped (see MinCongestionOptions in
+  /// lp/min_congestion.h) and the certified gap vs its own dual bound.
   SolveStatus status = SolveStatus::kCompleted;
   double optimality_gap = 0.0;
   /// Rounds the solve consumed (the warm-start rounds-saved currency;
@@ -85,8 +85,8 @@ struct OptimalCongestion {
   /// competitive ratios (the max of lower and a trivial bound; > 0 whenever
   /// the demand is nonempty).
   double value() const { return lower > 0.0 ? lower : upper; }
-  /// Why the final restricted solve stopped (anytime budgets truncate the
-  /// optimum too: they apply to each of its master solves).
+  /// Why the final restricted solve stopped (the options' limits apply to
+  /// each of the optimum's master solves too).
   SolveStatus status = SolveStatus::kCompleted;
 };
 

@@ -111,16 +111,17 @@ void write_scenario(std::ostream& out, const ScenarioSpec& spec) {
   out << "epochs " << spec.epochs << '\n';
   out << "alpha " << spec.alpha << '\n';
   out << "install_horizon " << spec.install_horizon << '\n';
-  out << "mwu_rounds " << spec.mwu_rounds << '\n';
   out << "measure_ratio " << (spec.measure_ratio ? 1 : 0) << '\n';
   out << "rebuild_backend " << (spec.rebuild_backend ? 1 : 0) << '\n';
   out << "reinstall " << spec.reinstall.to_string() << '\n';
-  // Robustness knobs are written only when set, so specs that predate them
-  // round-trip byte-identically.
+  // The solve, degrade and warm-start lines are written only when they
+  // differ from their defaults.
+  if (spec.solve != MinCongestionOptions{}) {
+    out << "solve " << spec.solve.to_string() << '\n';
+  }
   if (spec.degrade != scenario::DegradePolicy::kFail) {
     out << "degrade " << scenario::to_string(spec.degrade) << '\n';
   }
-  if (spec.budget.enabled()) out << "budget " << spec.budget.to_string() << '\n';
   if (spec.warm_start) out << "warm_start 1\n";
   out << "model " << spec.model.to_string() << '\n';
   out << "churn " << churn_to_string(spec.churn) << '\n';
@@ -169,11 +170,6 @@ std::optional<ScenarioSpec> read_scenario(std::istream& in) {
       if (!(ls >> spec.install_horizon) || !fully_consumed(ls)) {
         return std::nullopt;
       }
-    } else if (key == "mwu_rounds") {
-      if (!(ls >> spec.mwu_rounds) || !fully_consumed(ls) ||
-          spec.mwu_rounds < 0) {
-        return std::nullopt;
-      }
     } else if (key == "measure_ratio" || key == "rebuild_backend") {
       int flag = 0;
       if (!(ls >> flag) || !fully_consumed(ls) || (flag != 0 && flag != 1)) {
@@ -199,12 +195,12 @@ std::optional<ScenarioSpec> read_scenario(std::istream& in) {
       const auto policy = scenario::parse_degrade_policy(text);
       if (!policy) return std::nullopt;
       spec.degrade = *policy;
-    } else if (key == "budget") {
+    } else if (key == "solve") {
       std::string text;
       if (!(ls >> text) || !fully_consumed(ls)) return std::nullopt;
-      const auto budget = SolveBudget::parse(text);
-      if (!budget) return std::nullopt;
-      spec.budget = *budget;
+      const auto solve = MinCongestionOptions::parse(text, {});
+      if (!solve) return std::nullopt;
+      spec.solve = *solve;
     } else if (key == "model") {
       std::string text;
       if (!(ls >> text) || !fully_consumed(ls)) return std::nullopt;

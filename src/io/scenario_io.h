@@ -14,10 +14,10 @@
 //   epochs 12
 //   alpha 4
 //   install_horizon 0           # <= 0 = whole-trace support union
-//   mwu_rounds 0                # 0 = library default
 //   measure_ratio 1
 //   rebuild_backend 0
 //   reinstall every_k:4
+//   solve rounds=64,target_gap=1.05,deadline_ms=0  # omitted = defaults
 //   model diurnal_gravity:total=128,amplitude=0.6,period=6
 //   churn rate=0.2,down_factor=0.05,mean_outage=2
 //   event 4 down 0 1            # event EPOCH down|up U V

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -21,17 +20,25 @@ const char* to_string(SolveStatus status) {
   switch (status) {
     case SolveStatus::kCompleted: return "completed";
     case SolveStatus::kTargetReached: return "target_reached";
-    case SolveStatus::kBudgetRounds: return "budget_rounds";
     case SolveStatus::kBudgetDeadline: return "budget_deadline";
   }
   return "unknown";
 }
 
-std::optional<SolveBudget> SolveBudget::parse(const std::string& text) {
-  SolveBudget budget;
+std::optional<MinCongestionOptions> MinCongestionOptions::parse(
+    const std::string& text, const MinCongestionOptions& base) {
+  // A value is the whole of its token (from_chars reads no space, '+' or
+  // locale); negative values and inf / nan are refused.
+  const auto number = [](const std::string& value, auto& out) {
+    const auto res =
+        std::from_chars(value.data(), value.data() + value.size(), out);
+    return res.ec == std::errc{} && res.ptr == value.data() + value.size() &&
+           std::isfinite(static_cast<double>(out)) && out >= 0;
+  };
+  MinCongestionOptions options = base;
   std::size_t pos = 0;
   while (pos <= text.size()) {
-    std::size_t end = text.find_first_of(",;", pos);
+    std::size_t end = text.find(',', pos);
     if (end == std::string::npos) end = text.size();
     const std::string token = text.substr(pos, end - pos);
     pos = end + 1;
@@ -40,48 +47,28 @@ std::optional<SolveBudget> SolveBudget::parse(const std::string& text) {
     if (eq == std::string::npos) return std::nullopt;
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    if (value.empty()) return std::nullopt;
-    if (key == "max_rounds" || key == "rounds") {
-      int parsed = 0;
-      const auto res = std::from_chars(value.data(),
-                                       value.data() + value.size(), parsed);
-      if (res.ec != std::errc{} || res.ptr != value.data() + value.size() ||
-          parsed < 0) {
-        return std::nullopt;
-      }
-      budget.max_rounds = parsed;
-    } else if (key == "deadline_ms" || key == "target_gap" || key == "gap") {
-      char* parse_end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &parse_end);
-      if (parse_end != value.c_str() + value.size() ||
-          !std::isfinite(parsed) || parsed < 0.0) {
-        return std::nullopt;
-      }
-      if (key == "deadline_ms") {
-        budget.deadline_ms = parsed;
-      } else {
-        // A gap bar below 1 can never be met (upper >= lower); reject.
-        if (parsed != 0.0 && parsed < 1.0) return std::nullopt;
-        budget.target_gap = parsed;
-      }
-    } else {
-      return std::nullopt;
+    bool ok = false;
+    if (key == "rounds") {
+      ok = number(value, options.rounds) && options.rounds >= 1;
+    } else if (key == "target_gap") {
+      ok = number(value, options.target_gap);
+    } else if (key == "deadline_ms") {
+      ok = number(value, options.deadline_ms);
     }
+    if (!ok) return std::nullopt;
   }
-  return budget;
+  return options;
 }
 
-std::string SolveBudget::to_string() const {
-  // Shortest round-trip form, so parse(to_string()) == *this exactly (the
-  // scenario file format relies on it).
+std::string MinCongestionOptions::to_string() const {
   const auto fmt = [](double value) {
     char buffer[32];
     const auto res = std::to_chars(buffer, buffer + sizeof(buffer), value);
     return std::string(buffer, res.ptr);
   };
   std::ostringstream out;
-  out << "max_rounds=" << max_rounds << ",deadline_ms=" << fmt(deadline_ms)
-      << ",target_gap=" << fmt(target_gap);
+  out << "rounds=" << rounds << ",target_gap=" << fmt(target_gap)
+      << ",deadline_ms=" << fmt(deadline_ms);
   return out.str();
 }
 
@@ -372,7 +359,6 @@ void MinCongestionScratch::reserve(std::size_t paths, std::size_t edges,
   block_first.reserve(paths / kLanes + 2);
   path_len.reserve(paths + 1);
   weight.reserve(paths);
-  budget_weight.reserve(paths);
 }
 
 // ---- the Frank–Wolfe loop --------------------------------------------------
@@ -402,6 +388,11 @@ void min_congestion_over_paths_into(const Graph& g,
                                     const MwuHooks& hooks,
                                     MinCongestionScratch& sc,
                                     CongestionResult& out) {
+  if (options.rounds < 1) {
+    throw std::invalid_argument(
+        "min_congestion_over_paths: rounds must be >= 1, got " +
+        std::to_string(options.rounds));
+  }
   assert(candidates.num_commodities() == commodities.size());
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t k = commodities.size();
@@ -459,29 +450,16 @@ void min_congestion_over_paths_into(const Graph& g,
   double total = static_cast<double>(m);
   double best_lower = 0.0;
 
-  // ---- anytime budget ----------------------------------------------------
-  // A round budget truncates the SAME trajectory the unbudgeted solve
-  // walks (nothing derives from options.rounds), so budgeted runs are
-  // seed-exact prefixes of full runs. With the budget disabled every
-  // branch below is off; the clock is only read when a deadline is set.
-  const SolveBudget& budget = options.budget;
-  const int round_cap =
-      (budget.max_rounds > 0 && budget.max_rounds < options.rounds)
-          ? budget.max_rounds
-          : options.rounds;
-  const double gap_mult =
-      budget.target_gap > 0.0 ? budget.target_gap : options.target_gap;
-  const bool track_best = budget.max_rounds > 0 || budget.deadline_ms > 0.0;
+  // The limits: a round cap, a gap bar and a deadline; nothing derives
+  // from the cap, so a capped solve walks a prefix of a longer one. The
+  // clock is only read when a deadline is set.
   SteadyClock steady;
   SolveClock& clock = hooks.clock != nullptr ? *hooks.clock : steady;
-  const double budget_start = budget.deadline_ms > 0.0 ? clock.now_ms() : 0.0;
-  double best_seen = std::numeric_limits<double>::infinity();
-  int best_round = 0;
-  bool target_hit = false;
-  bool deadline_hit = false;
+  const double start_ms = options.deadline_ms > 0.0 ? clock.now_ms() : 0.0;
+  SolveStatus status = SolveStatus::kCompleted;
 
   int round = 0;
-  while (round < round_cap) {
+  while (round < options.rounds) {
     // Lengths: the gradient of Phi at the current flow. With no flow yet
     // (a cold round 0) every x_e is exp(0) = 1.
     const double beta = congestion > 0.0 ? log_m / (eps * congestion) : 0.0;
@@ -585,37 +563,15 @@ void min_congestion_over_paths_into(const Graph& g,
                           certified_gap(congestion, best_lower),
                           response_edges});
     }
-    if (track_best && congestion < best_seen) {
-      best_seen = congestion;
-      best_round = round;
-      sc.budget_weight.assign(weight.begin(), weight.end());
-    }
-    if (best_lower > 0.0 && congestion <= best_lower * gap_mult) {
-      target_hit = true;
+    if (best_lower > 0.0 && congestion <= best_lower * options.target_gap) {
+      status = SolveStatus::kTargetReached;
       break;
     }
-    if (budget.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
-        clock.now_ms() - budget_start >= budget.deadline_ms) {
-      deadline_hit = true;
+    if (options.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
+        clock.now_ms() - start_ms >= options.deadline_ms) {
+      status = SolveStatus::kBudgetDeadline;
       break;
     }
-  }
-
-  SolveStatus status = SolveStatus::kCompleted;
-  if (target_hit) {
-    status = SolveStatus::kTargetReached;
-  } else if (deadline_hit) {
-    status = SolveStatus::kBudgetDeadline;
-  } else if (round_cap < options.rounds) {
-    status = SolveStatus::kBudgetRounds;
-  }
-  if ((status == SolveStatus::kBudgetRounds ||
-       status == SolveStatus::kBudgetDeadline) &&
-      best_round > 0 && best_round < round) {
-    // Rewind to the best iterate seen. The dual bound is a max over rounds
-    // and independent of the returned iterate, so best_lower still
-    // certifies the rewound result.
-    weight.assign(sc.budget_weight.begin(), sc.budget_weight.end());
   }
 
   // The weights over the ORIGINAL candidate indexing (duplicates keep their
@@ -740,9 +696,6 @@ void min_congestion_by_columns_into(const Graph& g,
 
   MinCongestionOptions master = options;
   master.rounds = std::min(options.rounds, kMasterRounds);
-  const double gap = options.budget.target_gap > 0.0
-                         ? options.budget.target_gap
-                         : options.target_gap;
   // The first master solve runs cold. Each later one, and the final solve,
   // starts from the weights of the one before, padded with 0 for the
   // columns appended since (columns are only appended, so every old index
@@ -768,7 +721,7 @@ void min_congestion_by_columns_into(const Graph& g,
       sc.weights[j].resize(sc.columns.num_paths(j), 0.0);
     }
     hooks.warm = &sc.weights;
-    if (!added || out.congestion <= lower * gap) break;
+    if (!added || out.congestion <= lower * options.target_gap) break;
   }
 
   min_congestion_over_paths_into(g, commodities, sc.columns, options,

@@ -48,53 +48,11 @@ struct Commodity {
   double amount = 0.0;
 };
 
-/// Anytime-solve budget. Every round of the restricted solve carries an LP
-/// dual certificate, so a budgeted solve stops early and returns the
-/// best-congestion iterate seen so far, together with the dual lower bound
-/// and a certified optimality gap.
-///
-/// Determinism contract:
-///  * max_rounds truncates the SAME trajectory an unbudgeted solve walks
-///    (no step size or smoothing parameter is derived from
-///    options.rounds), so a round-budgeted solve is seed-exact
-///    deterministic and is a prefix of the full solve.
-///  * target_gap overrides options.target_gap for the early-exit check —
-///    also deterministic.
-///  * deadline_ms reads the solve's clock (MwuHooks::clock; the wall clock
-///    when it is null) every kDeadlineCheckRounds rounds. With the wall
-///    clock, which checkpoint trips is machine-dependent, so such results
-///    are excluded from identity gates; an injected clock makes them
-///    exact, and a deadline that trips at round r returns bit for bit what
-///    max_rounds = r returns. The clock is never read when
-///    deadline_ms == 0.
-/// With all three fields at 0 the solve is bit-identical to a build
-/// without this struct.
-///
-/// Column generation (min_congestion_by_columns_into, so both optima)
-/// applies the budget to each master solve: every iteration's restricted
-/// solve and the final one stop at max_rounds, and each gets the full
-/// deadline_ms. target_gap also sets the bar for the iterations' early
-/// stop.
-struct SolveBudget {
-  int max_rounds = 0;        ///< 0 = no cap; else stop after this many rounds
-  double deadline_ms = 0.0;  ///< 0 = no deadline; clock milliseconds
-  double target_gap = 0.0;   ///< 0 = keep options.target_gap; else must be >= 1
-  bool enabled() const {
-    return max_rounds > 0 || deadline_ms > 0.0 || target_gap > 0.0;
-  }
-  /// "max_rounds=N,deadline_ms=D,target_gap=G" (aliases: rounds, gap; any
-  /// subset of keys). Nullopt on unknown keys / out-of-range values.
-  static std::optional<SolveBudget> parse(const std::string& text);
-  std::string to_string() const;
-  friend bool operator==(const SolveBudget&, const SolveBudget&) = default;
-};
-
 /// Why a solve stopped.
 enum class SolveStatus {
-  kCompleted = 0,       ///< ran the full configured rounds
+  kCompleted = 0,       ///< ran MinCongestionOptions::rounds rounds
   kTargetReached = 1,   ///< upper/lower hit the target gap early
-  kBudgetRounds = 2,    ///< stopped at SolveBudget::max_rounds
-  kBudgetDeadline = 3,  ///< stopped at SolveBudget::deadline_ms
+  kBudgetDeadline = 2,  ///< stopped at MinCongestionOptions::deadline_ms
 };
 const char* to_string(SolveStatus status);
 
@@ -103,7 +61,7 @@ const char* to_string(SolveStatus status);
 /// deadline is set).
 inline constexpr int kDeadlineCheckRounds = 16;
 
-/// The time source of a deadline budget: milliseconds since any fixed
+/// The time source of a deadline: milliseconds since any fixed
 /// origin (the solve only differences two readings). Time is passed in,
 /// never queried: a solve reads the clock its hooks name, so a test can
 /// trip a deadline at a chosen checkpoint.
@@ -115,13 +73,45 @@ class SolveClock {
   ~SolveClock() = default;
 };
 
+/// The restricted solve's limits: one round cap, one gap bar and one
+/// deadline. Every round carries an LP dual certificate, so whichever limit
+/// stops the solve, it returns the iterate of the round it stopped at,
+/// together with the running dual lower bound and a certified optimality
+/// gap.
+///
+/// Determinism contract:
+///  * no step size or smoothing parameter derives from `rounds`, so a
+///    capped solve is seed-exact and walks a prefix of the trajectory of
+///    any solve with a higher cap.
+///  * deadline_ms reads the solve's clock (MwuHooks::clock; the wall clock
+///    when it is null) every kDeadlineCheckRounds rounds. With the wall
+///    clock, which checkpoint trips is machine-dependent, so such results
+///    are excluded from identity gates; an injected clock makes them
+///    exact, and a deadline that trips at round r returns bit for bit what
+///    rounds = r returns, status aside. The clock is never read when
+///    deadline_ms == 0.
+///
+/// Column generation (min_congestion_by_columns_into, so both optima) caps
+/// each master solve at min(rounds, 50), stops iterating at target_gap and
+/// gives every master solve and the final one the full deadline_ms.
 struct MinCongestionOptions {
-  int rounds = 200;  ///< Frank–Wolfe rounds (best responses)
+  /// Frank–Wolfe rounds (best responses); a solve throws
+  /// std::invalid_argument below 1.
+  int rounds = 200;
   /// Stop at the first round whose congestion is within this factor of the
   /// dual bound (upper/lower <= target_gap). A value below 1 is never met,
   /// so the solve runs every round.
   double target_gap = 1.02;
-  SolveBudget budget;  ///< anytime budget; default = disabled
+  double deadline_ms = 0.0;  ///< 0 = no deadline; else clock milliseconds
+  /// "rounds=N,target_gap=G,deadline_ms=D", any subset of the keys,
+  /// applied onto `base`. Nullopt on an unknown key, a malformed or
+  /// non-finite value, a negative value or rounds < 1.
+  static std::optional<MinCongestionOptions> parse(
+      const std::string& text, const MinCongestionOptions& base);
+  /// All three keys in shortest round-trip form, so that
+  /// parse(to_string()) == *this exactly (the scenario format relies on
+  /// it).
+  std::string to_string() const;
   friend bool operator==(const MinCongestionOptions&,
                          const MinCongestionOptions&) = default;
 };
@@ -160,7 +150,7 @@ struct MwuHooks {
   /// solve with a sink is bit-identical to one without. Null (default) =
   /// no recording.
   obs::ConvergenceSink* sink = nullptr;
-  /// The deadline budget's time source; null = std::chrono::steady_clock.
+  /// The deadline's time source; null = std::chrono::steady_clock.
   SolveClock* clock = nullptr;
 };
 
@@ -175,13 +165,13 @@ struct CongestionResult {
   /// Best dual certificate found: a lower bound on the LP optimum.
   double lower_bound = 0.0;
   int rounds_used = 0;
-  /// Why the solve stopped (anytime budgets report kBudgetRounds /
-  /// kBudgetDeadline; the classic early exit reports kTargetReached).
+  /// Why the solve stopped: its round cap (kCompleted), its target gap
+  /// (kTargetReached) or its deadline (kBudgetDeadline).
   SolveStatus status = SolveStatus::kCompleted;
   /// Certified suboptimality: congestion / lower_bound - 1, so
   ///   lower_bound <= opt <= congestion = lower_bound * (1 + gap).
-  /// +inf when no positive dual bound was collected (e.g. a 0-round
-  /// budget); 0 for empty instances.
+  /// +inf when no positive dual bound was collected; 0 when nothing was
+  /// routed.
   double optimality_gap = 0.0;
 };
 
@@ -241,9 +231,6 @@ struct MinCongestionScratch {
   std::vector<double> lengths;   // x / total / cap, plus the padding edge m
   std::vector<double> weight;    // per distinct path
   std::vector<char> seeded;      // per commodity
-  // Anytime-budget best-iterate snapshot of `weight` (only touched when a
-  // round cap / deadline budget is active).
-  std::vector<double> budget_weight;
 
   /// Sizes the per-candidate buffers for solves of up to `paths` distinct
   /// candidates with `edges` edges in all, none longer than `max_hops`, so
@@ -285,9 +272,9 @@ CongestionResult min_congestion_over_paths(
 ///  * eps starts at 1 and halves whenever G <= 0.1 * eps * U, down to
 ///    max(0.01, ln(m+2) / 700), which keeps every exp a positive normal
 ///    double.
-///  * The target exit, the sink and the budgets read the congestion of the
-///    iterate each round leaves; a round or deadline budget rewinds to the
-///    weights of the best iterate. rounds_used counts the rounds run.
+///  * The target exit, the sink and the deadline read the congestion of
+///    the iterate each round leaves, and every stop returns that iterate.
+///    rounds_used counts the rounds run.
 /// Each round's cost is proportional to the candidate footprint (the edges
 /// of the distinct candidates), not to m: every other edge has F = 0 and
 /// shares one exp value, and the normalizing total is the segmented sum
@@ -362,8 +349,7 @@ struct ColumnGenerationScratch {
 ///     sum_j d_j * dist / sum_e cap_e * len_e replaces a lower one, and
 ///     each commodity's priced path appended when it is not yet a column.
 ///     They stop early when no column is new or the solve's congestion is
-///     within the target gap (budget.target_gap, else options.target_gap)
-///     of the bound;
+///     within options.target_gap of the bound;
 ///  3. a restricted solve over all columns with `options` unchanged,
 ///     warm-seeded with the last iteration's weights.
 /// `out` is that final solve over the columns (its path_weights index the

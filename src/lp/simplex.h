@@ -2,7 +2,7 @@
 //
 // This is the exact reference solver for the small LPs in tests and for the
 // exact variants of min-congestion routing. The large-scale paths are solved
-// by the multiplicative-weights engine in min_congestion.h; simplex results
+// by the restricted Frank–Wolfe solve in min_congestion.h; simplex results
 // are used to validate it.
 #pragma once
 

@@ -233,8 +233,7 @@ ScenarioReport run_scenario(SorEngine& engine, const ScenarioSpec& spec,
   RouteSpec route_spec;
   route_spec.compute_optimum = spec.measure_ratio;
   route_spec.compute_lower_bound = spec.measure_ratio;
-  if (spec.mwu_rounds > 0) route_spec.mwu.rounds = spec.mwu_rounds;
-  if (spec.budget.enabled()) route_spec.mwu.budget = spec.budget;
+  route_spec.mwu = spec.solve;
   route_spec.warm_start = spec.warm_start;
 
   ScenarioReport report;

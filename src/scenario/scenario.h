@@ -96,8 +96,9 @@ struct ScenarioSpec {
   /// demand", the closest match to the paper's install-before-reveal
   /// barrier.
   int install_horizon = 0;
-  /// Cap on restricted-solve rounds per route (0 = library default).
-  int mwu_rounds = 0;
+  /// The solve's limits (round cap, gap bar, deadline), forwarded verbatim
+  /// to every epoch route as RouteSpec::mwu.
+  MinCongestionOptions solve;
   /// Solve the per-epoch offline optimum for the competitive ratio
   /// (expensive; the bench turns it off).
   bool measure_ratio = true;
@@ -110,9 +111,6 @@ struct ScenarioSpec {
   std::vector<LinkEvent> events;
   /// Failure response of the serving loop (see DegradePolicy).
   DegradePolicy degrade = DegradePolicy::kFail;
-  /// Anytime budget forwarded to every epoch route (RouteSpec::mwu.budget);
-  /// disabled by default — epoch solves run to their round cap.
-  SolveBudget budget;
   /// Forwarded to every epoch route (RouteSpec::warm_start): carry each
   /// pair's restricted flow and integral choices across epochs
   /// (docs/warm-start.md). Off keeps the historical cold-per-epoch
@@ -224,8 +222,9 @@ struct EpochReport {
   /// ErrorCode of the absorbed failure as an int, -1 when none (kept an
   /// int so the report row stays plain data).
   int error_code = -1;
-  /// Certified anytime gap of the epoch's route (RouteReport::
-  /// optimality_gap); 0 when the solve ran to completion.
+  /// Certified gap of the epoch's restricted solve against its own dual
+  /// bound (RouteReport::solution.optimality_gap). Every routed epoch
+  /// reports it; an epoch that routed nothing reads 0.
   double optimality_gap = 0.0;
   /// Rounds the epoch's restricted solve actually ran
   /// (RouteReport::solution.rounds_used; 0 for degraded epochs).

@@ -1,7 +1,8 @@
-// Robustness layer (src/fault/, anytime SolveBudget, BatchSpec::on_error,
+// Robustness layer (src/fault/, the solve's limits, BatchSpec::on_error,
 // scenario DegradePolicy): deterministic fault injection must be a pure
-// function of the plan, anytime budgets must return certified best-so-far
-// iterates and be bit-identical when they never trigger, and graceful
+// function of the plan, a solve stopped by any limit must return the
+// iterate it stopped at with a valid certificate, a deadline that never
+// trips must be bit-identical to none, and graceful
 // degradation must fold zero load for failed work while leaving every
 // surviving output bit-identical across threads and modes.
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "io/demand_stream.h"
+#include "lp/hop_bounded.h"
 #include "io/scenario_io.h"
 #include "io/serialization.h"
 #include "lp/min_congestion.h"
@@ -160,16 +162,16 @@ TEST(FaultPlan, GlobalPlanInstallAndClear) {
 
 // ---- AnytimeSolve -------------------------------------------------------
 
-/// A small instance with real path choice: 4x4 wrapped grid, 6 commodities
-/// over 2 candidate paths each.
+/// A small instance with real path choice: 4x4 wrapped grid, `count`
+/// commodities (6 by default) over up to 2 candidate paths each.
 struct RestrictedInstance {
   Graph g = gen::grid(4, 4, /*wrap=*/true);
   std::vector<Commodity> commodities;
   std::vector<std::vector<Path>> candidates;
 
-  RestrictedInstance() {
-    Rng rng(17);
-    for (int j = 0; j < 6; ++j) {
+  explicit RestrictedInstance(int count = 6, std::uint64_t seed = 17) {
+    Rng rng(seed);
+    for (int j = 0; j < count; ++j) {
       const int s = rng.uniform_int(0, 15);
       int t = rng.uniform_int(0, 15);
       while (t == s) t = rng.uniform_int(0, 15);
@@ -211,15 +213,18 @@ void expect_certificate(const CongestionResult& r) {
 TEST(AnytimeSolve, UntriggeredBudgetIsBitIdenticalRestricted) {
   RestrictedInstance inst;
   MinCongestionOptions plain;
+  plain.target_gap = 0.0;  // never met: every checkpoint is passed
   const CongestionResult base =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
                                 plain);
 
-  MinCongestionOptions budgeted = plain;
-  budgeted.budget.max_rounds = 1 << 20;  // larger than the round cap
+  EXPECT_EQ(base.rounds_used, plain.rounds);
+
+  MinCongestionOptions idle = plain;
+  idle.deadline_ms = 1e9;  // read at every checkpoint, never reached
   const CongestionResult same =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
-                                budgeted);
+                                idle);
   EXPECT_EQ(base.congestion, same.congestion);
   EXPECT_EQ(base.edge_load, same.edge_load);
   EXPECT_EQ(base.path_weights, same.path_weights);
@@ -240,14 +245,16 @@ TEST(AnytimeSolve, UntriggeredBudgetIsBitIdenticalFree) {
   RestrictedInstance inst;
   const Demand d = demand_of(inst);
   MinCongestionOptions plain;
+  plain.target_gap = 0.0;
   OptimumScratch base_scratch;
   const OptimalCongestion base =
       optimal_congestion(inst.g, d, plain, base_scratch);
-  MinCongestionOptions budgeted = plain;
-  budgeted.budget.max_rounds = 1 << 20;
+  EXPECT_EQ(base_scratch.result.rounds_used, plain.rounds);
+  MinCongestionOptions idle = plain;
+  idle.deadline_ms = 1e9;
   OptimumScratch same_scratch;
   const OptimalCongestion same =
-      optimal_congestion(inst.g, d, budgeted, same_scratch);
+      optimal_congestion(inst.g, d, idle, same_scratch);
   EXPECT_EQ(base.upper, same.upper);
   EXPECT_EQ(base.lower, same.lower);
   EXPECT_EQ(base.status, same.status);
@@ -260,17 +267,21 @@ TEST(AnytimeSolve, UntriggeredBudgetIsBitIdenticalFree) {
 
 TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateRestricted) {
   RestrictedInstance inst;
+  const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
   MinCongestionOptions options;
-  options.budget.max_rounds = 8;
-  const CongestionResult a =
-      min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
-                                options);
-  EXPECT_EQ(a.status, SolveStatus::kBudgetRounds);
-  EXPECT_LE(a.rounds_used, 8);
+  options.rounds = 8;
+  MinCongestionScratch scratch;
+  std::vector<obs::ConvergenceRecord> capped_records;
+  obs::ConvergenceSink capped_sink(capped_records);
+  CongestionResult a;
+  min_congestion_over_paths_into(inst.g, inst.commodities, flat, options,
+                                 {.sink = &capped_sink}, scratch, a);
+  // Running out of rounds is the plain completion of a capped solve.
+  EXPECT_EQ(a.status, SolveStatus::kCompleted);
+  EXPECT_EQ(a.rounds_used, 8);
   expect_certificate(a);
 
-  // Seed-exact: a repeat run is bitwise identical, including the rewound
-  // best-prefix iterate.
+  // Seed-exact: a repeat run is bitwise identical.
   const CongestionResult b =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
                                 options);
@@ -280,25 +291,41 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateRestricted) {
   EXPECT_EQ(a.lower_bound, b.lower_bound);
   EXPECT_EQ(a.optimality_gap, b.optimality_gap);
 
-  // The budgeted congestion can only be worse (or equal) than the full
-  // solve, and its dual bound can only be looser.
-  const CongestionResult full =
-      min_congestion_over_paths(inst.g, inst.commodities, inst.candidates);
+  // The cap truncates the full solve's trajectory: its rounds are the
+  // full solve's first 8, bit for bit; its congestion is no better and
+  // its dual bound can only be looser.
+  std::vector<obs::ConvergenceRecord> full_records;
+  obs::ConvergenceSink full_sink(full_records);
+  CongestionResult full;
+  min_congestion_over_paths_into(inst.g, inst.commodities, flat, {},
+                                 {.sink = &full_sink}, scratch, full);
+  ASSERT_GT(full_records.size(), capped_records.size());
+  for (std::size_t r = 0; r < capped_records.size(); ++r) {
+    SCOPED_TRACE(testing::Message() << "round " << r + 1);
+    const obs::ConvergenceRecord& x = capped_records[r];
+    const obs::ConvergenceRecord& y = full_records[r];
+    EXPECT_EQ(x.round, y.round);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.congestion),
+              std::bit_cast<std::uint64_t>(y.congestion));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.best_lower),
+              std::bit_cast<std::uint64_t>(y.best_lower));
+  }
+  EXPECT_EQ(a.lower_bound, capped_records.back().best_lower);
   EXPECT_GE(a.congestion, full.congestion - 1e-12);
-  EXPECT_LE(a.lower_bound, full.lower_bound + 1e-12);
+  EXPECT_LE(a.lower_bound, full.lower_bound);
 }
 
 TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
-  // The budget applies to each master solve of the column generation, the
-  // final one included.
+  // The round cap applies to each master solve of the column generation,
+  // the final one included.
   RestrictedInstance inst;
   const Demand d = demand_of(inst);
   MinCongestionOptions options;
-  options.budget.max_rounds = 8;
+  options.rounds = 8;
   OptimumScratch sa;
   const OptimalCongestion a = optimal_congestion(inst.g, d, options, sa);
-  EXPECT_EQ(a.status, SolveStatus::kBudgetRounds);
-  EXPECT_LE(sa.result.rounds_used, 8);
+  EXPECT_EQ(a.status, SolveStatus::kCompleted);
+  EXPECT_EQ(sa.result.rounds_used, 8);
   expect_certificate(sa.result);
   EXPECT_LE(a.lower, a.upper);
   OptimumScratch sb;
@@ -315,12 +342,10 @@ TEST(AnytimeSolve, RoundBudgetIsSeedExactWithValidCertificateFree) {
 bool expect_stop_rule(const CongestionResult& r,
                       const std::vector<obs::ConvergenceRecord>& records,
                       const MinCongestionOptions& options) {
-  const double gap = options.budget.target_gap > 0.0
-                         ? options.budget.target_gap
-                         : options.target_gap;
   int first_met = 0;
   for (const obs::ConvergenceRecord& rec : records) {
-    if (rec.best_lower > 0.0 && rec.congestion <= rec.best_lower * gap) {
+    if (rec.best_lower > 0.0 &&
+        rec.congestion <= rec.best_lower * options.target_gap) {
       first_met = rec.round;
       break;
     }
@@ -341,7 +366,7 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   const CongestionResult full =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates);
   MinCongestionOptions options;
-  options.budget.target_gap = 10.0;  // bar: within 10x of the dual bound
+  options.target_gap = 10.0;  // bar: within 10x of the dual bound
   const CongestionResult early =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
                                 options);
@@ -370,7 +395,7 @@ TEST(AnytimeSolve, TargetGapStopsEarlyWithMetCertificate) {
   for (const double gap : {10.0, 1.5, 1.2, 1.05}) {
     SCOPED_TRACE(testing::Message() << "gap " << gap);
     MinCongestionOptions o;
-    o.budget.target_gap = gap;
+    o.target_gap = gap;
     for (const bool seeded : {false, true}) {
       obs::ConvergenceSink sink(records);
       MwuHooks hooks;
@@ -402,7 +427,7 @@ TEST(AnytimeSolve, DeadlineBudgetStopsAtACheckpoint) {
   RestrictedInstance inst;
   MinCongestionOptions options;
   options.target_gap = 0.0;  // never met, so only the deadline stops it
-  options.budget.deadline_ms = 1e-9;  // elapses before the first checkpoint
+  options.deadline_ms = 1e-9;  // elapses before the first checkpoint
   const CongestionResult r =
       min_congestion_over_paths(inst.g, inst.commodities, inst.candidates,
                                 options);
@@ -427,16 +452,18 @@ class CheckpointClock final : public SolveClock {
 
 TEST(AnytimeSolve, InjectedClockDeadlineIsTheRoundBudgetPrefix) {
   // Time is passed in: a deadline that trips at the k-th checkpoint stops
-  // after 16 * k rounds and returns, bit for bit, what a 16 * k round
-  // budget returns (both truncate one trajectory and rewind alike).
-  RestrictedInstance inst;
+  // after 16 * k rounds and returns, bit for bit, what a 16 * k round cap
+  // returns: both stop one trajectory at the same round and return its
+  // iterate. On this instance the iterate of round 16 and of round 48 is
+  // not the best one seen, so a stop that rewound to it would not match.
+  RestrictedInstance inst(/*count=*/10, /*seed=*/1);
   const FlatCandidates flat = flatten_candidates(inst.g, inst.candidates);
   MinCongestionScratch scratch;
   for (const int k : {1, 3, 5}) {
     SCOPED_TRACE(testing::Message() << "checkpoint " << k);
     MinCongestionOptions timed;
-    timed.target_gap = 0.0;  // never met: no target exit before the budgets
-    timed.budget.deadline_ms = 1.0;
+    timed.target_gap = 0.0;  // never met: no target exit before the deadline
+    timed.deadline_ms = 1.0;
     CheckpointClock clock(k);
     MwuHooks hooks;
     hooks.clock = &clock;
@@ -448,11 +475,11 @@ TEST(AnytimeSolve, InjectedClockDeadlineIsTheRoundBudgetPrefix) {
 
     MinCongestionOptions capped;
     capped.target_gap = 0.0;
-    capped.budget.max_rounds = kDeadlineCheckRounds * k;
+    capped.rounds = kDeadlineCheckRounds * k;
     CongestionResult by_rounds;
     min_congestion_over_paths_into(inst.g, inst.commodities, flat, capped,
                                    {}, scratch, by_rounds);
-    EXPECT_EQ(by_rounds.status, SolveStatus::kBudgetRounds);
+    EXPECT_EQ(by_rounds.status, SolveStatus::kCompleted);
     EXPECT_EQ(by_rounds.rounds_used, by_clock.rounds_used);
     EXPECT_EQ(by_rounds.path_weights, by_clock.path_weights);
     EXPECT_EQ(by_rounds.edge_load, by_clock.edge_load);
@@ -476,53 +503,96 @@ TEST(AnytimeSolve, EngineRouteThreadsBudgetAndReportsStatus) {
   SorEngine base_engine = build();
   base_engine.install_paths(SamplingSpec::for_demand(d, 3));
   const RouteReport base = base_engine.route(d);
-  // No budget: the solve ran to its own convergence criterion (full rounds
-  // or the default early-exit bar) — never a budget status.
+  // No deadline: the solve ran to its round cap or its gap bar, past a
+  // deadline checkpoint.
   EXPECT_TRUE(base.solution.status == SolveStatus::kCompleted ||
               base.solution.status == SolveStatus::kTargetReached);
+  EXPECT_GE(base.solution.rounds_used, kDeadlineCheckRounds);
 
-  // A non-triggering budget is bit-identical to no budget at all.
+  // A deadline that never trips is bit-identical to none at all.
   SorEngine idle_engine = build();
   idle_engine.install_paths(SamplingSpec::for_demand(d, 3));
   RouteSpec idle_spec;
-  idle_spec.mwu.budget.max_rounds = 1 << 20;
+  idle_spec.mwu.deadline_ms = 1e9;
   const RouteReport idle = idle_engine.route(d, idle_spec);
   EXPECT_EQ(base.congestion, idle.congestion);
   EXPECT_EQ(base.solution.edge_load, idle.solution.edge_load);
   EXPECT_EQ(base.solution.lower_bound, idle.solution.lower_bound);
   EXPECT_EQ(idle.solution.status, base.solution.status);
 
-  // A binding budget reports its status and a valid certified gap.
+  // A binding round cap reports a completed solve of that many rounds and
+  // a valid certified gap.
   SorEngine tight_engine = build();
   tight_engine.install_paths(SamplingSpec::for_demand(d, 3));
   RouteSpec tight_spec;
-  tight_spec.mwu.budget.max_rounds = 4;
+  tight_spec.mwu.rounds = 4;
   const RouteReport tight = tight_engine.route(d, tight_spec);
-  EXPECT_EQ(tight.solution.status, SolveStatus::kBudgetRounds);
+  EXPECT_EQ(tight.solution.status, SolveStatus::kCompleted);
+  EXPECT_EQ(tight.solution.rounds_used, 4);
   EXPECT_GE(tight.solution.optimality_gap, 0.0);
   EXPECT_GE(tight.congestion, base.congestion - 1e-12);
   EXPECT_LE(tight.solution.lower_bound,
             tight.congestion + 1e-12);
 }
 
+TEST(AnytimeSolve, RoundCapBelowOneThrows) {
+  // A solve of no rounds would route nothing and certify it (gap 0): the
+  // route, the optimum and opt^(h) refuse such a cap instead. Hypercube(4)
+  // with 3 units of demand.
+  SorEngine engine =
+      SorEngine::build(gen::hypercube(4), "racke:num_trees=4", 5, 1);
+  Demand d;
+  d.add(0, 15, 1.0);
+  d.add(3, 12, 2.0);
+  engine.install_paths(SamplingSpec::for_demand(d, 3));
+  std::vector<Commodity> commodities;
+  d.commodities_into(commodities);
+  for (const int rounds : {0, -1}) {
+    SCOPED_TRACE(testing::Message() << "rounds " << rounds);
+    RouteSpec spec;
+    spec.mwu.rounds = rounds;
+    EXPECT_THROW(engine.route(d, spec), std::invalid_argument);
+    EXPECT_THROW(optimal_congestion(engine.graph(), d, spec.mwu),
+                 std::invalid_argument);
+    EXPECT_THROW(min_congestion_hop_bounded(engine.graph(), commodities,
+                                            /*max_hops=*/4, spec.mwu),
+                 std::invalid_argument);
+  }
+}
+
 TEST(AnytimeSolve, BudgetParseAndToString) {
-  const auto full = SolveBudget::parse("max_rounds=64,deadline_ms=50,gap=1.5");
+  const auto full = MinCongestionOptions::parse(
+      "rounds=64,target_gap=1.5,deadline_ms=50", {});
   ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->max_rounds, 64);
-  EXPECT_EQ(full->deadline_ms, 50.0);
+  EXPECT_EQ(full->rounds, 64);
   EXPECT_EQ(full->target_gap, 1.5);
-  EXPECT_TRUE(full->enabled());
-  const auto round = SolveBudget::parse(full->to_string());
+  EXPECT_EQ(full->deadline_ms, 50.0);
+  const auto round = MinCongestionOptions::parse(full->to_string(), {});
   ASSERT_TRUE(round.has_value());
   EXPECT_EQ(*round, *full);
+  // Shortest round-trip form: a value with no short decimal survives too.
+  MinCongestionOptions odd;
+  odd.deadline_ms = 0.1 + 0.2;
+  EXPECT_EQ(MinCongestionOptions::parse(odd.to_string(), {}), odd);
 
-  EXPECT_FALSE(SolveBudget::parse("max_rounds=-1").has_value());
-  EXPECT_FALSE(SolveBudget::parse("gap=0.5").has_value());  // bar below 1
-  EXPECT_FALSE(SolveBudget::parse("deadline_ms=nope").has_value());
-  EXPECT_FALSE(SolveBudget::parse("unknown=3").has_value());
-  const auto empty = SolveBudget::parse("");
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_FALSE(empty->enabled());
+  // Keys apply onto the base; the empty text is the base itself.
+  const auto partial = MinCongestionOptions::parse("deadline_ms=2.5", *full);
+  ASSERT_TRUE(partial.has_value());
+  EXPECT_EQ(partial->rounds, 64);
+  EXPECT_EQ(partial->target_gap, 1.5);
+  EXPECT_EQ(partial->deadline_ms, 2.5);
+  EXPECT_EQ(MinCongestionOptions::parse("", *full), full);
+  EXPECT_EQ(MinCongestionOptions::parse("", {}), MinCongestionOptions{});
+  // A bar below 1 is never met: the solve runs every round.
+  EXPECT_EQ(MinCongestionOptions::parse("target_gap=0", {})->target_gap, 0.0);
+
+  for (const char* bad :
+       {"rounds=-1", "rounds=0", "rounds=8.5", "rounds=", "rounds",
+        "target_gap=-0.5", "target_gap=inf", "deadline_ms=nope",
+        "deadline_ms=nan", "deadline_ms=-1", "unknown=3", "max_rounds=8",
+        "gap=1.1"}) {
+    EXPECT_FALSE(MinCongestionOptions::parse(bad, {}).has_value()) << bad;
+  }
 }
 
 // ---- FaultInjection -----------------------------------------------------
@@ -940,7 +1010,7 @@ scenario::ScenarioSpec robustness_spec(int epochs) {
   spec.seed = 13;
   spec.epochs = epochs;
   spec.alpha = 2;
-  spec.mwu_rounds = 16;
+  spec.solve.rounds = 16;
   spec.measure_ratio = false;
   spec.model = *scenario::TrafficModelSpec::parse(
       "diurnal_gravity:total=16,amplitude=0.4,max_pairs=12");
@@ -963,21 +1033,23 @@ TEST(FaultScenario, DegradePolicyParses) {
 TEST(FaultScenario, SpecRoundTripsRobustnessKnobs) {
   scenario::ScenarioSpec spec = robustness_spec(4);
   spec.degrade = scenario::DegradePolicy::kStaleRoute;
-  spec.budget.max_rounds = 32;
-  spec.budget.deadline_ms = 12.5;
+  spec.solve = {.rounds = 32, .target_gap = 1.25, .deadline_ms = 12.5};
   std::ostringstream out;
   io::write_scenario(out, spec);
+  EXPECT_NE(out.str().find("\nsolve rounds=32,target_gap=1.25,deadline_ms=12.5\n"),
+            std::string::npos);
   std::istringstream in(out.str());
   const auto loaded = io::read_scenario(in);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, spec);
 
-  // Default knobs are not written: legacy specs stay byte-stable.
+  // Knobs at their defaults are not written.
   scenario::ScenarioSpec plain = robustness_spec(4);
+  plain.solve = {};
   std::ostringstream out2;
   io::write_scenario(out2, plain);
   EXPECT_EQ(out2.str().find("degrade"), std::string::npos);
-  EXPECT_EQ(out2.str().find("budget"), std::string::npos);
+  EXPECT_EQ(out2.str().find("\nsolve "), std::string::npos);
 }
 
 TEST(FaultScenario, FailPolicyRethrowsInstallFaults) {
@@ -1042,7 +1114,7 @@ TEST(FaultScenario, StaleRouteKeepsServingFrozenPaths) {
 
 TEST(FaultScenario, AnytimeBudgetFlowsIntoEpochRoutes) {
   scenario::ScenarioSpec spec = robustness_spec(4);
-  spec.budget.max_rounds = 4;
+  spec.solve.rounds = 4;
   SorEngine engine = scenario::build_scenario_engine(spec, 1);
   const scenario::ScenarioTrace trace =
       scenario::generate_trace(engine.graph(), spec);
@@ -1051,16 +1123,16 @@ TEST(FaultScenario, AnytimeBudgetFlowsIntoEpochRoutes) {
   for (const scenario::EpochReport& row : report.epochs) {
     EXPECT_TRUE(std::isfinite(row.optimality_gap)) << row.epoch;
     EXPECT_GE(row.optimality_gap, 0.0) << row.epoch;
+    EXPECT_LE(row.mwu_rounds, 4) << row.epoch;
   }
 }
 
 TEST(FaultScenario, ChurnTraceUnder500EpochsOfFaultsStaysAccounted) {
   scenario::ScenarioSpec spec = robustness_spec(500);
-  spec.mwu_rounds = 8;
+  spec.solve.rounds = 4;
   spec.reinstall = *scenario::ReinstallPolicy::parse("every_k:10");
   spec.churn = {.rate = 0.3, .down_factor = 0.1, .mean_outage = 2};
   spec.degrade = scenario::DegradePolicy::kStaleRoute;
-  spec.budget.max_rounds = 4;
   SorEngine engine = scenario::build_scenario_engine(spec, 1);
   engine.set_fault_plan(plan_or_die("seed=11;install%5;edge_capacity%9"));
   const scenario::ScenarioTrace trace =

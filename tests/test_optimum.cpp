@@ -125,9 +125,6 @@ Reference reference_optimum(const Graph& g, const Demand& d,
 
   MinCongestionOptions master = options;
   master.rounds = std::min(options.rounds, 50);
-  const double gap = options.budget.target_gap > 0.0
-                         ? options.budget.target_gap
-                         : options.target_gap;
   std::vector<std::vector<double>> seed;
   for (int iteration = 0; iteration < 16; ++iteration) {
     MwuHooks hooks;
@@ -155,7 +152,7 @@ Reference reference_optimum(const Graph& g, const Demand& d,
     for (std::size_t j = 0; j < cs.size(); ++j) {
       seed[j].resize(columns[j].size(), 0.0);
     }
-    if (!added || result.congestion <= lower * gap) break;
+    if (!added || result.congestion <= lower * options.target_gap) break;
   }
   {
     MwuHooks hooks;

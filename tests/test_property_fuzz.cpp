@@ -294,7 +294,7 @@ std::vector<Reader> readers(const Graph& g, Rng& rng) {
       paths_text, sample_path_system(routing, 2, support_pairs(pairs), rng));
 
   scenario::ScenarioSpec spec = *scenario::scenario_preset("failover");
-  spec.budget = *SolveBudget::parse("max_rounds=40,deadline_ms=2.5,gap=1.05");
+  spec.solve = {.rounds = 40, .target_gap = 1.05, .deadline_ms = 2.5};
   spec.warm_start = true;
   spec.events.push_back({.epoch = 3, .kind = scenario::LinkEvent::Kind::kScale,
                          .u = 2, .v = 3, .factor = 0.5});
@@ -393,6 +393,24 @@ TEST(ReaderRegressions, NonFiniteSpecValuesAreRejected) {
       "scenario v1\nmodel diurnal_gravity:total=16,amplitude=0.6,period=6\n"
       "backend racke:eta=4\n");
   EXPECT_TRUE(io::read_scenario(in).has_value());
+}
+
+// The solver's limits have one line, `solve`, parsed by
+// MinCongestionOptions::parse: a cap below 1 or a non-finite value is
+// refused there, and the retired `mwu_rounds` and `budget` keywords are
+// unknown like any other.
+TEST(ReaderRegressions, SolveLineIsTheOnlySolverKeyword) {
+  for (const char* line : {"solve rounds=0", "solve deadline_ms=nan",
+                           "solve target_gap=inf", "solve rounds=8 extra",
+                           "mwu_rounds 8", "budget max_rounds=8"}) {
+    SCOPED_TRACE(line);
+    std::istringstream in(std::string("scenario v1\n") + line + "\n");
+    EXPECT_FALSE(io::read_scenario(in).has_value());
+  }
+  std::istringstream in("scenario v1\nsolve rounds=8\n");
+  const auto spec = io::read_scenario(in);
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_EQ(spec->solve, (MinCongestionOptions{.rounds = 8}));
 }
 
 // A written case: read_trace assigned the header's `epochs` count of empty

@@ -12,8 +12,8 @@
 //    amount and unseeded commodities enter on their round-0 best
 //    response; the early exit fires at the first round whose congestion
 //    is within the target gap of the running lower bound, cold or seeded;
-//    eps, the step, the round budget's best-iterate rewind, a deadline on an
-//    injected clock and the returned weights and loads follow the
+//    eps, the step, the round cap, a deadline on an injected clock and the
+//    returned weights (those of the last round run) and loads follow the
 //    solver's documented contract;
 //  * every round leaves one convergence record: the round, the congestion,
 //    the dual, the running lower bound, the certified gap and the count of
@@ -208,15 +208,7 @@ Reference reference_solve(const Instance& inst,
 
   const double log_m = std::log(static_cast<double>(m) + 2.0);
   const double eps_floor = std::max(0.01, log_m / 700.0);
-  const SolveBudget& budget = options.budget;
-  const int round_cap =
-      (budget.max_rounds > 0 && budget.max_rounds < options.rounds)
-          ? budget.max_rounds
-          : options.rounds;
-  const double gap_mult =
-      budget.target_gap > 0.0 ? budget.target_gap : options.target_gap;
-  const bool track_best = budget.max_rounds > 0 || budget.deadline_ms > 0.0;
-  const double start = budget.deadline_ms > 0.0 ? clock->now_ms() : 0.0;
+  const double start = options.deadline_ms > 0.0 ? clock->now_ms() : 0.0;
 
   const auto max_ratio = [&] {
     double worst = 0.0;
@@ -228,16 +220,12 @@ Reference reference_solve(const Instance& inst,
   double eps = 1.0;
   double u = max_ratio();
   double best_lower = 0.0;
-  double best_seen = std::numeric_limits<double>::infinity();
-  int best_round = 0;
-  std::vector<std::vector<double>> best_w = w;
-  bool target_hit = false;
-  bool deadline_hit = false;
+  SolveStatus status = SolveStatus::kCompleted;
   std::vector<double> x(m, 0.0);
   std::vector<double> length(m, 0.0);
 
   int round = 0;
-  while (round < round_cap) {
+  while (round < options.rounds) {
     const double beta = u > 0.0 ? log_m / (eps * u) : 0.0;
     const double shared = std::exp(-beta * u);
     double on_sum = 0.0;
@@ -320,34 +308,15 @@ Reference reference_solve(const Instance& inst,
                            certified_gap(u, best_lower),
                            static_cast<int>(loaded)});
 
-    if (track_best && u < best_seen) {
-      best_seen = u;
-      best_round = round;
-      best_w = w;
-    }
-    if (best_lower > 0.0 && u <= best_lower * gap_mult) {
-      target_hit = true;
+    if (best_lower > 0.0 && u <= best_lower * options.target_gap) {
+      status = SolveStatus::kTargetReached;
       break;
     }
-    if (budget.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
-        clock->now_ms() - start >= budget.deadline_ms) {
-      deadline_hit = true;
+    if (options.deadline_ms > 0.0 && round % kDeadlineCheckRounds == 0 &&
+        clock->now_ms() - start >= options.deadline_ms) {
+      status = SolveStatus::kBudgetDeadline;
       break;
     }
-  }
-
-  SolveStatus status = SolveStatus::kCompleted;
-  if (target_hit) {
-    status = SolveStatus::kTargetReached;
-  } else if (deadline_hit) {
-    status = SolveStatus::kBudgetDeadline;
-  } else if (round_cap < options.rounds) {
-    status = SolveStatus::kBudgetRounds;
-  }
-  if ((status == SolveStatus::kBudgetRounds ||
-       status == SolveStatus::kBudgetDeadline) &&
-      best_round > 0 && best_round < round) {
-    w = best_w;
   }
 
   out.path_weights = w;
@@ -425,9 +394,9 @@ void expect_matches_reference(const Instance& inst, std::uint64_t seed,
   MinCongestionOptions early = cold;
   early.target_gap = 1.25;
   MinCongestionOptions capped = cold;
-  capped.budget.max_rounds = 41;
+  capped.rounds = 41;
   MinCongestionOptions deadline = cold;
-  deadline.budget.deadline_ms = 5.0;
+  deadline.deadline_ms = 5.0;
 
   // A seed over every candidate: random splits, some rows all zero or of
   // the wrong length (those commodities enter cold), copies seeded too.

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "api/sor_engine.h"
 #include "graph/generators.h"
@@ -43,6 +45,21 @@ TEST(Rounding, ChoicesMatchDemandUnits) {
       ASSERT_LT(idx, static_cast<int>(integral.paths[j].size()));
     }
   }
+}
+
+TEST(Rounding, FewerThanOneTrialThrows) {
+  // Zero trials would return a rounding with no choices and congestion 0.
+  const Graph g = gen::grid(3, 4);
+  RandomShortestPathRouting routing(g);
+  Rng rng(1);
+  Demand d;
+  d.set(0, 11, 3.0);
+  const auto fractional = routed_instance(g, routing, d, 3, rng);
+  EXPECT_THROW(round_randomized(g, fractional, rng, 0), std::invalid_argument);
+  EXPECT_THROW(round_randomized(g, fractional, rng, -1), std::invalid_argument);
+  const std::vector<std::vector<int>> seed = {{0, 0, 0}};
+  EXPECT_THROW(round_randomized(g, fractional, rng, 0, &seed),
+               std::invalid_argument);
 }
 
 TEST(Rounding, CongestionIsConsistent) {

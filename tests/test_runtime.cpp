@@ -298,7 +298,7 @@ scenario::ScenarioSpec steady_spec(int epochs) {
   spec.backend = "racke:num_trees=4";
   spec.seed = 13;
   spec.epochs = epochs;
-  spec.mwu_rounds = 60;
+  spec.solve.rounds = 60;
   spec.model = *scenario::TrafficModelSpec::parse(
       "diurnal_gravity:total=32,amplitude=0.5,period=8,max_pairs=24");
   spec.reinstall = *scenario::ReinstallPolicy::parse("never");

@@ -200,7 +200,7 @@ TEST(Scenario, SpecSerializationRoundTrips) {
   spec.events.push_back({2, LinkEvent::Kind::kDown, 0, 1, 1.0});
   spec.events.push_back({4, LinkEvent::Kind::kScale, 1, 2, 0.5});
   spec.install_horizon = 2;
-  spec.mwu_rounds = 120;
+  spec.solve.rounds = 120;
   spec.rebuild_backend = true;
   spec.reinstall = *ReinstallPolicy::parse("on_support_drift:0.125");
 

@@ -144,8 +144,7 @@ TEST(WarmStart, SpecChangeDisablesReplayButStillSeeds) {
   const std::pair<const char*, void (*)(RouteSpec&)> changes[] = {
       {"mwu.rounds", [](RouteSpec& s) { s.mwu.rounds = 700; }},
       {"mwu.target_gap", [](RouteSpec& s) { s.mwu.target_gap = 1.05; }},
-      {"mwu.budget.max_rounds",
-       [](RouteSpec& s) { s.mwu.budget.max_rounds = 1 << 20; }},
+      {"mwu.deadline_ms", [](RouteSpec& s) { s.mwu.deadline_ms = 1e9; }},
       {"compute_optimum", [](RouteSpec& s) { s.compute_optimum = false; }},
       {"compute_lower_bound",
        [](RouteSpec& s) { s.compute_lower_bound = false; }},
